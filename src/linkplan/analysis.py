@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import exp1, hyperu
 
 from . import hardware, specfun
 from .channel import (
@@ -147,7 +148,7 @@ def gaussian_outage(g: GaussianApprox, M: int, CC: int, R: float) -> float:
     if g.variance <= 0:
         raise ApproximationInvalidError(f"surrogate variance {g.variance} <= 0")
     arg = math.sqrt(M * CC) * (R / M - g.mean) / math.sqrt(2.0 * g.variance)
-    return 0.5 * (1.0 + specfun.erf(arg))
+    return 0.5 * (1.0 + math.erf(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +156,9 @@ def gaussian_outage(g: GaussianApprox, M: int, CC: int, R: float) -> float:
 # ---------------------------------------------------------------------------
 
 def rf_moments_low_snr(f: RicianFading) -> GaussianApprox:
-    """Moments of the sum gain itself: mean from the confluent-hypergeometric
-    closed form, variance from quadrature of the sum-gain density (the
-    closed-form second moment is replaced by quadrature deliberately; see
-    tests for the cross-check)."""
-    K, Om, N = f.K, f.Omega, f.N
-    kn = K * N
-    if kn < 600.0:
-        hyp = specfun.gen_hypergeometric([N + 1.0], [float(N)], kn)
-        mean = Om * math.exp(-kn) * N / (K + 1.0) * hyp
-    else:
-        # same closed form with the exponential factored analytically:
-        # 1F1(N+1; N; z) = e^z (1 + z/N)
-        mean = Om * N / (K + 1.0) * (1.0 + kn / N)
-    approx = clt_sum_gain_params(f)
-    sd = math.sqrt(approx.variance)
-    ub = approx.mean + 40.0 * sd
-    second, _ = quad(lambda x: x * x * rician_sum_pdf(x, f), 0.0, ub, limit=400)
-    return GaussianApprox(mean=mean, variance=second - mean * mean)
+    """Exact moments of the sum gain itself: mean N*Omega and variance
+    N*Omega^2 (1+2K)/(K+1)^2, which are the Gaussian surrogate's moments."""
+    return clt_sum_gain_params(f)
 
 
 def rf_outage_low_snr(h: RfHopParams) -> OutageEstimate:
@@ -194,7 +180,7 @@ def _kernel_q(a1, a2, a3, a4, x):
     if x == math.inf:
         return 0.5 * (a1 * a3 + a2)
     c = a1 * a3 + a2
-    return -0.5 * c * specfun.erf((a3 - x) / math.sqrt(2.0 * a4)) - a1 * math.sqrt(
+    return -0.5 * c * math.erf((a3 - x) / math.sqrt(2.0 * a4)) - a1 * math.sqrt(
         a4 / (2.0 * math.pi)
     ) * math.exp(-((a3 - x) ** 2) / (2.0 * a4))
 
@@ -206,7 +192,7 @@ def _kernel_t(a1, a2, a3, a4, x):
     if x == math.inf:
         return c * c + m * m
     u = (x - a3) / math.sqrt(a4)
-    big_phi = 0.5 * (1.0 + specfun.erf(u / math.sqrt(2.0)))
+    big_phi = 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))
     small_phi = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     return (c * c + m * m) * big_phi - (2.0 * c * m + m * m * u) * small_phi
 
@@ -300,12 +286,12 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 # FSO surrogate moments
 # ---------------------------------------------------------------------------
 
-def _psi_alternating(z, ctl=specfun.DEFAULT_SERIES):
+def _psi_alternating(z):
     """psi(z) = sum_{k>=1} (-1)^(k-1) z^k / (k^2 k!)  (= z * 3F3 series);
     asymptotic form 0.5 ln^2 z + euler_gamma ln z + (euler_gamma^2/2 + pi^2/12)
     beyond the cancellation-safe range."""
     if z <= 30.0:
-        return z * specfun.gen_hypergeometric([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], -z, ctl)
+        return z * specfun.gen_hypergeometric([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], -z)
     lz = math.log(z)
     return 0.5 * lz * lz + _EULER_GAMMA * lz + (
         _EULER_GAMMA * _EULER_GAMMA / 2.0 + math.pi * math.pi / 12.0
@@ -317,7 +303,7 @@ def _h_antiderivative(x, kappa):
     ... assembled from the alternating series, the log terms and Gamma(0, .)."""
     z = kappa * x
     lx = math.log(x)
-    g0 = specfun.upper_incomplete_gamma(0.0, z)
+    g0 = exp1(z)  # Gamma(0, z)
     inner = _psi_alternating(z) + 0.5 * lx * (
         -2.0 * (math.log(z) + _EULER_GAMMA) - 2.0 * g0 + lx
     )
@@ -377,8 +363,10 @@ def fso_moments(h: FsoHopParams) -> GaussianApprox:
     if isinstance(h.model, FsoExponential):
         lam = h.model.lam
         kappa = lam / p
+        # e^kappa E1(kappa); U(1, 1, kappa) is the same product without the
+        # overflowing factor
         mu = -math.exp(kappa) * specfun.expint_ei(-kappa) if kappa < 500.0 else (
-            specfun.expint_e1_scaled(kappa)
+            float(hyperu(1.0, 1.0, kappa))
         )
         second = _fso_exp_second_moment(lam, p)
         var = second - mu * mu
@@ -452,7 +440,7 @@ def rf_outage_single_shot(h: RfHopParams) -> OutageEstimate:
     g = clt_sum_gain_params(h.fading)
     thr = (math.exp(h.R) - 1.0) / p
     arg = (thr - g.mean) / math.sqrt(2.0 * g.variance)
-    return OutageEstimate(0.5 * (1.0 + specfun.erf(arg)), RF_SINGLE_SHOT)
+    return OutageEstimate(0.5 * (1.0 + math.erf(arg)), RF_SINGLE_SHOT)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ive
 
 from . import specfun
 
@@ -111,7 +112,8 @@ def rician_gain_pdf(x, f: RicianFading):
         math.log((K + 1.0) / Om)
         - K
         - (K + 1.0) * x / Om
-        + specfun.bessel_i_log(0.0, arg)
+        + math.log(ive(0.0, arg))
+        + arg
     )
     return math.exp(log_f) if log_f > -700.0 else 0.0
 
@@ -121,7 +123,7 @@ def _rician_sum_logpdf_hyp(x, f: RicianFading):
     every K >= 0 including K = 0."""
     K, Om, N = f.K, f.Omega, f.N
     w = K * (K + 1.0) * N * x / Om
-    hyp = _scaled_log_0f1(N, w)
+    hyp = specfun.log_hyp0f1(N, w)
     return (
         N * math.log(K + 1.0)
         - K * N
@@ -131,25 +133,6 @@ def _rician_sum_logpdf_hyp(x, f: RicianFading):
         - (K + 1.0) * x / Om
         + hyp
     )
-
-
-def _scaled_log_0f1(b, z):
-    """log 0F1(b; z) for z >= 0 with renormalization (all terms positive)."""
-    if z == 0.0:
-        return 0.0
-    term = 1.0
-    total = 1.0
-    scale = 0.0
-    for j in range(100_000):
-        term *= z / ((j + 1.0) * (b + j))
-        total += term
-        if total > 1e250:
-            total *= 1e-250
-            term *= 1e-250
-            scale += 250.0 * math.log(10.0)
-        if term < 1e-16 * total:
-            return scale + math.log(total)
-    raise specfun.ConvergenceError(f"0F1 series did not converge (b={b}, z={z})")
 
 
 def rician_sum_pdf(x, f: RicianFading):
@@ -181,7 +164,8 @@ def rician_sum_pdf_bessel(x, f: RicianFading):
         - K * N
         + 0.5 * (N - 1.0) * math.log((K + 1.0) * x / (K * N * Om))
         - (K + 1.0) * x / Om
-        + specfun.bessel_i_log(N - 1.0, arg)
+        + math.log(ive(N - 1.0, arg))
+        + arg
     )
     return math.exp(log_f) if log_f > -700.0 else 0.0
 
@@ -195,22 +179,8 @@ def fso_pdf(x, model):
     if isinstance(model, FsoGammaGamma):
         if x <= 0:
             raise ValueError(f"x must be > 0 for the Gamma-Gamma model, got {x}")
-        a, b = model.a, model.b
-        z = 2.0 * math.sqrt(a * b * x)
-        if z > 700.0:
-            return 0.0
-        k = specfun.bessel_k(a - b, z)
-        if k <= 0.0:
-            return 0.0
-        log_f = (
-            math.log(2.0)
-            + 0.5 * (a + b) * math.log(a * b)
-            - math.lgamma(a)
-            - math.lgamma(b)
-            + (0.5 * (a + b) - 1.0) * math.log(x)
-            + math.log(k)
-        )
-        return math.exp(log_f) if log_f > -700.0 else 0.0
+        y = math.log(x)
+        return math.exp(specfun.gg_log_density(y, model.a, model.b) - y)
     raise TypeError(f"unsupported FSO model {type(model).__name__}")
 
 

@@ -1,9 +1,17 @@
-"""Special-function kernel used by the analytical evaluators.
+"""Special functions used by the analytical evaluators.
 
-Everything here is real-valued double precision, computed from series /
-continued-fraction / convolution primitives so that the rest of the package
-never depends on an external special-function library.  Tolerances are
-documented per function; all routines are pure and thread-safe.
+The standard functions come from scipy.special: `bessel_k` (K_nu),
+`expint_ei` (Ei) and `laguerre` (1F1) are named entry points over it that
+check their domain.  This module adds what scipy lacks:
+
+- the generalized hypergeometric series pFq (the 3F3 of the exponential-FSO
+  second moment);
+- log 0F1, summed with renormalization so that it survives arguments far
+  beyond double overflow (the Rician sum-gain density);
+- the Gamma-Gamma log-gain density, on `kve`;
+- the CDF of a product of i.i.d. Gamma-Gamma gains.
+
+All routines are real-valued double precision, pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -11,23 +19,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import expi, hyp1f1, kv, kve
 
 __all__ = [
     "SeriesControl",
     "ConvergenceError",
     "DEFAULT_SERIES",
     "gen_hypergeometric",
-    "bessel_i",
-    "bessel_i_log",
+    "log_hyp0f1",
     "bessel_k",
     "laguerre",
-    "erf",
     "expint_ei",
-    "expint_e1_scaled",
-    "upper_incomplete_gamma",
+    "gg_log_density",
     "gg_product_cdf",
 ]
 
+_LOG2 = math.log(2.0)
 _LOG_RENORM = 250.0 * math.log(10.0)  # rescale threshold for the log-scaled series
 
 
@@ -86,175 +94,40 @@ def gen_hypergeometric(a_list, b_list, x, ctl: SeriesControl = DEFAULT_SERIES):
     )
 
 
-def _bessel_i_log_series(order, x, ctl: SeriesControl):
-    """log I_order(x) for order > -1, x > 0, via the 0F1 series with
-    periodic renormalization (handles arguments far beyond double overflow)."""
-    z = 0.25 * x * x
-    prefix = order * math.log(0.5 * x) - math.lgamma(order + 1.0)
+def log_hyp0f1(b, z):
+    """log 0F1(; b; z) for b > 0, z >= 0.  All terms are positive; the sum is
+    renormalized whenever it nears overflow, so z may be far beyond the range
+    where 0F1 itself is representable."""
+    if z == 0.0:
+        return 0.0
     term = 1.0
     total = 1.0
     scale = 0.0
-    for j in range(ctl.max_terms):
-        term *= z / ((j + 1.0) * (order + 1.0 + j))
+    for j in range(100_000):
+        term *= z / ((j + 1.0) * (b + j))
         total += term
         if total > 1e250:
             total *= 1e-250
             term *= 1e-250
             scale += _LOG_RENORM
-        if term < ctl.rel_tol * total:
-            return prefix + scale + math.log(total)
-    raise ConvergenceError(f"Bessel-I series did not converge (order={order}, x={x})")
+        if term < 1e-16 * total:
+            return scale + math.log(total)
+    raise ConvergenceError(f"0F1 series did not converge (b={b}, z={z})")
 
 
-def bessel_i_log(order, x, ctl: SeriesControl = DEFAULT_SERIES):
-    """log I_order(x), order >= 0, x >= 0. Safe for arguments where I itself
-    overflows. Returns -inf at x=0 for order > 0."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0 if order == 0 else -math.inf
-    return _bessel_i_log_series(order, x, ctl)
-
-
-def bessel_i(order, x, ctl: SeriesControl = DEFAULT_SERIES):
-    """Modified Bessel function of the first kind I_order(x), order >= 0,
-    through its 0F1 representation.  Raises OverflowError when the result
-    exceeds double range (use bessel_i_log there)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    log_val = (
-        order * math.log(0.5 * x)
-        - math.lgamma(order + 1.0)
-        + math.log(gen_hypergeometric([], [order + 1.0], 0.25 * x * x, ctl))
-        if 0.25 * x * x <= 1e4
-        else _bessel_i_log_series(order, x, ctl)
-    )
-    if log_val > 709.0:
-        raise OverflowError(
-            f"I_{order}({x}) exceeds double range; call bessel_i_log instead"
-        )
-    return math.exp(log_val)
-
-
-def _bessel_i_signed_order(order, x, ctl: SeriesControl):
-    """I_order(x) allowing negative non-integer order (used by bessel_k)."""
-    z = 0.25 * x * x
-    # 1/Gamma(order+1+j) accumulated explicitly to allow order+1 <= 0
-    total = 0.0
-    log_pref = order * math.log(0.5 * x)
-    # first factor 1/Gamma(order+1): gamma of negative non-integer is finite
-    g = math.gamma(order + 1.0)
-    term = 1.0 / g
-    total = term
-    for j in range(ctl.max_terms):
-        term *= z / ((j + 1.0) * (order + 1.0 + j))
-        total += term
-        if abs(term) < ctl.rel_tol * max(abs(total), 1e-300):
-            return math.exp(log_pref) * total
-    raise ConvergenceError(f"Bessel-I series did not converge (order={order}, x={x})")
-
-
-def bessel_k(order, x, ctl: SeriesControl = DEFAULT_SERIES):
-    """Modified Bessel function of the second kind K_order(x), x > 0.
-
-    Reflection formula K_nu = pi/2 (I_{-nu} - I_nu)/sin(nu pi) for small x;
-    asymptotic expansion for larger x where the reflection cancels
-    catastrophically (cancellation noise grows like e^{2x}*eps, the
-    asymptotic truncation error shrinks with x; they balance near x ~ 9).
-    Integer orders are handled by a symmetric limit.
-    """
+def bessel_k(order, x):
+    """Modified Bessel function of the second kind K_order(x), x > 0."""
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    nu = abs(order)  # K_{-nu} = K_nu
-    if x > 9.0:
-        # truncated asymptotic series, error ~ first omitted term (< 1e-10 here)
-        mu = 4.0 * nu * nu
-        term = 1.0
-        total = 1.0
-        prev = abs(term)
-        for k in range(1, 40):
-            term *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-            if abs(term) > prev:  # asymptotic series started diverging
-                break
-            total += term
-            prev = abs(term)
-            if prev < 1e-17 * abs(total):
-                break
-        return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
-    if abs(nu - round(nu)) < 1e-8:
-        # integer order: symmetric limit through nearby non-integer orders
-        eps = 1e-5
-        lo = _bessel_k_reflect(round(nu) - eps, x, ctl)
-        hi = _bessel_k_reflect(round(nu) + eps, x, ctl)
-        return 0.5 * (lo + hi)
-    return _bessel_k_reflect(nu, x, ctl)
+    return float(kv(order, x))
 
 
-def _bessel_k_reflect(nu, x, ctl):
-    ineg = _bessel_i_signed_order(-nu, x, ctl)
-    ipos = _bessel_i_signed_order(nu, x, ctl)
-    return 0.5 * math.pi * (ineg - ipos) / math.sin(nu * math.pi)
-
-
-def laguerre(order, x, ctl: SeriesControl = DEFAULT_SERIES):
+def laguerre(order, x):
     """Laguerre function L_order(x) = 1F1(-order; 1; x) (polynomial for
     integer order, entire function otherwise)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return gen_hypergeometric([-order], [1.0], x, ctl)
-
-
-def erf(x):
-    """Error function (stdlib implementation, correctly rounded)."""
-    return math.erf(x)
-
-
-def _e1_series(x):
-    # E1(x) = -euler_gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
-    total = -0.5772156649015328606 - math.log(x)
-    term = 1.0
-    for k in range(1, 200):
-        term *= -x / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < 1e-17 * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError(f"E1 series did not converge (x={x})")
-
-
-def _e1_cf_scaled(x):
-    # e^x E1(x) via modified Lentz continued fraction:
-    # E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 400):
-        a = -float(k * k)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise ConvergenceError(f"E1 continued fraction did not converge (x={x})")
-
-
-def expint_e1_scaled(x):
-    """e^x * E1(x) for x > 0 (stable for arbitrarily large x)."""
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    if x <= 1.5:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf_scaled(x)
+    return float(hyp1f1(-order, 1.0, x))
 
 
 def expint_ei(x):
@@ -262,85 +135,52 @@ def expint_ei(x):
     need); Ei(x) = -E1(-x) there."""
     if x >= 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
-    t = -x
-    if t <= 1.5:
-        return -_e1_series(t)
-    return -math.exp(-t) * _e1_cf_scaled(t)
-
-
-def upper_incomplete_gamma(s, x):
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, x > 0."""
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    if s == 0.0:
-        return math.exp(-x) * expint_e1_scaled(x)
-    if s < 0.0:
-        # upward recurrence Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x}) / s
-        return (upper_incomplete_gamma(s + 1.0, x) - x**s * math.exp(-x)) / s
-    if x < s + 1.0:
-        # lower series: gamma(s,x) = x^s e^{-x} sum_n x^n / (s (s+1) ... (s+n))
-        term = 1.0 / s
-        total = term
-        for n in range(1, 10_000):
-            term *= x / (s + n)
-            total += term
-            if term < 1e-17 * total:
-                break
-        else:
-            raise ConvergenceError(f"gamma(s,x) series did not converge ({s}, {x})")
-        lower = math.exp(s * math.log(x) - x) * total
-        return math.gamma(s) - lower
-    # continued fraction (Lentz): Gamma(s,x) = e^{-x} x^s / (x+1-s- 1(1-s)/(x+3-s- ...))
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 10_000):
-        a = -k * (k - s)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(s * math.log(x) - x) * h
-    raise ConvergenceError(f"Gamma(s,x) continued fraction did not converge ({s}, {x})")
+    return float(expi(x))
 
 
 # ---------------------------------------------------------------------------
-# CDF of a product of i.i.d. Gamma-Gamma variates (log-domain convolution)
+# Gamma-Gamma gains
 # ---------------------------------------------------------------------------
 
-def _gg_log_gain_pdf(y, a, b, ctl):
-    """Density of Y = ln(G) for G ~ GammaGamma(a, b): f_Y(y) = f_G(e^y) e^y."""
-    lx = y  # log of the gain
-    z = 2.0 * math.sqrt(a * b) * math.exp(0.5 * lx)
-    k = bessel_k(a - b, z, ctl) if z < 700.0 else 0.0
-    if k <= 0.0:
-        return 0.0
-    log_f = (
-        math.log(2.0)
-        + 0.5 * (a + b) * math.log(a * b)
+def gg_log_density(y, a, b):
+    """log f_Y(y) for Y = ln G, G ~ GammaGamma(a, b) with unit mean:
+    f_Y(y) = f_G(e^y) e^y with f_G(x) = 2 (ab)^((a+b)/2) x^((a+b)/2-1)
+    K_{a-b}(2 sqrt(ab x)) / (Gamma(a) Gamma(b)).
+
+    Takes a float: quadrature calls it point by point, where numpy's
+    per-call overhead would cost more than the Bessel function itself.
+    """
+    return (
+        _LOG2
+        + 0.5 * (a + b) * (math.log(a * b) + y)
         - math.lgamma(a)
         - math.lgamma(b)
-        + (0.5 * (a + b)) * lx  # (a+b)/2 - 1 power of e^y, plus the Jacobian e^y
-        + math.log(k)
+        + _log_kv(abs(a - b), 0.5 * (y + math.log(4.0 * a * b)))
     )
-    return math.exp(log_f) if log_f > -700.0 else 0.0
 
 
-def gg_product_cdf(a, b, n, x, ctl: SeriesControl = DEFAULT_SERIES):
+def _log_kv(nu, log_z):
+    """log K_nu(z) at z = e^log_z, for any real log_z."""
+    if log_z > 18.0:
+        # kve is nan beyond z ~ 1e9; e^{-z} zeroes every density long before
+        return -math.inf
+    z = math.exp(log_z)
+    k = kve(nu, z)
+    if k < math.inf:
+        return math.log(k) - z
+    # kve overflows at small z (below 1e-25 for nu = 12, and z = 0 once
+    # e^{y/2} underflows); there the leading term of K is exact in doubles
+    if nu == 0.0:
+        return math.log(_LOG2 - np.euler_gamma - log_z)
+    return math.lgamma(nu) + (nu - 1.0) * _LOG2 - nu * log_z
+
+
+def gg_product_cdf(a, b, n, x):
     """CDF at x of the product of n i.i.d. Gamma-Gamma(a, b) gains.
 
-    n = 1 integrates the density directly (adaptive refinement, abs tol
-    ~1e-9); n in 2..6 convolves the log-gain density on a uniform grid and
-    integrates the n-fold sum density up to ln x.
+    n = 1 integrates the log-gain density over one tail by quadrature; n in 2..6
+    convolves it on a uniform grid and integrates the n-fold sum density up
+    to ln x.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -350,21 +190,28 @@ def gg_product_cdf(a, b, n, x, ctl: SeriesControl = DEFAULT_SERIES):
         raise ValueError("shaping parameters must be positive")
     if x <= 0:
         return 0.0
+    target = math.log(x)
     if n == 1:
-        return _gg_cdf_single(a, b, x, ctl)
+        def density(y):
+            return math.exp(gg_log_density(y, a, b))
+
+        # integrate the tail on the target's side of y = 0, where the bulk of
+        # ln G sits (E[G] = 1), so values near 0 or 1 keep full precision
+        if target <= 0.0:
+            val = quad(density, -math.inf, target, limit=200)[0]
+        else:
+            val = 1.0 - quad(density, target, math.inf, limit=200)[0]
+        return float(min(1.0, max(0.0, val)))
 
     # log-gain grid wide enough that the n-fold sum keeps its mass inside
     lo, hi = -16.0, 8.0
-    m = 4097
-    grid = np.linspace(lo, hi, m)
-    dy = grid[1] - grid[0]
-    pdf = np.array([_gg_log_gain_pdf(float(y), a, b, ctl) for y in grid])
+    grid, dy = np.linspace(lo, hi, 4097, retstep=True)
+    pdf = np.exp([gg_log_density(y, a, b) for y in grid.tolist()])
     dens = pdf.copy()
     for _ in range(int(n) - 1):
         dens = np.convolve(dens, pdf) * dy
     # support of the k-fold convolution starts at k*lo with spacing dy
     start = n * lo
-    target = math.log(x)
     if target <= start:
         return 0.0
     idx = (target - start) / dy
@@ -381,61 +228,3 @@ def gg_product_cdf(a, b, n, x, ctl: SeriesControl = DEFAULT_SERIES):
         raise ConvergenceError("product-CDF convolution lost all mass")
     # normalize out the residual grid truncation (total is within ~1e-9 of 1)
     return float(min(1.0, max(0.0, val / total)))
-
-
-def _gg_cdf_single(a, b, x, ctl):
-    """Adaptive Simpson integration of the Gamma-Gamma density over [0, x]."""
-
-    def pdf(t):
-        if t <= 0.0:
-            return 0.0
-        z = 2.0 * math.sqrt(a * b * t)
-        if z > 700.0:
-            return 0.0
-        k = bessel_k(a - b, z, ctl)
-        if k <= 0.0:
-            return 0.0
-        log_f = (
-            math.log(2.0)
-            + 0.5 * (a + b) * math.log(a * b)
-            - math.lgamma(a)
-            - math.lgamma(b)
-            + (0.5 * (a + b) - 1.0) * math.log(t)
-            + math.log(k)
-        )
-        return math.exp(log_f) if log_f > -700.0 else 0.0
-
-    # integrable singularity possible at 0 when min(a,b) < 1; split near zero
-    upper = min(x, 200.0)
-    edges = [0.0]
-    t = min(1e-6, upper / 2)
-    while t < upper:
-        edges.append(t)
-        t *= 4.0
-    edges.append(upper)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        total += _adaptive_simpson(pdf, left, right, 1e-10, 16)
-    return float(min(1.0, total)) if x <= 200.0 else 1.0
-
-
-def _adaptive_simpson(f, lo, hi, tol, depth):
-    mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return _simpson_rec(f, lo, hi, flo, fmid, fhi, whole, tol, depth)
-
-
-def _simpson_rec(f, lo, hi, flo, fmid, fhi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    flm, frm = f(lm), f(rm)
-    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-    right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-    # relative floor keeps roundoff noise in f from forcing a full expansion
-    if depth <= 0 or abs(left + right - whole) < 15.0 * (tol + 1e-8 * abs(whole)):
-        return left + right + (left + right - whole) / 15.0
-    return _simpson_rec(f, lo, mid, flo, flm, fmid, left, tol / 2, depth - 1) + _simpson_rec(
-        f, mid, hi, fmid, frm, fhi, right, tol / 2, depth - 1
-    )

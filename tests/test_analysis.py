@@ -7,11 +7,12 @@ deterministic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from linkplan.analysis import (
     FSO_CLT,
@@ -48,9 +49,11 @@ from linkplan.channel import (
     FsoGammaGamma,
     GaussianApprox,
     RicianFading,
+    RngStream,
     clt_sum_gain_params,
     fso_pdf,
     rician_sum_pdf,
+    sample_fso,
 )
 from linkplan.hardware import PaConfig
 from linkplan.simulate import McConfig, simulate_fso_hop, simulate_rf_hop
@@ -137,7 +140,7 @@ def test_low_snr_moments_erlang():
 
 
 def test_low_snr_moments_mean_identity():
-    # the confluent closed form must reproduce N*Omega
+    # the sum-gain mean is N*Omega for any K
     g = rf_moments_low_snr(RicianFading(K=0.01, Omega=1.0, N=20))
     assert_allclose(g.mean, 20.0, rtol=1e-6)
 
@@ -361,6 +364,23 @@ def test_fso_gg_moments_quadrature():
                       60.0, limit=300)
     assert_allclose(g.mean, mean_ref, rtol=1e-6)
     assert_allclose(g.variance + g.mean ** 2, sec_ref, rtol=1e-6)
+
+
+@pytest.mark.parametrize("a, b", [(8.0, 1.0), (10.0, 1.5), (12.0, 1.2),
+                                  (4.3939, 2.5636)])
+def test_fso_gg_large_order_difference(a, b):
+    # a - b up to ~11 puts K_{a-b} at large order: the density must stay
+    # normalized and the ergodic log-rate must match MC of log1p(p G)
+    model = FsoGammaGamma(a=a, b=b)
+    total = sum(quad(lambda x: fso_pdf(x, model), lo, hi, limit=200)[0]
+                for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, math.inf)))
+    assert abs(total - 1.0) < 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        mean = fso_moments(FsoHopParams(model=model, p_tx=10.0)).mean
+    rate = np.log1p(10.0 * sample_fso(model, RngStream(7), size=2_000_000))
+    se = rate.std() / math.sqrt(rate.size)
+    assert abs(mean - rate.mean()) < 3.0 * se
 
 
 def test_fso_clt_outage_gg_vs_mc():

@@ -100,7 +100,7 @@ def test_sum_pdf_erlang_limit():
 
 
 def test_sum_pdf_dual_forms_agree():
-    # confluent-series form vs explicit Bessel form
+    # package log-0F1 series vs the explicit Bessel form on scipy's ive
     for f in (RicianFading(0.01, 1.0, 20), RicianFading(2.0, 0.5, 4),
               RicianFading(5.0, 2.0, 8)):
         for x in (0.3 * f.N * f.Omega, f.N * f.Omega, 2.5 * f.N * f.Omega):

@@ -1,30 +1,32 @@
-"""Special-function kernel tests.
+"""Special-function tests.
 
 Every closed-form routine is checked against an independent numerical route
-(quadrature, alternate series, or MC) so that a regression in either route
-shows up as a disagreement.  Frozen oracle values were computed with mpmath
-at 30 significant digits; the generation scripts live outside the package.
+(quadrature, alternate series, mpmath, or MC) so that a regression in either
+route shows up as a disagreement.  Frozen oracle values were computed with
+mpmath at 30 significant digits; the generation scripts live outside the
+package.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import i0
 
 from linkplan import specfun
+from linkplan.analysis import FsoHopParams, _h_antiderivative, fso_moments
+from linkplan.channel import FsoExponential
 from linkplan.specfun import (
     ConvergenceError,
     SeriesControl,
-    bessel_i,
     bessel_k,
-    erf,
     expint_ei,
     gen_hypergeometric,
     gg_product_cdf,
     laguerre,
-    upper_incomplete_gamma,
 )
 
 GG_A = 4.3939
@@ -71,6 +73,13 @@ def test_series_control_validation():
 # modified Bessel functions
 # ----------------------------------------------------------------------------
 
+def bessel_i(order, x):
+    """I_order(x) through the package's log-scaled 0F1 series (the route the
+    Rician sum-gain density takes)."""
+    return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0)
+                    + specfun.log_hyp0f1(order + 1.0, 0.25 * x * x))
+
+
 def test_bessel_i_half_order():
     # I_{1/2}(x) = sqrt(2/(pi x)) sinh x
     for x in (0.3, 1.0, 7.5):
@@ -80,13 +89,13 @@ def test_bessel_i_half_order():
 
 
 def test_bessel_i0_frozen():
-    # I_0(2) from the 50-term defining series (independent of SeriesControl path)
+    # I_0(2) from the 50-term defining series (independent of the 0F1 path)
     assert_allclose(bessel_i(0.0, 2.0), 2.2795853023360673, rtol=1e-13)
 
 
 def test_bessel_i_large_argument_no_overflow():
-    # log-scaled path must survive x where e^x overflows
-    lg = specfun.bessel_i_log(0.0, 800.0)
+    # log-scaled path must survive x where e^x overflows: log I_0(800)
+    lg = specfun.log_hyp0f1(1.0, 0.25 * 800.0 ** 2)
     # asymptotic I_0(x) ~ e^x / sqrt(2 pi x)
     assert_allclose(lg, 800.0 - 0.5 * math.log(2.0 * math.pi * 800.0), rtol=1e-4)
 
@@ -112,6 +121,18 @@ def test_bessel_k_quadrature_oracle():
     assert_allclose(bessel_k(1.8303, 3.0), 0.056138457717026530, rtol=1e-9)
 
 
+def test_bessel_k_mpmath_oracle():
+    # orders up to the a-b of Gamma-Gamma hops such as (12, 1.2), over the
+    # argument range their densities need
+    xs = np.concatenate((np.geomspace(1e-2, 50.0, 60), [8.9, 9.5, 12.0]))
+    with mpmath.workdps(30):
+        for nu in (0.0, 0.5, 1.0, 1.83, 3.0, 5.0, 6.5, 8.0, 10.0, 12.0):
+            for x in xs:
+                ref = float(mpmath.besselk(nu, float(x)))
+                assert_allclose(bessel_k(nu, float(x)), ref, rtol=1e-12,
+                                err_msg=f"K_{nu}({x})")
+
+
 # ----------------------------------------------------------------------------
 # Laguerre polynomials (via 1F1)
 # ----------------------------------------------------------------------------
@@ -133,7 +154,7 @@ def test_laguerre_half_order_quadrature():
 
     def envelope_pdf(r):
         return (r / s2) * math.exp(-(r * r + nu2) / (2.0 * s2)) * \
-            bessel_i(0.0, r * math.sqrt(nu2) / s2)
+            i0(r * math.sqrt(nu2) / s2)
 
     mean_r, _ = quad(lambda r: r * envelope_pdf(r), 0.0, 60.0, limit=200)
     closed = math.sqrt(Om / (K + 1.0)) * math.gamma(1.5) * laguerre(0.5, -K)
@@ -141,16 +162,8 @@ def test_laguerre_half_order_quadrature():
 
 
 # ----------------------------------------------------------------------------
-# erf / exponential integral / incomplete gamma
+# exponential integral / incomplete gamma
 # ----------------------------------------------------------------------------
-
-def test_erf_basics():
-    assert erf(0.0) == 0.0
-    assert_allclose(erf(6.5), 1.0, atol=1e-12)
-    assert_allclose(erf(1.0), 0.842700793, atol=1e-9)
-    for x in (0.3, 1.7):
-        assert_allclose(erf(-x), -erf(x), rtol=1e-15)
-
 
 def test_expint_ei_frozen():
     # Ei(-1), Ei(-10) from mpmath (quadrature on E1)
@@ -165,33 +178,23 @@ def test_expint_ei_domain():
 
 
 def test_expint_e1_scaled_large():
-    # e^x E1(x) ~ 1/x - 1/x^2 + ... ; scaled form must not over/underflow
-    v = specfun.expint_e1_scaled(1e4)
-    assert_allclose(v, 1e-4 - 1e-8 + 2e-12, rtol=1e-4)
+    # the exponential-FSO mean is e^k E1(k), k = lam/p; at k = 1e3, where e^k
+    # overflows, the scaled form ~ 1/k - 1/k^2 + 2/k^3 must stay finite
+    g = fso_moments(FsoHopParams(model=FsoExponential(lam=1e3), p_tx=1.0))
+    assert_allclose(g.mean, 1e-3 - 1e-6 + 2e-9, rtol=1e-8)
 
 
 def test_upper_gamma_closed_forms():
-    assert_allclose(upper_incomplete_gamma(1.0, 2.0), math.exp(-2.0), rtol=1e-12)
-    assert_allclose(upper_incomplete_gamma(0.0, 1.0), 0.219383934, atol=1e-9)
-    assert_allclose(upper_incomplete_gamma(2.0, 1e-12), 1.0, rtol=1e-9)
-    assert_allclose(upper_incomplete_gamma(3.0, 2.5), 1.0876262317666590, rtol=1e-12)
-
-
-def test_upper_gamma_domain():
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(1.0, 0.0)
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(1.0, -3.0)
-
-
-def test_gamma_partition_identity():
-    # Gamma(s,x) + gamma(s,x) = Gamma(s), lower part by quadrature
-    for s in (0.7, 1.0, 2.5, 4.0):
-        for x in (0.2, 1.0, 3.0):
-            lower, _ = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, x,
-                            limit=200)
-            total = upper_incomplete_gamma(s, x) + lower
-            assert_allclose(total, math.gamma(s), rtol=1e-9)
+    # the log^2 antiderivative carries Gamma(0, k x); its differences must
+    # match quadrature of 2 e^k e^{-k t} log(t)/t over the spans the
+    # exponential-FSO second moment evaluates (k x <= 10 or >= 40); H carries
+    # a factor 2 e^k that scales up the rounding of its alternating 3F3 sum
+    for kappa in (0.05, 1.0, 8.0):
+        for lo, hi in ((0.2, 1.0), (1.0, 40.0 / kappa), (1.0, 80.0 / kappa)):
+            ref, _ = quad(lambda t: 2.0 * math.exp(kappa - kappa * t)
+                          * math.log(t) / t, lo, hi, limit=200)
+            got = _h_antiderivative(hi, kappa) - _h_antiderivative(lo, kappa)
+            assert_allclose(got, ref, rtol=1e-9, atol=1e-11 * math.exp(kappa))
 
 
 # ----------------------------------------------------------------------------
@@ -202,6 +205,23 @@ def gg_pdf(x, a=GG_A, b=GG_B):
     """Reference Gamma-Gamma density via the K-Bessel closed form."""
     c = 2.0 * (a * b) ** ((a + b) / 2.0) / (math.gamma(a) * math.gamma(b))
     return c * x ** ((a + b) / 2.0 - 1.0) * bessel_k(a - b, 2.0 * math.sqrt(a * b * x))
+
+
+def test_gg_log_density_mpmath_tails():
+    # far left, K overflows double range (and its argument underflows to 0
+    # below y ~ -1490); far right, the density is exactly 0
+    def ref(y, a, b):
+        z = 2.0 * mpmath.sqrt(a * b) * mpmath.exp(y / 2.0)
+        return float(mpmath.log(2) + (a + b) / 2.0 * (mpmath.log(a * b) + y)
+                     - mpmath.loggamma(a) - mpmath.loggamma(b)
+                     + mpmath.log(mpmath.besselk(a - b, z)))
+
+    with mpmath.workdps(40):
+        for a, b in ((12.0, 0.1), (2.0, 2.0), (8.0, 1.0), (GG_A, GG_B)):
+            for y in (-3000.0, -200.0, -20.0, 0.0, 3.0, 25.0):
+                assert_allclose(specfun.gg_log_density(y, a, b), ref(y, a, b),
+                                rtol=1e-10, err_msg=f"(a, b, y) = {a, b, y}")
+            assert math.exp(specfun.gg_log_density(60.0, a, b)) == 0.0
 
 
 def test_gg_cdf_limits():
