@@ -42,7 +42,6 @@ from .channel import (
     FsoGammaGamma,
     GaussianApprox,
     RicianFading,
-    RngStream,
     clt_sum_gain_params,
 )
 from .config import ConfigError, ScenarioConfig, load_config, parse_config

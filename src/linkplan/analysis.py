@@ -325,14 +325,17 @@ def _fso_exp_second_moment(lam, p):
             )
         return h_b - _h_antiderivative(1.0, kappa)
     # large kappa: the antiderivative difference cancels catastrophically;
-    # integrate the survival-function form directly
+    # integrate the survival-function form 2p e^{-lam t} log1p(pt)/(1+pt)
+    # in u = lam t, where the integrand keeps unit width for every kappa
     val, _ = quad(
-        lambda t: 2.0 * p * math.exp(-lam * t) * math.log1p(p * t) / (1.0 + p * t),
+        lambda u: 2.0 * math.exp(-u) * math.log1p(u / kappa) / (1.0 + u / kappa),
         0.0,
         math.inf,
+        epsabs=0.0,
+        epsrel=1e-12,
         limit=400,
     )
-    return val
+    return val / kappa
 
 
 def _gg_panel_quad(w, model: FsoGammaGamma):

@@ -4,14 +4,15 @@ RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation with unit-mean gain.
 
 Densities are exact formulas (log-scaled Bessel evaluation under the hood);
-samplers draw from the matching constructions.  A Gaussian surrogate for the
+one sampler, `sample_snr`, draws the received SNR of any model and is the
+only draw the Monte Carlo engine makes.  A Gaussian surrogate for the
 sum gain (moment-matched via Laguerre moments of the single-antenna gain)
 feeds the analytical outage evaluators.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive
@@ -22,13 +23,11 @@ __all__ = [
     "RicianFading",
     "FsoExponential",
     "FsoGammaGamma",
-    "RngStream",
     "GaussianApprox",
     "rician_gain_pdf",
     "rician_sum_pdf",
-    "sample_rician_sum",
     "fso_pdf",
-    "sample_fso",
+    "sample_snr",
     "clt_sum_gain_params",
 ]
 
@@ -65,23 +64,6 @@ class FsoGammaGamma:
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError(f"shaping parameters must be > 0, got a={self.a}, b={self.b}")
-
-
-@dataclass
-class RngStream:
-    """Reproducible random stream: identical (seed, stream_id) pairs replay
-    the identical draw sequence."""
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
 
 @dataclass(frozen=True)
@@ -185,36 +167,27 @@ def fso_pdf(x, model):
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# sampler
 # ---------------------------------------------------------------------------
 
-def sample_rician_sum(f: RicianFading, rng: RngStream, size=None):
-    """Draw the sum gain G = sum_j |h_j|^2 from the complex-Gaussian
-    construction: h_j = nu + sigma (Z1 + i Z2), with K = nu^2/(2 sigma^2) and
-    Omega = nu^2 + 2 sigma^2."""
-    g = rng.generator()
-    nu = math.sqrt(f.K * f.Omega / (f.K + 1.0))
-    sigma = math.sqrt(f.Omega / (2.0 * (f.K + 1.0)))
-    shape = (f.N,) if size is None else (size, f.N)
-    re = nu + sigma * g.standard_normal(shape)
-    im = sigma * g.standard_normal(shape)
-    total = np.sum(re * re + im * im, axis=-1)
-    return float(total) if size is None else total
+def sample_snr(model, power, gen: np.random.Generator, size):
+    """Draw `size` received SNRs power * G from the gain model.
 
-
-def sample_fso(model, rng: RngStream, size=None):
-    """Draw the FSO gain: inverse-CDF for the exponential model, product of
-    two unit-mean Gamma variates for Gamma-Gamma."""
-    g = rng.generator()
+    Rician sum gain: G = [Omega/(2(K+1))] * X with X ~ ncx2(df=2N, nonc=2KN),
+    the law of the complex-Gaussian antenna sum (numpy draws the central
+    chi-square itself when nonc = 0).  Exponential FSO: G ~ Exp(mean 1/lam).
+    Gamma-Gamma FSO: product of two unit-mean Gamma variates.
+    """
+    if isinstance(model, RicianFading):
+        scale = model.Omega / (2.0 * (model.K + 1.0))
+        return power * scale * gen.noncentral_chisquare(
+            2.0 * model.N, 2.0 * model.K * model.N, size=size)
     if isinstance(model, FsoExponential):
-        out = g.exponential(scale=1.0 / model.lam, size=size)
-    elif isinstance(model, FsoGammaGamma):
-        out = g.gamma(model.a, 1.0 / model.a, size=size) * g.gamma(
-            model.b, 1.0 / model.b, size=size
-        )
-    else:
-        raise TypeError(f"unsupported FSO model {type(model).__name__}")
-    return float(out) if size is None else out
+        return power * gen.exponential(1.0 / model.lam, size=size)
+    if isinstance(model, FsoGammaGamma):
+        return power * (gen.gamma(model.a, 1.0 / model.a, size=size)
+                        * gen.gamma(model.b, 1.0 / model.b, size=size))
+    raise TypeError(f"unsupported gain model {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

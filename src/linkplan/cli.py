@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__
@@ -60,6 +59,14 @@ def _materialize_kwargs(cfg: ScenarioConfig, grid_value):
     return {"n_routes": int(grid_value)}
 
 
+def _analytic_outage(mesh, tag: str, theta: float):
+    """Mesh outage with `tag` on its link type and the default evaluator
+    (linearized RF or CLT FSO) on the other."""
+    if tag in RF_TAGS:
+        return mesh_outage(mesh, rf_method=tag, fso_method=FSO_CLT, theta=theta)
+    return mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag, theta=theta)
+
+
 def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     """Rows: sweep_var,method,outage,ci_halfwidth,error."""
     lines = _provenance(cfg, mc.seed)
@@ -79,12 +86,8 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
             try:
                 if tag == MONTE_CARLO:
                     est = simulate_mesh(mesh, mc)
-                elif tag in RF_TAGS:
-                    est = mesh_outage(mesh, rf_method=tag, fso_method=FSO_CLT,
-                                      theta=cfg.theta)
                 else:
-                    est = mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag,
-                                      theta=cfg.theta)
+                    est = _analytic_outage(mesh, tag, cfg.theta)
                 lines.append(f"{_fmt(g)},{tag},{_fmt(est.value)},"
                              f"{_fmt(est.ci_halfwidth)},")
             except Exception as exc:
@@ -170,12 +173,7 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
         for tag in analytic:
             checked += 1
             try:
-                if tag in RF_TAGS:
-                    est = mesh_outage(mesh, rf_method=tag, fso_method=FSO_CLT,
-                                      theta=cfg.theta)
-                else:
-                    est = mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag,
-                                      theta=cfg.theta)
+                est = _analytic_outage(mesh, tag, cfg.theta)
             except Exception as exc:
                 lines.append(f"point={_fmt(g)} method={tag} status=ERROR "
                              f"detail={_sanitize(exc)}")
@@ -217,17 +215,8 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
 def _build_mc(cfg: ScenarioConfig, args) -> McConfig:
     trials = args.trials if args.trials is not None else cfg.mc_trials
     seed = args.seed if args.seed is not None else cfg.mc_seed
-    workers = cfg.mc_workers
-    env = os.environ.get("LINKPLAN_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"LINKPLAN_WORKERS: expected an integer, got {env!r}")
-    if args.workers is not None:
-        workers = args.workers
     try:
-        return McConfig(trials, seed, workers, cfg.mc_target_ci)
+        return McConfig(trials, seed, cfg.mc_target_ci)
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
@@ -249,7 +238,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
     parser.add_argument("--trials", type=int, default=None, help="override mc.trials")
-    parser.add_argument("--workers", type=int, default=None, help="override mc.workers")
     args = parser.parse_args(argv)
 
     try:

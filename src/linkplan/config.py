@@ -51,6 +51,12 @@ def _require(cond: bool, path: str, msg: str):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _reject_unknown(d: dict, known, path: str):
+    for key in d:
+        _require(key in known, f"{path}.{key}",
+                 f"unknown key (known: {', '.join(known)})")
+
+
 def _get_number(d: dict, key: str, path: str, default=None, required=False):
     if key not in d:
         _require(not required, f"{path}.{key}", "required field missing")
@@ -108,7 +114,6 @@ class ScenarioConfig:
     evaluators: list
     mc_trials: int
     mc_seed: int
-    mc_workers: int
     mc_target_ci: float | None
     theta: float          # tangent anchor for the piecewise RF evaluator
     sha256: str = ""
@@ -166,6 +171,7 @@ class ScenarioConfig:
 
 def _parse_rf_hop(d, path) -> RfHopSpec:
     _require(isinstance(d, dict), path, "expected a mapping")
+    _reject_unknown(d, ("K", "omega", "N", "M", "C", "R", "pa"), path)
     K = _get_number(d, "K", path, required=True)
     _require(K >= 0.0, f"{path}.K", "must be >= 0")
     omega = _get_number(d, "omega", path, default=1.0)
@@ -180,6 +186,7 @@ def _parse_rf_hop(d, path) -> RfHopSpec:
     _require(R > 0.0, f"{path}.R", "must be > 0")
     pa = d.get("pa")
     _require(isinstance(pa, dict), f"{path}.pa", "required mapping missing")
+    _reject_unknown(pa, ("epsilon", "theta_pa", "p_cons_db", "p_max_db"), f"{path}.pa")
     eps = _get_number(pa, "epsilon", f"{path}.pa", default=1.0)
     _require(0.0 <= eps <= 1.0, f"{path}.pa.epsilon", "must be in [0,1]")
     th = _get_number(pa, "theta_pa", f"{path}.pa", default=0.0)
@@ -205,6 +212,8 @@ def _parse_fso_hop(d, path, idx, n_rf) -> FsoHopSpec:
     model = d.get("model")
     _require(model in ("exponential", "gamma_gamma"),
              f"{path}.model", "must be 'exponential' or 'gamma_gamma'")
+    shape = ("lambda",) if model == "exponential" else ("a", "b")
+    _reject_unknown(d, ("model", *shape, "M", "C_tilde", "R", "p_tx_db"), path)
     lam = a = b = None
     if model == "exponential":
         lam = _get_number(d, "lambda", path, required=True)
@@ -275,6 +284,7 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
 
     sweep = doc.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required mapping missing")
+    _reject_unknown(sweep, ("variable", "grid"), "sweep")
     variable = sweep.get("variable")
     _require(variable in SWEEP_VARIABLES,
              "sweep.variable", f"must be one of {', '.join(SWEEP_VARIABLES)}")
@@ -302,23 +312,23 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
 
     mc = doc.get("mc", {})
     _require(isinstance(mc, dict), "mc", "expected a mapping")
+    _reject_unknown(mc, ("trials", "seed", "target_ci"), "mc")
     trials = _get_int(mc, "trials", "mc", default=1_000_000)
     _require(trials >= 1_000, "mc.trials", "must be >= 1000")
     seed = _get_int(mc, "seed", "mc", default=0)
     _require(seed >= 0, "mc.seed", "must be >= 0")
-    workers = _get_int(mc, "workers", "mc", default=1)
-    _require(workers >= 1, "mc.workers", "must be >= 1")
     target_ci = _get_number(mc, "target_ci", "mc", default=None)
     if target_ci is not None:
         _require(0.0 < target_ci < 1.0, "mc.target_ci", "must be in (0,1)")
 
     analysis = doc.get("analysis", {})
     _require(isinstance(analysis, dict), "analysis", "expected a mapping")
+    _reject_unknown(analysis, ("theta",), "analysis")
     theta = _get_number(analysis, "theta", "analysis", default=1.0)
     _require(theta > 0.0, "analysis.theta", "must be > 0")
 
     return ScenarioConfig(rf, fso, routes, variable, list(grid), list(evaluators),
-                          trials, seed, workers, target_ci, theta,
+                          trials, seed, target_ci, theta,
                           sha256=sha256, source=source)
 
 

@@ -1,9 +1,10 @@
 """Monte Carlo ground truth for hop / route / mesh outage.
 
-Trials are partitioned into fixed-size blocks; block b of hop j draws from
+Every entry point runs one kernel over a list of parallel routes: a trial
+fails when every route has a failed hop.  Trials are partitioned into
+fixed-size blocks; block b of hop j (hops numbered across routes) draws from
 an independent substream keyed by (seed, block=b, hop=j), so the estimate
-is bit-reproducible for a given seed and independent of how many workers
-nominally share the work.
+is bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import MONTE_CARLO, FsoHopParams, OutageEstimate, RfHopParams
-from .channel import FsoExponential, FsoGammaGamma
-from .network import MeshNetwork, Route, mesh_outage, route_outage
+from .channel import sample_snr
+from .network import MeshNetwork, Route, mesh_outage
 
 BLOCK_TRIALS = 1 << 20
 
@@ -34,15 +35,11 @@ class McPrecisionError(RuntimeError):
 class McConfig:
     trials: int          # total trials (>= 1e3)
     seed: int = 0        # base seed, 64-bit
-    workers: int = 1     # kept for interface compatibility; blocks are
-                         # deterministic regardless of scheduling
     target_ci: float | None = None  # optional relative half-width early stop
 
     def __post_init__(self):
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.target_ci is not None and not 0.0 < self.target_ci < 1.0:
             raise ValueError(f"target_ci must be in (0,1), got {self.target_ci}")
 
@@ -62,108 +59,60 @@ def _block_generator(seed: int, block: int, hop_index: int) -> np.random.Generat
 
 
 def _hop_failures(hop, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Boolean outage indicator per trial for one hop.
-
-    RF sum gains use the noncentral-chi-square identity
-    G = [Omega/(2(K+1))] * X,  X ~ ncx2(df=2N, nonc=2KN),
-    which matches the complex-Gaussian antenna construction in
-    channel.sample_rician_sum but is several times faster to draw.
-    """
+    """Boolean outage indicator per trial for one hop."""
     if isinstance(hop, RfHopParams):
-        f = hop.fading
-        p = hop.drive_power
-        scale = f.Omega / (2.0 * (f.K + 1.0))
-        df = 2.0 * f.N
-        nonc = 2.0 * f.K * f.N
-        rounds = hop.M * hop.C
-        acc = np.zeros(n)
-        if nonc == 0.0:
-            for _ in range(rounds):
-                acc += np.log1p(p * scale * gen.chisquare(df, size=n))
-        else:
-            for _ in range(rounds):
-                acc += np.log1p(p * scale * gen.noncentral_chisquare(df, nonc, size=n))
-        return acc / rounds <= hop.R / hop.M
-    if isinstance(hop, FsoHopParams):
-        model = hop.model
-        rounds = hop.M * hop.C_tilde
-        acc = np.zeros(n)
-        if isinstance(model, FsoExponential):
-            mean = 1.0 / model.lam
-            for _ in range(rounds):
-                acc += np.log1p(hop.p_tx * gen.exponential(mean, size=n))
-        elif isinstance(model, FsoGammaGamma):
-            a, b = model.a, model.b
-            for _ in range(rounds):
-                g = gen.gamma(a, 1.0 / a, size=n) * gen.gamma(b, 1.0 / b, size=n)
-                acc += np.log1p(hop.p_tx * g)
-        else:
-            raise TypeError(f"unsupported FSO model {type(model).__name__}")
-        return acc / rounds <= hop.R / hop.M
-    raise TypeError(f"unsupported hop type {type(hop).__name__}")
+        model, power, rounds = hop.fading, hop.drive_power, hop.M * hop.C
+    else:
+        model, power, rounds = hop.model, hop.p_tx, hop.M * hop.C_tilde
+    acc = np.zeros(n)
+    for _ in range(rounds):
+        acc += np.log1p(sample_snr(model, power, gen, n))
+    return acc / rounds <= hop.R / hop.M
 
 
-def _simulate_failure_counts(hop_lists, mc: McConfig, reduce_trial):
-    """Blocked MC over a mesh laid out as a list of routes (lists of hops).
-
-    reduce_trial(route_fail_matrix) -> per-trial boolean; route_fail_matrix is
-    a list (per route) of boolean arrays 'route failed this trial'.
-    """
+def _simulate(routes, mc: McConfig) -> OutageEstimate:
+    """Blocked MC over parallel routes; a trial fails when every route has a
+    failed hop."""
     total = 0
     failures = 0
     block = 0
     while total < mc.trials:
         n = min(BLOCK_TRIALS, mc.trials - total)
-        route_fail = []
+        all_fail = np.ones(n, dtype=bool)
         flat = 0
-        for hops in hop_lists:
-            fail = np.zeros(n, dtype=bool)
-            for hop in hops:
-                gen = _block_generator(mc.seed, block, flat)
-                fail |= _hop_failures(hop, gen, n)
+        for route in routes:
+            route_fail = np.zeros(n, dtype=bool)
+            for hop in route.hops:
+                route_fail |= _hop_failures(hop, _block_generator(mc.seed, block, flat), n)
                 flat += 1
-            route_fail.append(fail)
-        failures += int(np.count_nonzero(reduce_trial(route_fail)))
+            all_fail &= route_fail
+        failures += int(np.count_nonzero(all_fail))
         total += n
         block += 1
         if mc.target_ci is not None and failures > 0:
             p = failures / total
             if wilson_halfwidth(failures, total) <= mc.target_ci * p:
                 break
-    return failures, total
-
-
-def _estimate(failures: int, total: int) -> OutageEstimate:
     return OutageEstimate(failures / total, MONTE_CARLO,
                           wilson_halfwidth(failures, total))
 
 
 def simulate_rf_hop(hop: RfHopParams, mc: McConfig) -> OutageEstimate:
-    k, n = _simulate_failure_counts([[hop]], mc, lambda rf: rf[0])
-    return _estimate(k, n)
+    return _simulate([Route((hop,))], mc)
 
 
 def simulate_fso_hop(hop: FsoHopParams, mc: McConfig) -> OutageEstimate:
-    k, n = _simulate_failure_counts([[hop]], mc, lambda rf: rf[0])
-    return _estimate(k, n)
+    return _simulate([Route((hop,))], mc)
 
 
 def simulate_route(route: Route, mc: McConfig) -> OutageEstimate:
     """Joint per-trial simulation: the route fails if any hop fails."""
-    k, n = _simulate_failure_counts([list(route.hops)], mc, lambda rf: rf[0])
-    return _estimate(k, n)
+    return _simulate([route], mc)
 
 
 def simulate_mesh(mesh: MeshNetwork, mc: McConfig) -> OutageEstimate:
     """Joint per-trial simulation: the mesh fails if every route fails."""
-    def all_fail(route_fail):
-        out = route_fail[0].copy()
-        for f in route_fail[1:]:
-            out &= f
-        return out
-
-    k, n = _simulate_failure_counts([list(r.hops) for r in mesh.routes], mc, all_fail)
-    return _estimate(k, n)
+    return _simulate(mesh.routes, mc)
 
 
 def _shift_hop(hop, delta_db: float):
@@ -204,18 +153,13 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     if evaluator == "mc" and mc is None:
         raise ValueError("evaluator 'mc' requires an McConfig")
 
+    mesh = MeshNetwork((scenario,)) if isinstance(scenario, Route) else scenario
+
     def outage_at(s_db: float) -> tuple:
-        shifted = shift_scenario(scenario, s_db)
+        shifted = shift_scenario(mesh, s_db)
         if evaluator == "analytical":
-            if isinstance(shifted, MeshNetwork):
-                est = mesh_outage(shifted, rf_method, fso_method, theta)
-            else:
-                est = route_outage(shifted, rf_method, fso_method, theta)
-            return est.value, 0.0
-        if isinstance(shifted, MeshNetwork):
-            est = simulate_mesh(shifted, mc)
-        else:
-            est = simulate_route(shifted, mc)
+            return mesh_outage(shifted, rf_method, fso_method, theta).value, 0.0
+        est = simulate_mesh(shifted, mc)
         return est.value, est.ci_halfwidth
 
     lo, hi = float(bounds_db[0]), float(bounds_db[1])

@@ -224,7 +224,10 @@ def gg_product_cdf(a, b, n, x):
     partial = dy * frac * (dens[k] + 0.5 * frac * (dens[k + 1] - dens[k]))
     val = cum[k] + partial
     total = cum[-1]
-    if total <= 0.0:
-        raise ConvergenceError("product-CDF convolution lost all mass")
-    # normalize out the residual grid truncation (total is within ~1e-9 of 1)
+    if 1.0 - total > 1e-6:
+        # the grid misses the lower tail of ln G (small a or b)
+        raise ConvergenceError(
+            f"product-CDF grid [{lo:g}, {hi:g}] loses mass {1.0 - total:.3g} "
+            f"for (a, b, n) = ({a:g}, {b:g}, {n})")
+    # normalize out the residual discretization and truncation (<= 1e-6)
     return float(min(1.0, max(0.0, val / total)))

@@ -9,6 +9,7 @@ deterministic.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,11 +50,10 @@ from linkplan.channel import (
     FsoGammaGamma,
     GaussianApprox,
     RicianFading,
-    RngStream,
     clt_sum_gain_params,
     fso_pdf,
     rician_sum_pdf,
-    sample_fso,
+    sample_snr,
 )
 from linkplan.hardware import PaConfig
 from linkplan.simulate import McConfig, simulate_fso_hop, simulate_rf_hop
@@ -355,6 +355,19 @@ def test_fso_exp_second_moment_large_kappa_fallback():
         assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-6)
 
 
+@pytest.mark.parametrize("lam", [11.0, 100.0, 2e3, 5e3, 1e4, 1e6])
+def test_fso_exp_second_moment_large_kappa_mpmath(lam):
+    # E[log^2(1+G)] = int e^{-u} log1p(u/lam)^2 du (density form, 30 digits);
+    # the survival-form quadrature must keep the width-1/lam integrand in view
+    # up to lam = 1e6, where the variance is ~1e-12
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda u: mpmath.exp(-u) * mpmath.log1p(u / lam) ** 2,
+                                [0, 1, 10, 50, mpmath.inf]))
+    g = fso_moments(FsoHopParams(model=FsoExponential(lam=lam), p_tx=1.0))
+    assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-12)
+    assert g.variance > 0.0
+
+
 def test_fso_gg_moments_quadrature():
     h = FsoHopParams(model=GG, p_tx=2.0, M=1, C_tilde=1, R=1.0)
     g = fso_moments(h)
@@ -378,7 +391,9 @@ def test_fso_gg_large_order_difference(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         mean = fso_moments(FsoHopParams(model=model, p_tx=10.0)).mean
-    rate = np.log1p(10.0 * sample_fso(model, RngStream(7), size=2_000_000))
+    gen = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=7, spawn_key=(0,))))
+    rate = np.log1p(sample_snr(model, 10.0, gen, 2_000_000))
     se = rate.std() / math.sqrt(rate.size)
     assert abs(mean - rate.mean()) < 3.0 * se
 

@@ -1,5 +1,5 @@
-"""Channel model tests: densities vs independent oracles, samplers vs their
-own densities (moments + Kolmogorov-Smirnov), and the Gaussian surrogate
+"""Channel model tests: densities vs independent oracles, the SNR sampler vs
+the densities (moments + Kolmogorov-Smirnov), and the Gaussian surrogate
 moments vs direct quadrature."""
 
 import math
@@ -15,17 +15,22 @@ from linkplan.channel import (
     FsoGammaGamma,
     GaussianApprox,
     RicianFading,
-    RngStream,
     clt_sum_gain_params,
     fso_pdf,
     rician_gain_pdf,
     rician_sum_pdf,
     rician_sum_pdf_bessel,
-    sample_fso,
-    sample_rician_sum,
+    sample_snr,
 )
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
+
+
+def _stream(seed, stream_id=0):
+    """Reproducible generator: identical (seed, stream_id) pairs replay the
+    identical draw sequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 # ----------------------------------------------------------------------------
@@ -48,11 +53,24 @@ def test_field_validation():
 
 
 def test_rng_stream_reproducible():
-    a = sample_rician_sum(RicianFading(1.0, 1.0, 4), RngStream(7, 3), size=100)
-    b = sample_rician_sum(RicianFading(1.0, 1.0, 4), RngStream(7, 3), size=100)
-    c = sample_rician_sum(RicianFading(1.0, 1.0, 4), RngStream(7, 4), size=100)
+    f = RicianFading(1.0, 1.0, 4)
+    a = sample_snr(f, 1.0, _stream(7, 3), 100)
+    b = sample_snr(f, 1.0, _stream(7, 3), 100)
+    c = sample_snr(f, 1.0, _stream(7, 4), 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_central_chisquare_is_zero_noncentrality():
+    # sample_snr draws K = 0 RF gains through noncentral_chisquare(df, 0);
+    # numpy must route that to chisquare(df) draw for draw, stream state
+    # included, or MC estimates for K = 0 hops would shift
+    for df in (2.0, 8.0, 80.0):
+        g1, g2 = _stream(5, 1), _stream(5, 1)
+        a = g1.noncentral_chisquare(df, 0.0, size=1000)
+        b = g2.chisquare(df, size=1000)
+        assert np.array_equal(a, b), df
+        assert np.array_equal(g1.standard_normal(5), g2.standard_normal(5)), df
 
 
 # ----------------------------------------------------------------------------
@@ -152,25 +170,25 @@ def test_fso_pdf_rejects_bad_input():
 
 
 # ----------------------------------------------------------------------------
-# samplers
+# SNR sampler (unit power: the draws are the gains)
 # ----------------------------------------------------------------------------
 
 def test_sample_rician_sum_mean():
     f = RicianFading(K=0.01, Omega=1.0, N=20)
-    draws = sample_rician_sum(f, RngStream(seed=11), size=1_000_000)
+    draws = sample_snr(f, 1.0, _stream(11), 1_000_000)
     assert abs(draws.mean() - 20.0) < 0.1
 
 
 def test_sample_rician_sum_exponential_variance():
     f = RicianFading(K=0.0, Omega=1.0, N=1)
-    draws = sample_rician_sum(f, RngStream(seed=12), size=1_000_000)
+    draws = sample_snr(f, 1.0, _stream(12), 1_000_000)
     assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_sample_fso_means():
-    draws = sample_fso(FsoExponential(lam=2.0), RngStream(seed=13), size=1_000_000)
+    draws = sample_snr(FsoExponential(lam=2.0), 1.0, _stream(13), 1_000_000)
     assert abs(draws.mean() - 0.5) < 0.002
-    draws = sample_fso(GG, RngStream(seed=14), size=1_000_000)
+    draws = sample_snr(GG, 1.0, _stream(14), 1_000_000)
     assert abs(draws.mean() - 1.0) < 0.01
     # E[G^2] = (1+1/a)(1+1/b) for the unit-mean Gamma product
     m2 = (1.0 + 1.0 / GG.a) * (1.0 + 1.0 / GG.b)
@@ -187,20 +205,20 @@ def _grid_cdf(pdf, hi, n=8001):
 
 def test_sampler_ks_rician_sum():
     f = RicianFading(K=0.01, Omega=1.0, N=4)
-    draws = sample_rician_sum(f, RngStream(seed=15), size=100_000)
+    draws = sample_snr(f, 1.0, _stream(15), 100_000)
     cdf = _grid_cdf(lambda x: rician_sum_pdf(x, f), 40.0)
     stat = kstest(draws, cdf)
     assert stat.pvalue > 0.01, stat
 
 
 def test_sampler_ks_fso_exponential():
-    draws = sample_fso(FsoExponential(lam=1.5), RngStream(seed=16), size=100_000)
+    draws = sample_snr(FsoExponential(lam=1.5), 1.0, _stream(16), 100_000)
     stat = kstest(draws, lambda q: 1.0 - np.exp(-1.5 * q))
     assert stat.pvalue > 0.01, stat
 
 
 def test_sampler_ks_fso_gamma_gamma():
-    draws = sample_fso(GG, RngStream(seed=17), size=100_000)
+    draws = sample_snr(GG, 1.0, _stream(17), 100_000)
     cdf = _grid_cdf(lambda x: fso_pdf(x, GG) if x > 0 else 0.0, 30.0)
     stat = kstest(draws, cdf)
     assert stat.pvalue > 0.01, stat
@@ -208,8 +226,7 @@ def test_sampler_ks_fso_gamma_gamma():
 
 def test_gg_sampler_log_rate_matches_quadrature():
     # E[log(1 + P*G)] by MC vs quadrature against the density, 3 sigma gate
-    rng = RngStream(seed=18)
-    draws = sample_fso(GG, rng, size=100_000)
+    draws = sample_snr(GG, 1.0, _stream(18), 100_000)
     for p in (0.1, 1.0, 10.0):
         vals = np.log1p(p * draws)
         mc = vals.mean()

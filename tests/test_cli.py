@@ -196,6 +196,22 @@ def test_unknown_section_rejected(tmp_path, capsys):
     _expect_config_error(tmp_path, capsys, doc, "plotting")
 
 
+@pytest.mark.parametrize("path, key", [
+    ("rf_hops[0]", "Omega"),        # would leave omega at its default 1.0
+    ("rf_hops[0].pa", "epsilon_"),
+    ("fso_hops[0]", "a"),           # a Gamma-Gamma shape on an exponential hop
+    ("sweep", "step"),
+    ("mc", "workers"),
+    ("analysis", "theta_pa"),
+])
+def test_unknown_nested_key_rejected(tmp_path, capsys, path, key):
+    doc = copy.deepcopy(BASE)
+    mapping = {"rf_hops[0]": doc["rf_hops"][0], "rf_hops[0].pa": doc["rf_hops"][0]["pa"],
+               "fso_hops[0]": doc["fso_hops"][0]}.get(path) or doc[path]
+    mapping[key] = 5.0
+    _expect_config_error(tmp_path, capsys, doc, f"{path}.{key}: unknown key")
+
+
 def test_missing_p_cons_rejected(tmp_path, capsys):
     doc = copy.deepcopy(BASE)
     del doc["rf_hops"][0]["pa"]["p_cons_db"]
@@ -354,7 +370,7 @@ def test_validate_bound_classes(tmp_path):
 
 
 # ----------------------------------------------------------------------------
-# evaluator errors / worker plumbing
+# evaluator errors / default routes
 # ----------------------------------------------------------------------------
 
 def test_evaluator_error_rows_exit3(tmp_path):
@@ -368,25 +384,6 @@ def test_evaluator_error_rows_exit3(tmp_path):
     row = data_rows(text)[0]
     assert row[2] == "nan"
     assert "single-shot" in row[4]
-
-
-def test_workers_env_invalid_exit2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LINKPLAN_WORKERS", "many")
-    cfg = write_config(tmp_path, BASE)
-    code = main(["outage-sweep", "--config", cfg])
-    assert code == 2
-    assert "LINKPLAN_WORKERS" in capsys.readouterr().err
-
-
-def test_workers_never_change_counts(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, BASE)
-    _, base_text = run_to_file(tmp_path, "outage-sweep", cfg, name="w1.csv")
-    monkeypatch.setenv("LINKPLAN_WORKERS", "3")
-    _, env_text = run_to_file(tmp_path, "outage-sweep", cfg, name="w3.csv")
-    monkeypatch.delenv("LINKPLAN_WORKERS")
-    _, flag_text = run_to_file(tmp_path, "outage-sweep", cfg,
-                               extra=("--workers", "2"), name="w2.csv")
-    assert base_text == env_text == flag_text
 
 
 def test_default_route_spans_all_hops(tmp_path):

@@ -57,8 +57,6 @@ def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(trials=999)
     with pytest.raises(ValueError):
-        McConfig(trials=10_000, workers=0)
-    with pytest.raises(ValueError):
         McConfig(trials=10_000, target_ci=1.0)
     with pytest.raises(ValueError):
         McConfig(trials=10_000, target_ci=0.0)
@@ -72,11 +70,53 @@ def test_determinism_same_seed_bit_identical():
     assert a.ci_halfwidth == b.ci_halfwidth
 
 
-def test_determinism_workers_do_not_change_counts():
-    hop = _rf(0.3, n=4, c=2, r=1.5)
-    a = simulate_rf_hop(hop, McConfig(trials=200_000, seed=3, workers=1))
-    b = simulate_rf_hop(hop, McConfig(trials=200_000, seed=3, workers=7))
-    assert a.value == b.value
+def test_stream_layout_seed_block_hop(monkeypatch):
+    # block b of the j-th hop (counted across routes) draws from
+    # SeedSequence(entropy=seed, spawn_key=(b, j)); 3500 trials in blocks of
+    # 1000 end on a partial block
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    rf = _rf(0.4, n=3, m=2, c=2, r=1.0, k=1.5)
+    fso = _fso(0.9, c=3, r=0.6)
+    gg = _fso(1.2, m=2, c=2, r=0.8, model=GG)
+    mesh = MeshNetwork(routes=(Route(hops=(rf, fso)), Route(hops=(gg,))))
+    seed, trials = 41, 3500
+
+    def hop_fail(hop, gen, n):
+        acc = np.zeros(n)
+        if isinstance(hop, RfHopParams):
+            f, rounds = hop.fading, hop.M * hop.C
+            for _ in range(rounds):
+                x = gen.noncentral_chisquare(2.0 * f.N, 2.0 * f.K * f.N, size=n)
+                acc += np.log1p(hop.drive_power * (f.Omega / (2.0 * (f.K + 1.0))) * x)
+        else:
+            rounds = hop.M * hop.C_tilde
+            for _ in range(rounds):
+                if isinstance(hop.model, FsoExponential):
+                    g = gen.exponential(1.0 / hop.model.lam, size=n)
+                else:
+                    a, b = hop.model.a, hop.model.b
+                    g = gen.gamma(a, 1.0 / a, size=n) * gen.gamma(b, 1.0 / b, size=n)
+                acc += np.log1p(hop.p_tx * g)
+        return acc / rounds <= hop.R / hop.M
+
+    failures = 0
+    for block, start in enumerate(range(0, trials, 1000)):
+        n = min(1000, trials - start)
+        mesh_fail = np.ones(n, dtype=bool)
+        flat = 0
+        for route in mesh.routes:
+            route_fail = np.zeros(n, dtype=bool)
+            for hop in route.hops:
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, flat))
+                route_fail |= hop_fail(hop, np.random.Generator(np.random.PCG64(ss)), n)
+                flat += 1
+            mesh_fail &= route_fail
+        failures += int(np.count_nonzero(mesh_fail))
+    est = simulate_mesh(mesh, McConfig(trials=trials, seed=seed))
+    assert 0 < failures < trials
+    assert est.value == failures / trials
+    assert est.ci_halfwidth == wilson_halfwidth(failures, trials)
 
 
 def test_different_seed_gives_different_counts():

@@ -253,6 +253,13 @@ def test_gg_product_cdf_mc_oracle():
     assert abs(got - 0.259261) < 4.2e-4
 
 
+def test_gg_product_cdf_grid_loss_is_loud():
+    # b = 0.5 puts 3.4e-4 of ln G below the grid's lower edge: the n = 2
+    # convolution must refuse rather than renormalize the loss away
+    with pytest.raises(ConvergenceError, match=r"\(2, 0.5, 2\)"):
+        gg_product_cdf(2.0, 0.5, 2, 0.5)
+
+
 def test_gg_product_order_cap():
     with pytest.raises(ValueError):
         gg_product_cdf(GG_A, GG_B, 7, 1.0)
