@@ -4,10 +4,10 @@ RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation with unit-mean gain.
 
 Densities are exact formulas (log-scaled Bessel evaluation under the hood);
-one sampler, `sample_snr`, draws the received SNR of any model and is the
-only draw the Monte Carlo engine makes.  A Gaussian surrogate for the
-sum gain (moment-matched via Laguerre moments of the single-antenna gain)
-feeds the analytical outage evaluators.
+one sampler, `sample_gain`, draws the unscaled gain of any model and is the
+only draw the Monte Carlo engine makes; `sample_snr` scales it to one drive.
+A Gaussian surrogate for the sum gain (moment-matched via Laguerre moments
+of the single-antenna gain) feeds the analytical outage evaluators.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ __all__ = [
     "rician_gain_pdf",
     "rician_sum_pdf",
     "fso_pdf",
+    "sample_gain",
     "sample_snr",
     "clt_sum_gain_params",
 ]
@@ -170,24 +171,31 @@ def fso_pdf(x, model):
 # sampler
 # ---------------------------------------------------------------------------
 
-def sample_snr(model, power, gen: np.random.Generator, size):
-    """Draw `size` received SNRs power * G from the gain model.
+def sample_gain(model, gen: np.random.Generator, size):
+    """Draw `size` unscaled gains X: (scale, X) with G = scale * X.
 
-    Rician sum gain: G = [Omega/(2(K+1))] * X with X ~ ncx2(df=2N, nonc=2KN),
+    Rician sum gain: scale = Omega/(2(K+1)) and X ~ ncx2(df=2N, nonc=2KN),
     the law of the complex-Gaussian antenna sum (numpy draws the central
-    chi-square itself when nonc = 0).  Exponential FSO: G ~ Exp(mean 1/lam).
-    Gamma-Gamma FSO: product of two unit-mean Gamma variates.
+    chi-square itself when nonc = 0).  Exponential FSO: scale = 1 and
+    X ~ Exp(mean 1/lam).  Gamma-Gamma FSO: scale = 1 and X is the product of
+    two unit-mean Gamma variates.  The received SNR at drive p is
+    (p * scale) * X, so one draw serves every drive.
     """
     if isinstance(model, RicianFading):
-        scale = model.Omega / (2.0 * (model.K + 1.0))
-        return power * scale * gen.noncentral_chisquare(
+        return model.Omega / (2.0 * (model.K + 1.0)), gen.noncentral_chisquare(
             2.0 * model.N, 2.0 * model.K * model.N, size=size)
     if isinstance(model, FsoExponential):
-        return power * gen.exponential(1.0 / model.lam, size=size)
+        return 1.0, gen.exponential(1.0 / model.lam, size=size)
     if isinstance(model, FsoGammaGamma):
-        return power * (gen.gamma(model.a, 1.0 / model.a, size=size)
-                        * gen.gamma(model.b, 1.0 / model.b, size=size))
+        return 1.0, (gen.gamma(model.a, 1.0 / model.a, size=size)
+                     * gen.gamma(model.b, 1.0 / model.b, size=size))
     raise TypeError(f"unsupported gain model {type(model).__name__}")
+
+
+def sample_snr(model, power, gen: np.random.Generator, size):
+    """Draw `size` received SNRs power * G from the gain model."""
+    scale, x = sample_gain(model, gen, size)
+    return (power * scale) * x
 
 
 # ---------------------------------------------------------------------------

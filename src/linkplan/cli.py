@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .config import RF_TAGS, ConfigError, ScenarioConfig, load_config
 from .network import mesh_outage, route_ergodic_rate, route_limiting_hop
-from .simulate import McConfig, simulate_mesh
+from .simulate import McConfig, simulate_sweep
 
 _Z95 = 1.959963984540054
 
@@ -67,32 +67,52 @@ def _analytic_outage(mesh, tag: str, theta: float):
     return mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag, theta=theta)
 
 
+def _grid_points(cfg: ScenarioConfig, mc: McConfig, with_mc: bool = True):
+    """(grid value, mesh, MC estimate) per sweep point, in grid order.
+
+    Every mesh is built first; the built ones then go through one
+    `simulate_sweep` call, so a drive sweep shares one set of draws.  A point
+    that fails to build carries its exception as both mesh and estimate; if
+    the MC pass raises, every built point carries that exception.
+    """
+    meshes = []
+    for g in cfg.sweep_grid:
+        try:
+            meshes.append(cfg.materialize(**_materialize_kwargs(cfg, g))[2])
+        except Exception as exc:
+            meshes.append(exc)
+    built = [m for m in meshes if not isinstance(m, Exception)]
+    ests = [None] * len(built)
+    if with_mc:
+        try:
+            ests = simulate_sweep(built, mc)
+        except Exception as exc:
+            ests = [exc] * len(built)
+    ests = iter(ests)
+    return [(g, m, m if isinstance(m, Exception) else next(ests))
+            for g, m in zip(cfg.sweep_grid, meshes)]
+
+
 def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     """Rows: sweep_var,method,outage,ci_halfwidth,error."""
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,method,outage,ci_halfwidth,error")
     had_error = False
-    for g in cfg.sweep_grid:
-        try:
-            _, _, mesh = cfg.materialize(**_materialize_kwargs(cfg, g))
-            build_error = None
-        except Exception as exc:
-            mesh, build_error = None, exc
+    for g, mesh, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
         for tag in cfg.evaluators:
-            if build_error is not None:
-                lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(build_error)}")
-                had_error = True
-                continue
-            try:
-                if tag == MONTE_CARLO:
-                    est = simulate_mesh(mesh, mc)
-                else:
+            if tag == MONTE_CARLO or isinstance(mesh, Exception):
+                est = ref
+            else:
+                try:
                     est = _analytic_outage(mesh, tag, cfg.theta)
+                except Exception as exc:
+                    est = exc
+            if isinstance(est, Exception):
+                lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(est)}")
+                had_error = True
+            else:
                 lines.append(f"{_fmt(g)},{tag},{_fmt(est.value)},"
                              f"{_fmt(est.ci_halfwidth)},")
-            except Exception as exc:
-                lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(exc)}")
-                had_error = True
     return lines, (3 if had_error else 0)
 
 
@@ -161,12 +181,9 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
     checked = passed = failed = skipped = 0
     had_error = False
     analytic = [t for t in cfg.evaluators if t != MONTE_CARLO]
-    for g in cfg.sweep_grid:
-        try:
-            _, _, mesh = cfg.materialize(**_materialize_kwargs(cfg, g))
-            ref = simulate_mesh(mesh, mc)
-        except Exception as exc:
-            lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(exc)}")
+    for g, mesh, ref in _grid_points(cfg, mc):
+        if isinstance(ref, Exception):
+            lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(ref)}")
             had_error = True
             continue
         sigma3 = 3.0 * ref.ci_halfwidth / _Z95

@@ -14,6 +14,7 @@ from linkplan.channel import RicianFading
 from linkplan.hardware import PaConfig
 from linkplan.analysis import rf_ergodic_rate
 from linkplan.cli import main
+from linkplan.simulate import simulate_mesh
 
 BASE = {
     "rf_hops": [{"K": 0.01, "omega": 1.0, "N": 20, "M": 1, "C": 10, "R": 2.0,
@@ -110,6 +111,73 @@ def test_outage_csv_schema(tmp_path):
         # closed forms carry no interval; MC does
         assert float(chunk[0][3]) == 0.0
         assert float(chunk[2][3]) > 0.0
+
+
+# ----------------------------------------------------------------------------
+# Monte Carlo over the grid: one pass per layout, per-point output
+# ----------------------------------------------------------------------------
+
+def _saturating_doc():
+    # the PA saturates above p_cons = p_max: grid point -2.5 dB fails to build
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["pa"]["p_max_db"] = -2.8
+    doc["evaluators"] = ["rf_linearized_clt", "monte_carlo", "fso_clt"]
+    return doc
+
+
+def _run_per_point_and_swept(tmp_path, monkeypatch, command, doc):
+    """(reference output with every MC point simulated alone, batched output,
+    kernel pass sizes of the batched run)."""
+    import linkplan.cli as cli
+    import linkplan.simulate as sim
+    cfg = write_config(tmp_path, doc)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "simulate_sweep",
+                  lambda meshes, mc: [simulate_mesh(x, mc) for x in meshes])
+        ref = run_to_file(tmp_path, command, cfg, name="ref.out")
+    passes = []
+    real = sim._simulate
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_simulate",
+                  lambda points, mc: passes.append(len(points)) or real(points, mc))
+        got = run_to_file(tmp_path, command, cfg, name="got.out")
+    return ref, got, passes
+
+
+def test_outage_sweep_mc_grid_equals_per_point(tmp_path, monkeypatch):
+    ref, got, passes = _run_per_point_and_swept(tmp_path, monkeypatch, "outage-sweep",
+                                                _saturating_doc())
+    assert got == ref
+    code, text = got
+    assert code == 3
+    rows = data_rows(text)
+    assert len(rows) == 3 * 3
+    for r in rows[:6]:
+        assert r[4] == "" and 0.0 < float(r[2]) < 1.0
+    for r in rows[6:]:
+        assert r[0] == "-2.5" and r[2] == "nan" and "p_max" in r[4]
+    assert passes == [2]  # the two built points share one pass
+
+
+def test_validate_mc_grid_equals_per_point(tmp_path, monkeypatch):
+    ref, got, passes = _run_per_point_and_swept(tmp_path, monkeypatch, "validate",
+                                                _saturating_doc())
+    assert got == ref
+    code, text = got
+    assert code == 3
+    assert text.count(" mc=") == 4
+    assert "point=-2.5 status=ERROR detail=" in text
+    assert passes == [2]
+
+
+def test_outage_sweep_n_grid_falls_back_per_layout(tmp_path, monkeypatch):
+    doc = copy.deepcopy(BASE)
+    doc["sweep"] = {"variable": "N", "grid": [16, 20, 24]}
+    ref, got, passes = _run_per_point_and_swept(tmp_path, monkeypatch, "outage-sweep",
+                                                doc)
+    assert got == ref
+    assert got[0] == 0
+    assert passes == [1, 1, 1]  # each antenna count draws its own gains
 
 
 # ----------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from linkplan.simulate import (
     simulate_mesh,
     simulate_rf_hop,
     simulate_route,
+    simulate_sweep,
     wilson_halfwidth,
 )
 
@@ -271,6 +272,139 @@ def test_mc_within_factor_15_of_piecewise_in_window():
 
 
 # ----------------------------------------------------------------------------
+# drive sweeps: one set of draws for every drive
+# ----------------------------------------------------------------------------
+
+# route A: K>0 RF + exponential FSO; route B: K=0 RF + Gamma-Gamma FSO
+SWEEP_MESH = MeshNetwork(routes=(
+    Route(hops=(_rf(0.4, n=3, m=2, c=2, r=1.0, k=1.5), _fso(0.9, c=3, r=0.6))),
+    Route(hops=(_rf(0.5, n=2, c=2, r=1.0, k=0.0), _fso(1.2, m=2, c=2, r=0.8, model=GG))),
+))
+# MC outage at 3000 trials falls from 0.91 to below 0.05 across these offsets
+SWEEP_OFFSETS_DB = (-2.0, 0.0, 2.0, 4.0, 6.0)
+
+
+def _drive_grid(mesh=SWEEP_MESH, offsets=SWEEP_OFFSETS_DB):
+    return [shift_scenario(mesh, d) for d in offsets]
+
+
+def _assert_matches_loop(meshes, mc):
+    swept = simulate_sweep(meshes, mc)
+    alone = [simulate_mesh(m, mc) for m in meshes]
+    assert [(e.value, e.ci_halfwidth) for e in swept] == \
+        [(e.value, e.ci_halfwidth) for e in alone]
+    return alone
+
+
+def _count_generators(monkeypatch):
+    import linkplan.simulate as sim
+    calls = []
+    real = sim._block_generator
+
+    def counting(seed, block, hop_index):
+        calls.append((block, hop_index))
+        return real(seed, block, hop_index)
+
+    monkeypatch.setattr(sim, "_block_generator", counting)
+    return calls
+
+
+def _count_passes(monkeypatch):
+    """Points per kernel pass, one entry per pass."""
+    import linkplan.simulate as sim
+    passes = []
+    real = sim._simulate
+    monkeypatch.setattr(sim, "_simulate",
+                        lambda points, mc: passes.append(len(points)) or real(points, mc))
+    return passes
+
+
+def test_sweep_matches_per_point_simulation():
+    alone = _assert_matches_loop(_drive_grid(), McConfig(trials=3000, seed=7))
+    assert len({e.value for e in alone}) == len(SWEEP_OFFSETS_DB)
+    assert 0.0 < min(e.value for e in alone) < max(e.value for e in alone) < 1.0
+
+
+@pytest.mark.parametrize("hop", [SWEEP_MESH.routes[0].hops[0], SWEEP_MESH.routes[1].hops[0],
+                                 SWEEP_MESH.routes[0].hops[1], SWEEP_MESH.routes[1].hops[1]],
+                         ids=["rf_k1.5", "rf_k0", "fso_exp", "fso_gg"])
+def test_hop_accumulator_is_per_drive_arithmetic(hop):
+    # each drive's log-rate sum equals the one-drive sum over sample_snr
+    # draws, bit for bit, on the same substream
+    import linkplan.simulate as sim
+    from linkplan.channel import sample_snr
+    n, drives = 2000, [0.3, 1.7, 4.1]
+    model, rounds = sim._model_rounds(hop)
+    acc = np.empty((len(drives), n))
+    fail = np.zeros((len(drives), n), dtype=bool)
+    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc,
+                      np.empty(n), fail)
+    for row, p in zip(acc, drives):
+        gen = sim._block_generator(5, 0, 1)
+        expect = np.zeros(n)
+        for _ in range(rounds):
+            expect += np.log1p(sample_snr(model, p, gen, n))
+        assert np.array_equal(row, expect)
+
+
+def test_sweep_matches_per_point_simulation_multiple_blocks(monkeypatch):
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    _assert_matches_loop(_drive_grid(), McConfig(trials=3500, seed=8))
+
+
+def test_sweep_target_ci_stops_each_point_on_its_own(monkeypatch):
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    mc = McConfig(trials=40_000, seed=9, target_ci=0.1)
+    meshes = _drive_grid()
+    calls = _count_generators(monkeypatch)
+    blocks = []
+    for m in meshes:
+        calls.clear()
+        simulate_mesh(m, mc)
+        blocks.append(len(calls) // 4)
+    # the points stop at different blocks, some before the trial budget ends
+    assert len(set(blocks)) >= 3 and min(blocks) < 40, blocks
+    _assert_matches_loop(meshes, mc)
+
+
+def test_sweep_splits_mixed_layouts_into_groups(monkeypatch):
+    wide = MeshNetwork(routes=(Route(hops=(_rf(0.4, n=5, m=2, c=2, r=1.0, k=1.5),
+                                           _fso(0.9, c=3, r=0.6))),))
+    narrow = MeshNetwork(routes=(Route(hops=(_rf(0.4, n=2, m=2, c=2, r=1.0, k=1.5),
+                                             _fso(0.9, c=3, r=0.6))),))
+    slower = MeshNetwork(routes=(Route(hops=(_rf(0.4, n=5, m=2, c=2, r=1.2, k=1.5),
+                                            _fso(0.9, c=3, r=0.6))),))
+    meshes = [shift_scenario(m, d) for d in (0.0, 3.0) for m in (wide, narrow, slower)]
+    alone = [simulate_mesh(m, McConfig(trials=3000, seed=10)) for m in meshes]
+    passes = _count_passes(monkeypatch)
+    assert simulate_sweep(meshes, McConfig(trials=3000, seed=10)) == alone
+    assert passes == [2, 2, 2]
+
+
+def test_sweep_beyond_memory_bound_takes_more_passes(monkeypatch):
+    import linkplan.simulate as sim
+    mc = McConfig(trials=3000, seed=11)
+    monkeypatch.setattr(sim, "PASS_FLOATS", 2 * mc.trials)
+    calls = _count_generators(monkeypatch)
+    alone = [simulate_mesh(m, mc) for m in _drive_grid()]
+    calls.clear()
+    assert simulate_sweep(_drive_grid(), mc) == alone
+    # 5 points, 2 per pass: 3 passes of 1 block x 4 hops
+    assert len(calls) == 3 * 4
+
+
+def test_sweep_draws_once_per_block_and_hop(monkeypatch):
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    calls = _count_generators(monkeypatch)
+    simulate_sweep(_drive_grid(), McConfig(trials=3500, seed=12))
+    # 4 blocks x 4 hops, not 5 points x 4 blocks x 4 hops
+    assert sorted(calls) == [(b, h) for b in range(4) for h in range(4)]
+
+
+# ----------------------------------------------------------------------------
 # scenario shifting / power search
 # ----------------------------------------------------------------------------
 
@@ -303,6 +437,27 @@ def test_required_snr_analytic_vs_mc_close():
     s_mc = required_snr(0.1, route, evaluator="mc",
                         mc=McConfig(trials=400_000, seed=35))
     assert abs(s_an - s_mc) < 0.3
+
+
+def test_required_snr_mc_bisection_on_per_point_simulation(monkeypatch):
+    # the two bracket ends share one pass; every outage is the per-point one
+    route = Route(hops=(_rf(0.1, n=20, c=10, r=2.0),))
+    mesh = MeshNetwork(routes=(route,))
+    mc = McConfig(trials=20_000, seed=37)
+    target, lo, hi, tol = 0.1, 4.5, 7.5, 0.05
+    expect_lo, expect_hi = lo, hi
+    while expect_hi - expect_lo > tol:
+        mid = 0.5 * (expect_lo + expect_hi)
+        if simulate_mesh(shift_scenario(mesh, mid), mc).value >= target:
+            expect_lo = mid
+        else:
+            expect_hi = mid
+    steps = math.ceil(math.log2((hi - lo) / tol))
+    passes = _count_passes(monkeypatch)
+    s = required_snr(target, route, evaluator="mc", bounds_db=(lo, hi), mc=mc,
+                     tol_db=tol)
+    assert s == 0.5 * (expect_lo + expect_hi)
+    assert passes == [2] + [1] * steps
 
 
 def test_required_snr_bracket_error():
