@@ -3,11 +3,15 @@
 RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation with unit-mean gain.
 
-Densities are exact formulas (log-scaled Bessel evaluation under the hood);
-one sampler, `sample_gain`, draws the unscaled gain of any model and is the
-only draw the Monte Carlo engine makes; `sample_snr` scales it to one drive.
-A Gaussian surrogate for the sum gain (moment-matched via Laguerre moments
-of the single-antenna gain) feeds the analytical outage evaluators.
+Densities are exact formulas: the single-antenna Rician gain on scipy's
+`ive`, and the FSO gains (the Gamma-Gamma one through
+`specfun.gg_log_density`).  The N-antenna sum gain is scale * ncx2(2N, 2KN),
+so its exact CDF is scipy's `chndtr` (see `analysis`) and it needs no density
+of its own here.  One sampler, `sample_gain`, draws the unscaled gain of any
+model and is the only draw the Monte Carlo engine makes; `sample_snr` scales
+it to one drive.  A Gaussian surrogate for the sum gain (moment-matched via
+Laguerre moments of the single-antenna gain) feeds the analytical outage
+evaluators.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ __all__ = [
     "FsoGammaGamma",
     "GaussianApprox",
     "rician_gain_pdf",
-    "rician_sum_pdf",
     "fso_pdf",
     "sample_gain",
     "sample_snr",
@@ -96,58 +99,6 @@ def rician_gain_pdf(x, f: RicianFading):
         - K
         - (K + 1.0) * x / Om
         + math.log(ive(0.0, arg))
-        + arg
-    )
-    return math.exp(log_f) if log_f > -700.0 else 0.0
-
-
-def _rician_sum_logpdf_hyp(x, f: RicianFading):
-    """log of the sum-gain density in its confluent (0F1) form; stable for
-    every K >= 0 including K = 0."""
-    K, Om, N = f.K, f.Omega, f.N
-    w = K * (K + 1.0) * N * x / Om
-    hyp = specfun.log_hyp0f1(N, w)
-    return (
-        N * math.log(K + 1.0)
-        - K * N
-        - N * math.log(Om)
-        - math.lgamma(N)
-        + (N - 1.0) * math.log(x)
-        - (K + 1.0) * x / Om
-        + hyp
-    )
-
-
-def rician_sum_pdf(x, f: RicianFading):
-    """Density of the N-antenna sum gain G = sum_j |h_j|^2.
-
-    Evaluated through the confluent-series form, which is the Bessel form
-    rewritten without the K^{-(N-1)/2} prefactor (so K -> 0 degrades smoothly
-    to the Erlang density).
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        if f.N == 1:
-            return rician_gain_pdf(0.0, f)
-        return 0.0
-    log_f = _rician_sum_logpdf_hyp(x, f)
-    return math.exp(log_f) if log_f > -700.0 else 0.0
-
-
-def rician_sum_pdf_bessel(x, f: RicianFading):
-    """Sum-gain density through the explicit Bessel-I form (K > 0 only);
-    kept as the cross-check route for rician_sum_pdf."""
-    if x <= 0 or f.K <= 0:
-        raise ValueError("Bessel form requires x > 0 and K > 0")
-    K, Om, N = f.K, f.Omega, f.N
-    arg = 2.0 * math.sqrt(K * (K + 1.0) * N * x / Om)
-    log_f = (
-        math.log((K + 1.0) / Om)
-        - K * N
-        + 0.5 * (N - 1.0) * math.log((K + 1.0) * x / (K * N * Om))
-        - (K + 1.0) * x / Om
-        + math.log(ive(N - 1.0, arg))
         + arg
     )
     return math.exp(log_f) if log_f > -700.0 else 0.0

@@ -4,11 +4,10 @@ The standard functions come from scipy.special: `bessel_k` (K_nu),
 `expint_ei` (Ei) and `laguerre` (1F1) are named entry points over it that
 check their domain.  This module adds what scipy lacks:
 
-- the generalized hypergeometric series pFq (the 3F3 of the exponential-FSO
-  second moment);
-- log 0F1, summed with renormalization so that it survives arguments far
-  beyond double overflow (the Rician sum-gain density);
-- the Gamma-Gamma log-gain density, on `kve`;
+- the generalized hypergeometric series pFq;
+- the Gamma-Gamma log-gain density, on `kve`, for a float or an array;
+- one uniform log-gain grid per Gamma-Gamma law, with edges taken from the
+  density's tails (the moment tables and the product CDF both use it);
 - the CDF of a product of i.i.d. Gamma-Gamma gains.
 
 All routines are real-valued double precision, pure and thread-safe.
@@ -19,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.special import expi, hyp1f1, kv, kve
 
@@ -27,16 +27,21 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_SERIES",
     "gen_hypergeometric",
-    "log_hyp0f1",
     "bessel_k",
     "laguerre",
     "expint_ei",
     "gg_log_density",
+    "gg_log_grid",
     "gg_product_cdf",
 ]
 
 _LOG2 = math.log(2.0)
-_LOG_RENORM = 250.0 * math.log(10.0)  # rescale threshold for the log-scaled series
+# node cap of one Gamma-Gamma log-gain grid; past it the left tail is cut and
+# the caller's mass check decides whether the loss matters
+_GG_MAX_NODES = 1 << 17
+# product-CDF grid spacing in ln G: the CDF is a trapezoid cumulative, O(dy^2)
+# accurate, so it needs a finer grid than the spectrally accurate moment tables
+_GG_PRODUCT_DY = 24.0 / 4096.0
 
 
 class ConvergenceError(ArithmeticError):
@@ -94,27 +99,6 @@ def gen_hypergeometric(a_list, b_list, x, ctl: SeriesControl = DEFAULT_SERIES):
     )
 
 
-def log_hyp0f1(b, z):
-    """log 0F1(; b; z) for b > 0, z >= 0.  All terms are positive; the sum is
-    renormalized whenever it nears overflow, so z may be far beyond the range
-    where 0F1 itself is representable."""
-    if z == 0.0:
-        return 0.0
-    term = 1.0
-    total = 1.0
-    scale = 0.0
-    for j in range(100_000):
-        term *= z / ((j + 1.0) * (b + j))
-        total += term
-        if total > 1e250:
-            total *= 1e-250
-            term *= 1e-250
-            scale += _LOG_RENORM
-        if term < 1e-16 * total:
-            return scale + math.log(total)
-    raise ConvergenceError(f"0F1 series did not converge (b={b}, z={z})")
-
-
 def bessel_k(order, x):
     """Modified Bessel function of the second kind K_order(x), x > 0."""
     if x <= 0:
@@ -147,40 +131,58 @@ def gg_log_density(y, a, b):
     f_Y(y) = f_G(e^y) e^y with f_G(x) = 2 (ab)^((a+b)/2) x^((a+b)/2-1)
     K_{a-b}(2 sqrt(ab x)) / (Gamma(a) Gamma(b)).
 
-    Takes a float: quadrature calls it point by point, where numpy's
-    per-call overhead would cost more than the Bessel function itself.
+    Takes a float (returns a numpy scalar) or an array of floats.
     """
+    y = np.asarray(y, dtype=float)
     return (
         _LOG2
         + 0.5 * (a + b) * (math.log(a * b) + y)
         - math.lgamma(a)
         - math.lgamma(b)
         + _log_kv(abs(a - b), 0.5 * (y + math.log(4.0 * a * b)))
-    )
+    )[()]
 
 
 def _log_kv(nu, log_z):
-    """log K_nu(z) at z = e^log_z, for any real log_z."""
-    if log_z > 18.0:
-        # kve is nan beyond z ~ 1e9; e^{-z} zeroes every density long before
-        return -math.inf
-    z = math.exp(log_z)
-    k = kve(nu, z)
-    if k < math.inf:
-        return math.log(k) - z
+    """log K_nu(z) at z = e^log_z, elementwise over an array of any real log_z."""
+    # kve is nan beyond z ~ 1e9; e^{-z} zeroes every density long before
+    z = np.exp(np.minimum(log_z, 18.0))
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(kve(nu, z)) - z)
     # kve overflows at small z (below 1e-25 for nu = 12, and z = 0 once
     # e^{y/2} underflows); there the leading term of K is exact in doubles
-    if nu == 0.0:
-        return math.log(_LOG2 - np.euler_gamma - log_z)
-    return math.lgamma(nu) + (nu - 1.0) * _LOG2 - nu * log_z
+    small = np.isinf(out)
+    if small.any():
+        lz = log_z[small]
+        out[small] = (np.log(_LOG2 - np.euler_gamma - lz) if nu == 0.0
+                      else math.lgamma(nu) + (nu - 1.0) * _LOG2 - nu * lz)
+    out[log_z > 18.0] = -math.inf
+    return out
+
+
+def gg_log_grid(a, b, dy):
+    """Nodes y_k = k*dy in y = ln G and the Gamma-Gamma density f_Y there.
+
+    The nodes span every y where f_Y is above about e^-60: the left tail of
+    ln G decays like e^{min(a,b) y}, the right one like
+    exp(-2 sqrt(ab) e^{y/2}) times a power of e^y that grows with a + b.
+    At most `_GG_MAX_NODES` nodes are returned; past the cap the left edge
+    moves right, so callers must check the mass the grid holds.
+    """
+    lo = -60.0 / min(a, b) - 2.0
+    hi = 2.0 * math.log((60.0 + 2.0 * (a + b)) / (2.0 * math.sqrt(a * b))) + 2.0
+    k_hi = math.ceil(hi / dy)
+    k_lo = max(math.floor(lo / dy), k_hi - _GG_MAX_NODES + 1)
+    y = np.arange(k_lo, k_hi + 1) * dy
+    return y, np.exp(gg_log_density(y, a, b))
 
 
 def gg_product_cdf(a, b, n, x):
     """CDF at x of the product of n i.i.d. Gamma-Gamma(a, b) gains.
 
-    n = 1 integrates the log-gain density over one tail by quadrature; n in 2..6
-    convolves it on a uniform grid and integrates the n-fold sum density up
-    to ln x.
+    n = 1 integrates the log-gain density over one tail by quadrature; n in
+    2..6 forms the n-fold self-convolution of the density on its log-gain
+    grid by FFT and integrates that sum density up to ln x.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -191,6 +193,7 @@ def gg_product_cdf(a, b, n, x):
     if x <= 0:
         return 0.0
     target = math.log(x)
+    n = int(n)
     if n == 1:
         def density(y):
             return math.exp(gg_log_density(y, a, b))
@@ -203,15 +206,13 @@ def gg_product_cdf(a, b, n, x):
             val = 1.0 - quad(density, target, math.inf, limit=200)[0]
         return float(min(1.0, max(0.0, val)))
 
-    # log-gain grid wide enough that the n-fold sum keeps its mass inside
-    lo, hi = -16.0, 8.0
-    grid, dy = np.linspace(lo, hi, 4097, retstep=True)
-    pdf = np.exp([gg_log_density(y, a, b) for y in grid.tolist()])
-    dens = pdf.copy()
-    for _ in range(int(n) - 1):
-        dens = np.convolve(dens, pdf) * dy
-    # support of the k-fold convolution starts at k*lo with spacing dy
-    start = n * lo
+    dy = _GG_PRODUCT_DY
+    grid, pdf = gg_log_grid(a, b, dy)
+    size = n * (len(pdf) - 1) + 1  # support of the n-fold sum: no wrap-around
+    nfft = next_fast_len(size, real=True)
+    dens = irfft(rfft(pdf, nfft) ** n, nfft)[:size] * dy ** (n - 1)
+    # support of the n-fold convolution starts at n*lo with spacing dy
+    start = n * grid[0]
     if target <= start:
         return 0.0
     idx = (target - start) / dy
@@ -225,9 +226,9 @@ def gg_product_cdf(a, b, n, x):
     val = cum[k] + partial
     total = cum[-1]
     if 1.0 - total > 1e-6:
-        # the grid misses the lower tail of ln G (small a or b)
+        # the node cap cut the left tail of ln G (very small a or b)
         raise ConvergenceError(
-            f"product-CDF grid [{lo:g}, {hi:g}] loses mass {1.0 - total:.3g} "
-            f"for (a, b, n) = ({a:g}, {b:g}, {n})")
+            f"product-CDF grid [{grid[0]:g}, {grid[-1]:g}] loses mass "
+            f"{1.0 - total:.3g} for (a, b, n) = ({a:g}, {b:g}, {n})")
     # normalize out the residual discretization and truncation (<= 1e-6)
     return float(min(1.0, max(0.0, val / total)))

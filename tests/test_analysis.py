@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
+from scipy.stats import chi2, ncx2
 
+from linkplan import analysis, specfun
 from linkplan.analysis import (
     FSO_CLT,
     FSO_PRODUCT_BOUND,
@@ -52,13 +54,20 @@ from linkplan.channel import (
     RicianFading,
     clt_sum_gain_params,
     fso_pdf,
-    rician_sum_pdf,
     sample_snr,
 )
 from linkplan.hardware import PaConfig
 from linkplan.simulate import McConfig, simulate_fso_hop, simulate_rf_hop
+from linkplan.specfun import ConvergenceError
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
+
+
+def _sum_gain_pdf(x, f):
+    """Sum-gain density from its law G = scale * X, X ~ ncx2(2N, 2KN),
+    scale = Omega/(2(K+1))."""
+    scale = f.Omega / (2.0 * (f.K + 1.0))
+    return ncx2.pdf(x / scale, 2.0 * f.N, 2.0 * f.K * f.N) / scale
 
 
 def _bisect_drive(outage_of_drive, target, lo=1e-4, hi=10.0):
@@ -147,7 +156,7 @@ def test_low_snr_moments_mean_identity():
 
 def test_low_snr_moments_variance_quadrature():
     f = RicianFading(K=2.0, Omega=1.0, N=4)
-    second, _ = quad(lambda x: x * x * rician_sum_pdf(x, f), 0.0, 60.0, limit=300)
+    second, _ = quad(lambda x: x * x * _sum_gain_pdf(x, f), 0.0, 60.0, limit=300)
     g = rf_moments_low_snr(f)
     assert_allclose(g.variance, second - 16.0, rtol=1e-6)
     # closed-form cross-check: N * Om^2 (1+2K)/(1+K)^2
@@ -343,8 +352,7 @@ def test_fso_exp_second_moment_closed_form():
 
 
 def test_fso_exp_second_moment_large_kappa_fallback():
-    # lam/p > 10 switches to the survival-form quadrature; check continuity
-    # across the switch by comparing both sides of p = lam/10
+    # both sides of lam/p = 10, where an antiderivative form once took over
     lam = 1.0
     for p in (0.099, 0.101):
         h = FsoHopParams(model=FsoExponential(lam=lam), p_tx=p, M=1, C_tilde=1,
@@ -355,17 +363,86 @@ def test_fso_exp_second_moment_large_kappa_fallback():
         assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-6)
 
 
-@pytest.mark.parametrize("lam", [11.0, 100.0, 2e3, 5e3, 1e4, 1e6])
+@pytest.mark.parametrize("lam", [1e-4, 0.1, 1.0, 8.0, 10.0,
+                                 11.0, 100.0, 2e3, 5e3, 1e4, 1e6])
 def test_fso_exp_second_moment_large_kappa_mpmath(lam):
     # E[log^2(1+G)] = int e^{-u} log1p(u/lam)^2 du (density form, 30 digits);
     # the survival-form quadrature must keep the width-1/lam integrand in view
-    # up to lam = 1e6, where the variance is ~1e-12
+    # up to lam = 1e6, where the variance is ~1e-12, and hold full precision
+    # down to lam = 1e-4
     with mpmath.workdps(30):
         ref = float(mpmath.quad(lambda u: mpmath.exp(-u) * mpmath.log1p(u / lam) ** 2,
                                 [0, 1, 10, 50, mpmath.inf]))
     g = fso_moments(FsoHopParams(model=FsoExponential(lam=lam), p_tx=1.0))
     assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-12)
     assert g.variance > 0.0
+
+
+# (a, b, p) -> (mean, variance) of log(1 + p G) for Gamma-Gamma G: 30-digit
+# mpmath quadrature in y = ln G of 2 (ab)^((a+b)/2) e^{(a+b)y/2}
+# K_{a-b}(2 sqrt(ab) e^{y/2}) / (Gamma(a) Gamma(b)), split into 40 panels
+# from y = -60/min(a,b) - 10 to 2 ln(100/sqrt(ab)) + 2
+GG_MOMENTS_MPMATH = {
+    (4.3939, 2.5636, 0.01): (0.0099161125432758513, 6.8036189751492739e-5),
+    (4.3939, 2.5636, 1.0): (0.62466123601005571, 0.1248902171040949),
+    (4.3939, 2.5636, 40.0): (3.4127858200141267, 0.65110418162147017),
+    (4.3939, 2.5636, 1e3): (6.5842436920348553, 0.72729673931573717),
+    (4.3939, 2.5636, 1e5): (11.187320579193847, 0.73116681407834312),
+    (8.0, 1.0, 0.01): (0.009890202932378873, 0.00011914509922470306),
+    (8.0, 1.0, 1.0): (0.5835402547727528, 0.19261048904067124),
+    (8.0, 1.0, 40.0): (3.1614817074068978, 1.3107327239131239),
+    (8.0, 1.0, 1e3): (6.2748868150248032, 1.7185459537454309),
+    (8.0, 1.0, 1e5): (10.872043783578868, 1.7764696422097933),
+    (2.0, 0.5, 0.01): (0.0097883595911306342, 0.00031506818903604086),
+    (2.0, 0.5, 1.0): (0.49104862888629715, 0.30389255371950217),
+    (2.0, 0.5, 40.0): (2.6012558327722305, 2.4765134204255606),
+    (2.0, 0.5, 1e3): (5.4644366406677673, 4.3770706152700028),
+    (2.0, 0.5, 1e5): (9.9821144277340039, 5.3692632612788004),
+    (12.0, 1.2, 0.01): (0.0099026894790203272, 9.4604432579845439e-5),
+    (12.0, 1.2, 1.0): (0.60059307243280594, 0.16688142065334838),
+    (12.0, 1.2, 40.0): (3.2599862409201266, 1.0707594363569912),
+    (12.0, 1.2, 1e3): (6.3989965595857894, 1.3278952020158099),
+    (12.0, 1.2, 1e5): (10.999377719953281, 1.353835514884408),
+    (1.0, 0.3, 0.01): (0.009618378226836789, 0.0006264663400521415),
+    (1.0, 0.3, 1.0): (0.4060830051261512, 0.36707395953099796),
+    (1.0, 0.3, 40.0): (2.0651749813535165, 3.1715888815958805),
+    (1.0, 0.3, 1e3): (4.5218274953415519, 7.0309830377578075),
+    (1.0, 0.3, 1e5): (8.7608767227602202, 11.071359211643664),
+    (12.0, 0.1, 0.01): (0.0094812142543256604, 0.00088127391703914995),
+    (12.0, 0.1, 1.0): (0.3276409939945478, 0.42197331257569345),
+    (12.0, 0.1, 40.0): (1.4210938103532939, 3.6637088905054706),
+    (12.0, 0.1, 1e3): (3.0184219106212671, 10.021085175238178),
+    (12.0, 0.1, 1e5): (6.0463222772142806, 23.203649758389592),
+}
+
+
+@pytest.mark.parametrize("a, b", [(4.3939, 2.5636), (8.0, 1.0), (2.0, 0.5),
+                                  (12.0, 1.2), (1.0, 0.3), (12.0, 0.1)])
+def test_fso_gg_moments_mpmath(a, b):
+    # (12, 0.1) puts mass down to ln G ~ -600, which a grid with a fixed
+    # node count resolves only to ~1e-3 in the variance
+    for p in (0.01, 1.0, 40.0, 1e3, 1e5):
+        mean, var = GG_MOMENTS_MPMATH[(a, b, p)]
+        g = fso_moments(FsoHopParams(model=FsoGammaGamma(a, b), p_tx=p))
+        assert_allclose(g.mean, mean, rtol=1e-12, err_msg=f"mean at p={p}")
+        assert_allclose(g.variance, var, rtol=1e-10, err_msg=f"variance at p={p}")
+
+
+def test_fso_gg_moments_narrow_log_gain():
+    # a, b in the hundreds give ln G a standard deviation of ~0.1; the table
+    # must narrow its spacing below that (at dy = 0.1 it holds mass
+    # 1 - 2.3e-10 here); 30-digit mpmath values as in GG_MOMENTS_MPMATH
+    g = fso_moments(FsoHopParams(model=FsoGammaGamma(200.0, 150.0), p_tx=10.0))
+    assert_allclose(g.mean, 2.3930757412593819, rtol=1e-12)
+    assert_allclose(g.variance, 0.0096470676487510509, rtol=1e-10)
+
+
+def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
+    # a node cap far below what b = 0.1 needs cuts the left tail of ln G:
+    # the table must refuse rather than return moments of a lost mass
+    monkeypatch.setattr(specfun, "_GG_MAX_NODES", 1000)
+    with pytest.raises(ConvergenceError, match=r"\(12, 0.1\)"):
+        fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=1.0))
 
 
 def test_fso_gg_moments_quadrature():
@@ -460,6 +537,58 @@ def test_product_bound_order_cap_propagates():
 # RF short-codeword bounds
 # ----------------------------------------------------------------------------
 
+def _ncx2_cdf_mpmath(x, df, nc):
+    """P[X <= x] for X ~ ncx2(df, nc) at 40 digits: the Poisson(nc/2) mixture
+    of central chi-square CDFs P(df/2 + j, x/2), summed outward from the
+    Poisson mode with P(s + 1, h) = P(s, h) - h^s e^{-h} / Gamma(s + 1)."""
+    with mpmath.workdps(40):
+        h, s0 = mpmath.mpf(x) / 2, mpmath.mpf(df) / 2
+        if nc == 0:
+            return mpmath.gammainc(s0, 0, h, regularized=True)
+        lam = mpmath.mpf(nc) / 2
+
+        def weight(j):
+            return mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+
+        def step(s):
+            return mpmath.exp(s * mpmath.log(h) - h - mpmath.loggamma(s + 1))
+
+        j0 = int(lam)
+        p0 = mpmath.gammainc(s0 + j0, 0, h, regularized=True)
+        total = weight(j0) * p0
+        p, j = p0, j0
+        while True:  # upward: both the weight and P fall
+            p -= step(s0 + j)
+            j += 1
+            term = weight(j) * p
+            total += term
+            if term < 1e-32 * total:
+                break
+        p, j = p0, j0
+        while j > 0:  # downward: the weight falls, P <= 1
+            j -= 1
+            p += step(s0 + j)
+            total += weight(j) * p
+            if weight(j) < 1e-32 * total:
+                break
+        return total
+
+
+@pytest.mark.parametrize("N", [4, 60, 1800])
+@pytest.mark.parametrize("K", [0.0, 2.0, 5.0])
+def test_sum_gain_cdf_mpmath_oracle(N, K):
+    # pooled N up to 1800, from the deep lower tail to 1 - 1e-9
+    f = RicianFading(K, 1.3, N)
+    scale = 1.3 / (2.0 * (K + 1.0))
+    df, nc = 2.0 * N, 2.0 * K * N
+    for q in (1e-14, 1e-9, 1e-5, 0.5, 1.0 - 1e-9):
+        x = chi2.ppf(q, df) if nc == 0 else ncx2.ppf(q, df, nc)
+        ref = float(_ncx2_cdf_mpmath(x, df, nc))
+        assert 0.5 * q < ref < 2.0 * q
+        assert_allclose(_sum_gain_cdf(scale * x, f), ref, rtol=1e-12,
+                        err_msg=f"CDF {q:g}")
+
+
 def test_rf_bounds_collapse_at_single_shot():
     # M=C=1 with a class-exponent PA: lower = upper = exact CDF, and MC agrees
     h = RfHopParams(fading=RicianFading(0.01, 1.0, 60),
@@ -538,7 +667,7 @@ def test_rf_ergodic_rate_vs_quadrature():
     for snr_db in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
         p = 10.0 ** (snr_db / 10.0)
         closed = rf_ergodic_rate(f, PaConfig.ideal(p))
-        ref, _ = quad(lambda x: math.log1p(p * x) * rician_sum_pdf(x, f), 0.0, hi,
+        ref, _ = quad(lambda x: math.log1p(p * x) * _sum_gain_pdf(x, f), 0.0, hi,
                       limit=300)
         assert abs(closed - ref) / ref < 0.01, snr_db
 
@@ -628,6 +757,20 @@ def test_hop_outage_dispatch_tags():
         hop_outage(fso, fso_method="nonsense")
     with pytest.raises(TypeError):
         hop_outage(42)
+
+
+def test_jensen_tags_compute_one_bound_each(monkeypatch):
+    # each tag evaluates its own pooled CDF; rf_outage_bounds_short gives both
+    calls = []
+    exact = analysis._sum_gain_cdf
+    monkeypatch.setattr(analysis, "_sum_gain_cdf",
+                        lambda y, f: calls.append(y) or exact(y, f))
+    rf = RfHopParams(fading=RicianFading(0.01, 1.0, 4), pa=PaConfig.ideal(0.5),
+                     M=2, C=1, R=1.0)
+    lo = hop_outage(rf, rf_method=RF_JENSEN_LOWER)
+    up = hop_outage(rf, rf_method=RF_JENSEN_UPPER)
+    assert len(calls) == 2
+    assert (lo, up) == rf_outage_bounds_short(rf)
 
 
 def test_hop_outage_piecewise_theta_passthrough():

@@ -1,6 +1,7 @@
-"""Channel model tests: densities vs independent oracles, the SNR sampler vs
-the densities (moments + Kolmogorov-Smirnov), and the Gaussian surrogate
-moments vs direct quadrature."""
+"""Channel model tests: densities vs independent oracles, the sum-gain law
+scale * ncx2(2N, 2KN) vs the single-antenna density, the SNR sampler vs the
+densities (moments + Kolmogorov-Smirnov), and the Gaussian surrogate moments
+vs direct quadrature."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import kstest, ncx2
 
 from linkplan.channel import (
     FsoExponential,
@@ -18,12 +19,16 @@ from linkplan.channel import (
     clt_sum_gain_params,
     fso_pdf,
     rician_gain_pdf,
-    rician_sum_pdf,
-    rician_sum_pdf_bessel,
     sample_snr,
 )
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
+
+
+def _sum_law(f):
+    """The sum-gain law G = scale * X, X ~ ncx2(2N, 2KN), as a frozen scipy
+    distribution."""
+    return ncx2(2.0 * f.N, 2.0 * f.K * f.N, scale=f.Omega / (2.0 * (f.K + 1.0)))
 
 
 def _stream(seed, stream_id=0):
@@ -101,34 +106,25 @@ def test_gain_pdf_independent_bessel_route():
 
 
 # ----------------------------------------------------------------------------
-# sum-gain density
+# sum-gain law
 # ----------------------------------------------------------------------------
 
 def test_sum_pdf_single_antenna_identity():
     f = RicianFading(K=1.3, Omega=0.7, N=1)
     for x in np.linspace(1e-3, 8.0, 100):
-        assert_allclose(rician_sum_pdf(float(x), f),
+        assert_allclose(_sum_law(f).pdf(float(x)),
                         rician_gain_pdf(float(x), f), rtol=1e-9)
 
 
 def test_sum_pdf_erlang_limit():
     # K=0, N=3: Gamma(3, Omega) density x^2 e^{-x}/2 at x=2
     f = RicianFading(K=0.0, Omega=1.0, N=3)
-    assert_allclose(rician_sum_pdf(2.0, f), 2.0 * math.exp(-2.0), rtol=1e-12)
-
-
-def test_sum_pdf_dual_forms_agree():
-    # package log-0F1 series vs the explicit Bessel form on scipy's ive
-    for f in (RicianFading(0.01, 1.0, 20), RicianFading(2.0, 0.5, 4),
-              RicianFading(5.0, 2.0, 8)):
-        for x in (0.3 * f.N * f.Omega, f.N * f.Omega, 2.5 * f.N * f.Omega):
-            assert_allclose(rician_sum_pdf(x, f),
-                            rician_sum_pdf_bessel(x, f), rtol=1e-10)
+    assert_allclose(_sum_law(f).pdf(2.0), 2.0 * math.exp(-2.0), rtol=1e-12)
 
 
 def test_sum_pdf_convolution_oracle():
     # 20-fold midpoint-rule convolution of the single-antenna density via FFT.
-    # Frozen at h=1e-3: f_sum(20) = 0.0888394110789; the implementation lands
+    # Frozen at h=1e-3: f_sum(20) = 0.0888394110789; the ncx2 law lands
     # within the oracle's own O(h^2) discretization error (~7e-7 relative).
     f1 = RicianFading(K=0.01, Omega=1.0, N=1)
     h = 2e-3
@@ -140,7 +136,7 @@ def test_sum_pdf_convolution_oracle():
     dens = np.fft.irfft(spec ** n, 1 << 19)
     s = int(round(20.0 / h - n / 2))  # midpoint grids shift by n*h/2
     oracle = dens[s] / h
-    impl = rician_sum_pdf(20.0, RicianFading(K=0.01, Omega=1.0, N=20))
+    impl = _sum_law(RicianFading(K=0.01, Omega=1.0, N=20)).pdf(20.0)
     assert_allclose(impl, oracle, rtol=1e-5)
     assert_allclose(impl, 0.0888394110789, rtol=1e-5)
 
@@ -206,8 +202,7 @@ def _grid_cdf(pdf, hi, n=8001):
 def test_sampler_ks_rician_sum():
     f = RicianFading(K=0.01, Omega=1.0, N=4)
     draws = sample_snr(f, 1.0, _stream(15), 100_000)
-    cdf = _grid_cdf(lambda x: rician_sum_pdf(x, f), 40.0)
-    stat = kstest(draws, cdf)
+    stat = kstest(draws, _sum_law(f).cdf)
     assert stat.pvalue > 0.01, stat
 
 

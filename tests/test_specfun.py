@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import i0
+from scipy.special import i0, ive
 
 from linkplan import specfun
-from linkplan.analysis import FsoHopParams, _h_antiderivative, fso_moments
+from linkplan.analysis import FsoHopParams, fso_moments
 from linkplan.channel import FsoExponential
 from linkplan.specfun import (
     ConvergenceError,
@@ -74,10 +74,9 @@ def test_series_control_validation():
 # ----------------------------------------------------------------------------
 
 def bessel_i(order, x):
-    """I_order(x) through the package's log-scaled 0F1 series (the route the
-    Rician sum-gain density takes)."""
-    return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0)
-                    + specfun.log_hyp0f1(order + 1.0, 0.25 * x * x))
+    """I_order(x) through scipy's exponentially scaled `ive`, log-scaled (the
+    route the Rician gain density takes)."""
+    return math.exp(math.log(ive(order, x)) + x)
 
 
 def test_bessel_i_half_order():
@@ -95,7 +94,7 @@ def test_bessel_i0_frozen():
 
 def test_bessel_i_large_argument_no_overflow():
     # log-scaled path must survive x where e^x overflows: log I_0(800)
-    lg = specfun.log_hyp0f1(1.0, 0.25 * 800.0 ** 2)
+    lg = math.log(ive(0.0, 800.0)) + 800.0
     # asymptotic I_0(x) ~ e^x / sqrt(2 pi x)
     assert_allclose(lg, 800.0 - 0.5 * math.log(2.0 * math.pi * 800.0), rtol=1e-4)
 
@@ -184,19 +183,6 @@ def test_expint_e1_scaled_large():
     assert_allclose(g.mean, 1e-3 - 1e-6 + 2e-9, rtol=1e-8)
 
 
-def test_upper_gamma_closed_forms():
-    # the log^2 antiderivative carries Gamma(0, k x); its differences must
-    # match quadrature of 2 e^k e^{-k t} log(t)/t over the spans the
-    # exponential-FSO second moment evaluates (k x <= 10 or >= 40); H carries
-    # a factor 2 e^k that scales up the rounding of its alternating 3F3 sum
-    for kappa in (0.05, 1.0, 8.0):
-        for lo, hi in ((0.2, 1.0), (1.0, 40.0 / kappa), (1.0, 80.0 / kappa)):
-            ref, _ = quad(lambda t: 2.0 * math.exp(kappa - kappa * t)
-                          * math.log(t) / t, lo, hi, limit=200)
-            got = _h_antiderivative(hi, kappa) - _h_antiderivative(lo, kappa)
-            assert_allclose(got, ref, rtol=1e-9, atol=1e-11 * math.exp(kappa))
-
-
 # ----------------------------------------------------------------------------
 # Gamma-Gamma product CDF
 # ----------------------------------------------------------------------------
@@ -253,11 +239,45 @@ def test_gg_product_cdf_mc_oracle():
     assert abs(got - 0.259261) < 4.2e-4
 
 
-def test_gg_product_cdf_grid_loss_is_loud():
-    # b = 0.5 puts 3.4e-4 of ln G below the grid's lower edge: the n = 2
+def test_gg_product_cdf_grid_loss_is_loud(monkeypatch):
+    # a node cap of 4096 cuts the grid to the old fixed span of 24 in ln G,
+    # and b = 0.5 puts 3.4e-4 of ln G below its left edge: the n = 2
     # convolution must refuse rather than renormalize the loss away
+    monkeypatch.setattr(specfun, "_GG_MAX_NODES", 4096)
     with pytest.raises(ConvergenceError, match=r"\(2, 0.5, 2\)"):
         gg_product_cdf(2.0, 0.5, 2, 0.5)
+
+
+@pytest.mark.parametrize("a, b, x, ref, three_sigma", [
+    (2.0, 0.5, 0.01, 0.2780647, 4.3e-4),
+    (12.0, 0.1, 1e-4, 0.6320447, 4.6e-4),
+])
+def test_gg_product_cdf_small_shaping_mc_oracle(a, b, x, ref, three_sigma):
+    # heavy left tails of ln G (mass far below y = -16) stay on the grid:
+    # frozen 1e7-sample MC of the product of two Gamma-Gamma draws
+    assert abs(gg_product_cdf(a, b, 2, x) - ref) < three_sigma
+
+
+def _direct_product_cdf_at_nodes(a, b, n):
+    """(x, CDF) at every node of the n-fold sum grid, by direct np.convolve
+    of the log-gain density and a trapezoid cumulative."""
+    dy = specfun._GG_PRODUCT_DY
+    y, pdf = specfun.gg_log_grid(a, b, dy)
+    dens = pdf
+    for _ in range(n - 1):
+        dens = np.convolve(dens, pdf) * dy
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
+    return np.exp(n * y[0] + dy * np.arange(len(dens))), cum / cum[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gg_product_cdf_fft_matches_direct_convolution(n):
+    xs, ref = _direct_product_cdf_at_nodes(GG_A, GG_B, n)
+    keep = (xs > 1e-40) & (xs < 1e10)
+    idx = np.flatnonzero(keep)[::97]
+    got = np.array([gg_product_cdf(GG_A, GG_B, n, float(x)) for x in xs[idx]])
+    assert ref[idx].min() < 1e-10 and ref[idx].max() > 1.0 - 1e-10
+    assert_allclose(got, ref[idx], rtol=1e-9, atol=1e-14)
 
 
 def test_gg_product_order_cap():
