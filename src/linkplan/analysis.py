@@ -6,9 +6,8 @@ carrying a method tag.  Monte Carlo lives in `simulate`; the two never share
 code paths, so each validates the other.
 
 The exact pieces are array or library evaluations: the RF sum-gain CDF is
-scipy's noncentral chi-square CDF `chndtr`, the Gamma-Gamma log-rate moments
-are one trapezoid sum over `specfun.gg_log_grid`, and the exponential-FSO
-second moment is one `quad` in u = lam t.
+scipy's noncentral chi-square CDF `chndtr`, and the FSO log-rate moments of
+both gain laws are one trapezoid sum over a uniform table in ln G.
 """
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import chndtr, hyperu, polygamma
+from scipy.integrate import quad  # noqa: F401  (perfbench's tracer hooks analysis.quad)
+from scipy.special import chndtr, polygamma
 
 from . import hardware, specfun
 from .channel import (
@@ -74,10 +73,10 @@ FSO_CLT = "fso_clt"
 FSO_PRODUCT_BOUND = "fso_product_bound"
 MONTE_CARLO = "monte_carlo"
 
-# log-gain spacing of the Gamma-Gamma moment table: the trapezoid rule on an
-# analytic integrand converges geometrically, and dy <= 0.25 already matches
-# 30-digit quadrature within 6e-15
-_GG_MOMENT_DY = 0.1
+# log-gain spacing of the FSO moment tables: the trapezoid rule on an analytic
+# integrand converges geometrically, and dy <= 0.25 already matches 30-digit
+# quadrature within 6e-15
+_LOG_GAIN_DY = 0.1
 
 
 class ApproximationInvalidError(ArithmeticError):
@@ -293,63 +292,50 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 # FSO surrogate moments
 # ---------------------------------------------------------------------------
 
-def _fso_exp_second_moment(lam, p):
-    """E[log^2(1 + p G)] for exponential G with rate lam: the survival-function
-    form 2p e^{-lam t} log1p(pt)/(1+pt) integrated in u = lam t, where the
-    integrand keeps unit width for every kappa = lam/p."""
-    kappa = lam / p
-    val, _ = quad(
-        lambda u: 2.0 * math.exp(-u) * math.log1p(u / kappa) / (1.0 + u / kappa),
-        0.0,
-        math.inf,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return val / kappa
+def _log_gain_table(model):
+    """Nodes y = ln G and trapezoid weights f_Y(y) dy for the FSO gain law.
 
-
-def _gg_moments(p, model: FsoGammaGamma):
-    """Mean and variance of log(1 + p G) for Gamma-Gamma G: the trapezoid
-    rule on one uniform grid in y = ln G, where the integrand is analytic and
-    decays exponentially at both ends."""
-    a, b = model.a, model.b
-    # at least two nodes per standard deviation of ln G, whose variance is
-    # psi'(a) + psi'(b); that narrows the spacing only once a and b reach ~50
-    dy = min(_GG_MOMENT_DY, 0.5 * math.sqrt(float(polygamma(1, a) + polygamma(1, b))))
-    y, pdf = specfun.gg_log_grid(a, b, dy)
+    Both laws have a log-gain density that is analytic and decays
+    exponentially at both ends, so one uniform table integrates any smooth
+    function of y to full precision.  A table whose mass is off 1 by more
+    than 1e-10 raises `ConvergenceError`.
+    """
+    if isinstance(model, FsoExponential):
+        # f_Y = lam e^y exp(-lam e^y): the left tail decays like lam e^y, the
+        # right one like exp(-lam e^y); both edges sit below e^-60
+        lam, dy = model.lam, _LOG_GAIN_DY
+        k_lo = math.floor((-62.0 - math.log(lam)) / dy)
+        k_hi = math.ceil((math.log(60.0 / lam) + 2.0) / dy)
+        y = np.arange(k_lo, k_hi + 1) * dy
+        pdf = np.exp(math.log(lam) + y - lam * np.exp(y))
+        law = f"exponential lam = {lam:g}"
+    else:
+        a, b = model.a, model.b
+        # at least two nodes per standard deviation of ln G, whose variance
+        # is psi'(a) + psi'(b); that narrows the spacing only once a and b
+        # reach ~50
+        dy = min(_LOG_GAIN_DY,
+                 0.5 * math.sqrt(float(polygamma(1, a) + polygamma(1, b))))
+        y, pdf = specfun.gg_log_grid(a, b, dy)
+        law = f"Gamma-Gamma (a, b) = ({a:g}, {b:g})"
     w = pdf * dy
     mass = w.sum()
     if abs(mass - 1.0) > 1e-10:
         raise specfun.ConvergenceError(
-            f"Gamma-Gamma log-gain table holds mass {mass:.17g} "
-            f"for (a, b) = ({a:g}, {b:g})")
-    lg = np.log1p(p * np.exp(y))
-    mu = float(w @ lg)
-    return mu, float(w @ (lg - mu) ** 2)
+            f"log-gain table holds mass {mass:.17g} for {law}")
+    return y, w
 
 
 def fso_moments(h: FsoHopParams) -> GaussianApprox:
-    """Surrogate moments of log(1 + p_tx * G) for one FSO realization: the
-    closed-form mean and a one-dimensional quadrature for the exponential
-    model, a log-gain trapezoid table for Gamma-Gamma."""
-    p = h.p_tx
-    if isinstance(h.model, FsoExponential):
-        lam = h.model.lam
-        kappa = lam / p
-        # e^kappa E1(kappa); U(1, 1, kappa) is the same product without the
-        # overflowing factor
-        mu = -math.exp(kappa) * specfun.expint_ei(-kappa) if kappa < 500.0 else (
-            float(hyperu(1.0, 1.0, kappa))
-        )
-        second = _fso_exp_second_moment(lam, p)
-        var = second - mu * mu
-        if var <= 0:
-            raise ApproximationInvalidError(f"exponential surrogate variance {var} <= 0")
-        return GaussianApprox(mean=mu, variance=var)
-    mu, var = _gg_moments(p, h.model)
+    """Surrogate moments of log(1 + p_tx * G) for one FSO realization: one
+    trapezoid sum over the gain law's table in y = ln G, for the exponential
+    and the Gamma-Gamma model alike, with the variance centered."""
+    y, w = _log_gain_table(h.model)
+    lg = np.log1p(h.p_tx * np.exp(y))
+    mu = float(w @ lg)
+    var = float(w @ (lg - mu) ** 2)
     if var <= 0:
-        raise ApproximationInvalidError(f"Gamma-Gamma surrogate variance {var} <= 0")
+        raise ApproximationInvalidError(f"FSO surrogate variance {var} <= 0")
     return GaussianApprox(mean=mu, variance=var)
 
 
@@ -414,8 +400,7 @@ def rf_outage_single_shot(h: RfHopParams) -> OutageEstimate:
     p = h.drive_power
     g = clt_sum_gain_params(h.fading)
     thr = (math.exp(h.R) - 1.0) / p
-    arg = (thr - g.mean) / math.sqrt(2.0 * g.variance)
-    return OutageEstimate(0.5 * (1.0 + math.erf(arg)), RF_SINGLE_SHOT)
+    return OutageEstimate(gaussian_outage(g, 1, 1, thr), RF_SINGLE_SHOT)
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,9 @@ class PaConfig:
 
 
 def output_power(pa: PaConfig) -> float:
-    """Radiated power per antenna for the configured drive."""
-    p = pa._raw_output()
-    if p > pa.p_max * (1.0 + 1e-12):
-        raise SaturationError(
-            f"output {p:.6g} exceeds p_max={pa.p_max:.6g} (drive p_cons={pa.p_cons})"
-        )
-    return min(p, pa.p_max)
+    """Radiated power per antenna for the configured drive (the constructor
+    has already rejected a drive beyond saturation)."""
+    return min(pa._raw_output(), pa.p_max)
 
 
 def effective_efficiency(pa: PaConfig) -> float:

@@ -54,22 +54,10 @@ class MeshNetwork:
 
 
 def _combine_serial(estimates):
-    """1 - prod(1-phi_i) with first-order half-width propagation.
-
-    d/dphi_i [1 - prod(1-phi_j)] = prod_{j != i} (1 - phi_j), so independent
-    hop half-widths combine in quadrature with those partial products.
-    """
-    survive = 1.0
-    for e in estimates:
-        survive *= 1.0 - e.value
-    var = 0.0
-    for i, e in enumerate(estimates):
-        partial = 1.0
-        for j, other in enumerate(estimates):
-            if j != i:
-                partial *= 1.0 - other.value
-        var += (partial * e.ci_halfwidth) ** 2
-    return 1.0 - survive, math.sqrt(var)
+    """1 - prod(1-phi_i): the chain fails unless every hop decodes.  The
+    factors are multiplied in sorted order, so not even the last bit of the
+    result depends on hop order."""
+    return 1.0 - math.prod(sorted(1.0 - e.value for e in estimates))
 
 
 def _method_label(estimates):
@@ -89,8 +77,7 @@ def route_outage(route: Route, rf_method: str = RF_LINEARIZED,
             ests.append(hop_outage(hop, rf_method, fso_method, theta))
         except Exception as exc:
             raise type(exc)(f"hop {j}: {exc}") from exc
-    value, hw = _combine_serial(ests)
-    return OutageEstimate(value, _method_label(ests), hw)
+    return OutageEstimate(_combine_serial(ests), _method_label(ests))
 
 
 def mesh_outage(mesh: MeshNetwork, rf_method: str = RF_LINEARIZED,
@@ -102,17 +89,8 @@ def mesh_outage(mesh: MeshNetwork, rf_method: str = RF_LINEARIZED,
             ests.append(route_outage(r, rf_method, fso_method, theta))
         except Exception as exc:
             raise type(exc)(f"route {j}: {exc}") from exc
-    value = 1.0
-    for e in ests:
-        value *= e.value
-    var = 0.0
-    for i, e in enumerate(ests):
-        partial = 1.0
-        for j, other in enumerate(ests):
-            if j != i:
-                partial *= other.value
-        var += (partial * e.ci_halfwidth) ** 2
-    return OutageEstimate(value, _method_label(ests), math.sqrt(var))
+    value = math.prod(sorted(e.value for e in ests))
+    return OutageEstimate(value, _method_label(ests))
 
 
 def route_ergodic_rate(route: Route) -> float:

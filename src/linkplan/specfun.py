@@ -115,8 +115,7 @@ def laguerre(order, x):
 
 
 def expint_ei(x):
-    """Exponential integral Ei(x) for x < 0 (the only range the evaluators
-    need); Ei(x) = -E1(-x) there."""
+    """Exponential integral Ei(x) for x < 0, where Ei(x) = -E1(-x)."""
     if x >= 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
     return float(expi(x))

@@ -336,8 +336,8 @@ def test_fso_exp_mean_vanishes_at_low_power():
 
 
 def test_fso_exp_second_moment_closed_form():
-    # closed form (alternating series + incomplete-gamma assembly) vs direct
-    # quadrature of log^2(1+P*x) e^{-x}, and vs frozen 30-digit values
+    # log-gain table vs direct quadrature of log^2(1+P*x) e^{-x}, and vs
+    # frozen 30-digit values
     frozen = {0.5: 0.21080734378220112, 5.0: 2.8338115491170395,
               50.0: 12.983055493108892}
     for p, ref_frozen in frozen.items():
@@ -363,19 +363,33 @@ def test_fso_exp_second_moment_large_kappa_fallback():
         assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-6)
 
 
-@pytest.mark.parametrize("lam", [1e-4, 0.1, 1.0, 8.0, 10.0,
-                                 11.0, 100.0, 2e3, 5e3, 1e4, 1e6])
-def test_fso_exp_second_moment_large_kappa_mpmath(lam):
-    # E[log^2(1+G)] = int e^{-u} log1p(u/lam)^2 du (density form, 30 digits);
-    # the survival-form quadrature must keep the width-1/lam integrand in view
-    # up to lam = 1e6, where the variance is ~1e-12, and hold full precision
-    # down to lam = 1e-4
+_EXP_LAMS = [1e-4, 0.1, 1.0, 8.0, 10.0, 11.0, 100.0, 2e3, 5e3, 1e4, 1e6]
+_EXP_LAM_P = [(lam, 1.0) for lam in _EXP_LAMS] + [
+    (1e-4, 1e4), (1e-4, 1e-4), (1e6, 1e4), (1e6, 1e-4), (10.0, 0.099),
+    (10.0, 0.101), (1.0, 25.1)]
+
+
+@pytest.mark.parametrize(
+    "lam, p", _EXP_LAM_P,
+    ids=[f"{lam}" if p == 1.0 else f"{lam}-p{p}" for lam, p in _EXP_LAM_P])
+def test_fso_exp_second_moment_large_kappa_mpmath(lam, p):
+    # mean and variance of log1p(p G), G ~ Exp(lam), against 30-digit mpmath
+    # in u = lam G ~ Exp(1), split where log1p(u/kappa) bends (kappa =
+    # lam/p); from kappa = 1e-8, where the log is wide, to kappa = 1e10,
+    # where the variance is ~1e-20
+    kappa = mpmath.mpf(lam) / p
     with mpmath.workdps(30):
-        ref = float(mpmath.quad(lambda u: mpmath.exp(-u) * mpmath.log1p(u / lam) ** 2,
-                                [0, 1, 10, 50, mpmath.inf]))
-    g = fso_moments(FsoHopParams(model=FsoExponential(lam=lam), p_tx=1.0))
-    assert_allclose(g.variance + g.mean ** 2, ref, rtol=1e-12)
-    assert g.variance > 0.0
+        pts = sorted({mpmath.mpf(0), kappa, 10 * kappa, mpmath.mpf(1),
+                      mpmath.mpf(10), mpmath.mpf(50)})
+        pts = [u for u in pts if u <= 50] + [mpmath.inf]
+        mean = mpmath.quad(lambda u: mpmath.exp(-u) * mpmath.log1p(u / kappa), pts)
+        second = mpmath.quad(
+            lambda u: mpmath.exp(-u) * mpmath.log1p(u / kappa) ** 2, pts)
+        var = float(second - mean * mean)
+        mean = float(mean)
+    g = fso_moments(FsoHopParams(model=FsoExponential(lam=lam), p_tx=p))
+    assert_allclose(g.mean, mean, rtol=1e-12)
+    assert_allclose(g.variance, var, rtol=1e-12)
 
 
 # (a, b, p) -> (mean, variance) of log(1 + p G) for Gamma-Gamma G: 30-digit

@@ -1,6 +1,6 @@
 """Route/mesh composition: serial and parallel outage algebra, rate bottlenecks."""
 
-import math
+import itertools
 
 import pytest
 from numpy.testing import assert_allclose
@@ -47,16 +47,17 @@ def _fso(p, m=1, c=1, r=1.0, model=None):
 
 def test_serial_two_hops_hand_value():
     ests = [OutageEstimate(0.1, "x"), OutageEstimate(0.1, "x")]
-    value, hw = _combine_serial(ests)
-    assert_allclose(value, 0.19, rtol=1e-15)
-    assert hw == 0.0
+    assert_allclose(_combine_serial(ests), 0.19, rtol=1e-15)
 
 
-def test_serial_ci_propagation():
-    ests = [OutageEstimate(0.1, "x", 0.01), OutageEstimate(0.3, "x", 0.02)]
-    _, hw = _combine_serial(ests)
-    expect = math.hypot(0.7 * 0.01, 0.9 * 0.02)
-    assert_allclose(hw, expect, rtol=1e-12)
+def test_serial_order_free_to_the_bit():
+    # multiplied in hop order, these survival factors give two results one
+    # ulp apart depending on the order
+    phis = (0.259, 0.511, 0.405)
+    got = {_combine_serial([OutageEstimate(v, "x") for v in order])
+           for order in itertools.permutations(phis)}
+    assert len(got) == 1
+    assert_allclose(got.pop(), 0.784402345, rtol=1e-15)
 
 
 def test_mesh_two_routes_hand_value():
