@@ -43,6 +43,8 @@ __all__ = [
     "FSO_CLT",
     "FSO_PRODUCT_BOUND",
     "MONTE_CARLO",
+    "RF_TAGS",
+    "FSO_TAGS",
     "gaussian_outage",
     "rf_moments_low_snr",
     "rf_outage_low_snr",
@@ -466,6 +468,8 @@ _FSO_EVALUATORS = {
     FSO_CLT: fso_outage_clt,
     FSO_PRODUCT_BOUND: fso_outage_product_bound,
 }
+RF_TAGS = tuple(_RF_EVALUATORS)
+FSO_TAGS = tuple(_FSO_EVALUATORS)
 
 
 def hop_outage(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,

@@ -9,9 +9,9 @@ Densities are exact formulas: the single-antenna Rician gain on scipy's
 so its exact CDF is scipy's `chndtr` (see `analysis`) and it needs no density
 of its own here.  One sampler, `sample_gain`, draws the unscaled gain of any
 model and is the only draw the Monte Carlo engine makes; `sample_snr` scales
-it to one drive.  A Gaussian surrogate for the sum gain (moment-matched via
-Laguerre moments of the single-antenna gain) feeds the analytical outage
-evaluators.
+it to one drive.  A Gaussian surrogate for the sum gain, moment-matched in
+closed form, feeds the analytical outage evaluators; `_half_moment` gives the
+same moments through Laguerre functions of the single-antenna gain.
 """
 from __future__ import annotations
 
@@ -164,8 +164,9 @@ def _half_moment(n, K, Om):
 
 
 def clt_sum_gain_params(f: RicianFading) -> GaussianApprox:
-    """Gaussian surrogate for the sum gain: mean N*zeta, variance N*nu2 with
-    zeta = S(2) (= Omega exactly) and nu2 = S(4) - S(2)^2."""
-    zeta = _half_moment(2, f.K, f.Omega)
-    nu2 = _half_moment(4, f.K, f.Omega) - zeta * zeta
-    return GaussianApprox(mean=f.N * zeta, variance=f.N * nu2)
+    """Gaussian surrogate for the sum gain: mean N*Omega and variance
+    N*Omega^2 (1+2K)/(K+1)^2, the closed forms of N*S(2) and
+    N*(S(4) - S(2)^2)."""
+    K, Om = f.K, f.Omega
+    return GaussianApprox(mean=f.N * Om,
+                          variance=f.N * Om * Om * (1.0 + 2.0 * K) / (K + 1.0) ** 2)

@@ -23,10 +23,11 @@ from .analysis import (
     RF_JENSEN_LOWER,
     RF_JENSEN_UPPER,
     RF_LINEARIZED,
+    RF_TAGS,
     fso_ergodic_rate,
     min_rf_antennas,
 )
-from .config import RF_TAGS, ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .network import mesh_outage, route_ergodic_rate, route_limiting_hop
 from .simulate import McConfig, simulate_sweep
 
@@ -49,16 +50,6 @@ def _provenance(cfg: ScenarioConfig, seed: int):
     ]
 
 
-def _materialize_kwargs(cfg: ScenarioConfig, grid_value):
-    if cfg.sweep_variable == "snr_db":
-        return {"snr_db": float(grid_value)}
-    if cfg.sweep_variable == "N":
-        return {"n_override": int(grid_value)}
-    if cfg.sweep_variable == "M":
-        return {"m_override": int(grid_value)}
-    return {"n_routes": int(grid_value)}
-
-
 def _analytic_outage(mesh, tag: str, theta: float):
     """Mesh outage with `tag` on its link type and the default evaluator
     (linearized RF or CLT FSO) on the other."""
@@ -67,21 +58,27 @@ def _analytic_outage(mesh, tag: str, theta: float):
     return mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag, theta=theta)
 
 
-def _grid_points(cfg: ScenarioConfig, mc: McConfig, with_mc: bool = True):
-    """(grid value, mesh, MC estimate) per sweep point, in grid order.
+def _apply(fn, point):
+    """fn(point), or the exception that building the point or fn raised."""
+    if isinstance(point, Exception):
+        return point
+    try:
+        return fn(point)
+    except Exception as exc:
+        return exc
 
-    Every mesh is built first; the built ones then go through one
-    `simulate_sweep` call, so a drive sweep shares one set of draws.  A point
-    that fails to build carries its exception as both mesh and estimate; if
-    the MC pass raises, every built point carries that exception.
+
+def _grid_points(cfg: ScenarioConfig, mc: McConfig, with_mc: bool = True):
+    """(grid value, (rf, fso, mesh), MC estimate) per sweep point, in grid order.
+
+    Every point is built first (`ScenarioConfig.point`); the built meshes
+    then go through one `simulate_sweep` call, so a drive sweep shares one
+    set of draws.  A point that fails to build carries its exception as both
+    point and estimate; if the MC pass raises, every built point carries that
+    exception.  Without MC the estimate of a built point is None.
     """
-    meshes = []
-    for g in cfg.sweep_grid:
-        try:
-            meshes.append(cfg.materialize(**_materialize_kwargs(cfg, g))[2])
-        except Exception as exc:
-            meshes.append(exc)
-    built = [m for m in meshes if not isinstance(m, Exception)]
+    points = [_apply(cfg.point, g) for g in cfg.sweep_grid]
+    built = [p[2] for p in points if not isinstance(p, Exception)]
     ests = [None] * len(built)
     if with_mc:
         try:
@@ -89,8 +86,8 @@ def _grid_points(cfg: ScenarioConfig, mc: McConfig, with_mc: bool = True):
         except Exception as exc:
             ests = [exc] * len(built)
     ests = iter(ests)
-    return [(g, m, m if isinstance(m, Exception) else next(ests))
-            for g, m in zip(cfg.sweep_grid, meshes)]
+    return [(g, p, p if isinstance(p, Exception) else next(ests))
+            for g, p in zip(cfg.sweep_grid, points)]
 
 
 def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
@@ -98,15 +95,10 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,method,outage,ci_halfwidth,error")
     had_error = False
-    for g, mesh, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
+    for g, point, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
         for tag in cfg.evaluators:
-            if tag == MONTE_CARLO or isinstance(mesh, Exception):
-                est = ref
-            else:
-                try:
-                    est = _analytic_outage(mesh, tag, cfg.theta)
-                except Exception as exc:
-                    est = exc
+            est = (ref if tag == MONTE_CARLO
+                   else _apply(lambda p: _analytic_outage(p[2], tag, cfg.theta), point))
             if isinstance(est, Exception):
                 lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(est)}")
                 had_error = True
@@ -116,22 +108,26 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     return lines, (3 if had_error else 0)
 
 
+def _fastest_route(cfg: ScenarioConfig, mesh):
+    """(rate, limiting hop reference) of the mesh's fastest route."""
+    rates = [route_ergodic_rate(r) for r in mesh.routes]
+    best = max(range(len(rates)), key=rates.__getitem__)
+    kind, idx = cfg.routes[best][route_limiting_hop(mesh.routes[best])]
+    return rates[best], f"{kind}:{idx}"
+
+
 def cmd_rate_sweep(cfg: ScenarioConfig, mc: McConfig):
     """Rows: sweep_var,rate_npcu,limiting_hop."""
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,rate_npcu,limiting_hop")
     had_error = False
-    for g in cfg.sweep_grid:
-        try:
-            _, _, mesh = cfg.materialize(**_materialize_kwargs(cfg, g))
-            rates = [route_ergodic_rate(r) for r in mesh.routes]
-            best = max(range(len(rates)), key=rates.__getitem__)
-            hop_pos = route_limiting_hop(mesh.routes[best])
-            kind, idx = cfg.routes[best][hop_pos]
-            lines.append(f"{_fmt(g)},{_fmt(rates[best])},{kind}:{idx}")
-        except Exception as exc:
-            lines.append(f"{_fmt(g)},nan,error:{_sanitize(exc)}")
+    for g, point, _ in _grid_points(cfg, mc, with_mc=False):
+        best = _apply(lambda p: _fastest_route(cfg, p[2]), point)
+        if isinstance(best, Exception):
+            lines.append(f"{_fmt(g)},nan,error:{_sanitize(best)}")
             had_error = True
+        else:
+            lines.append(f"{_fmt(g)},{_fmt(best[0])},{best[1]}")
     return lines, (3 if had_error else 0)
 
 
@@ -146,28 +142,27 @@ def cmd_min_antennas(cfg: ScenarioConfig, mc: McConfig):
     """
     if cfg.sweep_variable != "snr_db":
         raise ConfigError("sweep.variable: min-antennas requires 'snr_db'")
-    for i, s in enumerate(cfg.fso_hops):
-        if s.p_tx is None:
+    for i, partner in enumerate(cfg.fso_coupling):
+        if partner is not None:
             raise ConfigError(f"fso_hops[{i}].p_tx_db: min-antennas requires an "
                               "explicit transmit power")
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,hop,epsilon,n_antennas,error")
     had_error = False
-    for g in cfg.sweep_grid:
+    for g, point, _ in _grid_points(cfg, mc, with_mc=False):
+        # None when there is no FSO hop: each RF hop then targets its own R
+        target = _apply(lambda p: min((fso_ergodic_rate(h) for h in p[1]), default=None),
+                        point)
         for i, spec in enumerate(cfg.rf_hops):
-            try:
-                rf, fso, _ = cfg.materialize(snr_db=float(g))
-                if fso:
-                    target = min(fso_ergodic_rate(h) for h in fso)
-                else:
-                    target = spec.R
-                hop = rf[i]
-                n = min_rf_antennas(spec.K, spec.omega, hop.pa, target)
-                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.epsilon)},{n},")
-            except Exception as exc:
-                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.epsilon)},nan,"
-                             f"{_sanitize(exc)}")
+            n = _apply(lambda t: min_rf_antennas(spec.fading.K, spec.fading.Omega,
+                                                 point[0][i].pa,
+                                                 spec.R if t is None else t), target)
+            if isinstance(n, Exception):
+                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.pa.epsilon)},nan,"
+                             f"{_sanitize(n)}")
                 had_error = True
+            else:
+                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.pa.epsilon)},{n},")
     return lines, (3 if had_error else 0)
 
 
@@ -181,47 +176,37 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
     checked = passed = failed = skipped = 0
     had_error = False
     analytic = [t for t in cfg.evaluators if t != MONTE_CARLO]
-    for g, mesh, ref in _grid_points(cfg, mc):
+    for g, point, ref in _grid_points(cfg, mc):
         if isinstance(ref, Exception):
             lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(ref)}")
             had_error = True
             continue
         sigma3 = 3.0 * ref.ci_halfwidth / _Z95
         for tag in analytic:
-            checked += 1
-            try:
-                est = _analytic_outage(mesh, tag, cfg.theta)
-            except Exception as exc:
+            est = _apply(lambda p: _analytic_outage(p[2], tag, cfg.theta), point)
+            if isinstance(est, Exception):
                 lines.append(f"point={_fmt(g)} method={tag} status=ERROR "
-                             f"detail={_sanitize(exc)}")
+                             f"detail={_sanitize(est)}")
                 had_error = True
-                checked -= 1
                 continue
+            checked += 1
             head = (f"point={_fmt(g)} method={tag} mc={_fmt(ref.value)} "
                     f"mc_ci={_fmt(ref.ci_halfwidth)} value={_fmt(est.value)}")
             if tag == RF_JENSEN_LOWER:
-                ok = est.value <= ref.value + sigma3
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(f"{head} status={verdict} class=lower_bound")
+                ok, verdict_class = est.value <= ref.value + sigma3, "lower_bound"
             elif tag in (RF_JENSEN_UPPER, FSO_PRODUCT_BOUND):
-                ok = ref.value <= est.value + sigma3
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(f"{head} status={verdict} class=upper_bound")
+                ok, verdict_class = ref.value <= est.value + sigma3, "upper_bound"
+            elif not 1e-3 <= ref.value <= 0.5:
+                lines.append(f"{head} status=SKIP class=clt_factor_1.5 "
+                             f"detail=mc_outside_[1e-3,0.5]")
+                skipped += 1
+                continue
             else:
-                if not 1e-3 <= ref.value <= 0.5:
-                    lines.append(f"{head} status=SKIP class=clt_factor_1.5 "
-                                 f"detail=mc_outside_[1e-3,0.5]")
-                    skipped += 1
-                    continue
                 factor = max(est.value / ref.value, ref.value / max(est.value, 1e-300))
-                ok = factor <= 1.5
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(f"{head} status={verdict} class=clt_factor_1.5 "
-                             f"factor={_fmt(factor)}")
-            if ok:
-                passed += 1
-            else:
-                failed += 1
+                ok, verdict_class = factor <= 1.5, f"clt_factor_1.5 factor={_fmt(factor)}"
+            lines.append(f"{head} status={'PASS' if ok else 'FAIL'} class={verdict_class}")
+            passed += ok
+            failed += not ok
     lines.append(f"summary: checked={checked} passed={passed} failed={failed} "
                  f"skipped={skipped}")
     if had_error:

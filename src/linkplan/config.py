@@ -1,41 +1,37 @@
-"""Scenario configuration: YAML document -> validated parameter objects.
+"""Scenario configuration: YAML document -> validated hop parameters.
 
-All dB <-> linear conversions happen here (and in the CLI); the core modules
-only ever see linear noise-normalized powers.  Unless a `p_tx_db` is given,
-an FSO hop's transmit power is coupled to its same-index RF hop as
-P_tx = N * P_cons, so an `snr_db` sweep moves both link types coherently.
+The config holds the scenario's `RfHopParams` and `FsoHopParams` at their
+configured drives; `point` builds one sweep point from them.  All dB <-> linear
+conversions of the config happen here.  Unless a `p_tx_db` is given, an FSO
+hop's transmit power is coupled to its same-index RF hop as P_tx = N * P_cons,
+so `snr_db` and `N` sweeps move both link types coherently.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
 from .analysis import (
     FSO_CLT,
-    FSO_PRODUCT_BOUND,
+    FSO_TAGS,
     MONTE_CARLO,
-    RF_JENSEN_LOWER,
-    RF_JENSEN_UPPER,
     RF_LINEARIZED,
-    RF_LOW_SNR,
-    RF_PIECEWISE,
-    RF_SINGLE_SHOT,
+    RF_TAGS,
     FsoHopParams,
     RfHopParams,
 )
 from .channel import FsoExponential, FsoGammaGamma, RicianFading
 from .hardware import PaConfig, SaturationError
-from .network import MeshNetwork, Route
+from .network import MeshNetwork, Route, _shift_hop
 
-RF_TAGS = (RF_LOW_SNR, RF_PIECEWISE, RF_LINEARIZED, RF_SINGLE_SHOT,
-           RF_JENSEN_LOWER, RF_JENSEN_UPPER)
-FSO_TAGS = (FSO_CLT, FSO_PRODUCT_BOUND)
 KNOWN_TAGS = RF_TAGS + FSO_TAGS + (MONTE_CARLO,)
 
-SWEEP_VARIABLES = ("snr_db", "N", "M", "routes")
+# sweep variable -> the `materialize` keyword its grid values set
+SWEEP_VARIABLES = {"snr_db": "snr_db", "N": "n_override", "M": "m_override",
+                   "routes": "n_routes"}
 
 
 class ConfigError(ValueError):
@@ -78,36 +74,10 @@ def _get_int(d: dict, key: str, path: str, default=None, required=False):
 
 
 @dataclass
-class RfHopSpec:
-    K: float        # Rician factor
-    omega: float    # mean per-antenna gain
-    N: int          # transmit antennas
-    M: int          # HARQ rounds
-    C: int          # channel realizations per round
-    R: float        # initial code rate, npcu
-    epsilon: float  # PA peak efficiency
-    theta_pa: float # PA class exponent
-    p_max: float    # linear max output power (inf = ideal)
-    p_cons: float   # linear consumed power per antenna
-
-
-@dataclass
-class FsoHopSpec:
-    model: str            # "exponential" | "gamma_gamma"
-    lam: float | None     # exponential rate
-    a: float | None       # gamma_gamma shape
-    b: float | None
-    M: int
-    C_tilde: int
-    R: float
-    p_tx: float | None    # linear transmit power; None = coupled N*P_cons
-    coupled_rf: int       # index of the RF hop supplying the coupling
-
-
-@dataclass
 class ScenarioConfig:
-    rf_hops: list
-    fso_hops: list
+    rf_hops: list         # RfHopParams at the configured drives
+    fso_hops: list        # FsoHopParams at the configured (or coupled) powers
+    fso_coupling: list    # per FSO hop: RF hop index supplying N*P_cons, or None
     routes: list          # list of list of ("rf"|"fso", index)
     sweep_variable: str
     sweep_grid: list
@@ -119,35 +89,10 @@ class ScenarioConfig:
     sha256: str = ""
     source: str = ""
 
-    # ---- materialization -------------------------------------------------
-
-    def _rf_params(self, spec: RfHopSpec, snr_delta_db: float,
-                   n_override, m_override) -> RfHopParams:
-        n = n_override if n_override is not None else spec.N
-        m = m_override if m_override is not None else spec.M
-        p_cons = spec.p_cons * _db_to_linear(snr_delta_db)
-        pa = PaConfig(spec.epsilon, spec.theta_pa, spec.p_max, p_cons)
-        return RfHopParams(RicianFading(spec.K, spec.omega, n), pa,
-                           m, spec.C, spec.R)
-
-    def _fso_params(self, spec: FsoHopSpec, snr_delta_db: float,
-                    n_override, m_override, rf_hops) -> FsoHopParams:
-        m = m_override if m_override is not None else spec.M
-        if spec.model == "exponential":
-            model = FsoExponential(spec.lam)
-        else:
-            model = FsoGammaGamma(spec.a, spec.b)
-        if spec.p_tx is not None:
-            p_tx = spec.p_tx * _db_to_linear(snr_delta_db)
-        else:
-            partner = rf_hops[spec.coupled_rf]
-            p_tx = partner.fading.N * partner.pa.p_cons
-        return FsoHopParams(model, p_tx, m, spec.C_tilde, spec.R)
-
     def anchor_db(self) -> float:
         """Reference drive (dB) that an snr_db grid value replaces."""
         if self.rf_hops:
-            return 10.0 * math.log10(self.rf_hops[0].p_cons)
+            return 10.0 * math.log10(self.rf_hops[0].pa.p_cons)
         return 10.0 * math.log10(self.fso_hops[0].p_tx)
 
     def materialize(self, snr_db: float | None = None, n_override: int | None = None,
@@ -155,21 +100,36 @@ class ScenarioConfig:
         """Build (rf_hop_params, fso_hop_params, mesh) for one sweep point.
 
         snr_db values are absolute for the anchor hop; every other hop keeps
-        its configured dB offset (a single global shift).
+        its configured dB offset (a single global shift).  A coupled FSO hop
+        follows N * P_cons of its RF hop at the point.
         """
+        rf_hops, fso_hops = self.rf_hops, self.fso_hops
+        if n_override is not None:
+            rf_hops = [replace(h, fading=replace(h.fading, N=n_override)) for h in rf_hops]
+        if m_override is not None:
+            rf_hops = [replace(h, M=m_override) for h in rf_hops]
+            fso_hops = [replace(h, M=m_override) for h in fso_hops]
         delta = 0.0 if snr_db is None else snr_db - self.anchor_db()
-        rf = [self._rf_params(s, delta, n_override, m_override) for s in self.rf_hops]
-        fso = [self._fso_params(s, delta, n_override, m_override, rf)
-               for s in self.fso_hops]
-        routes = self.routes if n_routes is None else self.routes[:n_routes]
-        built = []
-        for refs in routes:
-            hops = [rf[i] if kind == "rf" else fso[i] for kind, i in refs]
-            built.append(Route(tuple(hops)))
-        return rf, fso, MeshNetwork(tuple(built))
+        rf = [_shift_hop(h, delta) for h in rf_hops]
+        fso = [_shift_hop(h, delta) if partner is None
+               else replace(h, p_tx=_coupled_p_tx(rf[partner]))
+               for h, partner in zip(fso_hops, self.fso_coupling)]
+        hops = {"rf": rf, "fso": fso}
+        mesh = MeshNetwork(tuple(Route(tuple(hops[kind][i] for kind, i in refs))
+                                 for refs in self.routes[:n_routes]))
+        return rf, fso, mesh
+
+    def point(self, value):
+        """`materialize` at one grid value of the sweep variable."""
+        return self.materialize(**{SWEEP_VARIABLES[self.sweep_variable]: value})
 
 
-def _parse_rf_hop(d, path) -> RfHopSpec:
+def _coupled_p_tx(rf_hop: RfHopParams) -> float:
+    """Transmit power of an FSO hop coupled to `rf_hop`: N * P_cons."""
+    return rf_hop.fading.N * rf_hop.pa.p_cons
+
+
+def _parse_rf_hop(d, path) -> RfHopParams:
     _require(isinstance(d, dict), path, "expected a mapping")
     _reject_unknown(d, ("K", "omega", "N", "M", "C", "R", "pa"), path)
     K = _get_number(d, "K", path, required=True)
@@ -189,6 +149,7 @@ def _parse_rf_hop(d, path) -> RfHopSpec:
     _reject_unknown(pa, ("epsilon", "theta_pa", "p_cons_db", "p_max_db"), f"{path}.pa")
     eps = _get_number(pa, "epsilon", f"{path}.pa", default=1.0)
     _require(0.0 <= eps <= 1.0, f"{path}.pa.epsilon", "must be in [0,1]")
+    _require(eps > 0.0, f"{path}.pa.epsilon", "must be > 0 (the PA would radiate nothing)")
     th = _get_number(pa, "theta_pa", f"{path}.pa", default=0.0)
     _require(0.0 <= th < 1.0, f"{path}.pa.theta_pa", "must be in [0,1)")
     p_cons_db = _get_number(pa, "p_cons_db", f"{path}.pa", required=True)
@@ -198,47 +159,48 @@ def _parse_rf_hop(d, path) -> RfHopSpec:
         _require(math.isfinite(p_max_db), f"{path}.pa.p_max_db", "must be finite")
         p_max = _db_to_linear(p_max_db)
     else:
+        _require(th == 0.0, f"{path}.pa.p_max_db",
+                 "required when theta_pa > 0 (the PA would radiate nothing)")
         p_max = math.inf
-    spec = RfHopSpec(K, omega, N, M, C, R, eps, th, p_max, _db_to_linear(p_cons_db))
     try:
-        PaConfig(eps, th, p_max, spec.p_cons)
+        pa_config = PaConfig(eps, th, p_max, _db_to_linear(p_cons_db))
     except SaturationError as exc:
         raise ConfigError(f"{path}.pa: {exc}") from exc
-    return spec
+    return RfHopParams(RicianFading(K, omega, N), pa_config, M, C, R)
 
 
-def _parse_fso_hop(d, path, idx, n_rf) -> FsoHopSpec:
+def _parse_fso_hop(d, path, idx, rf):
+    """(FsoHopParams, index of the coupled RF hop or None if p_tx_db is given)."""
     _require(isinstance(d, dict), path, "expected a mapping")
     model = d.get("model")
     _require(model in ("exponential", "gamma_gamma"),
              f"{path}.model", "must be 'exponential' or 'gamma_gamma'")
     shape = ("lambda",) if model == "exponential" else ("a", "b")
     _reject_unknown(d, ("model", *shape, "M", "C_tilde", "R", "p_tx_db"), path)
-    lam = a = b = None
     if model == "exponential":
         lam = _get_number(d, "lambda", path, required=True)
         _require(lam > 0.0, f"{path}.lambda", "must be > 0")
+        gain = FsoExponential(lam)
     else:
         a = _get_number(d, "a", path, required=True)
         _require(a > 0.0, f"{path}.a", "must be > 0")
         b = _get_number(d, "b", path, required=True)
         _require(b > 0.0, f"{path}.b", "must be > 0")
+        gain = FsoGammaGamma(a, b)
     M = _get_int(d, "M", path, default=1)
     _require(M >= 1, f"{path}.M", "must be >= 1")
     Ct = _get_int(d, "C_tilde", path, default=1)
     _require(Ct >= 1, f"{path}.C_tilde", "must be >= 1")
     R = _get_number(d, "R", path, required=True)
     _require(R > 0.0, f"{path}.R", "must be > 0")
-    p_tx = None
     if "p_tx_db" in d:
         p_tx_db = _get_number(d, "p_tx_db", path)
         _require(math.isfinite(p_tx_db), f"{path}.p_tx_db", "must be finite")
-        p_tx = _db_to_linear(p_tx_db)
-    else:
-        _require(n_rf > 0, f"{path}.p_tx_db",
-                 "required when there is no RF hop to couple to")
-    coupled = min(idx, n_rf - 1) if n_rf > 0 else -1
-    return FsoHopSpec(model, lam, a, b, M, Ct, R, p_tx, coupled)
+        return FsoHopParams(gain, _db_to_linear(p_tx_db), M, Ct, R), None
+    _require(len(rf) > 0, f"{path}.p_tx_db",
+             "required when there is no RF hop to couple to")
+    partner = min(idx, len(rf) - 1)
+    return FsoHopParams(gain, _coupled_p_tx(rf[partner]), M, Ct, R), partner
 
 
 def _parse_route_ref(ref, path, n_rf, n_fso):
@@ -263,8 +225,9 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
     _require(isinstance(rf_raw, list), "rf_hops", "expected a list")
     _require(isinstance(fso_raw, list), "fso_hops", "expected a list")
     rf = [_parse_rf_hop(h, f"rf_hops[{i}]") for i, h in enumerate(rf_raw)]
-    fso = [_parse_fso_hop(h, f"fso_hops[{i}]", i, len(rf))
-           for i, h in enumerate(fso_raw)]
+    fso_parsed = [_parse_fso_hop(h, f"fso_hops[{i}]", i, rf)
+                  for i, h in enumerate(fso_raw)]
+    fso = [hop for hop, _ in fso_parsed]
     _require(len(rf) + len(fso) > 0, "rf_hops", "at least one hop required")
 
     routes_raw = doc.get("routes")
@@ -327,8 +290,8 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
     theta = _get_number(analysis, "theta", "analysis", default=1.0)
     _require(theta > 0.0, "analysis.theta", "must be > 0")
 
-    return ScenarioConfig(rf, fso, routes, variable, list(grid), list(evaluators),
-                          trials, seed, target_ci, theta,
+    return ScenarioConfig(rf, fso, [c for _, c in fso_parsed], routes, variable,
+                          list(grid), list(evaluators), trials, seed, target_ci, theta,
                           sha256=sha256, source=source)
 
 

@@ -17,18 +17,21 @@ class SaturationError(ValueError):
 
 @dataclass(frozen=True)
 class PaConfig:
-    epsilon: float   # maximum efficiency, reached at p_max (dimensionless in [0,1])
+    epsilon: float   # maximum efficiency, reached at p_max (dimensionless in (0,1])
     theta_pa: float  # PA-class exponent in [0,1)
     p_max: float     # maximum output power (linear, noise-normalized)
     p_cons: float    # consumed power per antenna (linear, noise-normalized)
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
+        if not (0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must be in (0,1], got {self.epsilon}")
         if not (0.0 <= self.theta_pa < 1.0):
             raise ValueError(f"theta_pa must be in [0,1), got {self.theta_pa}")
         if self.p_max <= 0:
             raise ValueError(f"p_max must be > 0, got {self.p_max}")
+        if self.theta_pa > 0.0 and math.isinf(self.p_max):
+            # eps * (P / inf)^theta = 0: the amplifier would radiate nothing
+            raise ValueError(f"theta_pa={self.theta_pa} > 0 needs a finite p_max")
         if self.p_cons <= 0:
             raise ValueError(f"p_cons must be > 0, got {self.p_cons}")
         p = self._raw_output()
@@ -61,7 +64,5 @@ def output_power(pa: PaConfig) -> float:
 
 def effective_efficiency(pa: PaConfig) -> float:
     """Realized efficiency eps*(P/p_max)^theta at the configured drive."""
-    if math.isinf(pa.p_max):
-        return pa.epsilon if pa.theta_pa == 0.0 else 0.0
     p = output_power(pa)
     return pa.epsilon * (p / pa.p_max) ** pa.theta_pa

@@ -10,7 +10,7 @@ and the mesh rate is the rate of the best route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import (
     FSO_CLT,
@@ -107,3 +107,20 @@ def route_limiting_hop(route: Route) -> int:
 def mesh_ergodic_rate(mesh: MeshNetwork) -> float:
     """The mesh delivers at the rate of its best route."""
     return max(route_ergodic_rate(r) for r in mesh.routes)
+
+
+def _shift_hop(hop, delta_db: float):
+    """Copy of an RF or FSO hop with its drive power moved by delta_db."""
+    factor = 10.0 ** (delta_db / 10.0)
+    if isinstance(hop, RfHopParams):
+        return replace(hop, pa=hop.pa.with_drive(hop.pa.p_cons * factor))
+    return replace(hop, p_tx=hop.p_tx * factor)
+
+
+def shift_scenario(scenario, delta_db: float):
+    """Move every hop's drive power by a common dB offset."""
+    if isinstance(scenario, Route):
+        return Route(tuple(_shift_hop(h, delta_db) for h in scenario.hops))
+    if isinstance(scenario, MeshNetwork):
+        return MeshNetwork(tuple(shift_scenario(r, delta_db) for r in scenario.routes))
+    raise TypeError(f"unsupported scenario type {type(scenario).__name__}")

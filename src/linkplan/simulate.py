@@ -15,13 +15,20 @@ accumulator of about 8 * points * min(trials, BLOCK_TRIALS) bytes, capped at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MONTE_CARLO, FsoHopParams, OutageEstimate, RfHopParams
+from .analysis import (
+    FSO_CLT,
+    MONTE_CARLO,
+    RF_LINEARIZED,
+    FsoHopParams,
+    OutageEstimate,
+    RfHopParams,
+)
 from .channel import sample_gain
-from .network import MeshNetwork, Route, mesh_outage
+from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB); a longer
@@ -202,28 +209,9 @@ def simulate_mesh(mesh: MeshNetwork, mc: McConfig) -> OutageEstimate:
     return _simulate([mesh.routes], mc)[0]
 
 
-def _shift_hop(hop, delta_db: float):
-    """Return a copy of the hop with its drive power moved by delta_db."""
-    factor = 10.0 ** (delta_db / 10.0)
-    if isinstance(hop, RfHopParams):
-        return replace(hop, pa=hop.pa.with_drive(hop.pa.p_cons * factor))
-    if isinstance(hop, FsoHopParams):
-        return replace(hop, p_tx=hop.p_tx * factor)
-    raise TypeError(f"unsupported hop type {type(hop).__name__}")
-
-
-def shift_scenario(scenario, delta_db: float):
-    """Move every hop's drive power by a common dB offset."""
-    if isinstance(scenario, Route):
-        return Route(tuple(_shift_hop(h, delta_db) for h in scenario.hops))
-    if isinstance(scenario, MeshNetwork):
-        return MeshNetwork(tuple(shift_scenario(r, delta_db) for r in scenario.routes))
-    raise TypeError(f"unsupported scenario type {type(scenario).__name__}")
-
-
 def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
                  bounds_db=(-30.0, 30.0), mc: McConfig | None = None,
-                 rf_method: str = "rf_linearized_clt", fso_method: str = "fso_clt",
+                 rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,
                  theta: float = 1.0, tol_db: float = 0.01) -> float:
     """dB offset (applied to every hop's drive) at which outage == target.
 

@@ -5,6 +5,7 @@ vs direct quadrature."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -260,3 +261,17 @@ def test_clt_params_variance_quadrature():
     assert_allclose(g.variance, 6.0 * var_ref, rtol=1e-8)
     # closed form Om^2 (1+2K)/(1+K)^2 as a second route
     assert_allclose(var_ref, Om * Om * (1.0 + 2.0 * K) / (1.0 + K) ** 2, rtol=1e-8)
+
+
+def test_clt_params_exact_formula():
+    # mean N*Om and variance N*Om^2 (1+2K)/(K+1)^2 to a few ulp over K <= 1e3:
+    # the moments must not come from a cancelling S(4) - S(2)^2
+    with mpmath.workdps(30):
+        for K in (0.0, 0.01, 0.3, 1.0, 2.0, 7.5, 40.0, 250.0, 1e3):
+            for Om in (0.3, 1.0, 2.5):
+                for N in (1, 40):
+                    g = clt_sum_gain_params(RicianFading(K=K, Omega=Om, N=N))
+                    k, om = mpmath.mpf(K), mpmath.mpf(Om)
+                    var = N * om * om * (1 + 2 * k) / (k + 1) ** 2
+                    assert_allclose(g.mean, N * Om, rtol=1e-15)
+                    assert_allclose(g.variance, float(var), rtol=1e-15, err_msg=f"K={K}")

@@ -280,6 +280,17 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, path, key):
     _expect_config_error(tmp_path, capsys, doc, f"{path}.{key}: unknown key")
 
 
+@pytest.mark.parametrize("pa, fragment", [
+    ({"epsilon": 0.0}, "rf_hops[0].pa.epsilon"),
+    ({"theta_pa": 0.5}, "rf_hops[0].pa.p_max_db"),  # theta > 0 with no p_max
+])
+def test_pa_radiating_nothing_rejected(tmp_path, capsys, pa, fragment):
+    # either PA radiates 0, which left every closed-form row a division by zero
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["pa"].update(pa)
+    _expect_config_error(tmp_path, capsys, doc, fragment)
+
+
 def test_missing_p_cons_rejected(tmp_path, capsys):
     doc = copy.deepcopy(BASE)
     del doc["rf_hops"][0]["pa"]["p_cons_db"]
@@ -369,6 +380,37 @@ def test_min_antennas_rf_only_uses_own_rate_target(tmp_path):
     code, text = run_to_file(tmp_path, "min-antennas", cfg)
     assert code == 0
     assert int(data_rows(text)[0][3]) == 1  # R=0.1 at 10 dB: one antenna is enough
+
+
+def test_min_antennas_builds_each_point_once(tmp_path, monkeypatch):
+    from linkplan.config import ScenarioConfig
+    calls = []
+    real = ScenarioConfig.materialize
+    monkeypatch.setattr(ScenarioConfig, "materialize",
+                        lambda self, **kw: calls.append(kw) or real(self, **kw))
+    doc = copy.deepcopy(MINANT)
+    doc["sweep"]["grid"] = [-1.0, 0.0]
+    code, text = run_to_file(tmp_path, "min-antennas", write_config(tmp_path, doc))
+    assert code == 0
+    assert len(data_rows(text)) == 2 * 3
+    assert calls == [{"snr_db": -1.0}, {"snr_db": 0.0}]
+
+
+@pytest.mark.parametrize("command, rows_per_point", [("rate-sweep", 1),
+                                                     ("min-antennas", 3)])
+def test_unbuildable_point_keeps_error_rows(tmp_path, command, rows_per_point):
+    # rf:0 saturates above 0 dB: grid point 5 dB fails to build
+    doc = copy.deepcopy(MINANT)
+    doc["rf_hops"][0]["pa"]["p_max_db"] = 0.0
+    doc["sweep"]["grid"] = [0.0, 5.0]
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
+    assert code == 3
+    rows = data_rows(text)
+    assert len(rows) == 2 * rows_per_point
+    for r in rows[:rows_per_point]:
+        assert r[0] == "0" and "nan" not in r
+    for r in rows[rows_per_point:]:
+        assert r[0] == "5" and "nan" in r and "p_max" in r[-1]
 
 
 # ----------------------------------------------------------------------------

@@ -45,6 +45,11 @@ def test_field_validation():
         PaConfig(epsilon=0.5, theta_pa=0.0, p_max=0.0, p_cons=0.5)
     with pytest.raises(ValueError):
         PaConfig(epsilon=0.5, theta_pa=0.0, p_max=1.0, p_cons=0.0)
+    # PAs that radiate nothing: eps = 0, or theta > 0 against an infinite p_max
+    with pytest.raises(ValueError, match="epsilon"):
+        PaConfig(epsilon=0.0, theta_pa=0.0, p_max=1.0, p_cons=0.5)
+    with pytest.raises(ValueError, match="p_max"):
+        PaConfig(epsilon=0.5, theta_pa=0.5, p_max=math.inf, p_cons=0.5)
 
 
 def test_effective_efficiency_limits():
