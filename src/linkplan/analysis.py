@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (perfbench's tracer hooks analysis.quad)
@@ -294,13 +295,16 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 # FSO surrogate moments
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _log_gain_table(model):
     """Nodes y = ln G and trapezoid weights f_Y(y) dy for the FSO gain law.
 
     Both laws have a log-gain density that is analytic and decays
     exponentially at both ends, so one uniform table integrates any smooth
     function of y to full precision.  A table whose mass is off 1 by more
-    than 1e-10 raises `ConvergenceError`.
+    than 1e-10 raises `ConvergenceError`; a raise is not cached, so it
+    recurs on every call.  The table depends only on the (frozen) model, so
+    it is built once per model and returned read-only.
     """
     if isinstance(model, FsoExponential):
         # f_Y = lam e^y exp(-lam e^y): the left tail decays like lam e^y, the
@@ -325,6 +329,7 @@ def _log_gain_table(model):
     if abs(mass - 1.0) > 1e-10:
         raise specfun.ConvergenceError(
             f"log-gain table holds mass {mass:.17g} for {law}")
+    y.flags.writeable = w.flags.writeable = False
     return y, w
 
 

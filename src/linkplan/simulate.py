@@ -11,6 +11,13 @@ sweep (meshes equal but for their drives) from one set of draws, each point
 bit-identical to simulating it alone.  The extra memory is a float64
 accumulator of about 8 * points * min(trials, BLOCK_TRIALS) bytes, capped at
 8 * PASS_FLOATS bytes per pass.
+
+The MC `required_snr` makes one pass over the same substreams and gives
+every trial its critical dB offset c, the largest common drive offset at
+which the mesh fails (a Newton solve per hop and trial), so the MC outage at
+any offset s is #{c >= s} / trials and the solve returns the exact crossing.
+That pass holds the hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS)
+bytes, and (rounds x CRITICAL_CHUNK) temporaries.
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtr
 
 from .analysis import (
     FSO_CLT,
@@ -29,6 +37,7 @@ from .analysis import (
 )
 from .channel import sample_gain
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
+from .specfun import ConvergenceError
 
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB); a longer
@@ -38,13 +47,26 @@ PASS_FLOATS = 8 * BLOCK_TRIALS
 # two-sided 95% normal quantile used by the Wilson interval
 _Z95 = 1.959963984540054
 
+# trials per Newton chunk of the MC required_snr pass: bounds its temporaries
+CRITICAL_CHUNK = 4096
+# Newton steps allowed per trial, and the step in u = ln(drive * scale) at
+# which a trial counts as converged: from the right of a root of a convex
+# sum whose f'' <= f', a step d leaves an error of at most d^2 / 2, here
+# 5e-15, so the root is then good to float precision
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-7
+# the MC crossing is returned this far below the k-th largest critical
+# offset: critical offsets and the simulator's own arithmetic disagree by
+# ~1e-13 dB, so the simulator is sure to count that trial as failed there
+_CROSSING_MARGIN_DB = 1e-9
+
 
 class BracketError(ValueError):
     """required_snr: target outage not enclosed by the supplied dB bracket."""
 
 
 class McPrecisionError(RuntimeError):
-    """required_snr: MC noise too large to resolve the target crossing."""
+    """required_snr: too few MC trials to hold the 95% CI of the crossing."""
 
 
 @dataclass
@@ -209,6 +231,150 @@ def simulate_mesh(mesh: MeshNetwork, mc: McConfig) -> OutageEstimate:
     return _simulate([mesh.routes], mc)[0]
 
 
+def _critical_log_drive(lnx: np.ndarray, total: float, where: str) -> np.ndarray:
+    """Per trial (column of lnx = ln X_r), the u solving
+    sum_r log1p(e^u X_r) = total, or +inf when every X_r is 0.
+
+    The sum f is convex and increasing in u, so Newton started right of the
+    root falls monotonically onto it.  Two starts are right of it, and the
+    smaller is taken: softplus(z) >= z gives u0 = (total - sum ln X_r) / m
+    over the m rounds with X_r > 0, and at total - max ln X_r the largest
+    term alone exceeds total.  From there on no z = u + ln X_r exceeds
+    total.  Columns are solved CRITICAL_CHUNK at a time, which bounds the
+    temporaries to two (rounds x chunk) arrays.
+    """
+    rounds, n = lnx.shape
+    width = min(CRITICAL_CHUNK, n)
+    z, sp = np.empty((rounds, width)), np.empty((rounds, width))
+    u = np.empty(n)
+    for start in range(0, n, width):
+        cols = lnx[:, start:start + width]
+        k = cols.shape[1]
+        zk, spk, uk = z[:, :k], sp[:, :k], u[start:start + k]
+        finite = np.isfinite(cols)
+        m = np.count_nonzero(finite, axis=0)
+        dead = m == 0
+        np.sum(cols, axis=0, where=finite, out=uk)
+        np.subtract(total, uk, out=uk)
+        uk /= np.maximum(m, 1)
+        np.minimum(uk, total - cols.max(axis=0), out=uk)
+        for _ in range(_NEWTON_MAX_ITER):
+            # softplus(z) = max(log1p(e^min(z, 700)), z) and its derivative
+            # expit(z) = e^(z - softplus(z)): exact in doubles and free of
+            # overflow whatever total is
+            np.add(cols, uk, out=zk)
+            np.minimum(zk, 700.0, out=spk)
+            np.exp(spk, out=spk)
+            np.log1p(spk, out=spk)
+            np.maximum(spk, zk, out=spk)
+            step = spk.sum(axis=0)
+            step -= total
+            np.subtract(zk, spk, out=zk)
+            fp = np.exp(zk, out=zk).sum(axis=0)
+            fp[dead] = math.inf   # no step for a trial that never decodes
+            step /= fp
+            uk -= step
+            if not (np.abs(step) > _NEWTON_TOL).any():
+                break
+        else:
+            j = int(np.argmax(np.abs(step)))
+            raise ConvergenceError(
+                f"{where}: critical drive of trial {start + j} did not converge in "
+                f"{_NEWTON_MAX_ITER} Newton steps (last step {step[j]:g} in ln drive)")
+        uk[dead] = math.inf
+    return u
+
+
+def _hop_critical_offsets(hop, gen: np.random.Generator, n: int,
+                          where: str) -> np.ndarray:
+    """Per trial, the dB drive offset c at or below which the hop fails.
+
+    The rounds are drawn exactly as `_hop_failures` draws them.  The hop
+    fails at offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M,
+    and ln(p(s) * scale) rises linearly in s: with slope ln10 / 10 for an
+    FSO drive and ln10 / (10 (1 - theta_pa)) for a PA output below
+    saturation.
+    """
+    model, rounds = _model_rounds(hop)
+    lnx = np.empty((rounds, n))
+    with np.errstate(divide="ignore"):   # a gain that underflows to 0
+        for row in lnx:
+            scale, x = sample_gain(model, gen, n)
+            np.log(x, out=row)
+    u = _critical_log_drive(lnx, rounds * hop.R / hop.M, where)
+    slope = math.log(10.0) / 10.0
+    if isinstance(hop, RfHopParams):
+        slope /= 1.0 - hop.pa.theta_pa
+    u -= math.log(_drive(hop) * scale)
+    u /= slope
+    return u
+
+
+def _critical_offsets(mesh: MeshNetwork, mc: McConfig) -> np.ndarray:
+    """Per trial, the largest dB offset of every drive at which the mesh
+    fails: a hop fails iff the offset is <= its own critical offset, a
+    route iff it is <= the max over the route's hops, and the mesh iff it
+    is <= the min over its routes.  The draws are those of
+    `simulate_mesh`: block b of hop j from substream (seed, b, j).
+    """
+    out = np.empty(mc.trials)
+    for block, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
+        n = min(BLOCK_TRIALS, mc.trials - start)
+        mesh_c = out[start:start + n]
+        flat = 0
+        for r, route in enumerate(mesh.routes):
+            route_c = None
+            for j, hop in enumerate(route.hops):
+                c = _hop_critical_offsets(hop, _block_generator(mc.seed, block, flat),
+                                          n, f"route {r}: hop {j}")
+                route_c = c if route_c is None else np.maximum(route_c, c, out=route_c)
+                flat += 1
+            if r == 0:
+                mesh_c[:] = route_c
+            else:
+                np.minimum(mesh_c, route_c, out=mesh_c)
+    return out
+
+
+def _order_statistic_ci(n: int, target: float) -> tuple:
+    """1-based ranks (l, u), counted from the largest, of the descending
+    order statistics that bound the upper-`target` quantile with at least
+    95% confidence whatever the distribution (David & Nagaraja 2003,
+    section 7.1): B = #{c >= quantile} ~ Binomial(n, target), and
+    P(l <= B < u) >= 0.95.  l = 0 or u = n + 1 when the sample is too small
+    for that end.
+    """
+    sd = math.sqrt(n * target * (1.0 - target))
+    ks = np.arange(max(0, math.floor(n * target - 10.0 * sd - 10.0)),
+                   min(n, math.ceil(n * target + 10.0 * sd + 10.0)) + 1)
+    cdf = bdtr(ks, n, target)        # P(B <= k)
+    low = ks[cdf <= 0.025]
+    l = int(low[-1]) + 1 if low.size else 0
+    u = int(ks[np.argmax(cdf >= 0.975)]) + 1
+    return l, u
+
+
+def _mc_crossing(desc: np.ndarray, target: float, lo: float, hi: float) -> float:
+    """The solve's crossing from the critical offsets sorted descending."""
+    n = desc.size
+    # least k with k / n >= target, as the simulator's outage compares
+    k = max(1, math.ceil(target * n))
+    if (k - 1) / n >= target:
+        k -= 1
+    elif k / n < target:
+        k += 1
+    l, u = _order_statistic_ci(n, target)
+    if l < 1 or u > n:
+        ci_lo = f"{desc[u - 1]:.6g} dB" if u <= n else "-inf"
+        ci_hi = f"{desc[l - 1]:.6g} dB" if l >= 1 else "+inf"
+        raise McPrecisionError(
+            f"MC crossing {desc[k - 1]:.6g} dB at target {target:g}: its 95% CI "
+            f"[{ci_lo}, {ci_hi}] needs order statistics {l} and {u} of {n} "
+            "trials, outside the sample; increase trials")
+    return min(hi, max(lo, float(desc[k - 1]) - _CROSSING_MARGIN_DB))
+
+
+
 def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
                  bounds_db=(-30.0, 30.0), mc: McConfig | None = None,
                  rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,
@@ -216,10 +382,22 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     """dB offset (applied to every hop's drive) at which outage == target.
 
     Outage decreases with power, so the bracket must satisfy
-    outage(lo) >= target >= outage(hi).  `evaluator` is "analytical"
-    (closed forms, method tags as in route_outage) or "mc"
-    (joint simulation; needs `mc` and raises McPrecisionError when the
-    Wilson half-width swallows the distance to the target).
+    outage(lo) >= target >= outage(hi), else `BracketError`; a bracket end
+    that saturates a PA raises `SaturationError`.
+
+    `evaluator="analytical"` bisects the closed forms (method tags as in
+    `route_outage`) down to `tol_db`.  `evaluator="mc"` needs `mc` and
+    returns the exact empirical crossing of its `mc.trials` trials (no
+    early stop, and `tol_db` does not apply): every trial's critical offset
+    c comes from one pass over the draws of `simulate_mesh`, the MC outage
+    at offset s is #{c >= s} / n, and the crossing is the k-th largest c
+    with k the least count whose share reaches the target.  It is returned
+    1e-9 dB low, a margin far above the float disagreement between c and
+    the simulator's own arithmetic, so `simulate_mesh` at the result gives
+    outage >= target and at the result + 1e-6 dB outage < target.  When the
+    sample cannot hold both ends of the crossing's distribution-free 95%
+    CI (a pair of order statistics of c), `McPrecisionError` says so with
+    the CI.
     """
     if not 0.0 < target_outage < 1.0:
         raise ValueError(f"target_outage must be in (0,1), got {target_outage}")
@@ -229,38 +407,35 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
         raise ValueError("evaluator 'mc' requires an McConfig")
 
     mesh = MeshNetwork((scenario,)) if isinstance(scenario, Route) else scenario
-
-    def outage_at(*offsets_db) -> list:
-        """(outage, MC half-width) at each offset; MC offsets share one pass."""
-        if evaluator == "analytical":
-            return [(mesh_outage(shift_scenario(mesh, s), rf_method, fso_method,
-                                 theta).value, 0.0) for s in offsets_db]
-        ests = simulate_sweep([shift_scenario(mesh, s) for s in offsets_db], mc)
-        return [(est.value, est.ci_halfwidth) for est in ests]
-
     lo, hi = float(bounds_db[0]), float(bounds_db[1])
     if lo >= hi:
         raise ValueError(f"bounds_db must satisfy lo < hi, got {bounds_db}")
-    (p_lo, hw_lo), (p_hi, hw_hi) = outage_at(lo, hi)
+
+    def outage_at(offset_db) -> float:
+        return mesh_outage(shift_scenario(mesh, offset_db), rf_method, fso_method,
+                           theta).value
+
+    if evaluator == "mc":
+        # a bracket end past PA saturation raises as a per-point run would
+        shift_scenario(mesh, lo)
+        shift_scenario(mesh, hi)
+        c = _critical_offsets(mesh, mc)
+        n = c.size
+        p_lo, p_hi = np.count_nonzero(c >= lo) / n, np.count_nonzero(c >= hi) / n
+    else:
+        p_lo, p_hi = outage_at(lo), outage_at(hi)
     if not (p_lo >= target_outage >= p_hi):
         raise BracketError(
             f"target {target_outage:g} not bracketed: outage({lo:g} dB)={p_lo:g}, "
             f"outage({hi:g} dB)={p_hi:g}")
     if evaluator == "mc":
-        for p, hw, s in ((p_lo, hw_lo, lo), (p_hi, hw_hi, hi)):
-            if abs(p - target_outage) <= hw:
-                raise McPrecisionError(
-                    f"MC half-width {hw:g} at {s:g} dB exceeds distance to target "
-                    f"{abs(p - target_outage):g}; increase trials")
+        c.sort()
+        return _mc_crossing(c[::-1], target_outage, lo, hi)
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        (p, hw), = outage_at(mid)
-        if evaluator == "mc" and abs(p - target_outage) <= hw and hi - lo > 4 * tol_db:
-            raise McPrecisionError(
-                f"MC half-width {hw:g} at {mid:g} dB exceeds distance to target "
-                f"{abs(p - target_outage):g}; increase trials")
-        if p >= target_outage:
+        if outage_at(mid) >= target_outage:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+

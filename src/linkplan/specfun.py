@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -176,12 +177,30 @@ def gg_log_grid(a, b, dy):
     return y, np.exp(gg_log_density(y, a, b))
 
 
+@lru_cache(maxsize=64)
+def _gg_sum_table(a, b, n):
+    """(edges of the one-gain grid, density, trapezoid cumulative) of the sum
+    of n i.i.d. Gamma-Gamma log-gains on the spacing-`_GG_PRODUCT_DY` grid,
+    n >= 2: the n-fold self-convolution of the log-gain density by FFT.  It
+    depends only on (a, b, n), so it is built once and returned read-only;
+    the support of the sum starts at n times the left edge."""
+    dy = _GG_PRODUCT_DY
+    grid, pdf = gg_log_grid(a, b, dy)
+    size = n * (len(pdf) - 1) + 1  # support of the n-fold sum: no wrap-around
+    nfft = next_fast_len(size, real=True)
+    dens = irfft(rfft(pdf, nfft) ** n, nfft)[:size] * dy ** (n - 1)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
+    dens.flags.writeable = cum.flags.writeable = False
+    return (grid[0], grid[-1]), dens, cum
+
+
 def gg_product_cdf(a, b, n, x):
     """CDF at x of the product of n i.i.d. Gamma-Gamma(a, b) gains.
 
     n = 1 integrates the log-gain density over one tail by quadrature; n in
     2..6 forms the n-fold self-convolution of the density on its log-gain
-    grid by FFT and integrates that sum density up to ln x.
+    grid by FFT (once per (a, b, n)) and integrates that sum density up to
+    ln x.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -205,13 +224,10 @@ def gg_product_cdf(a, b, n, x):
             val = 1.0 - quad(density, target, math.inf, limit=200)[0]
         return float(min(1.0, max(0.0, val)))
 
+    edges, dens, cum = _gg_sum_table(a, b, n)
     dy = _GG_PRODUCT_DY
-    grid, pdf = gg_log_grid(a, b, dy)
-    size = n * (len(pdf) - 1) + 1  # support of the n-fold sum: no wrap-around
-    nfft = next_fast_len(size, real=True)
-    dens = irfft(rfft(pdf, nfft) ** n, nfft)[:size] * dy ** (n - 1)
     # support of the n-fold convolution starts at n*lo with spacing dy
-    start = n * grid[0]
+    start = n * edges[0]
     if target <= start:
         return 0.0
     idx = (target - start) / dy
@@ -219,7 +235,6 @@ def gg_product_cdf(a, b, n, x):
     if k >= len(dens) - 1:
         return 1.0
     # trapezoid cumulative up to grid point k, then linear fraction of the cell
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
     frac = idx - k
     partial = dy * frac * (dens[k] + 0.5 * frac * (dens[k + 1] - dens[k]))
     val = cum[k] + partial
@@ -227,7 +242,7 @@ def gg_product_cdf(a, b, n, x):
     if 1.0 - total > 1e-6:
         # the node cap cut the left tail of ln G (very small a or b)
         raise ConvergenceError(
-            f"product-CDF grid [{grid[0]:g}, {grid[-1]:g}] loses mass "
+            f"product-CDF grid [{edges[0]:g}, {edges[1]:g}] loses mass "
             f"{1.0 - total:.3g} for (a, b, n) = ({a:g}, {b:g}, {n})")
     # normalize out the residual discretization and truncation (<= 1e-6)
     return float(min(1.0, max(0.0, val / total)))

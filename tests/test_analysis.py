@@ -453,10 +453,18 @@ def test_fso_gg_moments_narrow_log_gain():
 
 def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
     # a node cap far below what b = 0.1 needs cuts the left tail of ln G:
-    # the table must refuse rather than return moments of a lost mass
+    # the table must refuse rather than return moments of a lost mass, on
+    # every call (a raise is not cached); the cache is cleared so that a table
+    # built under the real cap cannot answer for the patched one
+    from linkplan.analysis import _log_gain_table
+    _log_gain_table.cache_clear()
     monkeypatch.setattr(specfun, "_GG_MAX_NODES", 1000)
-    with pytest.raises(ConvergenceError, match=r"\(12, 0.1\)"):
-        fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=1.0))
+    try:
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match=r"\(12, 0.1\)"):
+                fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=1.0))
+    finally:
+        _log_gain_table.cache_clear()
 
 
 def test_fso_gg_moments_quadrature():
@@ -835,3 +843,20 @@ def test_fso_outage_monotone():
             assert 0.0 <= v <= 1.0
             vals.append(v)
         assert all(v2 <= v1 + 1e-15 for v1, v2 in zip(vals, vals[1:]))
+
+
+def test_log_gain_table_built_once_read_only():
+    # the table depends on the gain model alone: every drive of a sweep reads
+    # the same read-only arrays, and the moments equal a fresh build's
+    from linkplan.analysis import _log_gain_table
+    model = FsoGammaGamma(3.1, 1.7)
+    _log_gain_table.cache_clear()
+    moments = [fso_moments(FsoHopParams(model=model, p_tx=p)) for p in (0.5, 5.0, 50.0)]
+    info = _log_gain_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    y, w = _log_gain_table(model)
+    assert not y.flags.writeable and not w.flags.writeable
+    fresh_y, fresh_w = _log_gain_table.__wrapped__(model)
+    assert np.array_equal(y, fresh_y) and np.array_equal(w, fresh_w)
+    lg = np.log1p(50.0 * np.exp(fresh_y))
+    assert moments[2].mean == float(fresh_w @ lg)

@@ -12,7 +12,7 @@ from linkplan.analysis import (
     RfHopParams,
     rf_outage_piecewise,
 )
-from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading
+from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading, sample_gain
 from linkplan.hardware import PaConfig
 from linkplan.network import MeshNetwork, Route
 from linkplan.simulate import (
@@ -31,6 +31,7 @@ from linkplan.simulate import (
 )
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
+GG_TINY_B = FsoGammaGamma(a=2.0, b=0.01)
 
 # single Rayleigh draw at P'=1, R=1: outage = 1 - exp(-(e-1))
 RAYLEIGH_SINGLE_DRAW = 0.820625921265983
@@ -440,7 +441,11 @@ def test_required_snr_analytic_vs_mc_close():
 
 
 def test_required_snr_mc_bisection_on_per_point_simulation(monkeypatch):
-    # the two bracket ends share one pass; every outage is the per-point one
+    # the MC solve is the exact crossing of per-point simulation, inside the
+    # interval a bisection on per-point simulation narrows down to, from one
+    # draw of each (block, hop) substream and no kernel pass
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 4096)
     route = Route(hops=(_rf(0.1, n=20, c=10, r=2.0),))
     mesh = MeshNetwork(routes=(route,))
     mc = McConfig(trials=20_000, seed=37)
@@ -452,12 +457,117 @@ def test_required_snr_mc_bisection_on_per_point_simulation(monkeypatch):
             expect_lo = mid
         else:
             expect_hi = mid
-    steps = math.ceil(math.log2((hi - lo) / tol))
     passes = _count_passes(monkeypatch)
+    calls = _count_generators(monkeypatch)
     s = required_snr(target, route, evaluator="mc", bounds_db=(lo, hi), mc=mc,
                      tol_db=tol)
-    assert s == 0.5 * (expect_lo + expect_hi)
-    assert passes == [2] + [1] * steps
+    assert sorted(calls) == [(b, 0) for b in range(5)]
+    assert passes == []
+    assert simulate_mesh(shift_scenario(mesh, s), mc).value >= target
+    assert simulate_mesh(shift_scenario(mesh, s + 1e-6), mc).value < target
+    assert abs(s - 0.5 * (expect_lo + expect_hi)) <= tol / 2
+    # the k-th largest critical offset sits exactly on its trial's decode
+    # boundary: at each target the simulator must still count it as failed
+    for target in (0.03, 0.05, 0.2, 0.3, 0.5, 0.7):
+        s = required_snr(target, route, evaluator="mc", bounds_db=(lo, hi), mc=mc)
+        assert simulate_mesh(shift_scenario(mesh, s), mc).value >= target
+        assert simulate_mesh(shift_scenario(mesh, s + 1e-6), mc).value < target
+
+
+def _critical_meshes():
+    """Meshes whose critical offsets are checked against simulate_mesh."""
+    pa = PaConfig(epsilon=0.75, theta_pa=0.5, p_max=1e6, p_cons=1.0)
+    rf_k = RfHopParams(fading=RicianFading(1.5, 1.0, 8), pa=pa, M=2, C=3, R=1.5)
+    rf_0 = _rf(0.3, n=6, m=2, c=2, r=1.2, k=0.0)
+    exp = _fso(2.0, m=2, c=2, r=1.0)
+    gg = _fso(3.0, m=2, c=3, r=1.0, model=GG)
+    # b = 0.01: some unit-mean Gamma(0.01) factors underflow to exactly 0; a
+    # one-round hop then never decodes (c = +inf), a longer one has fewer
+    # live rounds
+    return {
+        "rf_k_theta_exp": MeshNetwork(routes=(Route(hops=(rf_k, exp)),)),
+        "rf_k0_gg": MeshNetwork(routes=(Route(hops=(rf_0, gg)),)),
+        "two_routes": MeshNetwork(routes=(Route(hops=(rf_k, gg)),
+                                          Route(hops=(rf_0, exp)))),
+        "gg_b001": MeshNetwork(routes=(Route(hops=(
+            _fso(1e4, model=GG_TINY_B),
+            _fso(1e4, m=2, c=3, r=1.0, model=GG_TINY_B))),)),
+    }
+
+
+@pytest.mark.parametrize("name, block_trials", [
+    ("rf_k_theta_exp", None), ("rf_k0_gg", None), ("two_routes", None),
+    ("two_routes", 1000), ("gg_b001", None)])
+def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_trials):
+    # failures read off the critical offsets, #{c >= s}, equal simulate_mesh
+    # at offsets 1e-6 dB either side of trials' crossings across the waterfall
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mesh = _critical_meshes()[name]
+    mc = McConfig(trials=3500, seed=43)
+    c = sim._critical_offsets(mesh, mc)
+    finite = np.sort(c[np.isfinite(c)])
+    assert finite.size > 100
+    for q in (0.1, 0.5, 0.9):
+        crossing = finite[int(q * (finite.size - 1))]
+        for s in (crossing - 1e-6, crossing + 1e-6):
+            est = simulate_mesh(shift_scenario(mesh, s), mc)
+            assert est.value == np.count_nonzero(c >= s) / mc.trials, (q, s)
+    if name == "gg_b001":
+        # the draws underflow, and the all-zero trials fail at every drive
+        gen = sim._block_generator(mc.seed, 0, 0)
+        assert np.count_nonzero(sample_gain(GG_TINY_B, gen, mc.trials)[1] == 0.0) > 0
+        dead = np.isinf(c)
+        assert dead.any()
+        beyond = shift_scenario(mesh, finite[-1] + 1.0)
+        assert simulate_mesh(beyond, mc).value == np.count_nonzero(dead) / mc.trials
+
+
+def test_critical_offsets_newton_failure_names_route_and_hop(monkeypatch):
+    import linkplan.simulate as sim
+    from linkplan.specfun import ConvergenceError
+    monkeypatch.setattr(sim, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"^route 0: hop 0: .*trial \d+"):
+        sim._critical_offsets(_critical_meshes()["two_routes"],
+                              McConfig(trials=1000, seed=1))
+
+
+@pytest.mark.parametrize("evaluator", ["analytical", "mc"])
+def test_required_snr_saturating_bracket_end(evaluator):
+    # the README PA (p_max 25 dB, theta_pa 0.5) saturates at +26.25 dB: a
+    # bracket reaching past that raises as a per-point run would
+    from linkplan.hardware import SaturationError
+    pa = PaConfig(epsilon=0.75, theta_pa=0.5, p_max=316.2278, p_cons=1.0)
+    rf = RfHopParams(fading=RicianFading(2.0, 1.0, 40), pa=pa, M=2, C=5, R=2.0)
+    with pytest.raises(SaturationError):
+        required_snr(0.1, Route(hops=(rf,)), evaluator=evaluator,
+                     bounds_db=(0.0, 30.0), mc=McConfig(trials=1000, seed=3))
+
+
+@pytest.mark.parametrize("n, target", [(1000, 1e-3), (1000, 0.1), (20_000, 0.01),
+                                       (20_000, 0.1), (1000, 0.999)])
+def test_order_statistic_ci_ranks(n, target):
+    # B ~ Binomial(n, target): the ranks (l, u) give P(l <= B < u) >= 0.95
+    # and neither end can move inward; an end outside 1..n means the sample
+    # cannot hold it
+    from scipy.stats import binom
+    import linkplan.simulate as sim
+    l, u = sim._order_statistic_ci(n, target)
+    assert binom.cdf(l - 1, n, target) <= 0.025 < binom.cdf(l, n, target)
+    assert binom.cdf(u - 2, n, target) < 0.975 <= binom.cdf(u - 1, n, target)
+    inside = (n, target) in ((1000, 0.1), (20_000, 0.01), (20_000, 0.1))
+    assert (1 <= l and u <= n) == inside
+
+
+def test_required_snr_mc_precision_error_reports_ci():
+    # 0.999 of 1000 trials: the CI's lower end needs the 1001st largest of
+    # 1000 critical offsets
+    route = Route(hops=(_rf(0.1, n=20, c=10, r=2.0),))
+    with pytest.raises(McPrecisionError, match=r"95% CI \[-inf, [-\d.]+ dB\] needs "
+                                               r"order statistics \d+ and 1001 of 1000"):
+        required_snr(0.999, route, evaluator="mc", bounds_db=(-30.0, 30.0),
+                     mc=McConfig(trials=1000, seed=36))
 
 
 def test_required_snr_bracket_error():
@@ -467,8 +577,9 @@ def test_required_snr_bracket_error():
 
 
 def test_required_snr_mc_precision_error():
-    # 1000-trial MC cannot resolve a 1e-3 target: the Wilson width at the
-    # bracket endpoint already swallows the distance to the target
+    # 1000-trial MC cannot resolve a 1e-3 target: B ~ Binomial(1000, 1e-3)
+    # is 0 with probability 0.37, so no order statistic of the critical
+    # offsets bounds the crossing's 95% CI from above
     route = Route(hops=(_rf(0.1, n=20, c=10, r=2.0),))
     s_an = required_snr(1.5e-3, route, evaluator="analytical")
     with pytest.raises(McPrecisionError):

@@ -242,10 +242,18 @@ def test_gg_product_cdf_mc_oracle():
 def test_gg_product_cdf_grid_loss_is_loud(monkeypatch):
     # a node cap of 4096 cuts the grid to the old fixed span of 24 in ln G,
     # and b = 0.5 puts 3.4e-4 of ln G below its left edge: the n = 2
-    # convolution must refuse rather than renormalize the loss away
+    # convolution must refuse rather than renormalize the loss away, on every
+    # call, though the sum table is built once; the cache is cleared so that
+    # tables built under the real cap neither hide nor outlive the patch
+    specfun._gg_sum_table.cache_clear()
     monkeypatch.setattr(specfun, "_GG_MAX_NODES", 4096)
-    with pytest.raises(ConvergenceError, match=r"\(2, 0.5, 2\)"):
-        gg_product_cdf(2.0, 0.5, 2, 0.5)
+    try:
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match=r"\(2, 0.5, 2\)"):
+                gg_product_cdf(2.0, 0.5, 2, 0.5)
+        assert specfun._gg_sum_table.cache_info().misses == 1
+    finally:
+        specfun._gg_sum_table.cache_clear()
 
 
 @pytest.mark.parametrize("a, b, x, ref, three_sigma", [
@@ -283,3 +291,15 @@ def test_gg_product_cdf_fft_matches_direct_convolution(n):
 def test_gg_product_order_cap():
     with pytest.raises(ValueError):
         gg_product_cdf(GG_A, GG_B, 7, 1.0)
+
+
+def test_gg_product_sum_table_built_once_read_only():
+    # the n-fold sum table depends on (a, b, n) alone: every x reads the same
+    # read-only arrays
+    specfun._gg_sum_table.cache_clear()
+    values = [gg_product_cdf(GG_A, GG_B, 3, x) for x in (0.05, 0.5, 2.0)]
+    info = specfun._gg_sum_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    _, dens, cum = specfun._gg_sum_table(GG_A, GG_B, 3)
+    assert not dens.flags.writeable and not cum.flags.writeable
+    assert 0.0 < values[0] < values[1] < values[2] < 1.0
