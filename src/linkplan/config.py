@@ -29,6 +29,10 @@ from .network import MeshNetwork, Route, _shift_hop
 
 KNOWN_TAGS = RF_TAGS + FSO_TAGS + (MONTE_CARLO,)
 
+# libyaml's parser (about 8x faster on a scenario file); PyYAML built without
+# libyaml has only the pure-Python one, which reads the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # sweep variable -> the `materialize` keyword its grid values set
 SWEEP_VARIABLES = {"snr_db": "snr_db", "N": "n_override", "M": "m_override",
                    "routes": "n_routes"}
@@ -303,7 +307,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"<file>: cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = yaml.safe_load(raw)
+        doc = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"<file>: not parseable YAML: {exc}") from exc
     return parse_config(doc, source=path, sha256=digest)

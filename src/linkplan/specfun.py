@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad
+from numpy.fft import irfft, rfft
 from scipy.special import expi, hyp1f1, kv, kve
 
 __all__ = [
@@ -187,7 +186,7 @@ def _gg_sum_table(a, b, n):
     dy = _GG_PRODUCT_DY
     grid, pdf = gg_log_grid(a, b, dy)
     size = n * (len(pdf) - 1) + 1  # support of the n-fold sum: no wrap-around
-    nfft = next_fast_len(size, real=True)
+    nfft = 1 << (size - 1).bit_length()  # the table is cached: a power of two is cheap
     dens = irfft(rfft(pdf, nfft) ** n, nfft)[:size] * dy ** (n - 1)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
     dens.flags.writeable = cum.flags.writeable = False
@@ -197,10 +196,12 @@ def _gg_sum_table(a, b, n):
 def gg_product_cdf(a, b, n, x):
     """CDF at x of the product of n i.i.d. Gamma-Gamma(a, b) gains.
 
-    n = 1 integrates the log-gain density over one tail by quadrature; n in
-    2..6 forms the n-fold self-convolution of the density on its log-gain
-    grid by FFT (once per (a, b, n)) and integrates that sum density up to
-    ln x.
+    n = 1 integrates the log-gain density over one tail by scipy's `quad`;
+    this is the only call that imports `scipy.integrate`, so the package
+    does not pay for it at import.  n in 2..6 forms the n-fold
+    self-convolution of the density on its log-gain grid by numpy's real
+    FFT (once per (a, b, n), zero-padded to a power of two) and integrates
+    that sum density up to ln x.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -213,6 +214,8 @@ def gg_product_cdf(a, b, n, x):
     target = math.log(x)
     n = int(n)
     if n == 1:
+        from scipy.integrate import quad  # only here: it imports 0.3 s of scipy
+
         def density(y):
             return math.exp(gg_log_density(y, a, b))
 

@@ -1,15 +1,23 @@
 """Scenario config tests: `ScenarioConfig.point` builds, for one grid value of
-each sweep variable, the hops a hand-built scenario would hold."""
+each sweep variable, the hops a hand-built scenario would hold; `load_config`
+parses with libyaml and reports YAML it cannot parse as a config error."""
 
 import copy
 import dataclasses
+import pathlib
+import re
 
 import pytest
+import yaml
 
+from linkplan import config
 from linkplan.analysis import FsoHopParams, RfHopParams
 from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading
-from linkplan.config import parse_config
+from linkplan.cli import main
+from linkplan.config import ConfigError, load_config, parse_config
 from linkplan.hardware import PaConfig
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 DOC = {
     "rf_hops": [
@@ -87,3 +95,54 @@ def test_point_m_overrides_both_link_types():
 def test_point_routes_truncates_route_list():
     rf = _rf()
     _assert_point(_point("routes", 1), rf, _fso(rf[0]), 1)
+
+
+# ----------------------------------------------------------------------------
+# YAML parsing
+# ----------------------------------------------------------------------------
+
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("rf_hops: [{K: 2.0, omega: 1.0\nroutes: [[rf:0]]\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value).startswith("<file>: not parseable YAML")
+    assert main(["outage-sweep", "--config", str(path)]) == 2
+    assert "config error: <file>: not parseable YAML" in capsys.readouterr().err
+
+
+# YAML 1.1 readings the scenario parser sees: `1e5` (no dot) is a string, so
+# `trials: 1e5` is rejected as not an integer; yes/on are booleans; a
+# duplicate key keeps its last value; flow mappings and sequences nest
+QUIRKS = """\
+trials: 1e5
+drive: 1.0e+5
+flags: [yes, on, off]
+M: 1
+M: 3
+hop: {K: 2.0, N: 40, pa: {p_max_db: 25.0}}
+"""
+
+
+def _readme_scenario():
+    return re.search(r"```yaml\n(# scenario\.yaml\n.*?)```", README.read_text(),
+                     re.S).group(1)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_reads_what_the_pure_python_parser_reads():
+    assert config._YAML_LOADER is yaml.CSafeLoader
+    readme = _readme_scenario()
+    for text in (readme, QUIRKS):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(QUIRKS, Loader=yaml.CSafeLoader) == {
+        "trials": "1e5", "drive": 1e5, "flags": [True, True, False], "M": 3,
+        "hop": {"K": 2.0, "N": 40, "pa": {"p_max_db": 25.0}}}
+    parse_config(yaml.load(readme, Loader=yaml.CSafeLoader))  # a valid scenario
+
+
+def test_yaml_1e5_trials_rejected(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(DOC) + "mc: {trials: 1e5}\n")
+    with pytest.raises(ConfigError, match=r"mc\.trials: expected an integer, got '1e5'"):
+        load_config(str(path))
