@@ -14,10 +14,13 @@ accumulator of about 8 * points * min(trials, BLOCK_TRIALS) bytes, capped at
 
 The MC `required_snr` makes one pass over the same substreams and gives
 every trial its critical dB offset c, the largest common drive offset at
-which the mesh fails (a Newton solve per hop and trial), so the MC outage at
-any offset s is #{c >= s} / trials and the solve returns the exact crossing.
-That pass holds the hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS)
-bytes, and (rounds x CRITICAL_CHUNK) temporaries.
+which the mesh fails, so the MC outage at any offset s is #{c >= s} / trials
+and the solve returns the exact crossing.  Each hop and trial starts from a
+cheap upper bound on its own offset; Newton refines it only where that
+bound could raise the max over the route's earlier hops, so a hop that
+never limits its route costs its draws and the bound.  That pass holds the
+hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS) bytes, and three
+(rounds x CRITICAL_CHUNK) temporaries.
 """
 from __future__ import annotations
 
@@ -231,33 +234,64 @@ def simulate_mesh(mesh: MeshNetwork, mc: McConfig) -> OutageEstimate:
     return _simulate([mesh.routes], mc)[0]
 
 
-def _critical_log_drive(lnx: np.ndarray, total: float, where: str) -> np.ndarray:
-    """Per trial (column of lnx = ln X_r), the u solving
-    sum_r log1p(e^u X_r) = total, or +inf when every X_r is 0.
+def _newton_start(lnx: np.ndarray, total: float) -> np.ndarray:
+    """Per trial (column of lnx = ln X_r), an upper bound on the u solving
+    sum_r log1p(e^u X_r) = total: +inf when every X_r is 0.
+
+    Each term is softplus(u + ln X_r), convex and increasing in u, so two
+    bounds put the root at or left of a point, and the smaller is taken.
+    Jensen over the m rounds with X_r > 0 gives a sum of at least
+    m * softplus(u + mean ln X_r), which reaches total at
+    softplus^-1(total / m) - mean ln X_r; and at total - max ln X_r the
+    largest term alone exceeds total.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lnx.min() > -math.inf:          # no gain underflowed
+            m = lnx.shape[0]
+            start = lnx.sum(axis=0)
+        else:
+            live = lnx > -math.inf
+            m = np.count_nonzero(live, axis=0)
+            start = np.sum(lnx, axis=0, where=live)
+        start /= -m                        # -mean ln X_r: NaN where m = 0
+        y = total / m
+        # softplus^-1(y) = ln(e^y - 1), written so that no e^y overflows
+        start += y + np.log(-np.expm1(-y))
+    # fmin passes over the NaN: a trial with no X_r > 0 gets total + inf
+    return np.fmin(start, total - lnx.max(axis=0), out=start)
+
+
+def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
+                        todo: np.ndarray, where: str) -> None:
+    """Move u[i], for each trial i in todo, from its start (`_newton_start`)
+    onto the root of sum_r log1p(e^u X_r) = total, X_r = e^lnx[r, i].
 
     The sum f is convex and increasing in u, so Newton started right of the
-    root falls monotonically onto it.  Two starts are right of it, and the
-    smaller is taken: softplus(z) >= z gives u0 = (total - sum ln X_r) / m
-    over the m rounds with X_r > 0, and at total - max ln X_r the largest
-    term alone exceeds total.  From there on no z = u + ln X_r exceeds
-    total.  Columns are solved CRITICAL_CHUNK at a time, which bounds the
-    temporaries to two (rounds x chunk) arrays.
+    root falls monotonically onto it, and from a start at or left of
+    total - max ln X_r no z = u + ln X_r exceeds total.  A trial stops at
+    its own first step below _NEWTON_TOL, and ends no higher than its
+    start, which bounds the root, whatever rounding did to its last step:
+    a trial's result then depends on its column alone, and a trial left at
+    its start compares with any floor as its solved value would.  The
+    columns in todo are gathered CRITICAL_CHUNK at a time, which bounds the
+    temporaries to three (rounds x chunk) arrays.
     """
-    rounds, n = lnx.shape
-    width = min(CRITICAL_CHUNK, n)
+    if not todo.size:
+        return
+    rounds = lnx.shape[0]
+    chunks = np.array_split(todo, -(-todo.size // CRITICAL_CHUNK))
+    width = max(2, chunks[0].size)
     z, sp = np.empty((rounds, width)), np.empty((rounds, width))
-    u = np.empty(n)
-    for start in range(0, n, width):
-        cols = lnx[:, start:start + width]
-        k = cols.shape[1]
-        zk, spk, uk = z[:, :k], sp[:, :k], u[start:start + k]
-        finite = np.isfinite(cols)
-        m = np.count_nonzero(finite, axis=0)
-        dead = m == 0
-        np.sum(cols, axis=0, where=finite, out=uk)
-        np.subtract(total, uk, out=uk)
-        uk /= np.maximum(m, 1)
-        np.minimum(uk, total - cols.max(axis=0), out=uk)
+    for idx in chunks:
+        if idx.size == 1:
+            # numpy sums a lone column pairwise, not row by row as it sums
+            # wider ones: solve it twice over so that its bits stay its own
+            idx = np.repeat(idx, 2)
+        cols = lnx[:, idx]
+        k = idx.size
+        zk, spk = z[:, :k], sp[:, :k]
+        uk = u[idx]
+        active = np.ones(k, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER):
             # softplus(z) = max(log1p(e^min(z, 700)), z) and its derivative
             # expit(z) = e^(z - softplus(z)): exact in doubles and free of
@@ -270,23 +304,22 @@ def _critical_log_drive(lnx: np.ndarray, total: float, where: str) -> np.ndarray
             step = spk.sum(axis=0)
             step -= total
             np.subtract(zk, spk, out=zk)
-            fp = np.exp(zk, out=zk).sum(axis=0)
-            fp[dead] = math.inf   # no step for a trial that never decodes
-            step /= fp
+            step /= np.exp(zk, out=zk).sum(axis=0)
+            step[~active] = 0.0
             uk -= step
-            if not (np.abs(step) > _NEWTON_TOL).any():
+            active &= np.abs(step) > _NEWTON_TOL
+            if not active.any():
                 break
         else:
             j = int(np.argmax(np.abs(step)))
             raise ConvergenceError(
-                f"{where}: critical drive of trial {start + j} did not converge in "
+                f"{where}: critical drive of trial {idx[j]} did not converge in "
                 f"{_NEWTON_MAX_ITER} Newton steps (last step {step[j]:g} in ln drive)")
-        uk[dead] = math.inf
-    return u
+        u[idx] = np.minimum(uk, u[idx])
 
 
-def _hop_critical_offsets(hop, gen: np.random.Generator, n: int,
-                          where: str) -> np.ndarray:
+def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
+                          floor: np.ndarray | None = None) -> np.ndarray:
     """Per trial, the dB drive offset c at or below which the hop fails.
 
     The rounds are drawn exactly as `_hop_failures` draws them.  The hop
@@ -294,6 +327,10 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int,
     and ln(p(s) * scale) rises linearly in s: with slope ln10 / 10 for an
     FSO drive and ln10 / (10 (1 - theta_pa)) for a PA output below
     saturation.
+
+    With `floor` (the max of c over the route's earlier hops), a trial whose
+    Newton start maps to an offset at or below floor[i] keeps that offset:
+    it bounds the solved c from above, so neither can raise the route's max.
     """
     model, rounds = _model_rounds(hop)
     lnx = np.empty((rounds, n))
@@ -301,11 +338,18 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int,
         for row in lnx:
             scale, x = sample_gain(model, gen, n)
             np.log(x, out=row)
-    u = _critical_log_drive(lnx, rounds * hop.R / hop.M, where)
+    total = rounds * hop.R / hop.M
+    u = _newton_start(lnx, total)
+    shift = math.log(_drive(hop) * scale)
     slope = math.log(10.0) / 10.0
     if isinstance(hop, RfHopParams):
         slope /= 1.0 - hop.pa.theta_pa
-    u -= math.log(_drive(hop) * scale)
+    # a start of +inf (every gain 0) is the root already
+    solve = np.isfinite(u)
+    if floor is not None:
+        solve &= (u - shift) / slope > floor
+    _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
+    u -= shift
     u /= slope
     return u
 
@@ -315,7 +359,9 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig) -> np.ndarray:
     fails: a hop fails iff the offset is <= its own critical offset, a
     route iff it is <= the max over the route's hops, and the mesh iff it
     is <= the min over its routes.  The draws are those of
-    `simulate_mesh`: block b of hop j from substream (seed, b, j).
+    `simulate_mesh`: block b of hop j from substream (seed, b, j).  Each hop
+    after a route's first solves only the trials it could raise the
+    route's max on.
     """
     out = np.empty(mc.trials)
     for block, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
@@ -326,7 +372,7 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig) -> np.ndarray:
             route_c = None
             for j, hop in enumerate(route.hops):
                 c = _hop_critical_offsets(hop, _block_generator(mc.seed, block, flat),
-                                          n, f"route {r}: hop {j}")
+                                          n, f"route {r}: hop {j}", route_c)
                 route_c = c if route_c is None else np.maximum(route_c, c, out=route_c)
                 flat += 1
             if r == 0:

@@ -2,10 +2,13 @@
 joint route/mesh semantics, and the power-search on top of it."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkplan.analysis import (
     FsoHopParams,
@@ -495,9 +498,12 @@ def _critical_meshes():
     }
 
 
-@pytest.mark.parametrize("name, block_trials", [
-    ("rf_k_theta_exp", None), ("rf_k0_gg", None), ("two_routes", None),
-    ("two_routes", 1000), ("gg_b001", None)])
+# every mesh once, and one across blocks of 1000 trials
+CRITICAL_CASES = [("rf_k_theta_exp", None), ("rf_k0_gg", None), ("two_routes", None),
+                  ("two_routes", 1000), ("gg_b001", None)]
+
+
+@pytest.mark.parametrize("name, block_trials", CRITICAL_CASES)
 def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_trials):
     # failures read off the critical offsets, #{c >= s}, equal simulate_mesh
     # at offsets 1e-6 dB either side of trials' crossings across the waterfall
@@ -524,6 +530,128 @@ def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_tria
         assert simulate_mesh(beyond, mc).value == np.count_nonzero(dead) / mc.trials
 
 
+def _critical_offsets_all_solved(sim, mesh, mc):
+    """`_critical_offsets` composed with Newton run on every hop and trial."""
+    out = np.empty(mc.trials)
+    for block, start in enumerate(range(0, mc.trials, sim.BLOCK_TRIALS)):
+        n = min(sim.BLOCK_TRIALS, mc.trials - start)
+        flat, route_cs = 0, []
+        for route in mesh.routes:
+            hop_cs = []
+            for hop in route.hops:
+                hop_cs.append(sim._hop_critical_offsets(
+                    hop, sim._block_generator(mc.seed, block, flat), n, "all solved"))
+                flat += 1
+            route_cs.append(np.max(hop_cs, axis=0))
+        out[start:start + n] = np.min(route_cs, axis=0)
+    return out
+
+
+def _count_newton_columns(monkeypatch):
+    """(route/hop label, trials Newton solves) per `_critical_log_drive` call."""
+    import linkplan.simulate as sim
+    calls = []
+    real = sim._critical_log_drive
+
+    def counting(lnx, total, u, todo, where):
+        calls.append((where, todo.size))
+        return real(lnx, total, u, todo, where)
+
+    monkeypatch.setattr(sim, "_critical_log_drive", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, block_trials", CRITICAL_CASES)
+def test_critical_offsets_skipping_is_exact(monkeypatch, name, block_trials):
+    # a later hop solves only the trials whose start could raise its route's
+    # max; the composed offsets equal, bit for bit, those with every hop solved
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mesh = _critical_meshes()[name]
+    mc = McConfig(trials=3500, seed=43)
+    expect = _critical_offsets_all_solved(sim, mesh, mc)
+    calls = _count_newton_columns(monkeypatch)
+    c = sim._critical_offsets(mesh, mc)
+    assert np.array_equal(c, expect)
+    later = [size for where, size in calls if not where.endswith("hop 0")]
+    assert sum(later) < mc.trials * len(mesh.routes)
+
+
+def test_critical_offsets_readme_mesh_solves_no_fso_trial(monkeypatch):
+    # the README route lists its RF hop first, and at seed 1 no FSO trial's
+    # start rises above the RF hop's offset: Newton runs on the RF hop alone
+    import linkplan.simulate as sim
+    pa = PaConfig(epsilon=0.75, theta_pa=0.5, p_max=316.2278, p_cons=1.0)
+    rf = RfHopParams(fading=RicianFading(2.0, 1.0, 40), pa=pa, M=2, C=5, R=2.0)
+    fso = FsoHopParams(model=GG, p_tx=40.0, M=2, C_tilde=5, R=2.0)
+    calls = _count_newton_columns(monkeypatch)
+    sim._critical_offsets(MeshNetwork(routes=(Route(hops=(rf, fso)),)),
+                          McConfig(trials=20_000, seed=1))
+    assert calls == [("route 0: hop 0", 20_000), ("route 0: hop 1", 0)]
+
+
+def _softplus_sum(u, lnx_col):
+    return math.fsum(max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+                     for z in (u + l for l in lnx_col if l > -math.inf))
+
+
+_LOG_GAIN = st.one_of(st.just(-math.inf), st.floats(-60.0, 8.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds=st.integers(1, 12), data=st.data(),
+       total=st.floats(1e-3, 60.0))
+def test_newton_start_bounds_the_root(rounds, data, total):
+    # the start is at or right of the root of sum_r softplus(u + ln X_r) =
+    # total, and +inf exactly when every round underflowed
+    import linkplan.simulate as sim
+    n = data.draw(st.integers(1, 6))
+    lnx = np.array(data.draw(st.lists(st.lists(_LOG_GAIN, min_size=n, max_size=n),
+                                      min_size=rounds, max_size=rounds)))
+    start = sim._newton_start(lnx, total)
+    dead = np.all(lnx == -math.inf, axis=0)
+    assert np.array_equal(start == math.inf, dead)
+    live = np.flatnonzero(~dead)
+    u = start.copy()
+    sim._critical_log_drive(lnx, total, u, live, "property")
+    for i in live:
+        col = lnx[:, i]
+        assert _softplus_sum(start[i], col) >= total * (1.0 - 1e-12)
+        # the root by bisection, between a point where the largest term alone
+        # exceeds total and one where every term is below total / rounds
+        hi = total - col.max() + 1.0
+        lo = math.log(math.expm1(total / rounds)) - col.max() - 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _softplus_sum(mid, col) >= total else (mid, hi)
+        assert start[i] >= hi - 1e-9 * max(1.0, abs(hi))
+        assert u[i] <= start[i]
+        assert u[i] == pytest.approx(hi, rel=1e-9, abs=1e-9)
+
+
+def test_critical_log_drive_result_depends_on_its_column_alone(monkeypatch):
+    # whichever trials are solved together, and in chunks of whatever width
+    # (one column included, which numpy would sum pairwise), each trial's
+    # solved value is the same to the bit
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "CRITICAL_CHUNK", 8)
+    rng = np.random.default_rng(5)
+    # columns of unlike spread take unlike numbers of Newton steps
+    lnx = rng.normal(0.0, 1.0, size=(40, 50)) * rng.uniform(0.1, 6.0, size=50)
+    lnx[rng.random(lnx.shape) < 0.2] = -math.inf
+    total = 25.0
+    start = sim._newton_start(lnx, total)
+    every = start.copy()
+    sim._critical_log_drive(lnx, total, every, np.arange(50), "all")
+    for todo in ([7], [0, 49], list(range(3, 40, 4)), list(range(17))):
+        u = start.copy()
+        sim._critical_log_drive(lnx, total, u, np.array(todo), "subset")
+        assert np.array_equal(u[todo], every[todo])
+        rest = np.setdiff1d(np.arange(50), todo)
+        assert np.array_equal(u[rest], start[rest])
+
+
 def test_critical_offsets_newton_failure_names_route_and_hop(monkeypatch):
     import linkplan.simulate as sim
     from linkplan.specfun import ConvergenceError
@@ -531,6 +659,16 @@ def test_critical_offsets_newton_failure_names_route_and_hop(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"^route 0: hop 0: .*trial \d+"):
         sim._critical_offsets(_critical_meshes()["two_routes"],
                               McConfig(trials=1000, seed=1))
+    # with a floor, Newton runs on the trials whose start lies above it, and
+    # the error names one of those by its index in the block
+    hop = _critical_meshes()["two_routes"].routes[0].hops[0]
+    picked = [5, 371, 642, 998]
+    floor = np.full(1000, math.inf)
+    floor[picked] = -math.inf
+    with pytest.raises(ConvergenceError, match=r"^route 0: hop 1: ") as err:
+        sim._hop_critical_offsets(hop, sim._block_generator(1, 0, 0), 1000,
+                                  "route 0: hop 1", floor)
+    assert int(re.search(r"trial (\d+)", str(err.value)).group(1)) in picked
 
 
 @pytest.mark.parametrize("evaluator", ["analytical", "mc"])
