@@ -68,7 +68,7 @@ __all__ = [
 def __getattr__(name):
     # `analysis.quad` stays resolvable for perfbench's tracer, which hooks it,
     # without importing scipy.integrate with the package: this module calls
-    # no `quad`.  It goes when the benchmark drops that hook (ROADMAP item 3).
+    # no `quad`.  It goes when the benchmark drops that hook (ROADMAP item 1).
     if name == "quad":
         from scipy.integrate import quad
 
@@ -91,11 +91,13 @@ MONTE_CARLO = "monte_carlo"
 # integrand converges geometrically, and dy <= 0.25 already matches 30-digit
 # quadrature within 6e-15
 _LOG_GAIN_DY = 0.1
+# `min_rf_antennas` gives up past this antenna count
+_MAX_ANTENNAS = 1_000_000
 
 
 class ApproximationInvalidError(ArithmeticError):
-    """A surrogate produced a non-positive variance; the approximation does
-    not apply to this configuration."""
+    """A surrogate produced a variance that is not > 0 (NaN included); the
+    approximation does not apply to this configuration."""
 
 
 class InfeasibleError(RuntimeError):
@@ -165,8 +167,8 @@ class OutageEstimate:
 def gaussian_outage(g: GaussianApprox, M: int, CC: int, R: float) -> float:
     """Outage of a hop whose per-realization rate has surrogate g, with M
     rounds of CC realizations and initial rate R (threshold R/M)."""
-    if g.variance <= 0:
-        raise ApproximationInvalidError(f"surrogate variance {g.variance} <= 0")
+    if not g.variance > 0:
+        raise ApproximationInvalidError(f"surrogate variance {g.variance} is not > 0")
     arg = math.sqrt(M * CC) * (R / M - g.mean) / math.sqrt(2.0 * g.variance)
     return 0.5 * (1.0 + math.erf(arg))
 
@@ -241,9 +243,9 @@ def log_moments_piecewise(p: float, g: GaussianApprox, theta: float = 1.0):
         - _kernel_t(r, c2, nz, nv, s)
     )
     var = second - mu * mu
-    if var <= 0:
+    if not var > 0:
         raise ApproximationInvalidError(
-            f"piecewise log surrogate produced variance {var} <= 0"
+            f"piecewise log surrogate variance {var} is not > 0"
         )
     return GaussianApprox(mean=mu, variance=var)
 
@@ -287,9 +289,9 @@ def log_moments_linearized(p: float, g: GaussianApprox):
 
     second = math.log1p(p * lo) ** 2 + b_kernel(x2) - b_kernel(lo)
     var = second - mu * mu
-    if var <= 0:
+    if not var > 0:
         raise ApproximationInvalidError(
-            f"linearized log surrogate produced variance {var} <= 0"
+            f"linearized log surrogate variance {var} is not > 0"
         )
     return GaussianApprox(mean=mu, variance=var)
 
@@ -352,8 +354,8 @@ def fso_moments(h: FsoHopParams) -> GaussianApprox:
     lg = np.log1p(h.p_tx * np.exp(y))
     mu = float(w @ lg)
     var = float(w @ (lg - mu) ** 2)
-    if var <= 0:
-        raise ApproximationInvalidError(f"FSO surrogate variance {var} <= 0")
+    if not var > 0:
+        raise ApproximationInvalidError(f"FSO surrogate variance {var} is not > 0")
     return GaussianApprox(mean=mu, variance=var)
 
 
@@ -435,8 +437,7 @@ def fso_ergodic_rate(h: FsoHopParams) -> float:
     return fso_moments(h).mean
 
 
-def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float,
-                    n_cap: int = 1_000_000) -> int:
+def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float) -> int:
     """Smallest antenna count N whose ergodic rate meets target_rate.
 
     Exploits monotonicity of the ergodic rate in N (exponential bracketing,
@@ -455,9 +456,9 @@ def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float,
     while rate(hi) < target_rate - tol:
         lo = hi
         hi *= 2
-        if hi > n_cap:
+        if hi > _MAX_ANTENNAS:
             raise InfeasibleError(
-                f"no antenna count up to {n_cap} reaches rate {target_rate}"
+                f"no antenna count up to {_MAX_ANTENNAS} reaches rate {target_rate}"
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -78,7 +78,7 @@ class GaussianApprox:
     variance: float  # squared units of mean
 
     def __post_init__(self):
-        if self.variance < 0:
+        if not self.variance >= 0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
 

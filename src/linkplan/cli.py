@@ -6,8 +6,9 @@ Subcommands:
   min-antennas   smallest RF antenna count meeting the route's rate target
   validate       analytic evaluators vs Monte Carlo on the configured grid
 
-Exit codes: 0 ok; 1 validate-tolerance failures; 2 config rejected;
-3 evaluator errors (rows carry NaN plus an error message).
+Exit codes: 0 ok; 1 validate-tolerance failures; 2 config or flags rejected,
+or --out not writable; 3 evaluator errors (rows carry NaN plus an error
+message).
 """
 from __future__ import annotations
 
@@ -27,11 +28,9 @@ from .analysis import (
     fso_ergodic_rate,
     min_rf_antennas,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config, mc_config
 from .network import mesh_outage, route_ergodic_rate, route_limiting_hop
-from .simulate import McConfig, simulate_sweep
-
-_Z95 = 1.959963984540054
+from .simulate import _Z95, McConfig, simulate_sweep
 
 
 def _fmt(x: float) -> str:
@@ -215,12 +214,8 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
 
 
 def _build_mc(cfg: ScenarioConfig, args) -> McConfig:
-    trials = args.trials if args.trials is not None else cfg.mc_trials
-    seed = args.seed if args.seed is not None else cfg.mc_seed
-    try:
-        return McConfig(trials, seed, cfg.mc_target_ci)
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
+    return mc_config(cfg.mc_trials if args.trials is None else args.trials,
+                     cfg.mc_seed if args.seed is None else args.seed, cfg.mc_target_ci)
 
 
 _COMMANDS = {
@@ -251,8 +246,12 @@ def main(argv=None) -> int:
         return 2
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -24,8 +24,9 @@ from .analysis import (
     RfHopParams,
 )
 from .channel import FsoExponential, FsoGammaGamma, RicianFading
-from .hardware import PaConfig, SaturationError
+from .hardware import PaConfig
 from .network import MeshNetwork, Route, _shift_hop
+from .simulate import McConfig
 
 KNOWN_TAGS = RF_TAGS + FSO_TAGS + (MONTE_CARLO,)
 
@@ -42,8 +43,13 @@ class ConfigError(ValueError):
     """Configuration rejected; message carries the offending field path."""
 
 
-def _db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+def _db_to_linear(x_db: float, path: str) -> float:
+    try:
+        x = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        x = math.inf
+    _require(0.0 < x < math.inf, path, f"{x_db:g} dB is beyond the range of a float")
+    return x
 
 
 def _require(cond: bool, path: str, msg: str):
@@ -57,14 +63,22 @@ def _reject_unknown(d: dict, known, path: str):
                  f"unknown key (known: {', '.join(known)})")
 
 
+def _number(v, path: str) -> float:
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+             path, f"expected a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    _require(math.isfinite(v), path, "must be finite")
+    return v
+
+
 def _get_number(d: dict, key: str, path: str, default=None, required=False):
     if key not in d:
         _require(not required, f"{path}.{key}", "required field missing")
         return default
-    v = d[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    return _number(d[key], f"{path}.{key}")
 
 
 def _get_int(d: dict, key: str, path: str, default=None, required=False):
@@ -91,7 +105,6 @@ class ScenarioConfig:
     mc_target_ci: float | None
     theta: float          # tangent anchor for the piecewise RF evaluator
     sha256: str = ""
-    source: str = ""
 
     def anchor_db(self) -> float:
         """Reference drive (dB) that an snr_db grid value replaces."""
@@ -156,19 +169,18 @@ def _parse_rf_hop(d, path) -> RfHopParams:
     _require(eps > 0.0, f"{path}.pa.epsilon", "must be > 0 (the PA would radiate nothing)")
     th = _get_number(pa, "theta_pa", f"{path}.pa", default=0.0)
     _require(0.0 <= th < 1.0, f"{path}.pa.theta_pa", "must be in [0,1)")
-    p_cons_db = _get_number(pa, "p_cons_db", f"{path}.pa", required=True)
-    _require(math.isfinite(p_cons_db), f"{path}.pa.p_cons_db", "must be finite")
+    p_cons = _db_to_linear(_get_number(pa, "p_cons_db", f"{path}.pa", required=True),
+                           f"{path}.pa.p_cons_db")
     if "p_max_db" in pa:
-        p_max_db = _get_number(pa, "p_max_db", f"{path}.pa")
-        _require(math.isfinite(p_max_db), f"{path}.pa.p_max_db", "must be finite")
-        p_max = _db_to_linear(p_max_db)
+        p_max = _db_to_linear(_get_number(pa, "p_max_db", f"{path}.pa"),
+                              f"{path}.pa.p_max_db")
     else:
         _require(th == 0.0, f"{path}.pa.p_max_db",
                  "required when theta_pa > 0 (the PA would radiate nothing)")
         p_max = math.inf
     try:
-        pa_config = PaConfig(eps, th, p_max, _db_to_linear(p_cons_db))
-    except SaturationError as exc:
+        pa_config = PaConfig(eps, th, p_max, p_cons)
+    except (ValueError, ArithmeticError) as exc:  # saturation, overflow
         raise ConfigError(f"{path}.pa: {exc}") from exc
     return RfHopParams(RicianFading(K, omega, N), pa_config, M, C, R)
 
@@ -198,9 +210,8 @@ def _parse_fso_hop(d, path, idx, rf):
     R = _get_number(d, "R", path, required=True)
     _require(R > 0.0, f"{path}.R", "must be > 0")
     if "p_tx_db" in d:
-        p_tx_db = _get_number(d, "p_tx_db", path)
-        _require(math.isfinite(p_tx_db), f"{path}.p_tx_db", "must be finite")
-        return FsoHopParams(gain, _db_to_linear(p_tx_db), M, Ct, R), None
+        p_tx = _db_to_linear(_get_number(d, "p_tx_db", path), f"{path}.p_tx_db")
+        return FsoHopParams(gain, p_tx, M, Ct, R), None
     _require(len(rf) > 0, f"{path}.p_tx_db",
              "required when there is no RF hop to couple to")
     partner = min(idx, len(rf) - 1)
@@ -218,7 +229,15 @@ def _parse_route_ref(ref, path, n_rf, n_fso):
     return kind, idx
 
 
-def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfig:
+def mc_config(trials: int, seed: int, target_ci: float | None) -> McConfig:
+    """`McConfig`, whose range errors become `mc: ...` config errors."""
+    try:
+        return McConfig(trials, seed, target_ci)
+    except ValueError as exc:
+        raise ConfigError(f"mc: {exc}") from exc
+
+
+def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
     _require(isinstance(doc, dict), "<root>", "config must be a mapping")
     known = {"rf_hops", "fso_hops", "routes", "sweep", "evaluators", "mc", "analysis"}
     for key in doc:
@@ -258,8 +277,7 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
     grid = sweep.get("grid")
     _require(isinstance(grid, list) and grid, "sweep.grid", "must be a nonempty list")
     for i, g in enumerate(grid):
-        _require(isinstance(g, (int, float)) and not isinstance(g, bool)
-                 and math.isfinite(g), f"sweep.grid[{i}]", f"expected a finite number, got {g!r}")
+        _number(g, f"sweep.grid[{i}]")
     _require(all(grid[i] < grid[i + 1] for i in range(len(grid) - 1)),
              "sweep.grid", "must be strictly increasing")
     if variable in ("N", "M", "routes"):
@@ -277,16 +295,12 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
         _require(tag in KNOWN_TAGS, f"evaluators[{i}]",
                  f"unknown method tag {tag!r} (known: {', '.join(KNOWN_TAGS)})")
 
-    mc = doc.get("mc", {})
-    _require(isinstance(mc, dict), "mc", "expected a mapping")
-    _reject_unknown(mc, ("trials", "seed", "target_ci"), "mc")
-    trials = _get_int(mc, "trials", "mc", default=1_000_000)
-    _require(trials >= 1_000, "mc.trials", "must be >= 1000")
-    seed = _get_int(mc, "seed", "mc", default=0)
-    _require(seed >= 0, "mc.seed", "must be >= 0")
-    target_ci = _get_number(mc, "target_ci", "mc", default=None)
-    if target_ci is not None:
-        _require(0.0 < target_ci < 1.0, "mc.target_ci", "must be in (0,1)")
+    mc_doc = doc.get("mc", {})
+    _require(isinstance(mc_doc, dict), "mc", "expected a mapping")
+    _reject_unknown(mc_doc, ("trials", "seed", "target_ci"), "mc")
+    mc = mc_config(_get_int(mc_doc, "trials", "mc", default=1_000_000),
+                   _get_int(mc_doc, "seed", "mc", default=0),
+                   _get_number(mc_doc, "target_ci", "mc", default=None))
 
     analysis = doc.get("analysis", {})
     _require(isinstance(analysis, dict), "analysis", "expected a mapping")
@@ -295,8 +309,8 @@ def parse_config(doc: dict, source: str = "", sha256: str = "") -> ScenarioConfi
     _require(theta > 0.0, "analysis.theta", "must be > 0")
 
     return ScenarioConfig(rf, fso, [c for _, c in fso_parsed], routes, variable,
-                          list(grid), list(evaluators), trials, seed, target_ci, theta,
-                          sha256=sha256, source=source)
+                          list(grid), list(evaluators), mc.trials, mc.seed, mc.target_ci,
+                          theta, sha256=sha256)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -310,4 +324,4 @@ def load_config(path: str) -> ScenarioConfig:
         doc = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"<file>: not parseable YAML: {exc}") from exc
-    return parse_config(doc, source=path, sha256=digest)
+    return parse_config(doc, sha256=digest)

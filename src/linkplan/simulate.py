@@ -47,7 +47,8 @@ BLOCK_TRIALS = 1 << 20
 # drive sweep takes further passes over the same substreams
 PASS_FLOATS = 8 * BLOCK_TRIALS
 
-# two-sided 95% normal quantile used by the Wilson interval
+# two-sided 95% normal quantile: the Wilson interval's z, and the factor
+# `validate` divides an MC half-width by to get its sigma
 _Z95 = 1.959963984540054
 
 # trials per Newton chunk of the MC required_snr pass: bounds its temporaries
@@ -75,23 +76,25 @@ class McPrecisionError(RuntimeError):
 @dataclass
 class McConfig:
     trials: int          # total trials (>= 1e3)
-    seed: int = 0        # base seed, 64-bit
+    seed: int = 0        # base seed, 64-bit (>= 0)
     target_ci: float | None = None  # optional relative half-width early stop
 
     def __post_init__(self):
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.target_ci is not None and not 0.0 < self.target_ci < 1.0:
             raise ValueError(f"target_ci must be in (0,1), got {self.target_ci}")
 
 
-def wilson_halfwidth(k: int, n: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval for k successes in n trials."""
+def wilson_halfwidth(k: int, n: int) -> float:
+    """Half-width of the Wilson 95% score interval for k successes in n trials."""
     if n == 0:
         return 1.0
     p = k / n
-    denom = 1.0 + z * z / n
-    return (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    denom = 1.0 + _Z95 * _Z95 / n
+    return (_Z95 / denom) * math.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4.0 * n * n))
 
 
 def _block_generator(seed: int, block: int, hop_index: int) -> np.random.Generator:

@@ -4,7 +4,8 @@ The standard functions come from scipy.special: `bessel_k` (K_nu),
 `expint_ei` (Ei) and `laguerre` (1F1) are named entry points over it that
 check their domain.  This module adds what scipy lacks:
 
-- the generalized hypergeometric series pFq;
+- the generalized hypergeometric series pFq, summed until a term falls
+  below `_SERIES_REL_TOL` of the total, at most `_SERIES_MAX_TERMS` terms;
 - the Gamma-Gamma log-gain density, on `kve`, for a float or an array;
 - one uniform log-gain grid per Gamma-Gamma law, with edges taken from the
   density's tails (the moment tables and the product CDF both use it);
@@ -15,7 +16,6 @@ All routines are real-valued double precision, pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,9 +23,7 @@ from numpy.fft import irfft, rfft
 from scipy.special import expi, hyp1f1, kv, kve
 
 __all__ = [
-    "SeriesControl",
     "ConvergenceError",
-    "DEFAULT_SERIES",
     "gen_hypergeometric",
     "bessel_k",
     "laguerre",
@@ -36,6 +34,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# pFq summation stops once a term is below this fraction of the total, and
+# raises after this many terms
+_SERIES_REL_TOL = 1e-12
+_SERIES_MAX_TERMS = 10_000
 # node cap of one Gamma-Gamma log-gain grid; past it the left tail is cut and
 # the caller's mass check decides whether the loss matters
 _GG_MAX_NODES = 1 << 17
@@ -48,22 +50,7 @@ class ConvergenceError(ArithmeticError):
     """A series or continued fraction failed to converge within its term cap."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    rel_tol: float = 1e-12   # relative size of the last summed term
-    max_terms: int = 10_000  # hard cap on summed terms
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
-
-
-def gen_hypergeometric(a_list, b_list, x, ctl: SeriesControl = DEFAULT_SERIES):
+def gen_hypergeometric(a_list, b_list, x):
     """Generalized hypergeometric pFq(a_list; b_list; x) by direct summation.
 
     Valid for p <= q (entire), or p == q+1 with |x| < 1.  Terminating series
@@ -82,7 +69,7 @@ def gen_hypergeometric(a_list, b_list, x, ctl: SeriesControl = DEFAULT_SERIES):
             )
     term = 1.0
     total = 1.0
-    for j in range(ctl.max_terms):
+    for j in range(_SERIES_MAX_TERMS):
         ratio = x / (j + 1.0)
         for a in a_list:
             ratio *= a + j
@@ -92,10 +79,10 @@ def gen_hypergeometric(a_list, b_list, x, ctl: SeriesControl = DEFAULT_SERIES):
         if term == 0.0:
             return total
         total += term
-        if abs(term) < ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) < _SERIES_REL_TOL * max(abs(total), 1e-300):
             return total
     raise ConvergenceError(
-        f"pFq series did not converge in {ctl.max_terms} terms (x={x})"
+        f"pFq series did not converge in {_SERIES_MAX_TERMS} terms (x={x})"
     )
 
 

@@ -753,8 +753,9 @@ def test_min_antennas_monotone_in_fso_target_power():
 
 
 def test_min_antennas_infeasible():
-    with pytest.raises(InfeasibleError):
-        min_rf_antennas(0.01, 1.0, PaConfig.ideal(1e-6), 5.0, n_cap=64)
+    # the cap of 1e6 antennas is reached after 20 doublings
+    with pytest.raises(InfeasibleError, match="up to 1000000"):
+        min_rf_antennas(0.01, 1.0, PaConfig.ideal(1e-6), 5.0)
 
 
 # ----------------------------------------------------------------------------

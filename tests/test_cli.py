@@ -323,6 +323,64 @@ def test_trials_flag_below_minimum_rejected(tmp_path, capsys):
     assert "mc:" in capsys.readouterr().err
 
 
+def test_non_finite_number_rejected(tmp_path, capsys):
+    # an infinite K once gave rate-sweep a nan row and exit 0
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["K"] = math.inf
+    _expect_config_error(tmp_path, capsys, doc, "rf_hops[0].K: must be finite",
+                         command="rate-sweep")
+
+
+@pytest.mark.parametrize("command", ["outage-sweep", "rate-sweep", "validate"])
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed must be >= 0, got -1"),  # once numpy's error on MC rows only
+    ("trials", 10, "trials must be >= 1000, got 10"),
+], ids=["seed", "trials"])
+def test_mc_flag_and_file_fail_alike(tmp_path, capsys, command, key, value, message):
+    # the flags and the file go through one range check
+    cfg = write_config(tmp_path, BASE)
+    assert main([command, "--config", cfg, f"--{key}", str(value)]) == 2
+    from_flag = capsys.readouterr().err
+    doc = copy.deepcopy(BASE)
+    doc["mc"][key] = value
+    assert main([command, "--config", write_config(tmp_path, doc, "file.yaml")]) == 2
+    assert capsys.readouterr().err == from_flag == f"config error: mc: {message}\n"
+
+
+@pytest.mark.parametrize("hop, key, value, fragment", [
+    ("rf", "p_max_db", 3100.0, "rf_hops[0].pa.p_max_db: 3100 dB"),
+    ("rf", "p_cons_db", 3100.0, "rf_hops[0].pa.p_cons_db: 3100 dB"),
+    ("rf", "p_cons_db", -4000.0, "rf_hops[0].pa.p_cons_db: -4000 dB"),  # 0 linear
+    ("fso", "p_tx_db", 3100.0, "fso_hops[0].p_tx_db: 3100 dB"),
+], ids=["p_max_db", "p_cons_db", "p_cons_db_underflow", "p_tx_db"])
+def test_out_of_range_power_is_config_error(tmp_path, capsys, hop, key, value, fragment):
+    # each of these once ended in an OverflowError or ValueError traceback
+    doc = copy.deepcopy(BASE)
+    if hop == "rf":
+        doc["rf_hops"][0]["pa"][key] = value
+    else:
+        doc["fso_hops"][0][key] = value
+    _expect_config_error(tmp_path, capsys, doc, fragment)
+
+
+def test_pa_overflow_is_config_error(tmp_path, capsys):
+    # the PA output (eps P_cons / P_max^theta)^(1/(1-theta)) is 1e10^100
+    with pytest.raises(OverflowError):
+        PaConfig(1.0, 0.99, 1.0, 1e10)
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["pa"].update({"theta_pa": 0.99, "p_max_db": 0.0, "p_cons_db": 100.0})
+    _expect_config_error(tmp_path, capsys, doc, "rf_hops[0].pa: ")
+
+
+def test_unwritable_out_is_reported(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------------------
 # min-antennas
 # ----------------------------------------------------------------------------
@@ -494,6 +552,21 @@ def test_evaluator_error_rows_exit3(tmp_path):
     row = data_rows(text)[0]
     assert row[2] == "nan"
     assert "single-shot" in row[4]
+
+
+@pytest.mark.parametrize("command, column", [("rate-sweep", 2), ("outage-sweep", 4)])
+def test_nan_variance_rows_name_the_surrogate(tmp_path, command, column):
+    # omega = 1e300 overflows the sum-gain variance; the linearized log
+    # surrogate's variance is then nan, which a `<= 0` check let through
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["omega"] = 1e300
+    doc["evaluators"] = ["rf_linearized_clt", "fso_clt"]
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
+    assert code == 3
+    rows = data_rows(text)
+    assert len(rows) == (3 if command == "rate-sweep" else 6)
+    for row in rows:
+        assert "linearized log surrogate variance nan is not > 0" in row[column], row
 
 
 def test_default_route_spans_all_hops(tmp_path):

@@ -4,11 +4,14 @@ parses with libyaml and reports YAML it cannot parse as a config error."""
 
 import copy
 import dataclasses
+import math
 import pathlib
 import re
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkplan import config
 from linkplan.analysis import FsoHopParams, RfHopParams
@@ -146,3 +149,37 @@ def test_yaml_1e5_trials_rejected(tmp_path):
     path.write_text(yaml.safe_dump(DOC) + "mc: {trials: 1e5}\n")
     with pytest.raises(ConfigError, match=r"mc\.trials: expected an integer, got '1e5'"):
         load_config(str(path))
+
+
+# ----------------------------------------------------------------------------
+# number fields
+# ----------------------------------------------------------------------------
+
+# every numeric field of DOC, as the path into the document: both RF hops
+# (one PA without p_max_db), both FSO laws (one hop coupled, without
+# p_tx_db), mc, analysis and the sweep grid; a missing field is added
+NUMBER_FIELDS = (
+    [("rf_hops", i, key) for i in (0, 1) for key in ("K", "omega", "R")]
+    + [("rf_hops", i, "pa", key) for i in (0, 1)
+       for key in ("epsilon", "theta_pa", "p_cons_db", "p_max_db")]
+    + [("fso_hops", 0, key) for key in ("lambda", "R", "p_tx_db")]
+    + [("fso_hops", 1, key) for key in ("a", "b", "R", "p_tx_db")]
+    + [("mc", "target_ci"), ("analysis", "theta"), ("sweep", "grid", 0)])
+
+
+def _field_name(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(NUMBER_FIELDS),
+       value=st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -(10**400)]))
+def test_non_finite_number_names_its_field(path, value):
+    doc = copy.deepcopy(DOC)
+    mapping = doc
+    for p in path[:-1]:
+        mapping = mapping.setdefault(p, {}) if isinstance(p, str) else mapping[p]
+    mapping[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"{_field_name(path)}: must be finite"

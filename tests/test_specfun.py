@@ -21,7 +21,6 @@ from linkplan.analysis import FsoHopParams, fso_moments
 from linkplan.channel import FsoExponential
 from linkplan.specfun import (
     ConvergenceError,
-    SeriesControl,
     bessel_k,
     expint_ei,
     gen_hypergeometric,
@@ -56,17 +55,11 @@ def test_hyp_3f3_frozen():
     assert_allclose(val, 0.94182379686644050, rtol=1e-13)
 
 
-def test_hyp_max_terms_enforced():
+def test_hyp_max_terms_enforced(monkeypatch):
     # exp(200) needs several hundred terms; a 100-term cap must fail loudly
-    with pytest.raises(ConvergenceError):
-        gen_hypergeometric([], [], 200.0, SeriesControl(max_terms=100))
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=5)
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.5)
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 100)
+    with pytest.raises(ConvergenceError, match="100 terms"):
+        gen_hypergeometric([], [], 200.0)
 
 
 # ----------------------------------------------------------------------------
