@@ -7,7 +7,7 @@ code paths, so each validates the other.
 
 The exact pieces are array or library evaluations: the RF sum-gain CDF is
 scipy's noncentral chi-square CDF `chndtr`, and the FSO log-rate moments of
-both gain laws are one trapezoid sum over a uniform table in ln G.
+both gain laws are one sum over `specfun.gamma_log_table` in ln G.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chndtr, polygamma
+from scipy.special import chndtr
 
 from . import hardware, specfun
 from .channel import (
@@ -60,6 +60,7 @@ __all__ = [
     "rf_ergodic_rate",
     "fso_ergodic_rate",
     "min_rf_antennas",
+    "check_hop",
     "hop_outage",
     "hop_ergodic_rate",
 ]
@@ -87,10 +88,8 @@ FSO_CLT = "fso_clt"
 FSO_PRODUCT_BOUND = "fso_product_bound"
 MONTE_CARLO = "monte_carlo"
 
-# log-gain spacing of the FSO moment tables: the trapezoid rule on an analytic
-# integrand converges geometrically, and dy <= 0.25 already matches 30-digit
-# quadrature within 6e-15
-_LOG_GAIN_DY = 0.1
+# FSO moment tables drop the weights below this: no moment moves beyond round-off
+_MOMENT_FLOOR = 1e-20
 # `min_rf_antennas` gives up past this antenna count
 _MAX_ANTENNAS = 1_000_000
 
@@ -230,18 +229,23 @@ def log_moments_piecewise(p: float, g: GaussianApprox, theta: float = 1.0):
     r = p * math.exp(-theta)
     d = (math.exp(theta) - 1.0) / p
     c2 = theta - r * d
-    mu = (
-        _kernel_q(p, 0.0, nz, nv, s)
-        - _kernel_q(p, 0.0, nz, nv, 0.0)
-        + _kernel_q(r, c2, nz, nv, math.inf)
-        - _kernel_q(r, c2, nz, nv, s)
-    )
-    second = (
-        _kernel_t(p, 0.0, nz, nv, s)
-        - _kernel_t(p, 0.0, nz, nv, 0.0)
-        + _kernel_t(r, c2, nz, nv, math.inf)
-        - _kernel_t(r, c2, nz, nv, s)
-    )
+    try:
+        mu = (
+            _kernel_q(p, 0.0, nz, nv, s)
+            - _kernel_q(p, 0.0, nz, nv, 0.0)
+            + _kernel_q(r, c2, nz, nv, math.inf)
+            - _kernel_q(r, c2, nz, nv, s)
+        )
+        second = (
+            _kernel_t(p, 0.0, nz, nv, s)
+            - _kernel_t(p, 0.0, nz, nv, 0.0)
+            + _kernel_t(r, c2, nz, nv, math.inf)
+            - _kernel_t(r, c2, nz, nv, s)
+        )
+    except OverflowError as exc:  # a float ** past 1.8e308 raises, not inf
+        raise ApproximationInvalidError(
+            f"piecewise log surrogate overflows at sum-gain mean {nz:g}, "
+            f"variance {nv:g}") from exc
     var = second - mu * mu
     if not var > 0:
         raise ApproximationInvalidError(
@@ -310,38 +314,16 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 
 @lru_cache(maxsize=64)
 def _log_gain_table(model):
-    """Nodes y = ln G and trapezoid weights f_Y(y) dy for the FSO gain law.
-
-    Both laws have a log-gain density that is analytic and decays
-    exponentially at both ends, so one uniform table integrates any smooth
-    function of y to full precision.  A table whose mass is off 1 by more
-    than 1e-10 raises `ConvergenceError`; a raise is not cached, so it
-    recurs on every call.  The table depends only on the (frozen) model, so
-    it is built once per model and returned read-only.
-    """
+    """Read-only nodes y = ln G and weights above `_MOMENT_FLOOR` (one run:
+    the weights are unimodal), once per model: Gamma-Gamma is the product of
+    unit-mean Gamma factors a and b, exponential a shape-1 factor over lam."""
     if isinstance(model, FsoExponential):
-        # f_Y = lam e^y exp(-lam e^y): the left tail decays like lam e^y, the
-        # right one like exp(-lam e^y); both edges sit below e^-60
-        lam, dy = model.lam, _LOG_GAIN_DY
-        k_lo = math.floor((-62.0 - math.log(lam)) / dy)
-        k_hi = math.ceil((math.log(60.0 / lam) + 2.0) / dy)
-        y = np.arange(k_lo, k_hi + 1) * dy
-        pdf = np.exp(math.log(lam) + y - lam * np.exp(y))
-        law = f"exponential lam = {lam:g}"
+        y, w = specfun.gamma_log_table((1.0,))
+        y = y - math.log(model.lam)
     else:
-        a, b = model.a, model.b
-        # at least two nodes per standard deviation of ln G, whose variance
-        # is psi'(a) + psi'(b); that narrows the spacing only once a and b
-        # reach ~50
-        dy = min(_LOG_GAIN_DY,
-                 0.5 * math.sqrt(float(polygamma(1, a) + polygamma(1, b))))
-        y, pdf = specfun.gg_log_grid(a, b, dy)
-        law = f"Gamma-Gamma (a, b) = ({a:g}, {b:g})"
-    w = pdf * dy
-    mass = w.sum()
-    if abs(mass - 1.0) > 1e-10:
-        raise specfun.ConvergenceError(
-            f"log-gain table holds mass {mass:.17g} for {law}")
+        y, w = specfun.gamma_log_table((model.a, model.b))
+    keep = w > _MOMENT_FLOOR
+    y, w = y[keep], w[keep]
     y.flags.writeable = w.flags.writeable = False
     return y, w
 
@@ -364,12 +346,16 @@ def fso_outage_clt(h: FsoHopParams) -> OutageEstimate:
     return OutageEstimate(value, FSO_CLT)
 
 
+def _product_bound_applies(h: FsoHopParams):
+    if not isinstance(h.model, FsoGammaGamma):
+        raise TypeError("product bound requires the Gamma-Gamma model")
+
+
 def fso_outage_product_bound(h: FsoHopParams) -> OutageEstimate:
     """Upper bound on FSO outage for short codewords: the accumulated rate is
     lower-bounded through the product of gains (arithmetic-geometric step),
     turning outage into a product-of-variates CDF evaluation."""
-    if not isinstance(h.model, FsoGammaGamma):
-        raise TypeError("product bound requires the Gamma-Gamma model")
+    _product_bound_applies(h)
     n = h.M * h.C_tilde
     thr = ((math.exp(h.R / h.M) - 1.0) / h.p_tx) ** n
     value = specfun.gg_product_cdf(h.model.a, h.model.b, n, thr)
@@ -489,20 +475,30 @@ RF_TAGS = tuple(_RF_EVALUATORS)
 FSO_TAGS = tuple(_FSO_EVALUATORS)
 
 
+def check_hop(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):
+    """Raise, before any numerics, for an unknown method tag or a product
+    bound on a hop that is not Gamma-Gamma; a mesh checks every hop first."""
+    if isinstance(hop, RfHopParams):
+        kind, method, known = "RF", rf_method, _RF_EVALUATORS
+    elif isinstance(hop, FsoHopParams):
+        kind, method, known = "FSO", fso_method, _FSO_EVALUATORS
+    else:
+        raise TypeError(f"unsupported hop type {type(hop).__name__}")
+    if method not in known:
+        raise ValueError(f"unknown {kind} method {method!r}")
+    if method == FSO_PRODUCT_BOUND:
+        _product_bound_applies(hop)
+
+
 def hop_outage(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,
                theta: float = 1.0) -> OutageEstimate:
     """Evaluate one hop with the chosen analytic method tags."""
-    if isinstance(hop, RfHopParams):
-        if rf_method not in _RF_EVALUATORS:
-            raise ValueError(f"unknown RF method {rf_method!r}")
-        if rf_method == RF_PIECEWISE:
-            return rf_outage_piecewise(hop, theta)
-        return _RF_EVALUATORS[rf_method](hop)
+    check_hop(hop, rf_method, fso_method)
     if isinstance(hop, FsoHopParams):
-        if fso_method not in _FSO_EVALUATORS:
-            raise ValueError(f"unknown FSO method {fso_method!r}")
         return _FSO_EVALUATORS[fso_method](hop)
-    raise TypeError(f"unsupported hop type {type(hop).__name__}")
+    if rf_method == RF_PIECEWISE:
+        return rf_outage_piecewise(hop, theta)
+    return _RF_EVALUATORS[rf_method](hop)
 
 
 def hop_ergodic_rate(hop) -> float:

@@ -18,6 +18,7 @@ from .analysis import (
     FsoHopParams,
     OutageEstimate,
     RfHopParams,
+    check_hop,
     hop_ergodic_rate,
     hop_outage,
 )
@@ -68,27 +69,37 @@ def _method_label(estimates):
     return tags[0] if len(tags) == 1 else "+".join(tags)
 
 
+def _each(label, items, fn):
+    """[fn(item) for item in items]; what fn(items[j]) raises gets `label j: `."""
+    out = []
+    for j, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except Exception as exc:
+            raise type(exc)(f"{label} {j}: {exc}") from exc
+    return out
+
+
+def _check_route(route: Route, rf_method: str, fso_method: str):
+    _each("hop", route.hops, lambda h: check_hop(h, rf_method, fso_method))
+
+
 def route_outage(route: Route, rf_method: str = RF_LINEARIZED,
                  fso_method: str = FSO_CLT, theta: float = 1.0) -> OutageEstimate:
-    """Analytic route outage: evaluate each hop, compose serially."""
-    ests = []
-    for j, hop in enumerate(route.hops):
-        try:
-            ests.append(hop_outage(hop, rf_method, fso_method, theta))
-        except Exception as exc:
-            raise type(exc)(f"hop {j}: {exc}") from exc
+    """Analytic route outage: check every hop, evaluate each, compose serially."""
+    _check_route(route, rf_method, fso_method)
+    ests = _each("hop", route.hops,
+                 lambda h: hop_outage(h, rf_method, fso_method, theta))
     return OutageEstimate(_combine_serial(ests), _method_label(ests))
 
 
 def mesh_outage(mesh: MeshNetwork, rf_method: str = RF_LINEARIZED,
                 fso_method: str = FSO_CLT, theta: float = 1.0) -> OutageEstimate:
-    """Mesh (all-routes-fail) outage: product over route outages."""
-    ests = []
-    for j, r in enumerate(mesh.routes):
-        try:
-            ests.append(route_outage(r, rf_method, fso_method, theta))
-        except Exception as exc:
-            raise type(exc)(f"route {j}: {exc}") from exc
+    """Mesh (all-routes-fail) outage: product over route outages, once every
+    hop of every route has passed `check_hop`."""
+    _each("route", mesh.routes, lambda r: _check_route(r, rf_method, fso_method))
+    ests = _each("route", mesh.routes,
+                 lambda r: route_outage(r, rf_method, fso_method, theta))
     value = math.prod(sorted(e.value for e in ests))
     return OutageEstimate(value, _method_label(ests))
 

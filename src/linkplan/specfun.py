@@ -6,10 +6,10 @@ check their domain.  This module adds what scipy lacks:
 
 - the generalized hypergeometric series pFq, summed until a term falls
   below `_SERIES_REL_TOL` of the total, at most `_SERIES_MAX_TERMS` terms;
-- the Gamma-Gamma log-gain density, on `kve`, for a float or an array;
-- one uniform log-gain grid per Gamma-Gamma law, with edges taken from the
-  density's tails (the moment tables and the product CDF both use it);
-- the CDF of a product of i.i.d. Gamma-Gamma gains.
+- the Gamma-Gamma log-gain density, on `kve` (`channel.fso_pdf` reads it);
+- one table of ln of a product of unit-mean Gamma factors, by direct
+  convolution: the FSO moments and the Gamma-Gamma product CDF read it;
+- the CDF of a product of i.i.d. Gamma-Gamma gains, one `gammainc` sum.
 
 All routines are real-valued double precision, pure and thread-safe.
 """
@@ -19,8 +19,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
-from scipy.special import expi, hyp1f1, kv, kve
+from scipy.special import expi, gammainc, gammaincc, hyp1f1, kv, kve, polygamma
 
 __all__ = [
     "ConvergenceError",
@@ -29,7 +28,7 @@ __all__ = [
     "laguerre",
     "expint_ei",
     "gg_log_density",
-    "gg_log_grid",
+    "gamma_log_table",
     "gg_product_cdf",
 ]
 
@@ -38,12 +37,13 @@ _LOG2 = math.log(2.0)
 # raises after this many terms
 _SERIES_REL_TOL = 1e-12
 _SERIES_MAX_TERMS = 10_000
-# node cap of one Gamma-Gamma log-gain grid; past it the left tail is cut and
-# the caller's mass check decides whether the loss matters
-_GG_MAX_NODES = 1 << 17
-# product-CDF grid spacing in ln G: the CDF is a trapezoid cumulative, O(dy^2)
-# accurate, so it needs a finer grid than the spectrally accurate moment tables
-_GG_PRODUCT_DY = 24.0 / 4096.0
+# log-gain tables: largest node spacing (a shape-k factor's trapezoid error
+# falls like e^{-pi^2/dy}), node cap (past it the left tail is cut), and the
+# smallest weight kept (CDFs above 1e-280 keep their relative precision, and
+# no denormal reaches a convolution)
+_TABLE_DY = 0.2
+_TABLE_MAX_NODES = 1 << 14
+_TABLE_FLOOR = 1e-300
 
 
 class ConvergenceError(ArithmeticError):
@@ -146,49 +146,61 @@ def _log_kv(nu, log_z):
     return out
 
 
-def gg_log_grid(a, b, dy):
-    """Nodes y_k = k*dy in y = ln G and the Gamma-Gamma density f_Y there.
+def _gamma_log_weights(k, dy):
+    """(first node index j0, weights f(y_j) dy on the nodes y_j = j dy) of
+    ln X, X a unit-mean Gamma(k) variate: f(y) = k^k e^{ky - k e^y}/Gamma(k).
+    The left tail decays like e^{ky}, the right one like exp(-k e^y)."""
+    c = k * math.log(k) - k - math.lgamma(k)
+    # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth
+    depth = -math.log(_TABLE_FLOOR / dy) + abs(c)
+    j_hi = math.ceil((math.log1p(2.0 * depth / k) + 1.0) / dy)
+    j_lo = max(math.floor(-(depth / k + 1.0) / dy), j_hi - _TABLE_MAX_NODES + 1)
+    y = np.arange(j_lo, j_hi + 1) * dy
+    return _trim(j_lo, np.exp(k * (y - np.expm1(y)) + c) * dy)
 
-    The nodes span every y where f_Y is above about e^-60: the left tail of
-    ln G decays like e^{min(a,b) y}, the right one like
-    exp(-2 sqrt(ab) e^{y/2}) times a power of e^y that grows with a + b.
-    At most `_GG_MAX_NODES` nodes are returned; past the cap the left edge
-    moves right, so callers must check the mass the grid holds.
-    """
-    lo = -60.0 / min(a, b) - 2.0
-    hi = 2.0 * math.log((60.0 + 2.0 * (a + b)) / (2.0 * math.sqrt(a * b))) + 2.0
-    k_hi = math.ceil(hi / dy)
-    k_lo = max(math.floor(lo / dy), k_hi - _GG_MAX_NODES + 1)
-    y = np.arange(k_lo, k_hi + 1) * dy
-    return y, np.exp(gg_log_density(y, a, b))
+
+def _trim(j0, w):
+    """Drop the end nodes below `_TABLE_FLOOR`, and left-tail nodes past the cap."""
+    keep = np.flatnonzero(w >= _TABLE_FLOOR)
+    lo = max(keep[0], keep[-1] + 1 - _TABLE_MAX_NODES)
+    return j0 + lo, w[lo:keep[-1] + 1]
 
 
 @lru_cache(maxsize=64)
-def _gg_sum_table(a, b, n):
-    """(edges of the one-gain grid, density, trapezoid cumulative) of the sum
-    of n i.i.d. Gamma-Gamma log-gains on the spacing-`_GG_PRODUCT_DY` grid,
-    n >= 2: the n-fold self-convolution of the log-gain density by FFT.  It
-    depends only on (a, b, n), so it is built once and returned read-only;
-    the support of the sum starts at n times the left edge."""
-    dy = _GG_PRODUCT_DY
-    grid, pdf = gg_log_grid(a, b, dy)
-    size = n * (len(pdf) - 1) + 1  # support of the n-fold sum: no wrap-around
-    nfft = 1 << (size - 1).bit_length()  # the table is cached: a power of two is cheap
-    dens = irfft(rfft(pdf, nfft) ** n, nfft)[:size] * dy ** (n - 1)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
-    dens.flags.writeable = cum.flags.writeable = False
-    return (grid[0], grid[-1]), dens, cum
+def gamma_log_table(shapes):
+    """Nodes y and weights w of ln(X_1 ... X_m) for independent unit-mean
+    Gamma(shapes[i]) factors X_i: E[h(ln prod X)] = sum w h(y) for smooth h.
+
+    Each factor's log-density is analytic and decays exponentially at both
+    ends, so its trapezoid weights are exact to round-off once the spacing
+    resolves the narrowest factor: two nodes per standard deviation
+    sqrt(psi'(k)) of its ln.  Direct convolution keeps every weight's
+    relative precision deep in the tails, where an FFT adds 1e-16 times the
+    peak.  A mass off 1 by more than 1e-10 (the node cap cut a heavy left
+    tail) raises `ConvergenceError`, on every call.  The arrays are read-only.
+    """
+    dy = min(_TABLE_DY, 0.5 * math.sqrt(float(polygamma(1, max(shapes)))))
+    j0, w = 0, np.ones(1)
+    for k in sorted(shapes, reverse=True):  # narrow factors first: short operands
+        j, f = _gamma_log_weights(k, dy)
+        j0, w = _trim(j0 + j, np.convolve(w, f))
+    mass = w.sum()
+    if abs(mass - 1.0) > 1e-10:
+        raise ConvergenceError(
+            f"log-gain table of Gamma factors ({', '.join(f'{k:g}' for k in shapes)}) "
+            f"holds mass {mass:.17g}")
+    y = (j0 + np.arange(len(w))) * dy
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
 
 
 def gg_product_cdf(a, b, n, x):
     """CDF at x of the product of n i.i.d. Gamma-Gamma(a, b) gains.
 
-    n = 1 integrates the log-gain density over one tail by scipy's `quad`;
-    this is the only call that imports `scipy.integrate`, so the package
-    does not pay for it at import.  n in 2..6 forms the n-fold
-    self-convolution of the density on its log-gain grid by numpy's real
-    FFT (once per (a, b, n), zero-padded to a power of two) and integrates
-    that sum density up to ln x.
+    The product is one unit-mean Gamma(s) factor, s = min(a, b), times the
+    other 2n - 1 factors Z, so F(x) = E[P(s, s x / Z)], P the regularized
+    lower incomplete gamma function: one sum over `gamma_log_table` of ln Z,
+    taken on the target's tail side (1 - sum w Q above the median).
     """
     if n < 1 or n != int(n):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -198,41 +210,12 @@ def gg_product_cdf(a, b, n, x):
         raise ValueError("shaping parameters must be positive")
     if x <= 0:
         return 0.0
-    target = math.log(x)
     n = int(n)
-    if n == 1:
-        from scipy.integrate import quad  # only here: it imports 0.3 s of scipy
-
-        def density(y):
-            return math.exp(gg_log_density(y, a, b))
-
-        # integrate the tail on the target's side of y = 0, where the bulk of
-        # ln G sits (E[G] = 1), so values near 0 or 1 keep full precision
-        if target <= 0.0:
-            val = quad(density, -math.inf, target, limit=200)[0]
-        else:
-            val = 1.0 - quad(density, target, math.inf, limit=200)[0]
-        return float(min(1.0, max(0.0, val)))
-
-    edges, dens, cum = _gg_sum_table(a, b, n)
-    dy = _GG_PRODUCT_DY
-    # support of the n-fold convolution starts at n*lo with spacing dy
-    start = n * edges[0]
-    if target <= start:
-        return 0.0
-    idx = (target - start) / dy
-    k = int(math.floor(idx))
-    if k >= len(dens) - 1:
-        return 1.0
-    # trapezoid cumulative up to grid point k, then linear fraction of the cell
-    frac = idx - k
-    partial = dy * frac * (dens[k] + 0.5 * frac * (dens[k + 1] - dens[k]))
-    val = cum[k] + partial
-    total = cum[-1]
-    if 1.0 - total > 1e-6:
-        # the node cap cut the left tail of ln G (very small a or b)
-        raise ConvergenceError(
-            f"product-CDF grid [{edges[0]:g}, {edges[1]:g}] loses mass "
-            f"{1.0 - total:.3g} for (a, b, n) = ({a:g}, {b:g}, {n})")
-    # normalize out the residual discretization and truncation (<= 1e-6)
-    return float(min(1.0, max(0.0, val / total)))
+    s = min(a, b)
+    y, w = gamma_log_table((max(a, b),) * n + (s,) * (n - 1))
+    # P(s, z) is 1 long before z = e^700 and Q(s, z) 0
+    z = np.exp(np.minimum(math.log(s * x) - y, 700.0))
+    lower = float(w @ gammainc(s, z))
+    if lower <= 0.5:
+        return lower
+    return float(1.0 - w @ gammaincc(s, z))

@@ -275,6 +275,17 @@ def test_piecewise_rejects_bad_theta():
         rf_outage_piecewise(h, theta=0.0)
 
 
+def test_piecewise_overflow_names_the_surrogate():
+    # omega = 1e300 makes the sum-gain variance inf, and the kernels' float
+    # ** then raises a bare OverflowError (34, 'Numerical result out of
+    # range'); the error must name the surrogate, as the linearized one does
+    h = RfHopParams(fading=RicianFading(2.0, 1e300, 40), pa=PaConfig.ideal(1.0),
+                    M=2, C=5, R=2.0)
+    with pytest.raises(ApproximationInvalidError,
+                       match="piecewise log surrogate overflows .* variance inf"):
+        rf_outage_piecewise(h)
+
+
 # ----------------------------------------------------------------------------
 # linearized-CDF surrogate
 # ----------------------------------------------------------------------------
@@ -458,13 +469,15 @@ def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
     # built under the real cap cannot answer for the patched one
     from linkplan.analysis import _log_gain_table
     _log_gain_table.cache_clear()
-    monkeypatch.setattr(specfun, "_GG_MAX_NODES", 1000)
+    specfun.gamma_log_table.cache_clear()
+    monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 1000)
     try:
         for _ in range(2):
-            with pytest.raises(ConvergenceError, match=r"\(12, 0.1\)"):
+            with pytest.raises(ConvergenceError, match=r"\(12, 0.1\) holds mass"):
                 fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=1.0))
     finally:
         _log_gain_table.cache_clear()
+        specfun.gamma_log_table.cache_clear()
 
 
 def test_fso_gg_moments_quadrature():
@@ -844,6 +857,21 @@ def test_fso_outage_monotone():
             assert 0.0 <= v <= 1.0
             vals.append(v)
         assert all(v2 <= v1 + 1e-15 for v1, v2 in zip(vals, vals[1:]))
+
+
+def test_log_gain_tables_come_from_one_gamma_factor_builder():
+    # Gamma-Gamma: the factors (a, b); exponential: one shape-1 factor moved
+    # by -ln lam; a moment table keeps the builder's weights above the floor
+    from linkplan.analysis import _MOMENT_FLOOR, _log_gain_table
+    for model, shapes, shift in ((FsoGammaGamma(3.1, 1.7), (3.1, 1.7), 0.0),
+                                 (FsoExponential(0.5), (1.0,), math.log(2.0)),
+                                 (FsoExponential(4.0), (1.0,), -math.log(4.0))):
+        y_all, w_all = specfun.gamma_log_table(shapes)
+        keep = w_all > _MOMENT_FLOOR
+        y, w = _log_gain_table(model)
+        assert np.array_equal(w, w_all[keep])
+        assert np.array_equal(y, y_all[keep] + shift)
+        assert not y.flags.writeable and not w.flags.writeable
 
 
 def test_log_gain_table_built_once_read_only():

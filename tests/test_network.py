@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from linkplan.analysis import (
     FSO_CLT,
+    FSO_PRODUCT_BOUND,
     RF_LINEARIZED,
     RF_SINGLE_SHOT,
     FsoHopParams,
@@ -168,6 +169,38 @@ def test_route_error_is_prefixed_with_index():
     mesh = MeshNetwork(routes=(Route(hops=(_rf(0.1),)), bad))
     with pytest.raises(ValueError, match=r"route 1: hop 0: single-shot"):
         mesh_outage(mesh, rf_method=RF_SINGLE_SHOT)
+
+
+def test_product_bound_rejected_before_any_hop_is_evaluated(monkeypatch):
+    # route 0 can take the product bound, route 1's exponential hop cannot:
+    # the mesh must refuse before it computes route 0's product CDF, and a
+    # route before it computes the CDF of its Gamma-Gamma hop
+    from linkplan import specfun
+    calls = []
+    real = specfun.gg_product_cdf
+    monkeypatch.setattr(specfun, "gg_product_cdf",
+                        lambda *args: calls.append(args) or real(*args))
+    gg_hop = _fso(2.0, m=2, c=3, model=GG)
+    gg_route = Route(hops=(_rf(0.1), gg_hop))
+    mesh = MeshNetwork(routes=(gg_route, Route(hops=(_rf(0.1), _fso(2.0)))))
+    with pytest.raises(TypeError, match=r"^route 1: hop 1: product bound "
+                                        r"requires the Gamma-Gamma model$"):
+        mesh_outage(mesh, fso_method=FSO_PRODUCT_BOUND)
+    with pytest.raises(TypeError, match=r"^hop 1: product bound"):
+        route_outage(Route(hops=(gg_hop, _fso(2.0))), fso_method=FSO_PRODUCT_BOUND)
+    assert calls == []
+    mesh_outage(MeshNetwork(routes=(gg_route,)), fso_method=FSO_PRODUCT_BOUND)
+    assert len(calls) == 1
+
+
+def test_unknown_method_rejected_before_any_hop_is_evaluated(monkeypatch):
+    # an RF tag given to the FSO slot fails on route 1 before route 0 runs
+    import linkplan.analysis as an
+    monkeypatch.setitem(an._RF_EVALUATORS, RF_LINEARIZED,
+                        lambda h: pytest.fail("route 0 was evaluated"))
+    mesh = MeshNetwork(routes=(Route(hops=(_rf(0.1),)), Route(hops=(_fso(2.0),))))
+    with pytest.raises(ValueError, match=r"^route 1: hop 0: unknown FSO method"):
+        mesh_outage(mesh, fso_method=RF_LINEARIZED)
 
 
 def test_routes_tuple_frozen():

@@ -233,20 +233,21 @@ def test_gg_product_cdf_mc_oracle():
 
 
 def test_gg_product_cdf_grid_loss_is_loud(monkeypatch):
-    # a node cap of 4096 cuts the grid to the old fixed span of 24 in ln G,
-    # and b = 0.5 puts 3.4e-4 of ln G below its left edge: the n = 2
-    # convolution must refuse rather than renormalize the loss away, on every
-    # call, though the sum table is built once; the cache is cleared so that
-    # tables built under the real cap neither hide nor outlive the patch
-    specfun._gg_sum_table.cache_clear()
-    monkeypatch.setattr(specfun, "_GG_MAX_NODES", 4096)
+    # a node cap of 200 cuts the n = 2 table of ln Z, Z the product of the
+    # Gamma factors (2, 2, 0.5), to a span of 40 in ln G, which loses 7e-6
+    # of its mass: the product CDF must refuse rather than return a CDF of
+    # the lost mass, on every call (a raise is not cached); the cache is
+    # cleared so that tables built under the real cap neither hide nor
+    # outlive the patch
+    specfun.gamma_log_table.cache_clear()
+    monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 200)
     try:
         for _ in range(2):
-            with pytest.raises(ConvergenceError, match=r"\(2, 0.5, 2\)"):
+            with pytest.raises(ConvergenceError, match=r"\(2, 2, 0.5\) holds mass"):
                 gg_product_cdf(2.0, 0.5, 2, 0.5)
-        assert specfun._gg_sum_table.cache_info().misses == 1
+        assert specfun.gamma_log_table.cache_info().currsize == 0
     finally:
-        specfun._gg_sum_table.cache_clear()
+        specfun.gamma_log_table.cache_clear()
 
 
 @pytest.mark.parametrize("a, b, x, ref, three_sigma", [
@@ -259,40 +260,158 @@ def test_gg_product_cdf_small_shaping_mc_oracle(a, b, x, ref, three_sigma):
     assert abs(gg_product_cdf(a, b, 2, x) - ref) < three_sigma
 
 
-def _direct_product_cdf_at_nodes(a, b, n):
-    """(x, CDF) at every node of the n-fold sum grid, by direct np.convolve
-    of the log-gain density and a trapezoid cumulative."""
-    dy = specfun._GG_PRODUCT_DY
-    y, pdf = specfun.gg_log_grid(a, b, dy)
-    dens = pdf
-    for _ in range(n - 1):
-        dens = np.convolve(dens, pdf) * dy
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dy)))
-    return np.exp(n * y[0] + dy * np.arange(len(dens))), cum / cum[-1]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_gg_product_cdf_fft_matches_direct_convolution(n):
-    xs, ref = _direct_product_cdf_at_nodes(GG_A, GG_B, n)
-    keep = (xs > 1e-40) & (xs < 1e10)
-    idx = np.flatnonzero(keep)[::97]
-    got = np.array([gg_product_cdf(GG_A, GG_B, n, float(x)) for x in xs[idx]])
-    assert ref[idx].min() < 1e-10 and ref[idx].max() > 1.0 - 1e-10
-    assert_allclose(got, ref[idx], rtol=1e-9, atol=1e-14)
-
-
 def test_gg_product_order_cap():
     with pytest.raises(ValueError):
         gg_product_cdf(GG_A, GG_B, 7, 1.0)
 
 
 def test_gg_product_sum_table_built_once_read_only():
-    # the n-fold sum table depends on (a, b, n) alone: every x reads the same
-    # read-only arrays
-    specfun._gg_sum_table.cache_clear()
+    # the table of ln of the other 2n - 1 Gamma factors depends on (a, b, n)
+    # alone: every x reads the same read-only arrays
+    specfun.gamma_log_table.cache_clear()
     values = [gg_product_cdf(GG_A, GG_B, 3, x) for x in (0.05, 0.5, 2.0)]
-    info = specfun._gg_sum_table.cache_info()
+    info = specfun.gamma_log_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    _, dens, cum = specfun._gg_sum_table(GG_A, GG_B, 3)
-    assert not dens.flags.writeable and not cum.flags.writeable
+    y, w = specfun.gamma_log_table((GG_A,) * 3 + (GG_B,) * 2)
+    assert not y.flags.writeable and not w.flags.writeable
     assert 0.0 < values[0] < values[1] < values[2] < 1.0
+
+
+def _meijer_g_cdf(a, b, n, x):
+    """(F, 1 - F) of the product of n i.i.d. unit-mean Gamma-Gamma(a, b)
+    gains at x, by 30-digit mpmath: with Z the product of the 2n
+    unit-rate Gamma variates, F = G^{2n,1}_{1,2n+1}(z | 1; k, 0) and
+    1 - F = G^{2n+1,0}_{1,2n+1}(z | 1; 0, k) over prod Gamma(k_i),
+    z = x (ab)^n."""
+    with mpmath.workdps(30):
+        ks = [a] * n + [b] * n
+        z = mpmath.mpf(x) * mpmath.mpf(a * b) ** n
+        norm = mpmath.fprod(mpmath.gamma(k) for k in ks)
+        return (float(mpmath.meijerg([[1], []], [ks, [0]], z) / norm),
+                float(mpmath.meijerg([[], [1]], [[0] + ks, []], z) / norm))
+
+
+# (F, 1 - F) at x = MEIJER_G_X, frozen from `_meijer_g_cdf`; the (50, 40)
+# points at n = 5, 6 and x >= 1e-3, where mpmath's Meijer-G series does not
+# converge, come from 90-digit Gil-Pelaez inversion of the exact
+# characteristic function prod Gamma(k + it) k^{-it} / Gamma(k) of ln Z,
+# which matches the Meijer-G values at n = 3, 4 to 20 digits
+MEIJER_G_X = (1e-9, 1e-3, 1.0, 4.0)
+MEIJER_G_CDF = {
+    (4.3939, 2.5636, 1): [
+        (1.101967616226652e-22, 1.0), (2.628239662625257e-07, 0.9999997371760337),
+        (0.6266221059503052, 0.3733778940496948), (0.9893163660304415, 0.010683633969558508)],
+    (4.3939, 2.5636, 2): [
+        (5.785111867034692e-20, 1.0), (1.9381124929853283e-05, 0.9999806188750702),
+        (0.693215731191744, 0.30678426880825604), (0.9647268332260633, 0.035273166773936694)],
+    (4.3939, 2.5636, 3): [
+        (1.0877862016423999e-17, 1.0), (0.00027342909768493767, 0.9997265709023151),
+        (0.7384422927158655, 0.26155770728413447), (0.9533545138429828, 0.04664548615701725)],
+    (4.3939, 2.5636, 4): [
+        (9.521740319867031e-16, 0.999999999999999), (0.0015499057701230058, 0.998450094229877),
+        (0.773073379101474, 0.226926620898526), (0.9493999146994069, 0.050600085300593116)],
+    (4.3939, 2.5636, 5): [
+        (4.3685899383028347e-14, 0.9999999999999564), (0.005197683763154412, 0.9948023162368456),
+        (0.801021640125121, 0.19897835987487894), (0.949064929669216, 0.050935070330784)],
+    (4.3939, 2.5636, 6): [
+        (1.1519836011686038e-12, 0.999999999998848), (0.012616088764116176, 0.9873839112358839),
+        (0.824256619237851, 0.17574338076214904), (0.9505358803049959, 0.04946411969500413)],
+    (2.0, 0.5, 1): [
+        (3.162277658060261e-05, 0.9999683772234194), (0.031602348943960905, 0.9683976510560391),
+        (0.7293294335267746, 0.2706705664732254), (0.9450530833337975, 0.05494691666620254)],
+    (2.0, 0.5, 2): [
+        (0.00034218713227036283, 0.9996578128677296), (0.12384637626615815, 0.8761536237338419),
+        (0.8331739523867344, 0.1668260476132656), (0.9451436462541238, 0.05485635374587612)],
+    (2.0, 0.5, 3): [
+        (0.0018064319619234645, 0.9981935680380766), (0.2559375760701263, 0.7440624239298738),
+        (0.890381448147321, 0.10961855185267895), (0.9579728324577027, 0.04202716754229731)],
+    (2.0, 0.5, 4): [
+        (0.0063098827240031154, 0.9936901172759969), (0.3956926015236244, 0.6043073984763756),
+        (0.9257607311839298, 0.07423926881607024), (0.9692305687673437, 0.030769431232656352)],
+    (2.0, 0.5, 5): [
+        (0.016655063653370543, 0.9833449363466295), (0.5234383594528527, 0.47656164054714734),
+        (0.9488034180058782, 0.05119658199412181), (0.9777409846003864, 0.022259015399613585)],
+    (2.0, 0.5, 6): [
+        (0.03587030250688093, 0.964129697493119), (0.6314130462253241, 0.3685869537746759),
+        (0.9642609880582445, 0.0357390119417556), (0.9839459631329018, 0.016054036867098196)],
+    (12.0, 0.1, 1): [
+        (0.10560470201502979, 0.8943952979849702), (0.420415683595936, 0.5795843164040639),
+        (0.8307111246129404, 0.16928887538705958), (0.9293713491137516, 0.07062865088624841)],
+    (12.0, 0.1, 2): [
+        (0.30183172322984925, 0.6981682767701508), (0.7143848783379464, 0.2856151216620536),
+        (0.9397809545751005, 0.06021904542489955), (0.9686126319689582, 0.031387368031041814)],
+    (12.0, 0.1, 3): [
+        (0.5138591484449202, 0.48614085155507974), (0.8670396714690429, 0.13296032853095707),
+        (0.9765518099224392, 0.023448190077560868), (0.9869989716462737, 0.013001028353726253)],
+    (12.0, 0.1, 4): [
+        (0.6897987246704773, 0.31020127532952263), (0.9395330985360799, 0.06046690146392011),
+        (0.9904777553265746, 0.009522244673425469), (0.9945624129291375, 0.005437587070862501)],
+    (12.0, 0.1, 5): [
+        (0.8146222403658531, 0.18537775963414688), (0.9727867585626895, 0.027213241437310534),
+        (0.9960368984271232, 0.003963101572876843), (0.9976971720538534, 0.002302827946146579)],
+    (12.0, 0.1, 6): [
+        (0.8945692506858055, 0.10543074931419444), (0.9878107722016686, 0.012189227798331469),
+        (0.9983236700638747, 0.0016763299361252741), (0.9990146239024544, 0.000985376097545609)],
+    (8.0, 1.0, 1): [
+        (1.1428571420952382e-09, 0.9999999988571429), (0.0011420956442413782, 0.9988579043557586),
+        (0.6524529820295907, 0.34754701797040927), (0.974018297539449, 0.02598170246055101)],
+    (8.0, 1.0, 2): [
+        (2.6325577290362336e-08, 0.9999999736744227), (0.008289547950265706, 0.9917104520497343),
+        (0.7401434517978724, 0.25985654820212756), (0.9478421265883122, 0.0521578734116878)],
+    (8.0, 1.0, 3): [
+        (2.848512397775117e-07, 0.9999997151487602), (0.027755557609197366, 0.9722444423908027),
+        (0.7958308321324752, 0.20416916786752484), (0.9448642664557254, 0.05513573354427459)],
+    (8.0, 1.0, 4): [
+        (1.9537132590497424e-06, 0.9999980462867409), (0.06237994158318103, 0.937620058416819),
+        (0.8357944452890425, 0.16420555471095752), (0.9485915799794585, 0.05140842002054149)],
+    (8.0, 1.0, 5): [
+        (9.674877804129576e-06, 0.9999903251221959), (0.11079471912277283, 0.8892052808772272),
+        (0.8660688787152567, 0.1339311212847433), (0.9541120926743001, 0.04588790732569994)],
+    (8.0, 1.0, 6): [
+        (3.7338691849568894e-05, 0.9999626613081505), (0.16936080721129576, 0.8306391927887042),
+        (0.8897166269054247, 0.11028337309457531), (0.9598199123237762, 0.040180087676223816)],
+    (50.0, 40.0, 1): [
+        (0.0, 1.0), (6.490673249670224e-94, 1.0),
+        (0.5351273622167715, 0.4648726377832285), (0.9999999999999611, 3.882269316005576e-14)],
+    (50.0, 40.0, 2): [
+        (2.2997625756546156e-304, 1.0), (4.925426105525914e-70, 1.0),
+        (0.554615378484205, 0.44538462151579505), (0.999999763910928, 2.360890719327706e-07)],
+    (50.0, 40.0, 3): [
+        (5.669183601675312e-276, 1.0), (1.0574076294532111e-54, 1.0),
+        (0.5688173252806251, 0.4311826747193748), (0.999978697223954, 2.130277604600223e-05)],
+    (50.0, 40.0, 4): [
+        (1.9250734083959036e-249, 1.0), (1.0968454466842709e-44, 1.0),
+        (0.5804984687357381, 0.41950153126426193), (0.9998169311972592, 0.00018306880274072897)],
+    (50.0, 40.0, 5): [
+        (9.451180717274017e-226, 1.0), (9.96499267779495e-38, 1.0),
+        (0.5906249164612533, 0.40937508353874674), (0.9993512191026668, 0.0006487808973332569)],
+    (50.0, 40.0, 6): [
+        (3.1841114734581613e-205, 1.0), (1.2313867911472984e-32, 1.0),
+        (0.5996678141463828, 0.40033218585361713), (0.9985045233628279, 0.001495476637172134)],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gg_product_cdf_meijer_g_oracle(n):
+    # relative to the smaller tail, min(F, 1 - F), give or take the double
+    # rounding of F itself: right tails of 1e-14 and left tails down to
+    # 1e-249 alike; below that the table's weight floor (1e-300) is the limit
+    for (a, b, order), refs in MEIJER_G_CDF.items():
+        if order != n:
+            continue
+        for x, (f, q) in zip(MEIJER_G_X, refs):
+            got = gg_product_cdf(a, b, n, x)
+            tol = 1e-12 * min(f, q) + math.ulp(f) + 1e-300
+            assert abs(got - f) <= tol, (a, b, x, got, f)
+
+
+@pytest.mark.parametrize("a, b, n, x, ref", [
+    # the n = 2 left tail that an FFT convolution put 1.3e-4 off
+    (GG_A, GG_B, 2, 1e-6, 1.5922542479e-12),
+    # the n = 1 left tail that adaptive quadrature put 1.1e-5 off
+    (8.0, 1.0, 1, 1e-9, 1.142857142095238e-9),
+])
+def test_gg_product_cdf_pinned_tail_points(a, b, n, x, ref):
+    f, _ = _meijer_g_cdf(a, b, n, x)
+    assert_allclose(f, ref, rtol=1e-10)
+    assert_allclose(gg_product_cdf(a, b, n, x), f, rtol=1e-12)
