@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 ok; 1 validate-tolerance failures; 2 config or flags rejected,
 or --out not writable; 3 evaluator errors (rows carry NaN plus an error
-message).
+message); 4 a validate run that compared nothing (every check skipped).
+Where several apply, the first of 3, 1, 4 wins.
 """
 from __future__ import annotations
 
@@ -170,6 +171,8 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
 
     CLT methods: within factor 1.5 of MC wherever MC is in [1e-3, 0.5]
     (SKIP outside); lower/upper bounds: correct side of MC within 3 sigma.
+    A run in which no row passed or failed says so on stderr and, unless an
+    evaluator raised, exits 4.
     """
     lines = _provenance(cfg, mc.seed)
     checked = passed = failed = skipped = 0
@@ -208,9 +211,12 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
             failed += not ok
     lines.append(f"summary: checked={checked} passed={passed} failed={failed} "
                  f"skipped={skipped}")
+    if not passed + failed:
+        print(f"validate: no analytic value was compared with MC ({checked} checked, "
+              f"{skipped} skipped)", file=sys.stderr)
     if had_error:
         return lines, 3
-    return lines, (1 if failed else 0)
+    return lines, (1 if failed else 4 if not passed else 0)
 
 
 def _build_mc(cfg: ScenarioConfig, args) -> McConfig:

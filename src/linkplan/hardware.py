@@ -29,12 +29,16 @@ class PaConfig:
             raise ValueError(f"theta_pa must be in [0,1), got {self.theta_pa}")
         if self.p_max <= 0:
             raise ValueError(f"p_max must be > 0, got {self.p_max}")
-        if self.theta_pa > 0.0 and math.isinf(self.p_max):
-            # eps * (P / inf)^theta = 0: the amplifier would radiate nothing
-            raise ValueError(f"theta_pa={self.theta_pa} > 0 needs a finite p_max")
         if self.p_cons <= 0:
             raise ValueError(f"p_cons must be > 0, got {self.p_cons}")
         p = self._raw_output()
+        if not p > 0.0:
+            # theta_pa > 0 against an infinite p_max, or an output that
+            # underflows: every rate and outage would divide by it
+            raise ValueError(
+                f"output {p:g} at p_cons={self.p_cons:g} (epsilon={self.epsilon:g}, "
+                f"theta_pa={self.theta_pa:g}, p_max={self.p_max:g}): "
+                "the PA would radiate nothing")
         if p > self.p_max * (1.0 + 1e-12):
             raise SaturationError(
                 f"drive p_cons={self.p_cons} would require output {p:.6g} "

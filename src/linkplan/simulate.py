@@ -1,10 +1,11 @@
 """Monte Carlo ground truth for hop / route / mesh outage.
 
-Every entry point runs one kernel over a list of parallel routes: a trial
-fails when every route has a failed hop.  Trials are partitioned into
-fixed-size blocks; block b of hop j (hops numbered across routes) draws from
-an independent substream keyed by (seed, block=b, hop=j), so the estimate
-is bit-reproducible for a given seed.
+Trials are partitioned into fixed-size blocks; block b of hop j (hops
+numbered across routes) draws from substream (seed, b, j), so every estimate
+is bit-reproducible for a given seed.  Both passes below walk the substreams
+with `_substreams`, draw a hop's rounds with `_draw_rounds`, and fold hop ->
+route -> mesh alike: a route fails when any hop fails, the mesh when every
+route does.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
@@ -12,10 +13,10 @@ bit-identical to simulating it alone.  The extra memory is a float64
 accumulator of about 8 * points * min(trials, BLOCK_TRIALS) bytes, capped at
 8 * PASS_FLOATS bytes per pass.
 
-The MC `required_snr` makes one pass over the same substreams and gives
-every trial its critical dB offset c, the largest common drive offset at
-which the mesh fails, so the MC outage at any offset s is #{c >= s} / trials
-and the solve returns the exact crossing.  Each hop and trial starts from a
+The MC `required_snr` makes one pass over the same draws and gives every
+trial its critical dB offset c, the largest common drive offset at which
+the mesh fails, so the MC outage at any offset s is #{c >= s} / trials and
+the solve returns the exact crossing.  Each hop and trial starts from a
 cheap upper bound on its own offset; Newton refines it only where that
 bound could raise the max over the route's earlier hops, so a hop that
 never limits its route costs its draws and the bound.  That pass holds the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import bdtr
@@ -120,6 +122,25 @@ def _layout(routes) -> tuple:
                  for route in routes)
 
 
+def _substreams(routes, mc: McConfig):
+    """Per block of trials: (first trial, trials, hops by route), each hop as
+    (flat index j, hop, generator of substream (seed, block, j)).  A block's
+    generators are built only when the walk reaches it."""
+    firsts = list(accumulate((len(route.hops) for route in routes), initial=0))
+    for block, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
+        yield start, min(BLOCK_TRIALS, mc.trials - start), [
+            [(j, hop, _block_generator(mc.seed, block, j))
+             for j, hop in enumerate(route.hops, first)]
+            for route, first in zip(routes, firsts)]
+
+
+def _draw_rounds(hop, gen: np.random.Generator, n: int):
+    """Each round's (scale, unscaled gains X) of n trials, in draw order."""
+    model, rounds = _model_rounds(hop)
+    for _ in range(rounds):
+        yield sample_gain(model, gen, n)
+
+
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
                   buf: np.ndarray, out: np.ndarray) -> None:
     """OR the hop's outage indicator at drive drives[i] into out[i].
@@ -128,13 +149,12 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     acc[i] += log1p((drives[i] * scale) * X), the arithmetic of a one-drive
     run, so every row is bit-identical to simulating its drive alone.
     """
-    model, rounds = _model_rounds(hop)
     acc.fill(0.0)
-    for _ in range(rounds):
-        scale, x = sample_gain(model, gen, buf.size)
+    for scale, x in _draw_rounds(hop, gen, buf.size):
         for row, p in zip(acc, drives):
             np.multiply(x, p * scale, out=buf)
             row += np.log1p(buf, out=buf)
+    rounds = _model_rounds(hop)[1]
     threshold = hop.R / hop.M
     for row, fail in zip(acc, out):
         fail |= np.divide(row, rounds, out=buf) <= threshold
@@ -149,48 +169,39 @@ def _simulate(points, mc: McConfig) -> list:
     own Wilson criterion holds; later blocks score only the points still
     running.
     """
-    routes = points[0]
     drives = np.array([[_drive(hop) for route in pt for hop in route.hops]
                        for pt in points])
     width = min(BLOCK_TRIALS, mc.trials)
     acc = np.empty((len(points), width))
     buf = np.empty(width)
-    all_fail = np.empty((len(points), width), dtype=bool)
-    route_fail = np.empty_like(all_fail) if len(routes) > 1 else None
+    mesh_buf = np.empty((len(points), width), dtype=bool)
+    route_buf = np.empty_like(mesh_buf)
     failures = [0] * len(points)
     used = [0] * len(points)
     running = list(range(len(points)))
-    total = 0
-    block = 0
-    while running and total < mc.trials:
-        n = min(BLOCK_TRIALS, mc.trials - total)
+    for start, n, routes in _substreams(points[0], mc):
         k = len(running)
-        mesh_fail = all_fail[:k, :n]
-        flat = 0
-        for r, route in enumerate(routes):
-            # the first route's failures are the mesh's until a second route
-            # clears some of them
-            fail = mesh_fail if r == 0 else route_fail[:k, :n]
-            fail.fill(False)
-            for hop in route.hops:
-                _hop_failures(hop, drives[running, flat],
-                              _block_generator(mc.seed, block, flat),
-                              acc[:k, :n], buf[:n], fail)
-                flat += 1
-            if r:
-                mesh_fail &= fail
-        total += n
-        block += 1
+        # the mesh starts with every route failed, a route with no hop failed
+        mesh_fail, route_fail = mesh_buf[:k, :n], route_buf[:k, :n]
+        mesh_fail.fill(True)
+        for hops in routes:
+            route_fail.fill(False)
+            for j, hop, gen in hops:
+                _hop_failures(hop, drives[running, j], gen, acc[:k, :n], buf[:n],
+                              route_fail)
+            mesh_fail &= route_fail
         still = []
         for i, count in zip(running, np.count_nonzero(mesh_fail, axis=1)):
             failures[i] += int(count)
-            used[i] = total
+            used[i] = start + n
             if mc.target_ci is not None and failures[i] > 0:
-                p = failures[i] / total
-                if wilson_halfwidth(failures[i], total) <= mc.target_ci * p:
+                p = failures[i] / used[i]
+                if wilson_halfwidth(failures[i], used[i]) <= mc.target_ci * p:
                     continue
             still.append(i)
         running = still
+        if not running:
+            break
     return [OutageEstimate(f / n, MONTE_CARLO, wilson_halfwidth(f, n))
             for f, n in zip(failures, used)]
 
@@ -322,24 +333,23 @@ def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
 
 
 def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor: np.ndarray | None = None) -> np.ndarray:
+                          floor: np.ndarray) -> np.ndarray:
     """Per trial, the dB drive offset c at or below which the hop fails.
 
-    The rounds are drawn exactly as `_hop_failures` draws them.  The hop
-    fails at offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M,
-    and ln(p(s) * scale) rises linearly in s: with slope ln10 / 10 for an
-    FSO drive and ln10 / (10 (1 - theta_pa)) for a PA output below
-    saturation.
+    The rounds are drawn as `_hop_failures` draws them.  The hop fails at
+    offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M, and
+    ln(p(s) * scale) rises linearly in s: with slope ln10 / 10 for an FSO
+    drive and ln10 / (10 (1 - theta_pa)) for a PA output below saturation.
 
-    With `floor` (the max of c over the route's earlier hops), a trial whose
-    Newton start maps to an offset at or below floor[i] keeps that offset:
-    it bounds the solved c from above, so neither can raise the route's max.
+    `floor` is the max of c over the route's earlier hops (-inf before its
+    first): a trial whose Newton start maps to an offset at or below
+    floor[i] keeps that offset, which bounds the solved c from above, so
+    neither can raise the route's max.
     """
-    model, rounds = _model_rounds(hop)
+    rounds = _model_rounds(hop)[1]
     lnx = np.empty((rounds, n))
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
-        for row in lnx:
-            scale, x = sample_gain(model, gen, n)
+        for row, (scale, x) in zip(lnx, _draw_rounds(hop, gen, n)):
             np.log(x, out=row)
     total = rounds * hop.R / hop.M
     u = _newton_start(lnx, total)
@@ -348,9 +358,7 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     if isinstance(hop, RfHopParams):
         slope /= 1.0 - hop.pa.theta_pa
     # a start of +inf (every gain 0) is the root already
-    solve = np.isfinite(u)
-    if floor is not None:
-        solve &= (u - shift) / slope > floor
+    solve = np.isfinite(u) & ((u - shift) / slope > floor)
     _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
     u -= shift
     u /= slope
@@ -360,28 +368,20 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
 def _critical_offsets(mesh: MeshNetwork, mc: McConfig) -> np.ndarray:
     """Per trial, the largest dB offset of every drive at which the mesh
     fails: a hop fails iff the offset is <= its own critical offset, a
-    route iff it is <= the max over the route's hops, and the mesh iff it
-    is <= the min over its routes.  The draws are those of
-    `simulate_mesh`: block b of hop j from substream (seed, b, j).  Each hop
-    after a route's first solves only the trials it could raise the
-    route's max on.
+    route iff it is <= the max over the route's hops (-inf: no hop failed),
+    and the mesh iff it is <= the min over its routes (+inf: every route
+    failed).  The draws are those of `simulate_mesh`.  Each hop solves only
+    the trials it could raise its route's max on.
     """
-    out = np.empty(mc.trials)
-    for block, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
-        n = min(BLOCK_TRIALS, mc.trials - start)
+    out = np.full(mc.trials, math.inf)
+    for start, n, routes in _substreams(mesh.routes, mc):
         mesh_c = out[start:start + n]
-        flat = 0
-        for r, route in enumerate(mesh.routes):
-            route_c = None
-            for j, hop in enumerate(route.hops):
-                c = _hop_critical_offsets(hop, _block_generator(mc.seed, block, flat),
-                                          n, f"route {r}: hop {j}", route_c)
-                route_c = c if route_c is None else np.maximum(route_c, c, out=route_c)
-                flat += 1
-            if r == 0:
-                mesh_c[:] = route_c
-            else:
-                np.minimum(mesh_c, route_c, out=mesh_c)
+        for r, hops in enumerate(routes):
+            route_c = np.full(n, -math.inf)
+            for j, (_, hop, gen) in enumerate(hops):
+                c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c)
+                np.maximum(route_c, c, out=route_c)
+            np.minimum(mesh_c, route_c, out=mesh_c)
     return out
 
 
@@ -421,7 +421,6 @@ def _mc_crossing(desc: np.ndarray, target: float, lo: float, hi: float) -> float
             f"[{ci_lo}, {ci_hi}] needs order statistics {l} and {u} of {n} "
             "trials, outside the sample; increase trials")
     return min(hi, max(lo, float(desc[k - 1]) - _CROSSING_MARGIN_DB))
-
 
 
 def required_snr(target_outage: float, scenario, evaluator: str = "analytical",

@@ -38,9 +38,9 @@ _LOG2 = math.log(2.0)
 _SERIES_REL_TOL = 1e-12
 _SERIES_MAX_TERMS = 10_000
 # log-gain tables: largest node spacing (a shape-k factor's trapezoid error
-# falls like e^{-pi^2/dy}), node cap (past it the left tail is cut), and the
-# smallest weight kept (CDFs above 1e-280 keep their relative precision, and
-# no denormal reaches a convolution)
+# falls like e^{-pi^2/dy}), node cap (past it the left tail's mass goes to the
+# edge node), and the smallest weight kept (CDFs above 1e-280 keep their
+# relative precision, and no denormal reaches a convolution)
 _TABLE_DY = 0.2
 _TABLE_MAX_NODES = 1 << 14
 _TABLE_FLOOR = 1e-300
@@ -149,20 +149,35 @@ def _log_kv(nu, log_z):
 def _gamma_log_weights(k, dy):
     """(first node index j0, weights f(y_j) dy on the nodes y_j = j dy) of
     ln X, X a unit-mean Gamma(k) variate: f(y) = k^k e^{ky - k e^y}/Gamma(k).
-    The left tail decays like e^{ky}, the right one like exp(-k e^y)."""
+    The left tail decays like e^{ky}, the right one like exp(-k e^y).  Where
+    the node cap cuts the left tail, the first node also takes the cut
+    nodes' mass: P(ln X < y) = P(k, k e^y) below its cell, y = y_0 - dy/2,
+    times (x/2) / sinh(x/2), x = k dy, the ratio of the trapezoid sum of an
+    e^{ky} tail to its integral."""
     c = k * math.log(k) - k - math.lgamma(k)
     # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth
     depth = -math.log(_TABLE_FLOOR / dy) + abs(c)
     j_hi = math.ceil((math.log1p(2.0 * depth / k) + 1.0) / dy)
     j_lo = max(math.floor(-(depth / k + 1.0) / dy), j_hi - _TABLE_MAX_NODES + 1)
     y = np.arange(j_lo, j_hi + 1) * dy
-    return _trim(j_lo, np.exp(k * (y - np.expm1(y)) + c) * dy)
+    w = np.exp(k * (y - np.expm1(y)) + c) * dy
+    if j_lo == j_hi - _TABLE_MAX_NODES + 1:
+        y_cut = y[0] - 0.5 * dy
+        z = k * math.exp(y_cut)
+        # once z underflows, P(k, z) is its series' first term z^k / Gamma(k + 1)
+        tail = (float(gammainc(k, z)) if z > 0.0
+                else math.exp(k * (math.log(k) + y_cut) - math.lgamma(k + 1.0)))
+        w[0] += tail * (0.5 * k * dy) / math.sinh(0.5 * k * dy)
+    return _trim(j_lo, w)
 
 
 def _trim(j0, w):
-    """Drop the end nodes below `_TABLE_FLOOR`, and left-tail nodes past the cap."""
+    """Drop the end nodes below `_TABLE_FLOOR`; past the node cap, fold the
+    left-tail nodes' mass into the first node kept."""
     keep = np.flatnonzero(w >= _TABLE_FLOOR)
     lo = max(keep[0], keep[-1] + 1 - _TABLE_MAX_NODES)
+    if lo > keep[0]:
+        w[lo] += w[:lo].sum()
     return j0 + lo, w[lo:keep[-1] + 1]
 
 
@@ -176,8 +191,11 @@ def gamma_log_table(shapes):
     resolves the narrowest factor: two nodes per standard deviation
     sqrt(psi'(k)) of its ln.  Direct convolution keeps every weight's
     relative precision deep in the tails, where an FFT adds 1e-16 times the
-    peak.  A mass off 1 by more than 1e-10 (the node cap cut a heavy left
-    tail) raises `ConvergenceError`, on every call.  The arrays are read-only.
+    peak.  Past the node cap, a heavy left tail's mass moves onto the first
+    node kept: the table keeps mass 1, and only the tail's shape below that
+    node is lost.  A mass off 1 by more than 1e-10 (the spacing or the
+    weight floor lost some) raises `ConvergenceError`, on every call.  The
+    arrays are read-only.
     """
     dy = min(_TABLE_DY, 0.5 * math.sqrt(float(polygamma(1, max(shapes)))))
     j0, w = 0, np.ones(1)

@@ -463,14 +463,15 @@ def test_fso_gg_moments_narrow_log_gain():
 
 
 def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
-    # a node cap far below what b = 0.1 needs cuts the left tail of ln G:
-    # the table must refuse rather than return moments of a lost mass, on
-    # every call (a raise is not cached); the cache is cleared so that a table
-    # built under the real cap cannot answer for the patched one
+    # a weight floor of 1e-8 drops both tails of ln G for (12, 0.1), 7e-7 of
+    # its mass: the table must refuse rather than return moments of a lost
+    # mass, on every call (a raise is not cached); the cache is cleared so
+    # that a table built under the real floor cannot answer for the patched
+    # one
     from linkplan.analysis import _log_gain_table
     _log_gain_table.cache_clear()
     specfun.gamma_log_table.cache_clear()
-    monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 1000)
+    monkeypatch.setattr(specfun, "_TABLE_FLOOR", 1e-8)
     try:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match=r"\(12, 0.1\) holds mass"):
@@ -478,6 +479,52 @@ def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
     finally:
         _log_gain_table.cache_clear()
         specfun.gamma_log_table.cache_clear()
+
+
+def test_fso_gg_moments_node_cap_keeps_mass(monkeypatch):
+    # a node cap of 1000 cuts ln G for (12, 0.1) near y = -136, 1.1e-6 of
+    # its mass to the left: the first node kept takes that mass, where
+    # log(1 + p G) is 0 to double precision, so the moments keep their
+    # 30-digit values
+    from linkplan.analysis import _log_gain_table
+    _log_gain_table.cache_clear()
+    specfun.gamma_log_table.cache_clear()
+    monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 1000)
+    try:
+        for p in (1.0, 1e3):
+            mean, var = GG_MOMENTS_MPMATH[(12.0, 0.1, p)]
+            g = fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=p))
+            assert_allclose(g.mean, mean, rtol=1e-12, err_msg=f"mean at p={p}")
+            assert_allclose(g.variance, var, rtol=1e-10, err_msg=f"variance at p={p}")
+    finally:
+        _log_gain_table.cache_clear()
+        specfun.gamma_log_table.cache_clear()
+
+
+# (b, p) -> (mean, variance) of log(1 + p G) for Gamma-Gamma(2, b): 30-digit
+# mpmath quadrature of the density in GG_MOMENTS_MPMATH over y = ln G in
+# [-60, 2 ln(200/sqrt(2b)) + 4], in 60 panels (97 panels agree to 1e-28);
+# below y = -60, log(1 + p G) < 1e-24 adds nothing to either moment
+GG_SMALL_B_MPMATH = {
+    (0.005, 1.0): (0.062690209679657167371, 0.19939821239820836522),
+    (0.005, 100.0): (0.21563634102581445737, 1.2887160419593966993),
+    (0.003, 1.0): (0.044948222894006100728, 0.15767683090088173998),
+    (0.003, 100.0): (0.144243509506468055, 0.91877133799437493597),
+    (0.001, 1.0): (0.021093938709593241539, 0.088900637287095798228),
+    (0.001, 100.0): (0.05944990704769060842, 0.42569405492786581364),
+}
+
+
+@pytest.mark.parametrize("b", [0.005, 0.003, 0.001])
+def test_fso_gg_moments_small_b(b):
+    # ln G's left tail decays like e^{by}: past the node cap it holds 8e-8
+    # (b = 0.005) to 3.8% (b = 0.001) of the mass, which the table once
+    # dropped and then refused
+    for p in (1.0, 100.0):
+        mean, var = GG_SMALL_B_MPMATH[(b, p)]
+        g = fso_moments(FsoHopParams(model=FsoGammaGamma(2.0, b), p_tx=p))
+        assert_allclose(g.mean, mean, rtol=1e-9, err_msg=f"mean at p={p}")
+        assert_allclose(g.variance, var, rtol=1e-9, err_msg=f"variance at p={p}")
 
 
 def test_fso_gg_moments_quadrature():

@@ -291,6 +291,34 @@ def test_pa_radiating_nothing_rejected(tmp_path, capsys, pa, fragment):
     _expect_config_error(tmp_path, capsys, doc, fragment)
 
 
+@pytest.mark.parametrize("command", ["outage-sweep", "rate-sweep", "min-antennas"])
+def test_pa_output_underflow_rejected(tmp_path, capsys, command):
+    # theta_pa = 0.99 at -40 dB: the output underflows to 0, which printed
+    # `float division by zero` on every analytic row and an MC outage of 1
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["pa"] = {"epsilon": 0.75, "theta_pa": 0.99, "p_max_db": 0.0,
+                               "p_cons_db": -40.0}
+    _expect_config_error(tmp_path, capsys, doc, "rf_hops[0].pa: ", command)
+    _expect_config_error(tmp_path, capsys, doc, "the PA would radiate nothing", command)
+
+
+def test_pa_output_underflow_at_sweep_point_keeps_error_rows(tmp_path):
+    # the configured drive radiates, the -40 dB point does not: its rows,
+    # the MC row too, carry the PA's message
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["pa"] = {"epsilon": 1.0, "theta_pa": 0.99, "p_max_db": 0.0,
+                               "p_cons_db": 0.0}
+    doc["sweep"]["grid"] = [-40.0, 0.0]
+    code, text = run_to_file(tmp_path, "outage-sweep", write_config(tmp_path, doc))
+    assert code == 3
+    rows = data_rows(text)
+    assert len(rows) == 2 * 3
+    for r in rows[:3]:
+        assert r[0] == "-40" and r[2] == "nan" and "the PA would radiate nothing" in r[4]
+    for r in rows[3:]:
+        assert r[0] == "0" and r[2] != "nan" and r[4] == ""
+
+
 def test_missing_p_cons_rejected(tmp_path, capsys):
     doc = copy.deepcopy(BASE)
     del doc["rf_hops"][0]["pa"]["p_cons_db"]
@@ -511,13 +539,56 @@ def test_validate_fail_exit1(tmp_path):
 
 
 def test_validate_skip_outside_window(tmp_path):
-    # drive well past the outage knee: MC sees no failures, window test skipped
+    # drive well past the outage knee: MC sees no failures, window test
+    # skipped; with nothing else checked, the run compared nothing (exit 4)
     doc = _validate_doc(80, -9.2, ["rf_piecewise_clt"], trials=20_000)
     cfg = write_config(tmp_path, doc)
     code, text = run_to_file(tmp_path, "validate", cfg, name="report.txt")
-    assert code == 0, text
+    assert code == 4, text
     assert "status=SKIP" in text
     assert "mc_outside_[1e-3,0.5]" in text
+
+
+def test_validate_that_compared_nothing_exits_4(tmp_path, capsys):
+    # the README scenario at 5 and 9 dB sits off the outage waterfall (MC 1
+    # and 0): every row is skipped, which once exited 0; the summary line
+    # keeps its shape and stderr says why
+    doc = {
+        "rf_hops": [{"K": 2.0, "omega": 1.0, "N": 40, "M": 2, "C": 5, "R": 2.0,
+                     "pa": {"epsilon": 0.75, "theta_pa": 0.5, "p_max_db": 25.0,
+                            "p_cons_db": 0.0}}],
+        "fso_hops": [{"model": "gamma_gamma", "a": 4.3939, "b": 2.5636, "M": 2,
+                      "C_tilde": 5, "R": 2.0}],
+        "routes": [["rf:0", "fso:0"]],
+        "sweep": {"variable": "snr_db", "grid": [5.0, 9.0]},
+        "evaluators": ["rf_piecewise_clt", "fso_clt", "monte_carlo"],
+        "mc": {"trials": 20_000, "seed": 7},
+        "analysis": {"theta": 1.0},
+    }
+    code, text = run_to_file(tmp_path, "validate", write_config(tmp_path, doc),
+                             name="report.txt")
+    assert code == 4, text
+    assert text.splitlines()[-1] == "summary: checked=4 passed=0 failed=0 skipped=4"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no analytic value was compared" in err, err
+
+
+def test_validate_evaluator_error_line_exit3(tmp_path, capsys):
+    # the single-shot CDF refuses an M = 2 hop: its line names the point,
+    # the method and the cause, and an error outranks a run that compared
+    # nothing (exit 3, not 4)
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"][0]["M"] = 2
+    doc["evaluators"] = ["rf_single_shot", "monte_carlo"]
+    doc["sweep"]["grid"] = [-7.0]
+    code, text = run_to_file(tmp_path, "validate", write_config(tmp_path, doc),
+                             name="report.txt")
+    assert code == 3, text
+    line = [l for l in text.splitlines() if "status=ERROR" in l]
+    assert len(line) == 1
+    assert line[0].startswith("point=-7 method=rf_single_shot status=ERROR detail=")
+    assert "single-shot" in line[0]
+    assert text.splitlines()[-1] == "summary: checked=0 passed=0 failed=0 skipped=0"
 
 
 def test_validate_bound_classes(tmp_path):

@@ -100,6 +100,23 @@ def test_point_routes_truncates_route_list():
     _assert_point(_point("routes", 1), rf, _fso(rf[0]), 1)
 
 
+def test_point_snr_db_anchors_fso_only_scenario_at_first_fso_hop():
+    # with no RF hop the first FSO hop's p_tx_db is the anchor: 16 dB on an
+    # anchor at 10 dB moves both transmit powers by +6 dB
+    doc = {"fso_hops": [dict(DOC["fso_hops"][1]),
+                        dict(DOC["fso_hops"][0], p_tx_db=13.0)],
+           "routes": [["fso:0"], ["fso:1"]],
+           "sweep": {"variable": "snr_db", "grid": [16.0]}}
+    cfg = parse_config(doc)
+    assert cfg.anchor_db() == pytest.approx(10.0, rel=1e-12)
+    rf, fso, mesh = cfg.point(16.0)
+    assert rf == []
+    expect = [FsoHopParams(FsoGammaGamma(4.3939, 2.5636), 10.0 ** 1.6, 2, 3, 1.0),
+              FsoHopParams(FsoExponential(1.0), 10.0 ** 1.9, 1, 20, 2.0)]
+    assert [_flat(h) for h in fso] == [pytest.approx(_flat(h), rel=1e-12) for h in expect]
+    assert [r.hops for r in mesh.routes] == [(fso[0],), (fso[1],)]
+
+
 # ----------------------------------------------------------------------------
 # YAML parsing
 # ----------------------------------------------------------------------------

@@ -52,6 +52,18 @@ def test_field_validation():
         PaConfig(epsilon=0.5, theta_pa=0.5, p_max=math.inf, p_cons=0.5)
 
 
+def test_pa_output_underflow_rejected():
+    # theta_pa = 0.99 raises (eps P_cons / P_max^theta) to the power 100:
+    # at -40 dB the output underflows to 0, and every rate and outage would
+    # divide by it
+    with pytest.raises(ValueError, match="radiate nothing"):
+        PaConfig(epsilon=0.75, theta_pa=0.99, p_max=1.0, p_cons=1e-4)
+    pa = PaConfig(epsilon=0.75, theta_pa=0.99, p_max=1.0, p_cons=1.0)
+    assert output_power(pa) > 0.0
+    with pytest.raises(ValueError, match="radiate nothing"):
+        pa.with_drive(1e-4)
+
+
 def test_effective_efficiency_limits():
     # theta=0: efficiency is eps regardless of drive
     pa = PaConfig(epsilon=0.6, theta_pa=0.0, p_max=100.0, p_cons=7.0)

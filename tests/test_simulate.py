@@ -533,16 +533,11 @@ def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_tria
 def _critical_offsets_all_solved(sim, mesh, mc):
     """`_critical_offsets` composed with Newton run on every hop and trial."""
     out = np.empty(mc.trials)
-    for block, start in enumerate(range(0, mc.trials, sim.BLOCK_TRIALS)):
-        n = min(sim.BLOCK_TRIALS, mc.trials - start)
-        flat, route_cs = 0, []
-        for route in mesh.routes:
-            hop_cs = []
-            for hop in route.hops:
-                hop_cs.append(sim._hop_critical_offsets(
-                    hop, sim._block_generator(mc.seed, block, flat), n, "all solved"))
-                flat += 1
-            route_cs.append(np.max(hop_cs, axis=0))
+    for start, n, routes in sim._substreams(mesh.routes, mc):
+        no_floor = np.full(n, -math.inf)
+        route_cs = [np.max([sim._hop_critical_offsets(hop, gen, n, "all solved", no_floor)
+                            for _, hop, gen in hops], axis=0)
+                    for hops in routes]
         out[start:start + n] = np.min(route_cs, axis=0)
     return out
 

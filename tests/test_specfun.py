@@ -233,14 +233,14 @@ def test_gg_product_cdf_mc_oracle():
 
 
 def test_gg_product_cdf_grid_loss_is_loud(monkeypatch):
-    # a node cap of 200 cuts the n = 2 table of ln Z, Z the product of the
-    # Gamma factors (2, 2, 0.5), to a span of 40 in ln G, which loses 7e-6
-    # of its mass: the product CDF must refuse rather than return a CDF of
-    # the lost mass, on every call (a raise is not cached); the cache is
-    # cleared so that tables built under the real cap neither hide nor
-    # outlive the patch
+    # a weight floor of 1e-8 drops both tails of the n = 2 table of ln Z, Z
+    # the product of the Gamma factors (2, 2, 0.5), which loses 2.4e-7 of
+    # its mass: the product CDF must refuse rather than return a CDF of the
+    # lost mass, on every call (a raise is not cached); the cache is cleared
+    # so that tables built under the real floor neither hide nor outlive the
+    # patch
     specfun.gamma_log_table.cache_clear()
-    monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 200)
+    monkeypatch.setattr(specfun, "_TABLE_FLOOR", 1e-8)
     try:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match=r"\(2, 2, 0.5\) holds mass"):
@@ -248,6 +248,37 @@ def test_gg_product_cdf_grid_loss_is_loud(monkeypatch):
         assert specfun.gamma_log_table.cache_info().currsize == 0
     finally:
         specfun.gamma_log_table.cache_clear()
+
+
+def test_gg_product_cdf_node_cap_keeps_mass(monkeypatch):
+    # a node cap of 200 cuts the same table to a span of 40 in ln G, 7e-6 of
+    # its mass to the left: that mass goes to the first node kept, so the
+    # table still holds mass 1 and, as every cut node lies far left of the
+    # CDF's argument, the product CDF is unchanged to the bit
+    def table_and_cdfs():
+        specfun.gamma_log_table.cache_clear()
+        y, w = specfun.gamma_log_table((2.0, 2.0, 0.5))
+        return y, w, [gg_product_cdf(2.0, 0.5, 2, x) for x in (0.01, 0.5, 5.0)]
+    try:
+        y, w, cdfs = table_and_cdfs()
+        monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 200)
+        y_cap, w_cap, cdfs_cap = table_and_cdfs()
+    finally:
+        specfun.gamma_log_table.cache_clear()
+    assert len(w_cap) == 200 < len(w)
+    assert w[y < y_cap[0]].sum() > 1e-6
+    assert abs(w_cap.sum() - 1.0) <= 1e-14
+    assert cdfs_cap == cdfs
+
+
+def test_gamma_log_table_node_cap_folds_exact_tail():
+    # a shape-0.001 factor's ln reaches down to y ~ -7e5; the cap keeps
+    # 2^14 nodes and the first takes the 3.8% below them, P(k, k e^y) in
+    # log form, so the mass stays 1 where it once fell to 0.9618
+    y, w = specfun.gamma_log_table((2.0, 0.001))
+    assert len(w) == specfun._TABLE_MAX_NODES
+    assert abs(w.sum() - 1.0) <= 1e-14
+    assert 0.03 < w[0] < 0.04
 
 
 @pytest.mark.parametrize("a, b, x, ref, three_sigma", [
