@@ -116,7 +116,7 @@ class RfHopParams:
             raise ValueError(f"M must be a positive integer, got {self.M}")
         if self.C < 1 or self.C != int(self.C):
             raise ValueError(f"C must be a positive integer, got {self.C}")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError(f"R must be > 0, got {self.R}")
 
     @property
@@ -136,13 +136,13 @@ class FsoHopParams:
     def __post_init__(self):
         if not isinstance(self.model, (FsoExponential, FsoGammaGamma)):
             raise TypeError(f"unsupported FSO model {type(self.model).__name__}")
-        if self.p_tx <= 0:
+        if not self.p_tx > 0:
             raise ValueError(f"p_tx must be > 0, got {self.p_tx}")
         if self.M < 1 or self.M != int(self.M):
             raise ValueError(f"M must be a positive integer, got {self.M}")
         if self.C_tilde < 1 or self.C_tilde != int(self.C_tilde):
             raise ValueError(f"C_tilde must be a positive integer, got {self.C_tilde}")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError(f"R must be > 0, got {self.R}")
 
 
@@ -230,23 +230,22 @@ def log_moments_piecewise(p: float, g: GaussianApprox, theta: float = 1.0):
     d = (math.exp(theta) - 1.0) / p
     c2 = theta - r * d
     try:
-        mu = (
-            _kernel_q(p, 0.0, nz, nv, s)
-            - _kernel_q(p, 0.0, nz, nv, 0.0)
-            + _kernel_q(r, c2, nz, nv, math.inf)
-            - _kernel_q(r, c2, nz, nv, s)
-        )
-        second = (
-            _kernel_t(p, 0.0, nz, nv, s)
-            - _kernel_t(p, 0.0, nz, nv, 0.0)
-            + _kernel_t(r, c2, nz, nv, math.inf)
-            - _kernel_t(r, c2, nz, nv, s)
+        # both moments piece by piece, each pair differenced before the
+        # sum: at a tiny drive the pieces near the mean are O(p) (mean) and
+        # O(p^2) (variance) while the raw antiderivatives are O(1), so a sum
+        # in any other order, or E[f^2] - mu^2, loses them to rounding
+        mu = ((_kernel_q(p, 0.0, nz, nv, s) - _kernel_q(p, 0.0, nz, nv, 0.0))
+              + (_kernel_q(r, c2, nz, nv, math.inf) - _kernel_q(r, c2, nz, nv, s)))
+        var = (
+            _kernel_t(0.0, -mu, nz, nv, 0.0)
+            + (_kernel_t(p, -mu, nz, nv, s) - _kernel_t(p, -mu, nz, nv, 0.0))
+            + (_kernel_t(r, c2 - mu, nz, nv, math.inf)
+               - _kernel_t(r, c2 - mu, nz, nv, s))
         )
     except OverflowError as exc:  # a float ** past 1.8e308 raises, not inf
         raise ApproximationInvalidError(
             f"piecewise log surrogate overflows at sum-gain mean {nz:g}, "
             f"variance {nv:g}") from exc
-    var = second - mu * mu
     if not var > 0:
         raise ApproximationInvalidError(
             f"piecewise log surrogate variance {var} is not > 0"

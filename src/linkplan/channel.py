@@ -43,9 +43,9 @@ class RicianFading:
     N: int = 1    # number of transmit antennas
 
     def __post_init__(self):
-        if self.K < 0:
+        if not self.K >= 0:
             raise ValueError(f"K must be >= 0, got {self.K}")
-        if self.Omega <= 0:
+        if not self.Omega > 0:
             raise ValueError(f"Omega must be > 0, got {self.Omega}")
         if self.N < 1 or self.N != int(self.N):
             raise ValueError(f"N must be a positive integer, got {self.N}")
@@ -56,7 +56,7 @@ class FsoExponential:
     lam: float  # rate parameter of the gain distribution (> 0), mean gain 1/lam
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
 
 
@@ -66,7 +66,7 @@ class FsoGammaGamma:
     b: float  # small-scale shaping parameter (> 0)
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError(f"shaping parameters must be > 0, got a={self.a}, b={self.b}")
 
 

@@ -221,7 +221,7 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
 
 def _build_mc(cfg: ScenarioConfig, args) -> McConfig:
     return mc_config(cfg.mc_trials if args.trials is None else args.trials,
-                     cfg.mc_seed if args.seed is None else args.seed, cfg.mc_target_ci)
+                     cfg.mc_seed if args.seed is None else args.seed)
 
 
 _COMMANDS = {

@@ -102,7 +102,6 @@ class ScenarioConfig:
     evaluators: list
     mc_trials: int
     mc_seed: int
-    mc_target_ci: float | None
     theta: float          # tangent anchor for the piecewise RF evaluator
     sha256: str = ""
 
@@ -229,10 +228,10 @@ def _parse_route_ref(ref, path, n_rf, n_fso):
     return kind, idx
 
 
-def mc_config(trials: int, seed: int, target_ci: float | None) -> McConfig:
+def mc_config(trials: int, seed: int) -> McConfig:
     """`McConfig`, whose range errors become `mc: ...` config errors."""
     try:
-        return McConfig(trials, seed, target_ci)
+        return McConfig(trials, seed)
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
@@ -261,12 +260,20 @@ def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
     else:
         _require(isinstance(routes_raw, list) and routes_raw,
                  "routes", "expected a nonempty list")
-        routes = []
+        # routes are independent (closed forms and MC alike), so no hop may
+        # sit on two of them, nor twice on one
+        routes, seen = [], {}
         for i, r in enumerate(routes_raw):
             _require(isinstance(r, list) and r,
                      f"routes[{i}]", "expected a nonempty list of hop references")
-            routes.append([_parse_route_ref(ref, f"routes[{i}][{j}]", len(rf), len(fso))
-                           for j, ref in enumerate(r)])
+            route = []
+            for j, ref in enumerate(r):
+                path = f"routes[{i}][{j}]"
+                hop = _parse_route_ref(ref, path, len(rf), len(fso))
+                _require(hop not in seen, path, f"hop {ref!r} is already on {seen.get(hop)}")
+                seen[hop] = path
+                route.append(hop)
+            routes.append(route)
 
     sweep = doc.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required mapping missing")
@@ -297,10 +304,9 @@ def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
 
     mc_doc = doc.get("mc", {})
     _require(isinstance(mc_doc, dict), "mc", "expected a mapping")
-    _reject_unknown(mc_doc, ("trials", "seed", "target_ci"), "mc")
+    _reject_unknown(mc_doc, ("trials", "seed"), "mc")
     mc = mc_config(_get_int(mc_doc, "trials", "mc", default=1_000_000),
-                   _get_int(mc_doc, "seed", "mc", default=0),
-                   _get_number(mc_doc, "target_ci", "mc", default=None))
+                   _get_int(mc_doc, "seed", "mc", default=0))
 
     analysis = doc.get("analysis", {})
     _require(isinstance(analysis, dict), "analysis", "expected a mapping")
@@ -309,8 +315,8 @@ def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
     _require(theta > 0.0, "analysis.theta", "must be > 0")
 
     return ScenarioConfig(rf, fso, [c for _, c in fso_parsed], routes, variable,
-                          list(grid), list(evaluators), mc.trials, mc.seed, mc.target_ci,
-                          theta, sha256=sha256)
+                          list(grid), list(evaluators), mc.trials, mc.seed, theta,
+                          sha256=sha256)
 
 
 def load_config(path: str) -> ScenarioConfig:

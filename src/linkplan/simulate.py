@@ -1,11 +1,12 @@
 """Monte Carlo ground truth for hop / route / mesh outage.
 
 Trials are partitioned into fixed-size blocks; block b of hop j (hops
-numbered across routes) draws from substream (seed, b, j), so every estimate
-is bit-reproducible for a given seed.  Both passes below walk the substreams
-with `_substreams`, draw a hop's rounds with `_draw_rounds`, and fold hop ->
-route -> mesh alike: a route fails when any hop fails, the mesh when every
-route does.
+numbered across routes) draws from substream (seed, b, j).  Every estimate
+spends exactly `mc.trials` trials, so it is a bit-reproducible function of
+the mesh, `mc.trials` and `mc.seed` alone.  Both passes below walk the
+substreams with `_substreams`, draw a hop's rounds with `_draw_rounds`, and
+fold hop -> route -> mesh alike: a route fails when any hop fails, the mesh
+when every route does.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
@@ -79,15 +80,12 @@ class McPrecisionError(RuntimeError):
 class McConfig:
     trials: int          # total trials (>= 1e3)
     seed: int = 0        # base seed, 64-bit (>= 0)
-    target_ci: float | None = None  # optional relative half-width early stop
 
     def __post_init__(self):
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.target_ci is not None and not 0.0 < self.target_ci < 1.0:
-            raise ValueError(f"target_ci must be in (0,1), got {self.target_ci}")
 
 
 def wilson_halfwidth(k: int, n: int) -> float:
@@ -124,8 +122,7 @@ def _layout(routes) -> tuple:
 
 def _substreams(routes, mc: McConfig):
     """Per block of trials: (first trial, trials, hops by route), each hop as
-    (flat index j, hop, generator of substream (seed, block, j)).  A block's
-    generators are built only when the walk reaches it."""
+    (flat index j, hop, generator of substream (seed, block, j))."""
     firsts = list(accumulate((len(route.hops) for route in routes), initial=0))
     for block, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
         yield start, min(BLOCK_TRIALS, mc.trials - start), [
@@ -163,11 +160,7 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
 def _simulate(points, mc: McConfig) -> list:
     """Blocked MC over points (each a tuple of parallel routes) that share
     one layout and differ only in drive powers; a trial fails at a point when
-    every route has a failed hop.
-
-    With `mc.target_ci` set, each point stops at the first block where its
-    own Wilson criterion holds; later blocks score only the points still
-    running.
+    every route has a failed hop.  Every point counts all `mc.trials`.
     """
     drives = np.array([[_drive(hop) for route in pt for hop in route.hops]
                        for pt in points])
@@ -176,34 +169,19 @@ def _simulate(points, mc: McConfig) -> list:
     buf = np.empty(width)
     mesh_buf = np.empty((len(points), width), dtype=bool)
     route_buf = np.empty_like(mesh_buf)
-    failures = [0] * len(points)
-    used = [0] * len(points)
-    running = list(range(len(points)))
-    for start, n, routes in _substreams(points[0], mc):
-        k = len(running)
+    failures = np.zeros(len(points), dtype=np.int64)
+    for _, n, routes in _substreams(points[0], mc):
         # the mesh starts with every route failed, a route with no hop failed
-        mesh_fail, route_fail = mesh_buf[:k, :n], route_buf[:k, :n]
+        mesh_fail, route_fail = mesh_buf[:, :n], route_buf[:, :n]
         mesh_fail.fill(True)
         for hops in routes:
             route_fail.fill(False)
             for j, hop, gen in hops:
-                _hop_failures(hop, drives[running, j], gen, acc[:k, :n], buf[:n],
-                              route_fail)
+                _hop_failures(hop, drives[:, j], gen, acc[:, :n], buf[:n], route_fail)
             mesh_fail &= route_fail
-        still = []
-        for i, count in zip(running, np.count_nonzero(mesh_fail, axis=1)):
-            failures[i] += int(count)
-            used[i] = start + n
-            if mc.target_ci is not None and failures[i] > 0:
-                p = failures[i] / used[i]
-                if wilson_halfwidth(failures[i], used[i]) <= mc.target_ci * p:
-                    continue
-            still.append(i)
-        running = still
-        if not running:
-            break
-    return [OutageEstimate(f / n, MONTE_CARLO, wilson_halfwidth(f, n))
-            for f, n in zip(failures, used)]
+        failures += np.count_nonzero(mesh_fail, axis=1)
+    return [OutageEstimate(f / mc.trials, MONTE_CARLO, wilson_halfwidth(f, mc.trials))
+            for f in failures.tolist()]
 
 
 def simulate_sweep(meshes, mc: McConfig) -> list:
@@ -434,9 +412,9 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     that saturates a PA raises `SaturationError`.
 
     `evaluator="analytical"` bisects the closed forms (method tags as in
-    `route_outage`) down to `tol_db`.  `evaluator="mc"` needs `mc` and
-    returns the exact empirical crossing of its `mc.trials` trials (no
-    early stop, and `tol_db` does not apply): every trial's critical offset
+    `route_outage`) down to `tol_db`, which must be > 0.  `evaluator="mc"`
+    needs `mc` and returns the exact empirical crossing of its `mc.trials`
+    trials (`tol_db` does not apply): every trial's critical offset
     c comes from one pass over the draws of `simulate_mesh`, the MC outage
     at offset s is #{c >= s} / n, and the crossing is the k-th largest c
     with k the least count whose share reaches the target.  It is returned
@@ -453,6 +431,9 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
         raise ValueError(f"evaluator must be 'analytical' or 'mc', got {evaluator!r}")
     if evaluator == "mc" and mc is None:
         raise ValueError("evaluator 'mc' requires an McConfig")
+    if not tol_db > 0.0:
+        # to 0 dB the bisection never ends, and to NaN it never starts
+        raise ValueError(f"tol_db must be > 0, got {tol_db}")
 
     mesh = MeshNetwork((scenario,)) if isinstance(scenario, Route) else scenario
     lo, hi = float(bounds_db[0]), float(bounds_db[1])

@@ -132,6 +132,22 @@ def test_hop_params_validated():
         FsoHopParams(model=GG, p_tx=1.0, M=1, C_tilde=0, R=1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RicianFading(math.nan, 1.0, 4),
+    lambda: RicianFading(0.01, math.nan, 4),
+    lambda: FsoExponential(math.nan),
+    lambda: FsoGammaGamma(math.nan, 2.0),
+    lambda: FsoGammaGamma(2.0, math.nan),
+    lambda: RfHopParams(RicianFading(0.01, 1.0, 4), PaConfig.ideal(1.0), 1, 1, math.nan),
+    lambda: FsoHopParams(GG, math.nan, 1, 1, 1.0),
+    lambda: FsoHopParams(GG, 1.0, 1, 1, math.nan),
+], ids=["K", "Omega", "lam", "a", "b", "rf_R", "p_tx", "fso_R"])
+def test_hop_fields_reject_nan(build):
+    # each passed a `<=` check, and MC then scored the hop a perfect link
+    with pytest.raises(ValueError, match="nan"):
+        build()
+
+
 def test_drive_power_uses_pa_curve():
     h = RfHopParams(fading=RicianFading(0.01, 1.0, 4),
                     pa=PaConfig(0.75, 0.5, 316.2278, 100.0), M=1, C=1, R=1.0)
@@ -230,6 +246,53 @@ def test_piecewise_second_moment_map_quadrature():
         lambda x: (r * x + c2) ** 2 * gauss(x), s, hi, limit=200)[0]
     lm = log_moments_piecewise(p, g, theta)
     assert_allclose(lm.variance + lm.mean ** 2, second_ref, rtol=1e-6)
+
+
+def _piecewise_moments_mpmath(p, g, theta):
+    """40-digit mean and centered variance of the two-piece map f (0 below
+    the origin, p t up to the breakpoint s, r t + c2 beyond) against the
+    Gaussian sum-gain surrogate, from the Gaussian's partial moments
+    int z^k phi(z) dz, k <= 2, over each piece in z = (t - mean) / sd."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        p, theta = mpmath.mpf(p), mpmath.mpf(theta)
+        nz, sd = mpmath.mpf(g.mean), mpmath.sqrt(g.variance)
+        s = theta / (p * (1 - mpmath.exp(-theta))) - 1 / p
+        r = p * mpmath.exp(-theta)
+        c2 = theta - r * (mpmath.exp(theta) - 1) / p
+        z0, zs = -nz / sd, (s - nz) / sd
+        pieces = []
+        for lo, hi, a1, a2 in ((-mp.inf, z0, 0, 0), (z0, zs, p, 0), (zs, mp.inf, r, c2)):
+            # a piece right of the mean takes its mass from the upper tail,
+            # where it does not cancel
+            if lo > 0:
+                m0 = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+            else:
+                m0 = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+            dlo = 0 if lo == -mp.inf else mpmath.npdf(lo)
+            dhi = 0 if hi == mp.inf else mpmath.npdf(hi)
+            m1 = dlo - dhi
+            m2 = m0 + (0 if lo == -mp.inf else lo * dlo) - (0 if hi == mp.inf else hi * dhi)
+            # f - shift = alpha + beta z on the piece
+            pieces.append((a1 * nz + a2, a1 * sd, m0, m1, m2))
+        mean = sum(alpha * m0 + beta * m1 for alpha, beta, m0, m1, _ in pieces)
+        var = sum((alpha - mean) ** 2 * m0 + 2 * (alpha - mean) * beta * m1 + beta ** 2 * m2
+                  for alpha, beta, m0, m1, m2 in pieces)
+        return mean, var
+
+
+@pytest.mark.parametrize("k, n", [(2.0, 40), (0.01, 20), (5.0, 16)])
+def test_piecewise_moments_centered_mpmath(k, n):
+    # from a PA output of 3.2e-13 (theta_pa 0.99, epsilon 0.75, 0 dB) up to
+    # p = 100: E[f^2] - mu^2 cancels at tiny drives, where it went negative
+    # (the surrogate raised though the outage is plainly 1) or was 120% off
+    g = clt_sum_gain_params(RicianFading(k, 1.0, n))
+    for p in (3.2e-13, 1e-9, 1e-6, 1e-3, 0.044, 0.36, 5.0, 100.0):
+        for theta in (0.5, 1.0, 2.0):
+            mean, var = _piecewise_moments_mpmath(p, g, theta)
+            lm = log_moments_piecewise(p, g, theta)
+            assert abs(lm.variance - var) <= 1e-12 * var, (p, theta, lm.variance, var)
+            assert abs(lm.mean - mean) <= 1e-12 * mean, (p, theta, lm.mean, mean)
 
 
 def test_piecewise_curve_offset_reference_scenario():

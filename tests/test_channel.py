@@ -95,6 +95,14 @@ def test_gain_pdf_normalization():
         assert_allclose(total, 1.0, rtol=1e-8)
 
 
+def test_gain_pdf_at_zero_is_its_right_limit():
+    # x = 0 takes a branch of its own (the Bessel term is I_0(0) = 1)
+    for K, Om in ((0.0, 1.0), (0.01, 1.0), (2.0, 0.5), (5.0, 2.0)):
+        f = RicianFading(K=K, Omega=Om, N=1)
+        assert_allclose(rician_gain_pdf(0.0, f), rician_gain_pdf(1e-12 * Om, f),
+                        rtol=1e-10)
+
+
 def test_gain_pdf_independent_bessel_route():
     # recompute the density with I_0 from its cosine integral representation,
     # independent of the series used inside the package

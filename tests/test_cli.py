@@ -170,6 +170,24 @@ def test_validate_mc_grid_equals_per_point(tmp_path, monkeypatch):
     assert passes == [2]
 
 
+def test_mc_pass_error_fills_every_mc_row(tmp_path, monkeypatch):
+    import linkplan.cli as cli
+
+    def fail(meshes, mc):
+        raise RuntimeError("MC pass failed, on purpose")
+
+    monkeypatch.setattr(cli, "simulate_sweep", fail)
+    code, text = run_to_file(tmp_path, "outage-sweep", write_config(tmp_path, BASE))
+    assert code == 3
+    rows = data_rows(text)
+    assert len(rows) == 3 * 3
+    for r in rows:
+        if r[1] == "monte_carlo":
+            assert r[2:] == ["nan", "nan", "MC pass failed; on purpose"], r
+        else:
+            assert r[4] == "" and 0.0 < float(r[2]) < 1.0, r
+
+
 def test_outage_sweep_n_grid_falls_back_per_layout(tmp_path, monkeypatch):
     doc = copy.deepcopy(BASE)
     doc["sweep"] = {"variable": "N", "grid": [16, 20, 24]}
@@ -270,6 +288,7 @@ def test_unknown_section_rejected(tmp_path, capsys):
     ("fso_hops[0]", "a"),           # a Gamma-Gamma shape on an exponential hop
     ("sweep", "step"),
     ("mc", "workers"),
+    ("mc", "target_ci"),            # no MC early stop: every estimate uses all trials
     ("analysis", "theta_pa"),
 ])
 def test_unknown_nested_key_rejected(tmp_path, capsys, path, key):
@@ -329,6 +348,20 @@ def test_dangling_route_ref_rejected(tmp_path, capsys):
     doc = copy.deepcopy(BASE)
     doc["routes"] = [["rf:0", "fso:3"]]
     _expect_config_error(tmp_path, capsys, doc, "routes[0][1]")
+
+
+@pytest.mark.parametrize("routes, message", [
+    ([["rf:0", "fso:0"], ["rf:0", "fso:1"]],
+     "routes[1][0]: hop 'rf:0' is already on routes[0][0]"),
+    ([["rf:0", "fso:1", "fso:1"]], "routes[0][2]: hop 'fso:1' is already on routes[0][1]"),
+])
+def test_shared_hop_rejected(tmp_path, capsys, routes, message):
+    # closed forms and MC both take routes as independent, so a hop on two
+    # routes was accepted and its mesh outage reported wrong
+    doc = copy.deepcopy(BASE)
+    doc["fso_hops"] = 2 * doc["fso_hops"]
+    doc["routes"] = routes
+    _expect_config_error(tmp_path, capsys, doc, message)
 
 
 def test_fso_only_config_requires_p_tx(tmp_path, capsys):

@@ -181,7 +181,7 @@ NUMBER_FIELDS = (
        for key in ("epsilon", "theta_pa", "p_cons_db", "p_max_db")]
     + [("fso_hops", 0, key) for key in ("lambda", "R", "p_tx_db")]
     + [("fso_hops", 1, key) for key in ("a", "b", "R", "p_tx_db")]
-    + [("mc", "target_ci"), ("analysis", "theta"), ("sweep", "grid", 0)])
+    + [("analysis", "theta"), ("sweep", "grid", 0)])
 
 
 def _field_name(path):

@@ -19,7 +19,6 @@ from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading, sample
 from linkplan.hardware import PaConfig
 from linkplan.network import MeshNetwork, Route
 from linkplan.simulate import (
-    BLOCK_TRIALS,
     BracketError,
     McConfig,
     McPrecisionError,
@@ -61,10 +60,6 @@ def _sigma(est):
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(trials=999)
-    with pytest.raises(ValueError):
-        McConfig(trials=10_000, target_ci=1.0)
-    with pytest.raises(ValueError):
-        McConfig(trials=10_000, target_ci=0.0)
 
 
 def test_determinism_same_seed_bit_identical():
@@ -191,17 +186,6 @@ def test_wilson_coverage_sanity():
         if abs(est.value - RAYLEIGH_SINGLE_DRAW) <= est.ci_halfwidth:
             covered += 1
     assert covered >= 18, covered
-
-
-def test_target_ci_stops_at_block_granularity():
-    # outage ~0.6 resolves to 5% relative width within the first block, so the
-    # early stop must return exactly the one-block estimate
-    hop = _rf(1.0, n=1, k=0.0, r=0.7)
-    early = simulate_rf_hop(hop, McConfig(trials=4 * BLOCK_TRIALS, seed=25,
-                                          target_ci=0.05))
-    one_block = simulate_rf_hop(hop, McConfig(trials=BLOCK_TRIALS, seed=25))
-    assert early.value == one_block.value
-    assert early.ci_halfwidth == one_block.ci_halfwidth
 
 
 # ----------------------------------------------------------------------------
@@ -355,22 +339,6 @@ def test_sweep_matches_per_point_simulation_multiple_blocks(monkeypatch):
     import linkplan.simulate as sim
     monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
     _assert_matches_loop(_drive_grid(), McConfig(trials=3500, seed=8))
-
-
-def test_sweep_target_ci_stops_each_point_on_its_own(monkeypatch):
-    import linkplan.simulate as sim
-    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
-    mc = McConfig(trials=40_000, seed=9, target_ci=0.1)
-    meshes = _drive_grid()
-    calls = _count_generators(monkeypatch)
-    blocks = []
-    for m in meshes:
-        calls.clear()
-        simulate_mesh(m, mc)
-        blocks.append(len(calls) // 4)
-    # the points stop at different blocks, some before the trial budget ends
-    assert len(set(blocks)) >= 3 and min(blocks) < 40, blocks
-    _assert_matches_loop(meshes, mc)
 
 
 def test_sweep_splits_mixed_layouts_into_groups(monkeypatch):
@@ -693,6 +661,32 @@ def test_order_statistic_ci_ranks(n, target):
     assert (1 <= l and u <= n) == inside
 
 
+def _crossing_rank(n, target):
+    """The rank `_mc_crossing` picks, read off distinct offsets 0, -1, -2, ..."""
+    import linkplan.simulate as sim
+    desc = -np.arange(n, dtype=float)
+    return 1 - round(sim._mc_crossing(desc, target, -2.0 * n, 1.0))
+
+
+def test_mc_crossing_rank_steps_down_past_rounding():
+    # 0.07 * 20000 rounds to 1400.0000000000002, whose ceil 1401 must step
+    # down to 1400, since 1400 / 20000 >= 0.07 already
+    assert math.ceil(0.07 * 20_000) == 1401
+    assert _crossing_rank(20_000, 0.07) == 1400
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1000, 20_000), share=st.floats(0.02, 0.98),
+       nudge=st.sampled_from([-1, 0, 1]))
+def test_mc_crossing_rank_is_least_reaching_target(n, share, nudge):
+    # the least k with k / n >= target, as the simulator compares its
+    # outage; targets on and one float either side of a k / n
+    target = round(share * n) / n
+    target = np.nextafter(target, nudge * math.inf) if nudge else target
+    ks = np.arange(1, n + 1)
+    assert _crossing_rank(n, float(target)) == ks[ks / n >= target][0]
+
+
 def test_required_snr_mc_precision_error_reports_ci():
     # 0.999 of 1000 trials: the CI's lower end needs the 1001st largest of
     # 1000 critical offsets
@@ -733,6 +727,11 @@ def test_required_snr_validation():
         required_snr(0.1, route, evaluator="mc")  # missing McConfig
     with pytest.raises(ValueError):
         required_snr(0.1, route, bounds_db=(5.0, -5.0))
+    # 0 or below bisected forever once lo and hi were adjacent floats; NaN
+    # returned the bracket midpoint without a search
+    for tol_db in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol_db"):
+            required_snr(0.1, route, tol_db=tol_db)
 
 
 def _harq_route(m):
