@@ -423,34 +423,34 @@ def fso_ergodic_rate(h: FsoHopParams) -> float:
 
 
 def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float) -> int:
-    """Smallest antenna count N whose ergodic rate meets target_rate.
-
-    Exploits monotonicity of the ergodic rate in N (exponential bracketing,
-    then integer bisection).  Rate comparisons use a 1e-9 absolute slack.
-    """
+    """Smallest antenna count N whose ergodic rate meets target_rate (1e-9
+    absolute slack); `InfeasibleError` when N = `_MAX_ANTENNAS` misses it.
+    Starts at N0 = ceil((e^target - 1)/(p Omega)), where Jensen's bound
+    log(1 + p N Omega) on the rate at drive p meets the target, gallops from
+    N0 in steps 1, 2, 4, ... to a bracket and bisects it: the rate rises with
+    N, so any start gives the same N."""
+    if math.isnan(target_rate):
+        raise ValueError(f"target_rate must be a number, got {target_rate}")
     if target_rate <= 0:
         return 1
 
-    def rate(n):
-        return rf_ergodic_rate(RicianFading(K, Omega, n), pa)
-
-    tol = 1e-9
-    if rate(1) >= target_rate - tol:
-        return 1
-    lo, hi = 1, 2
-    while rate(hi) < target_rate - tol:
-        lo = hi
-        hi *= 2
-        if hi > _MAX_ANTENNAS:
-            raise InfeasibleError(
-                f"no antenna count up to {_MAX_ANTENNAS} reaches rate {target_rate}"
-            )
+    # the clamp keeps e^target finite; it moves only the start, not the answer
+    guess = math.expm1(min(target_rate, 700.0)) / output_power(pa) / Omega
+    n = max(1, math.ceil(guess)) if guess < _MAX_ANTENNAS else _MAX_ANTENNAS
+    lo, hi, step = 0, _MAX_ANTENNAS + 1, 1  # lo misses or is 0; hi meets or is past cap
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rate(mid) >= target_rate - tol:
-            hi = mid
+        meets = rf_ergodic_rate(RicianFading(K, Omega, n), pa) >= target_rate - 1e-9
+        lo, hi = (lo, n) if meets else (n, hi)
+        if hi > _MAX_ANTENNAS:  # nothing meets yet: gallop up
+            n = min(lo + step, _MAX_ANTENNAS)
+        elif lo == 0:  # nothing misses yet: gallop down
+            n = max(hi - step, 1)
         else:
-            lo = mid
+            n = (lo + hi) // 2
+        step *= 2
+    if hi > _MAX_ANTENNAS:
+        raise InfeasibleError(
+            f"no antenna count up to {_MAX_ANTENNAS} reaches rate {target_rate}")
     return hi
 
 

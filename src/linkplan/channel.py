@@ -138,8 +138,9 @@ def sample_gain(model, gen: np.random.Generator, size):
     if isinstance(model, FsoExponential):
         return 1.0, gen.exponential(1.0 / model.lam, size=size)
     if isinstance(model, FsoGammaGamma):
-        return 1.0, (gen.gamma(model.a, 1.0 / model.a, size=size)
-                     * gen.gamma(model.b, 1.0 / model.b, size=size))
+        x = gen.gamma(model.a, 1.0 / model.a, size=size)
+        x *= gen.gamma(model.b, 1.0 / model.b, size=size)  # in place: one array less
+        return 1.0, x
     raise TypeError(f"unsupported gain model {type(model).__name__}")
 
 

@@ -27,10 +27,11 @@ from .analysis import (
     RF_LINEARIZED,
     RF_TAGS,
     fso_ergodic_rate,
+    hop_ergodic_rate,
     min_rf_antennas,
 )
 from .config import ConfigError, ScenarioConfig, load_config, mc_config
-from .network import mesh_outage, route_ergodic_rate, route_limiting_hop
+from .network import mesh_outages
 from .simulate import _Z95, McConfig, simulate_sweep
 
 
@@ -50,12 +51,14 @@ def _provenance(cfg: ScenarioConfig, seed: int):
     ]
 
 
-def _analytic_outage(mesh, tag: str, theta: float):
-    """Mesh outage with `tag` on its link type and the default evaluator
-    (linearized RF or CLT FSO) on the other."""
-    if tag in RF_TAGS:
-        return mesh_outage(mesh, rf_method=tag, fso_method=FSO_CLT, theta=theta)
-    return mesh_outage(mesh, rf_method=RF_LINEARIZED, fso_method=tag, theta=theta)
+def _analytic_outages(point, tags, theta: float) -> dict:
+    """{tag: mesh outage with `tag` on its link type and the default evaluator
+    (linearized RF or CLT FSO) on the other, or the exception raised}, from
+    one `mesh_outages` call; an unbuilt point gives its exception to all."""
+    if isinstance(point, Exception):
+        return dict.fromkeys(tags, point)
+    pairs = [(tag, FSO_CLT) if tag in RF_TAGS else (RF_LINEARIZED, tag) for tag in tags]
+    return dict(zip(tags, mesh_outages(point[2], pairs, theta)))
 
 
 def _apply(fn, point):
@@ -95,10 +98,11 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,method,outage,ci_halfwidth,error")
     had_error = False
+    analytic = [t for t in cfg.evaluators if t != MONTE_CARLO]
     for g, point, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
+        ests = _analytic_outages(point, analytic, cfg.theta)
         for tag in cfg.evaluators:
-            est = (ref if tag == MONTE_CARLO
-                   else _apply(lambda p: _analytic_outage(p[2], tag, cfg.theta), point))
+            est = ref if tag == MONTE_CARLO else ests[tag]
             if isinstance(est, Exception):
                 lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(est)}")
                 had_error = True
@@ -110,10 +114,11 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
 
 def _fastest_route(cfg: ScenarioConfig, mesh):
     """(rate, limiting hop reference) of the mesh's fastest route."""
-    rates = [route_ergodic_rate(r) for r in mesh.routes]
-    best = max(range(len(rates)), key=rates.__getitem__)
-    kind, idx = cfg.routes[best][route_limiting_hop(mesh.routes[best])]
-    return rates[best], f"{kind}:{idx}"
+    rates = [[hop_ergodic_rate(h) for h in r.hops] for r in mesh.routes]
+    best = max(range(len(rates)), key=lambda i: min(rates[i]))
+    hop = min(range(len(rates[best])), key=rates[best].__getitem__)
+    kind, idx = cfg.routes[best][hop]
+    return rates[best][hop], f"{kind}:{idx}"
 
 
 def cmd_rate_sweep(cfg: ScenarioConfig, mc: McConfig):
@@ -184,8 +189,9 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
             had_error = True
             continue
         sigma3 = 3.0 * ref.ci_halfwidth / _Z95
+        ests = _analytic_outages(point, analytic, cfg.theta)
         for tag in analytic:
-            est = _apply(lambda p: _analytic_outage(p[2], tag, cfg.theta), point)
+            est = ests[tag]
             if isinstance(est, Exception):
                 lines.append(f"point={_fmt(g)} method={tag} status=ERROR "
                              f"detail={_sanitize(est)}")

@@ -80,28 +80,61 @@ def _each(label, items, fn):
     return out
 
 
-def _check_route(route: Route, rf_method: str, fso_method: str):
-    _each("hop", route.hops, lambda h: check_hop(h, rf_method, fso_method))
-
-
 def route_outage(route: Route, rf_method: str = RF_LINEARIZED,
                  fso_method: str = FSO_CLT, theta: float = 1.0) -> OutageEstimate:
     """Analytic route outage: check every hop, evaluate each, compose serially."""
-    _check_route(route, rf_method, fso_method)
-    ests = _each("hop", route.hops,
-                 lambda h: hop_outage(h, rf_method, fso_method, theta))
+    _each("hop", route.hops, lambda h: check_hop(h, rf_method, fso_method))
+    return _serial(route, lambda h: hop_outage(h, rf_method, fso_method, theta))
+
+
+def _serial(route: Route, evaluate) -> OutageEstimate:
+    ests = _each("hop", route.hops, evaluate)
     return OutageEstimate(_combine_serial(ests), _method_label(ests))
 
 
 def mesh_outage(mesh: MeshNetwork, rf_method: str = RF_LINEARIZED,
                 fso_method: str = FSO_CLT, theta: float = 1.0) -> OutageEstimate:
     """Mesh (all-routes-fail) outage: product over route outages, once every
-    hop of every route has passed `check_hop`."""
-    _each("route", mesh.routes, lambda r: _check_route(r, rf_method, fso_method))
-    ests = _each("route", mesh.routes,
-                 lambda r: route_outage(r, rf_method, fso_method, theta))
-    value = math.prod(sorted(e.value for e in ests))
-    return OutageEstimate(value, _method_label(ests))
+    hop of every route has passed `check_hop`; `mesh_outages` for one pair."""
+    ests = mesh_outages(mesh, [(rf_method, fso_method)], theta)
+    if isinstance(ests[0], Exception):
+        raise ests.pop()  # held by no local, so it leaves no reference cycle
+    return ests[0]
+
+
+def mesh_outages(mesh: MeshNetwork, pairs, theta: float = 1.0) -> list:
+    """`mesh_outage` for each (rf_method, fso_method) pair: its estimate, or
+    the exception it raised (`route i: hop j: ...`).  The pairs share one
+    `check_hop` and one `hop_outage` call per hop and method that hop takes."""
+    done = {}  # (fn, hop identity, method) -> result; the mesh keeps every hop alive
+
+    def once(fn, hop, rf_method, fso_method, *args):
+        key = (fn, id(hop), rf_method if isinstance(hop, RfHopParams) else fso_method)
+        if key not in done:
+            done[key] = _caught(fn, hop, rf_method, fso_method, *args)
+        if isinstance(done[key], Exception):
+            raise done[key]
+        return done[key]
+
+    def outage(rf, fso):
+        _each("route", mesh.routes,
+              lambda r: _each("hop", r.hops, lambda h: once(check_hop, h, rf, fso)))
+        ests = _each("route", mesh.routes,
+                     lambda r: _serial(r, lambda h: once(hop_outage, h, rf, fso, theta)))
+        return OutageEstimate(math.prod(sorted(e.value for e in ests)), _method_label(ests))
+
+    try:
+        return [_caught(outage, rf, fso) for rf, fso in pairs]
+    finally:
+        done.clear()  # each error's traceback leads back here: leave no cycle
+
+
+def _caught(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def route_ergodic_rate(route: Route) -> float:

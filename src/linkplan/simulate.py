@@ -437,7 +437,7 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
 
     mesh = MeshNetwork((scenario,)) if isinstance(scenario, Route) else scenario
     lo, hi = float(bounds_db[0]), float(bounds_db[1])
-    if lo >= hi:
+    if not lo < hi:  # NaN fails this too
         raise ValueError(f"bounds_db must satisfy lo < hi, got {bounds_db}")
 
     def outage_at(offset_db) -> float:

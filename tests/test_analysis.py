@@ -876,9 +876,73 @@ def test_min_antennas_monotone_in_fso_target_power():
 
 
 def test_min_antennas_infeasible():
-    # the cap of 1e6 antennas is reached after 20 doublings
+    # even the cap of 1e6 antennas misses the target
     with pytest.raises(InfeasibleError, match="up to 1000000"):
         min_rf_antennas(0.01, 1.0, PaConfig.ideal(1e-6), 5.0)
+
+
+def _min_antennas_by_doubling(K, Omega, pa, target_rate):
+    """Reference search: double N from 1 to a bracket, then bisect it."""
+    def meets(n):
+        return rf_ergodic_rate(RicianFading(K, Omega, n), pa) >= target_rate - 1e-9
+
+    if target_rate <= 0 or meets(1):
+        return 1
+    lo, hi = 1, 2
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+        if hi > analysis._MAX_ANTENNAS:
+            raise InfeasibleError("past the cap")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("K", [0.0, 0.01, 2.0, 5.0])
+@pytest.mark.parametrize("Omega", [1.0, 0.3])
+def test_min_antennas_seeded_search_matches_doubling(K, Omega):
+    # targets whose answers sit at 1, around 2,000 and around 5e5, the rate
+    # at a count itself and midway between two counts, and infeasible ones
+    def search(fn, pa, target):
+        try:
+            return fn(K, Omega, pa, target)
+        except InfeasibleError:
+            return "infeasible"
+
+    for pa in (PaConfig.ideal(1e-6), PaConfig.ideal(0.05), PaConfig.ideal(10.0),
+               PaConfig(0.75, 0.5, 316.2278, 1.0)):
+        def rate(n):
+            return rf_ergodic_rate(RicianFading(K, Omega, n), pa)
+
+        targets = [1e-12, 0.1, 1.0, 3.0, 30.0]
+        targets += [rate(n) for n in (1, 2, 1999, 2000, 2001, 500_000, 524_288)]
+        targets += [0.5 * (rate(n) + rate(n + 1)) for n in (7, 2000, 524_287)]
+        for target in targets:
+            assert (search(min_rf_antennas, pa, target)
+                    == search(_min_antennas_by_doubling, pa, target)), (pa, target)
+
+
+def test_min_antennas_answer_past_the_last_doubling():
+    # 0.58787 needs about 8e5 antennas: doubling overshot from 524,288 to
+    # 1,048,576 > 1e6 and gave up, though 1e6 antennas meet the target
+    pa = PaConfig.ideal(1e-6)
+    n = min_rf_antennas(2.0, 1.0, pa, 0.58787)
+    assert 524_288 < n <= analysis._MAX_ANTENNAS
+    assert rf_ergodic_rate(RicianFading(2.0, 1.0, n), pa) >= 0.58787 - 1e-9
+    assert rf_ergodic_rate(RicianFading(2.0, 1.0, n - 1), pa) < 0.58787 - 1e-9
+    cap = rf_ergodic_rate(RicianFading(2.0, 1.0, analysis._MAX_ANTENNAS), pa)
+    assert min_rf_antennas(2.0, 1.0, pa, cap) <= analysis._MAX_ANTENNAS
+    with pytest.raises(InfeasibleError, match="up to 1000000"):
+        min_rf_antennas(2.0, 1.0, pa, cap + 1e-6)
+
+
+def test_min_antennas_nan_target_rejected():
+    with pytest.raises(ValueError, match="target_rate"):
+        min_rf_antennas(2.0, 1.0, PaConfig.ideal(1.0), math.nan)
 
 
 # ----------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from linkplan.channel import (
     clt_sum_gain_params,
     fso_pdf,
     rician_gain_pdf,
+    sample_gain,
     sample_snr,
 )
 
@@ -226,6 +227,15 @@ def test_sampler_ks_fso_gamma_gamma():
     cdf = _grid_cdf(lambda x: fso_pdf(x, GG) if x > 0 else 0.0, 30.0)
     stat = kstest(draws, cdf)
     assert stat.pvalue > 0.01, stat
+
+
+def test_gg_sample_is_the_product_of_its_factor_draws():
+    # the in-place product draws a's factor, then b's, as the plain product did
+    scale, x = sample_gain(GG, _stream(19), 1000)
+    gen = _stream(19)
+    a = gen.gamma(GG.a, 1.0 / GG.a, size=1000)
+    assert scale == 1.0
+    assert np.array_equal(x, a * gen.gamma(GG.b, 1.0 / GG.b, size=1000))
 
 
 def test_gg_sampler_log_rate_matches_quadrature():

@@ -1,5 +1,6 @@
 """Route/mesh composition: serial and parallel outage algebra, rate bottlenecks."""
 
+import gc
 import itertools
 
 import pytest
@@ -8,7 +9,9 @@ from numpy.testing import assert_allclose
 from linkplan.analysis import (
     FSO_CLT,
     FSO_PRODUCT_BOUND,
+    RF_JENSEN_UPPER,
     RF_LINEARIZED,
+    RF_PIECEWISE,
     RF_SINGLE_SHOT,
     FsoHopParams,
     OutageEstimate,
@@ -18,12 +21,14 @@ from linkplan.analysis import (
 )
 from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading
 from linkplan.hardware import PaConfig
+from linkplan import network
 from linkplan.network import (
     MeshNetwork,
     Route,
     _combine_serial,
     mesh_ergodic_rate,
     mesh_outage,
+    mesh_outages,
     route_ergodic_rate,
     route_limiting_hop,
     route_outage,
@@ -201,6 +206,87 @@ def test_unknown_method_rejected_before_any_hop_is_evaluated(monkeypatch):
     mesh = MeshNetwork(routes=(Route(hops=(_rf(0.1),)), Route(hops=(_fso(2.0),))))
     with pytest.raises(ValueError, match=r"^route 1: hop 0: unknown FSO method"):
         mesh_outage(mesh, fso_method=RF_LINEARIZED)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls the composition makes to `network.<name>`, per hop and
+    the method that hop takes."""
+    calls = {}
+    real = getattr(network, name)
+
+    def count(hop, rf_method=RF_LINEARIZED, fso_method=FSO_CLT, *rest):
+        key = (id(hop), rf_method if isinstance(hop, RfHopParams) else fso_method)
+        calls[key] = calls.get(key, 0) + 1
+        return real(hop, rf_method, fso_method, *rest)
+
+    monkeypatch.setattr(network, name, count)
+    return calls
+
+
+# route 0 takes every method; route 1's M=2 RF hop fails single-shot and its
+# exponential hop fails the product bound
+_PAIRS_MESH = MeshNetwork(routes=(
+    Route(hops=(_rf(0.1), _fso(2.0, m=2, c=3, model=GG))),
+    Route(hops=(_rf(0.1, m=2), _fso(2.0)))))
+_PAIRS = [(RF_LINEARIZED, FSO_CLT), (RF_PIECEWISE, FSO_CLT), (RF_SINGLE_SHOT, FSO_CLT),
+          (RF_JENSEN_UPPER, FSO_CLT), (RF_LINEARIZED, FSO_PRODUCT_BOUND),
+          (RF_PIECEWISE, FSO_CLT)]
+
+
+def test_mesh_outages_equal_mesh_outage_per_pair():
+    got = mesh_outages(_PAIRS_MESH, _PAIRS, theta=0.5)
+    assert len(got) == len(_PAIRS)
+    for (rf_method, fso_method), est in zip(_PAIRS, got):
+        try:
+            want = mesh_outage(_PAIRS_MESH, rf_method, fso_method, theta=0.5)
+        except Exception as exc:
+            assert type(est) is type(exc) and str(est) == str(exc)
+        else:
+            assert est == want
+    assert str(got[2]) == "route 1: hop 0: single-shot evaluator requires M=C=1, got M=2, C=1"
+    assert str(got[4]) == "route 1: hop 1: product bound requires the Gamma-Gamma model"
+
+
+def test_mesh_outages_evaluate_each_hop_once_per_method(monkeypatch):
+    evals = _counting(monkeypatch, "hop_outage")
+    checks = _counting(monkeypatch, "check_hop")
+    mesh_outages(_PAIRS_MESH, _PAIRS)
+    assert set(evals.values()) == {1}
+    assert set(checks.values()) == {1}
+    rf0, gg, rf1, exp = (h for r in _PAIRS_MESH.routes for h in r.hops)
+    # the product-bound pair is refused by its check before any numerics,
+    # and single-shot stops at route 1's RF hop, before its FSO hop
+    assert sorted(k[1] for k in evals if k[0] == id(gg)) == [FSO_CLT]
+    assert (id(rf1), RF_SINGLE_SHOT) in evals
+    assert len(evals) == 2 * 4 + 2
+    assert len(checks) == 2 * 4 + 2 * 2
+
+
+def test_mesh_outage_checks_and_evaluates_each_hop_once(monkeypatch):
+    evals = _counting(monkeypatch, "hop_outage")
+    checks = _counting(monkeypatch, "check_hop")
+    route = Route(hops=(_rf(0.1), _fso(2.0), _rf(0.2)))
+    mesh = MeshNetwork(routes=(route, Route(hops=(_fso(3.0),))))
+    mesh_outage(mesh, rf_method=RF_PIECEWISE)
+    assert list(evals.values()) == list(checks.values()) == [1] * 4
+
+
+def test_composition_errors_leave_no_reference_cycles():
+    # every error's traceback leads back into the composition's frames: an
+    # error kept there made each failing sweep point garbage that only the
+    # cycle collector frees, which raised the benchmark's peak memory
+    mesh_outages(_PAIRS_MESH, _PAIRS)
+    gc.collect()
+    gc.disable()
+    try:
+        assert isinstance(mesh_outages(_PAIRS_MESH, _PAIRS)[2], ValueError)
+        try:
+            mesh_outage(_PAIRS_MESH, rf_method=RF_SINGLE_SHOT)
+        except ValueError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_routes_tuple_frozen():

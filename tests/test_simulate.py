@@ -727,6 +727,12 @@ def test_required_snr_validation():
         required_snr(0.1, route, evaluator="mc")  # missing McConfig
     with pytest.raises(ValueError):
         required_snr(0.1, route, bounds_db=(5.0, -5.0))
+    # a NaN end fails `lo < hi`; `lo >= hi` let it through to a PA error
+    mc = McConfig(trials=1000, seed=1)
+    for bounds_db in ((math.nan, 5.0), (-5.0, math.nan)):
+        for evaluator in ("analytical", "mc"):
+            with pytest.raises(ValueError, match="bounds_db"):
+                required_snr(0.1, route, evaluator=evaluator, bounds_db=bounds_db, mc=mc)
     # 0 or below bisected forever once lo and hi were adjacent floats; NaN
     # returned the bracket midpoint without a search
     for tol_db in (math.nan, 0.0, -1.0):
