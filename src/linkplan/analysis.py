@@ -7,18 +7,23 @@ code paths, so each validates the other.
 
 The exact pieces are array or library evaluations: the RF sum-gain CDF is
 scipy's noncentral chi-square CDF `chndtr`, and the FSO log-rate moments of
-both gain laws are one sum over `specfun.gamma_log_table` in ln G.
+both gain laws are one sum over the `specfun.gamma_log_table` of the law's
+Gamma factors in ln G.
+
+An RF and an FSO hop are one HARQ object: M rounds of C (or C_tilde) uses,
+`rounds` in all, decoded against R/M, gains drawn from `law` at `drive_power`,
+whose log rises by `slope` per dB of `shifted`; only `_HOP_KINDS` tells them apart.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import chndtr
 
-from . import hardware, specfun
+from . import specfun
 from .channel import (
     FsoExponential,
     FsoGammaGamma,
@@ -27,43 +32,6 @@ from .channel import (
     clt_sum_gain_params,
 )
 from .hardware import PaConfig, output_power
-
-__all__ = [
-    "RfHopParams",
-    "FsoHopParams",
-    "OutageEstimate",
-    "ApproximationInvalidError",
-    "InfeasibleError",
-    "RF_LOW_SNR",
-    "RF_PIECEWISE",
-    "RF_LINEARIZED",
-    "RF_SINGLE_SHOT",
-    "RF_JENSEN_LOWER",
-    "RF_JENSEN_UPPER",
-    "FSO_CLT",
-    "FSO_PRODUCT_BOUND",
-    "MONTE_CARLO",
-    "RF_TAGS",
-    "FSO_TAGS",
-    "gaussian_outage",
-    "rf_moments_low_snr",
-    "rf_outage_low_snr",
-    "log_moments_piecewise",
-    "rf_outage_piecewise",
-    "log_moments_linearized",
-    "rf_outage_linearized",
-    "fso_moments",
-    "fso_outage_clt",
-    "fso_outage_product_bound",
-    "rf_outage_bounds_short",
-    "rf_outage_single_shot",
-    "rf_ergodic_rate",
-    "fso_ergodic_rate",
-    "min_rf_antennas",
-    "check_hop",
-    "hop_outage",
-    "hop_ergodic_rate",
-]
 
 
 def __getattr__(name):
@@ -103,6 +71,19 @@ class InfeasibleError(RuntimeError):
     """No feasible antenna count within the search cap."""
 
 
+def _check_harq(hop, uses: str):
+    """The checks every hop takes: M and its channel uses per round `uses`
+    are integers >= 1, R > 0, and the drive is finite and > 0."""
+    for name in ("M", uses):
+        v = getattr(hop, name)
+        if not (isinstance(v, (int, np.integer)) and v >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {v}")
+    if not hop.R > 0:
+        raise ValueError(f"R must be > 0, got {hop.R}")
+    if not 0.0 < hop.drive_power < math.inf:
+        raise ValueError(f"drive power must be finite and > 0, got {hop.drive_power}")
+
+
 @dataclass(frozen=True)
 class RfHopParams:
     fading: RicianFading
@@ -112,17 +93,23 @@ class RfHopParams:
     R: float = 1.0  # initial code rate (nats per channel use)
 
     def __post_init__(self):
-        if self.M < 1 or self.M != int(self.M):
-            raise ValueError(f"M must be a positive integer, got {self.M}")
-        if self.C < 1 or self.C != int(self.C):
-            raise ValueError(f"C must be a positive integer, got {self.C}")
-        if not self.R > 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
+        _check_harq(self, "C")
+
+    law = property(lambda self: self.fading)
+    rounds = property(lambda self: self.M * self.C)
 
     @property
     def drive_power(self) -> float:
         """Radiated power per antenna (linear, noise-normalized)."""
         return output_power(self.pa)
+
+    # d ln(drive_power) / d(dB of consumed power), below saturation
+    slope = property(lambda self: math.log(10.0) / 10.0 / (1.0 - self.pa.theta_pa))
+
+    def shifted(self, delta_db: float) -> "RfHopParams":
+        """This hop with its consumed power moved by delta_db."""
+        p_cons = self.pa.p_cons * 10.0 ** (delta_db / 10.0)
+        return replace(self, pa=self.pa.with_drive(p_cons))
 
 
 @dataclass(frozen=True)
@@ -136,14 +123,16 @@ class FsoHopParams:
     def __post_init__(self):
         if not isinstance(self.model, (FsoExponential, FsoGammaGamma)):
             raise TypeError(f"unsupported FSO model {type(self.model).__name__}")
-        if not self.p_tx > 0:
-            raise ValueError(f"p_tx must be > 0, got {self.p_tx}")
-        if self.M < 1 or self.M != int(self.M):
-            raise ValueError(f"M must be a positive integer, got {self.M}")
-        if self.C_tilde < 1 or self.C_tilde != int(self.C_tilde):
-            raise ValueError(f"C_tilde must be a positive integer, got {self.C_tilde}")
-        if not self.R > 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
+        _check_harq(self, "C_tilde")
+
+    law = property(lambda self: self.model)
+    rounds = property(lambda self: self.M * self.C_tilde)
+    drive_power = property(lambda self: self.p_tx)
+    slope = math.log(10.0) / 10.0
+
+    def shifted(self, delta_db: float) -> "FsoHopParams":
+        """This hop with its transmit power moved by delta_db."""
+        return replace(self, p_tx=self.p_tx * 10.0 ** (delta_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -314,13 +303,10 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 @lru_cache(maxsize=64)
 def _log_gain_table(model):
     """Read-only nodes y = ln G and weights above `_MOMENT_FLOOR` (one run:
-    the weights are unimodal), once per model: Gamma-Gamma is the product of
-    unit-mean Gamma factors a and b, exponential a shape-1 factor over lam."""
-    if isinstance(model, FsoExponential):
-        y, w = specfun.gamma_log_table((1.0,))
-        y = y - math.log(model.lam)
-    else:
-        y, w = specfun.gamma_log_table((model.a, model.b))
+    the weights are unimodal), once per FSO law: the table of its Gamma
+    factors' shapes at unit mean, moved by the law's `log_mean`."""
+    y, w = specfun.gamma_log_table(tuple(k for k, _ in model.factors))
+    y = y + model.log_mean
     keep = w > _MOMENT_FLOOR
     y, w = y[keep], w[keep]
     y.flags.writeable = w.flags.writeable = False
@@ -474,15 +460,28 @@ RF_TAGS = tuple(_RF_EVALUATORS)
 FSO_TAGS = tuple(_FSO_EVALUATORS)
 
 
+# hop class -> (kind, evaluators, index of its tag in (rf_method, fso_method),
+# ergodic rate); each rate looks its function up when called, so a tracer's
+# or a monkeypatch's rebinding of it takes effect
+_HOP_KINDS = {
+    RfHopParams: ("RF", _RF_EVALUATORS, 0, lambda h: rf_ergodic_rate(h.fading, h.pa)),
+    FsoHopParams: ("FSO", _FSO_EVALUATORS, 1, lambda h: fso_ergodic_rate(h)),
+}
+
+
+def _hop_kind(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):
+    """(kind, evaluators, the tag of the pair it takes, ergodic rate) of a hop."""
+    try:
+        kind, known, slot, rate = _HOP_KINDS[type(hop)]
+    except KeyError:
+        raise TypeError(f"unsupported hop type {type(hop).__name__}") from None
+    return kind, known, (rf_method, fso_method)[slot], rate
+
+
 def check_hop(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):
     """Raise, before any numerics, for an unknown method tag or a product
     bound on a hop that is not Gamma-Gamma; a mesh checks every hop first."""
-    if isinstance(hop, RfHopParams):
-        kind, method, known = "RF", rf_method, _RF_EVALUATORS
-    elif isinstance(hop, FsoHopParams):
-        kind, method, known = "FSO", fso_method, _FSO_EVALUATORS
-    else:
-        raise TypeError(f"unsupported hop type {type(hop).__name__}")
+    kind, known, method, _ = _hop_kind(hop, rf_method, fso_method)
     if method not in known:
         raise ValueError(f"unknown {kind} method {method!r}")
     if method == FSO_PRODUCT_BOUND:
@@ -493,16 +492,11 @@ def hop_outage(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,
                theta: float = 1.0) -> OutageEstimate:
     """Evaluate one hop with the chosen analytic method tags."""
     check_hop(hop, rf_method, fso_method)
-    if isinstance(hop, FsoHopParams):
-        return _FSO_EVALUATORS[fso_method](hop)
-    if rf_method == RF_PIECEWISE:
+    _, known, method, _ = _hop_kind(hop, rf_method, fso_method)
+    if method == RF_PIECEWISE:
         return rf_outage_piecewise(hop, theta)
-    return _RF_EVALUATORS[rf_method](hop)
+    return known[method](hop)
 
 
 def hop_ergodic_rate(hop) -> float:
-    if isinstance(hop, RfHopParams):
-        return rf_ergodic_rate(hop.fading, hop.pa)
-    if isinstance(hop, FsoHopParams):
-        return fso_ergodic_rate(hop)
-    raise TypeError(f"unsupported hop type {type(hop).__name__}")
+    return _hop_kind(hop)[3](hop)

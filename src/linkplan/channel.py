@@ -1,17 +1,19 @@
 """Channel-gain models and samplers.
 
 RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
-FSO hops: exponential or Gamma-Gamma scintillation with unit-mean gain.
+FSO hops: exponential or Gamma-Gamma scintillation, each the product of its
+independent Gamma `factors` (shape, scale), with `log_mean` ln of its mean.
 
 Densities are exact formulas: the single-antenna Rician gain on scipy's
 `ive`, and the FSO gains (the Gamma-Gamma one through
 `specfun.gg_log_density`).  The N-antenna sum gain is scale * ncx2(2N, 2KN),
 so its exact CDF is scipy's `chndtr` (see `analysis`) and it needs no density
-of its own here.  One sampler, `sample_gain`, draws the unscaled gain of any
-model and is the only draw the Monte Carlo engine makes; `sample_snr` scales
-it to one drive.  A Gaussian surrogate for the sum gain, moment-matched in
-closed form, feeds the analytical outage evaluators; `_half_moment` gives the
-same moments through Laguerre functions of the single-antenna gain.
+of its own here.  Each law's `sample` (one for both FSO laws) draws its
+unscaled gains; `sample_gain`, the only draw the Monte Carlo engine makes,
+calls it, and `sample_snr` scales it to one drive.  A Gaussian surrogate for
+the sum gain, moment-matched in closed form, feeds the analytical outage
+evaluators; `_half_moment` gives the same moments through Laguerre functions
+of the single-antenna gain.
 """
 from __future__ import annotations
 
@@ -22,18 +24,6 @@ import numpy as np
 from scipy.special import ive
 
 from . import specfun
-
-__all__ = [
-    "RicianFading",
-    "FsoExponential",
-    "FsoGammaGamma",
-    "GaussianApprox",
-    "rician_gain_pdf",
-    "fso_pdf",
-    "sample_gain",
-    "sample_snr",
-    "clt_sum_gain_params",
-]
 
 
 @dataclass(frozen=True)
@@ -50,24 +40,51 @@ class RicianFading:
         if self.N < 1 or self.N != int(self.N):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
+    def sample(self, gen: np.random.Generator, n):
+        """(scale, X): scale = Omega/(2(K+1)) and X ~ ncx2(df=2N, nonc=2KN),
+        the law of the complex-Gaussian antenna sum (numpy draws the central
+        chi-square itself when nonc = 0)."""
+        return self.Omega / (2.0 * (self.K + 1.0)), gen.noncentral_chisquare(
+            2.0 * self.N, 2.0 * self.K * self.N, size=n)
+
+
+class _GammaProduct:
+    """An FSO gain law: the product of independent Gamma(shape, scale)
+    `factors`, with `log_mean` = ln of the product's mean."""
+
+    def sample(self, gen: np.random.Generator, n):
+        """(1, X): X the product of the factors, drawn in order."""
+        (k, s), *rest = self.factors
+        x = gen.gamma(k, s, size=n)
+        for k, s in rest:
+            x *= gen.gamma(k, s, size=n)  # in place: one array less
+        return 1.0, x
+
 
 @dataclass(frozen=True)
-class FsoExponential:
+class FsoExponential(_GammaProduct):
     lam: float  # rate parameter of the gain distribution (> 0), mean gain 1/lam
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
 
+    # one Gamma(1, 1/lam) factor: numpy draws the bits of exponential(1/lam)
+    factors = property(lambda self: ((1.0, 1.0 / self.lam),))
+    log_mean = property(lambda self: -math.log(self.lam))
+
 
 @dataclass(frozen=True)
-class FsoGammaGamma:
+class FsoGammaGamma(_GammaProduct):
     a: float  # large-scale shaping parameter (> 0)
     b: float  # small-scale shaping parameter (> 0)
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError(f"shaping parameters must be > 0, got a={self.a}, b={self.b}")
+
+    factors = property(lambda self: ((self.a, 1.0 / self.a), (self.b, 1.0 / self.b)))
+    log_mean = 0.0  # unit-mean factors
 
 
 @dataclass(frozen=True)
@@ -123,25 +140,13 @@ def fso_pdf(x, model):
 # ---------------------------------------------------------------------------
 
 def sample_gain(model, gen: np.random.Generator, size):
-    """Draw `size` unscaled gains X: (scale, X) with G = scale * X.
-
-    Rician sum gain: scale = Omega/(2(K+1)) and X ~ ncx2(df=2N, nonc=2KN),
-    the law of the complex-Gaussian antenna sum (numpy draws the central
-    chi-square itself when nonc = 0).  Exponential FSO: scale = 1 and
-    X ~ Exp(mean 1/lam).  Gamma-Gamma FSO: scale = 1 and X is the product of
-    two unit-mean Gamma variates.  The received SNR at drive p is
-    (p * scale) * X, so one draw serves every drive.
-    """
-    if isinstance(model, RicianFading):
-        return model.Omega / (2.0 * (model.K + 1.0)), gen.noncentral_chisquare(
-            2.0 * model.N, 2.0 * model.K * model.N, size=size)
-    if isinstance(model, FsoExponential):
-        return 1.0, gen.exponential(1.0 / model.lam, size=size)
-    if isinstance(model, FsoGammaGamma):
-        x = gen.gamma(model.a, 1.0 / model.a, size=size)
-        x *= gen.gamma(model.b, 1.0 / model.b, size=size)  # in place: one array less
-        return 1.0, x
-    raise TypeError(f"unsupported gain model {type(model).__name__}")
+    """Draw `size` unscaled gains X of any gain law: (scale, X) with
+    G = scale * X (see each law's `sample`).  The received SNR at drive p is
+    (p * scale) * X, so one draw serves every drive."""
+    sample = getattr(model, "sample", None)
+    if sample is None:
+        raise TypeError(f"unsupported gain model {type(model).__name__}")
+    return sample(gen, size)
 
 
 def sample_snr(model, power, gen: np.random.Generator, size):

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .channel import FsoExponential, FsoGammaGamma, RicianFading
 from .hardware import PaConfig
-from .network import MeshNetwork, Route, _shift_hop
+from .network import MeshNetwork, Route
 from .simulate import McConfig
 
 KNOWN_TAGS = RF_TAGS + FSO_TAGS + (MONTE_CARLO,)
@@ -126,8 +126,8 @@ class ScenarioConfig:
             rf_hops = [replace(h, M=m_override) for h in rf_hops]
             fso_hops = [replace(h, M=m_override) for h in fso_hops]
         delta = 0.0 if snr_db is None else snr_db - self.anchor_db()
-        rf = [_shift_hop(h, delta) for h in rf_hops]
-        fso = [_shift_hop(h, delta) if partner is None
+        rf = [h.shifted(delta) for h in rf_hops]
+        fso = [h.shifted(delta) if partner is None
                else replace(h, p_tx=_coupled_p_tx(rf[partner]))
                for h, partner in zip(fso_hops, self.fso_coupling)]
         hops = {"rf": rf, "fso": fso}

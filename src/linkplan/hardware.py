@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["PaConfig", "SaturationError", "output_power", "effective_efficiency"]
-
 
 class SaturationError(ValueError):
     """The configured drive would push the PA beyond its maximum output."""

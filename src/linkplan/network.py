@@ -10,7 +10,7 @@ and the mesh rate is the rate of the best route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analysis import (
     FSO_CLT,
@@ -18,6 +18,7 @@ from .analysis import (
     FsoHopParams,
     OutageEstimate,
     RfHopParams,
+    _hop_kind,
     check_hop,
     hop_ergodic_rate,
     hop_outage,
@@ -109,7 +110,7 @@ def mesh_outages(mesh: MeshNetwork, pairs, theta: float = 1.0) -> list:
     done = {}  # (fn, hop identity, method) -> result; the mesh keeps every hop alive
 
     def once(fn, hop, rf_method, fso_method, *args):
-        key = (fn, id(hop), rf_method if isinstance(hop, RfHopParams) else fso_method)
+        key = (fn, id(hop), _hop_kind(hop, rf_method, fso_method)[2])
         if key not in done:
             done[key] = _caught(fn, hop, rf_method, fso_method, *args)
         if isinstance(done[key], Exception):
@@ -153,18 +154,10 @@ def mesh_ergodic_rate(mesh: MeshNetwork) -> float:
     return max(route_ergodic_rate(r) for r in mesh.routes)
 
 
-def _shift_hop(hop, delta_db: float):
-    """Copy of an RF or FSO hop with its drive power moved by delta_db."""
-    factor = 10.0 ** (delta_db / 10.0)
-    if isinstance(hop, RfHopParams):
-        return replace(hop, pa=hop.pa.with_drive(hop.pa.p_cons * factor))
-    return replace(hop, p_tx=hop.p_tx * factor)
-
-
 def shift_scenario(scenario, delta_db: float):
     """Move every hop's drive power by a common dB offset."""
     if isinstance(scenario, Route):
-        return Route(tuple(_shift_hop(h, delta_db) for h in scenario.hops))
+        return Route(tuple(h.shifted(delta_db) for h in scenario.hops))
     if isinstance(scenario, MeshNetwork):
         return MeshNetwork(tuple(shift_scenario(r, delta_db) for r in scenario.routes))
     raise TypeError(f"unsupported scenario type {type(scenario).__name__}")

@@ -6,7 +6,8 @@ spends exactly `mc.trials` trials, so it is a bit-reproducible function of
 the mesh, `mc.trials` and `mc.seed` alone.  Both passes below walk the
 substreams with `_substreams`, draw a hop's rounds with `_draw_rounds`, and
 fold hop -> route -> mesh alike: a route fails when any hop fails, the mesh
-when every route does.
+when every route does.  A hop is read only through the fields both kinds
+share (`law`, `rounds`, `drive_power`, `slope`), never by its class.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
@@ -33,14 +34,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import bdtr
 
-from .analysis import (
-    FSO_CLT,
-    MONTE_CARLO,
-    RF_LINEARIZED,
-    FsoHopParams,
-    OutageEstimate,
-    RfHopParams,
-)
+from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
 from .channel import sample_gain
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
@@ -102,21 +96,10 @@ def _block_generator(seed: int, block: int, hop_index: int) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _model_rounds(hop):
-    """(gain model, hop-round draws per trial) of one hop."""
-    if isinstance(hop, RfHopParams):
-        return hop.fading, hop.M * hop.C
-    return hop.model, hop.M * hop.C_tilde
-
-
-def _drive(hop) -> float:
-    return hop.drive_power if isinstance(hop, RfHopParams) else hop.p_tx
-
-
 def _layout(routes) -> tuple:
     """What a mesh's draws and decode rule depend on: everything but the
     drive powers.  Meshes with equal layouts can share one set of draws."""
-    return tuple(tuple((*_model_rounds(hop), hop.M, hop.R) for hop in route.hops)
+    return tuple(tuple((hop.law, hop.rounds, hop.M, hop.R) for hop in route.hops)
                  for route in routes)
 
 
@@ -133,9 +116,8 @@ def _substreams(routes, mc: McConfig):
 
 def _draw_rounds(hop, gen: np.random.Generator, n: int):
     """Each round's (scale, unscaled gains X) of n trials, in draw order."""
-    model, rounds = _model_rounds(hop)
-    for _ in range(rounds):
-        yield sample_gain(model, gen, n)
+    for _ in range(hop.rounds):
+        yield sample_gain(hop.law, gen, n)
 
 
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
@@ -151,8 +133,7 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
         for row, p in zip(acc, drives):
             np.multiply(x, p * scale, out=buf)
             row += np.log1p(buf, out=buf)
-    rounds = _model_rounds(hop)[1]
-    threshold = hop.R / hop.M
+    rounds, threshold = hop.rounds, hop.R / hop.M
     for row, fail in zip(acc, out):
         fail |= np.divide(row, rounds, out=buf) <= threshold
 
@@ -162,7 +143,7 @@ def _simulate(points, mc: McConfig) -> list:
     one layout and differ only in drive powers; a trial fails at a point when
     every route has a failed hop.  Every point counts all `mc.trials`.
     """
-    drives = np.array([[_drive(hop) for route in pt for hop in route.hops]
+    drives = np.array([[hop.drive_power for route in pt for hop in route.hops]
                        for pt in points])
     width = min(BLOCK_TRIALS, mc.trials)
     acc = np.empty((len(points), width))
@@ -208,11 +189,11 @@ def simulate_sweep(meshes, mc: McConfig) -> list:
     return out
 
 
-def simulate_rf_hop(hop: RfHopParams, mc: McConfig) -> OutageEstimate:
+def simulate_rf_hop(hop, mc: McConfig) -> OutageEstimate:
     return _simulate([(Route((hop,)),)], mc)[0]
 
 
-def simulate_fso_hop(hop: FsoHopParams, mc: McConfig) -> OutageEstimate:
+def simulate_fso_hop(hop, mc: McConfig) -> OutageEstimate:
     return _simulate([(Route((hop,)),)], mc)[0]
 
 
@@ -316,25 +297,20 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
 
     The rounds are drawn as `_hop_failures` draws them.  The hop fails at
     offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M, and
-    ln(p(s) * scale) rises linearly in s: with slope ln10 / 10 for an FSO
-    drive and ln10 / (10 (1 - theta_pa)) for a PA output below saturation.
+    ln(p(s) * scale) rises linearly in s with the hop's `slope`.
 
     `floor` is the max of c over the route's earlier hops (-inf before its
     first): a trial whose Newton start maps to an offset at or below
     floor[i] keeps that offset, which bounds the solved c from above, so
     neither can raise the route's max.
     """
-    rounds = _model_rounds(hop)[1]
-    lnx = np.empty((rounds, n))
+    lnx = np.empty((hop.rounds, n))
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for row, (scale, x) in zip(lnx, _draw_rounds(hop, gen, n)):
             np.log(x, out=row)
-    total = rounds * hop.R / hop.M
+    total = hop.rounds * hop.R / hop.M
     u = _newton_start(lnx, total)
-    shift = math.log(_drive(hop) * scale)
-    slope = math.log(10.0) / 10.0
-    if isinstance(hop, RfHopParams):
-        slope /= 1.0 - hop.pa.theta_pa
+    shift, slope = math.log(hop.drive_power * scale), hop.slope
     # a start of +inf (every gain 0) is the root already
     solve = np.isfinite(u) & ((u - shift) / slope > floor)
     _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)

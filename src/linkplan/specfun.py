@@ -21,17 +21,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expi, gammainc, gammaincc, hyp1f1, kv, kve, polygamma
 
-__all__ = [
-    "ConvergenceError",
-    "gen_hypergeometric",
-    "bessel_k",
-    "laguerre",
-    "expint_ei",
-    "gg_log_density",
-    "gamma_log_table",
-    "gg_product_cdf",
-]
-
 _LOG2 = math.log(2.0)
 # pFq summation stops once a term is below this fraction of the total, and
 # raises after this many terms

@@ -130,6 +130,20 @@ def test_hop_params_validated():
         FsoHopParams(model=GG, p_tx=0.0, M=1, C_tilde=1, R=1.0)
     with pytest.raises(ValueError):
         FsoHopParams(model=GG, p_tx=1.0, M=1, C_tilde=0, R=1.0)
+    # a round count that is not an integer reached `range` in MC, and an
+    # infinite drive made MC score the hop a perfect link
+    for field, build in (
+            ("M", lambda: RfHopParams(fading=fad, pa=pa, M=2.0)),
+            ("M", lambda: RfHopParams(fading=fad, pa=pa, M=math.inf)),
+            ("C", lambda: RfHopParams(fading=fad, pa=pa, C=np.float64(3.0))),
+            ("M", lambda: FsoHopParams(model=GG, p_tx=1.0, M=2.0)),
+            ("C_tilde", lambda: FsoHopParams(model=GG, p_tx=1.0, C_tilde=math.inf)),
+            ("drive power", lambda: FsoHopParams(model=GG, p_tx=math.inf)),
+            ("drive power", lambda: RfHopParams(fading=fad, pa=PaConfig.ideal(math.inf)))):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build()
+    # Python and numpy integers both count
+    assert RfHopParams(fading=fad, pa=pa, M=np.int64(2), C=np.int32(3)).rounds == 6
 
 
 @pytest.mark.parametrize("build", [
@@ -141,7 +155,9 @@ def test_hop_params_validated():
     lambda: RfHopParams(RicianFading(0.01, 1.0, 4), PaConfig.ideal(1.0), 1, 1, math.nan),
     lambda: FsoHopParams(GG, math.nan, 1, 1, 1.0),
     lambda: FsoHopParams(GG, 1.0, 1, 1, math.nan),
-], ids=["K", "Omega", "lam", "a", "b", "rf_R", "p_tx", "fso_R"])
+    lambda: RfHopParams(RicianFading(0.01, 1.0, 4), PaConfig.ideal(1.0), math.nan),
+    lambda: FsoHopParams(GG, 1.0, 1, math.nan),
+], ids=["K", "Omega", "lam", "a", "b", "rf_R", "p_tx", "fso_R", "M", "C_tilde"])
 def test_hop_fields_reject_nan(build):
     # each passed a `<=` check, and MC then scored the hop a perfect link
     with pytest.raises(ValueError, match="nan"):

@@ -230,12 +230,17 @@ def test_sampler_ks_fso_gamma_gamma():
 
 
 def test_gg_sample_is_the_product_of_its_factor_draws():
-    # the in-place product draws a's factor, then b's, as the plain product did
-    scale, x = sample_gain(GG, _stream(19), 1000)
-    gen = _stream(19)
-    a = gen.gamma(GG.a, 1.0 / GG.a, size=1000)
-    assert scale == 1.0
-    assert np.array_equal(x, a * gen.gamma(GG.b, 1.0 / GG.b, size=1000))
+    # the in-place product draws a's factor, then b's, as the plain product
+    # did; an exponential law's one Gamma(1, 1/lam) factor draws the bits of
+    # numpy's exponential(1/lam)
+    cases = [(GG, lambda gen, n: gen.gamma(GG.a, 1.0 / GG.a, size=n)
+              * gen.gamma(GG.b, 1.0 / GG.b, size=n))]
+    cases += [(FsoExponential(lam), lambda gen, n, lam=lam: gen.exponential(1.0 / lam, size=n))
+              for lam in (0.3, 1.0, 2.7)]
+    for model, draw in cases:
+        scale, x = sample_gain(model, _stream(19), 100_000)
+        assert scale == 1.0
+        assert np.array_equal(x, draw(_stream(19), 100_000)), model
 
 
 def test_gg_sampler_log_rate_matches_quadrature():

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, closed-form anchors, interval behavior,
 joint route/mesh semantics, and the power-search on top of it."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -322,7 +323,7 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
     import linkplan.simulate as sim
     from linkplan.channel import sample_snr
     n, drives = 2000, [0.3, 1.7, 4.1]
-    model, rounds = sim._model_rounds(hop)
+    model, rounds = hop.law, hop.rounds
     acc = np.empty((len(drives), n))
     fail = np.zeros((len(drives), n), dtype=bool)
     sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc,
@@ -552,6 +553,50 @@ def test_critical_offsets_readme_mesh_solves_no_fso_trial(monkeypatch):
     sim._critical_offsets(MeshNetwork(routes=(Route(hops=(rf, fso)),)),
                           McConfig(trials=20_000, seed=1))
     assert calls == [("route 0: hop 0", 20_000), ("route 0: hop 1", 0)]
+
+
+def _digest_meshes():
+    """Two meshes over all three gain laws: exponential at lam = 2.7 and 0.3,
+    a PA with theta_pa > 0, M*C > 1, and in mesh "a" both routes limited
+    by their second hop."""
+    pa = PaConfig(epsilon=0.75, theta_pa=0.5, p_max=316.2278, p_cons=12.0)
+    a = MeshNetwork(routes=(
+        Route(hops=(_fso(12.0, m=2, model=FsoExponential(2.7)),
+                    RfHopParams(fading=RicianFading(1.5, 1.0, 2), pa=pa, M=2, C=2, R=1.0))),
+        Route(hops=(_fso(6.0, c=3, model=GG), _rf(0.2, n=3, m=3, r=1.2, k=0.0))),
+    ))
+    b = MeshNetwork(routes=(
+        Route(hops=(RfHopParams(fading=RicianFading(0.5, 2.0, 1), pa=PaConfig.ideal(1.5),
+                                R=0.8),
+                    _fso(1.0, m=2, c=2, model=FsoExponential(0.3)))),
+        Route(hops=(_fso(4.0, m=2, r=1.5, model=FsoGammaGamma(2.0, 1.5)),)),
+    ))
+    return a, b
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("which, digest", [
+    (0, "1fecf08c9b4cca155b0253f0dd4cec90b9c6e566a93167c3ba933ab7011ff1d8"),
+    (1, "901f2297321c48b7eedea14c1888a664190ff47daac3d2a799449a626b4d063f"),
+], ids=["a", "b"])
+def test_critical_offsets_bits_pinned(which, digest):
+    # the MC required_snr path, which no CLI golden file exercises: every
+    # trial's critical offset keeps its bits from release to release
+    import linkplan.simulate as sim
+    c = sim._critical_offsets(_digest_meshes()[which], McConfig(trials=20_000, seed=11))
+    assert _sha256(c) == digest
+
+
+def test_simulate_sweep_bits_pinned():
+    a, b = _digest_meshes()
+    ests = simulate_sweep([shift_scenario(a, d) for d in (-2.0, 0.0, 2.0)] + [b],
+                          McConfig(trials=20_000, seed=11))
+    assert [e.value for e in ests] == [0.87105, 0.32765, 0.0026, 0.0532]
+    assert _sha256(np.array([(e.value, e.ci_halfwidth) for e in ests])) == (
+        "208ca239c4f9344667024ff95b975f823b5683b4b8b5871a673a9321ad117785")
 
 
 def _softplus_sum(u, lnx_col):
