@@ -5,10 +5,10 @@ Gaussian surrogate (or an exact CDF bound) and returns an OutageEstimate
 carrying a method tag.  Monte Carlo lives in `simulate`; the two never share
 code paths, so each validates the other.
 
-The exact pieces are array or library evaluations: the RF sum-gain CDF is
-scipy's noncentral chi-square CDF `chndtr`, and the FSO log-rate moments of
-both gain laws are one sum over the `specfun.gamma_log_table` of the law's
-Gamma factors in ln G.
+The exact pieces are array evaluations: the RF sum-gain CDF is
+`specfun.ncx2_cdf`, the noncentral chi-square CDF at even degrees of freedom
+as a Skellam tail, and the FSO log-rate moments of both gain laws are one sum
+over the `specfun.gamma_log_table` of the law's Gamma factors in ln G.
 
 An RF and an FSO hop are one HARQ object: M rounds of C (or C_tilde) uses,
 `rounds` in all, decoded against R/M, gains drawn from `law` at `drive_power`,
@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chndtr
 
 from . import specfun
 from .channel import (
@@ -357,7 +356,7 @@ def _sum_gain_cdf(y: float, f: RicianFading) -> float:
     if y <= 0:
         return 0.0
     scale = f.Omega / (2.0 * (f.K + 1.0))
-    return float(chndtr(y / scale, 2.0 * f.N, 2.0 * f.K * f.N))
+    return specfun.ncx2_cdf(y / scale, f.N, 2.0 * f.K * f.N)
 
 
 def _pooled(h: RfHopParams) -> RicianFading:

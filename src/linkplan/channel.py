@@ -4,11 +4,12 @@ RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation, each the product of its
 independent Gamma `factors` (shape, scale), with `log_mean` ln of its mean.
 
-Densities are exact formulas: the single-antenna Rician gain on scipy's
-`ive`, and the FSO gains (the Gamma-Gamma one through
+Densities are exact formulas, kept as independent checks that no command
+calls: the single-antenna Rician gain on scipy's `ive` (imported in the
+call), and the FSO gains (the Gamma-Gamma one through
 `specfun.gg_log_density`).  The N-antenna sum gain is scale * ncx2(2N, 2KN),
-so its exact CDF is scipy's `chndtr` (see `analysis`) and it needs no density
-of its own here.  Each law's `sample` (one for both FSO laws) draws its
+so its exact CDF is `specfun.ncx2_cdf` (see `analysis`) and it needs no
+density of its own here.  Each law's `sample` (one for both FSO laws) draws its
 unscaled gains; `sample_gain`, the only draw the Monte Carlo engine makes,
 calls it, and `sample_snr` scales it to one drive.  A Gaussian surrogate for
 the sum gain, moment-matched in closed form, feeds the analytical outage
@@ -21,9 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 from . import specfun
+
+
+def _check_positive(law, *names):
+    """Each named field of `law` is finite and > 0."""
+    for name in names:
+        v = getattr(law, name)
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +41,10 @@ class RicianFading:
     N: int = 1    # number of transmit antennas
 
     def __post_init__(self):
-        if not self.K >= 0:
-            raise ValueError(f"K must be >= 0, got {self.K}")
-        if not self.Omega > 0:
-            raise ValueError(f"Omega must be > 0, got {self.Omega}")
-        if self.N < 1 or self.N != int(self.N):
+        if not 0 <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 0, got {self.K}")
+        _check_positive(self, "Omega")
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
     def sample(self, gen: np.random.Generator, n):
@@ -66,8 +73,7 @@ class FsoExponential(_GammaProduct):
     lam: float  # rate parameter of the gain distribution (> 0), mean gain 1/lam
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        _check_positive(self, "lam")
 
     # one Gamma(1, 1/lam) factor: numpy draws the bits of exponential(1/lam)
     factors = property(lambda self: ((1.0, 1.0 / self.lam),))
@@ -80,8 +86,7 @@ class FsoGammaGamma(_GammaProduct):
     b: float  # small-scale shaping parameter (> 0)
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"shaping parameters must be > 0, got a={self.a}, b={self.b}")
+        _check_positive(self, "a", "b")
 
     factors = property(lambda self: ((self.a, 1.0 / self.a), (self.b, 1.0 / self.b)))
     log_mean = 0.0  # unit-mean factors
@@ -105,6 +110,8 @@ class GaussianApprox:
 
 def rician_gain_pdf(x, f: RicianFading):
     """Density of the single-antenna gain g = |h|^2 under Rician fading."""
+    from scipy.special import ive
+
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     K, Om = f.K, f.Omega

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import bdtr
 
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
 from .channel import sample_gain
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, binomial_cdf
 
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB); a longer
@@ -350,7 +349,7 @@ def _order_statistic_ci(n: int, target: float) -> tuple:
     sd = math.sqrt(n * target * (1.0 - target))
     ks = np.arange(max(0, math.floor(n * target - 10.0 * sd - 10.0)),
                    min(n, math.ceil(n * target + 10.0 * sd + 10.0)) + 1)
-    cdf = bdtr(ks, n, target)        # P(B <= k)
+    cdf = binomial_cdf(ks, n, target)  # P(B <= k)
     low = ks[cdf <= 0.025]
     l = int(low[-1]) + 1 if low.size else 0
     u = int(ks[np.argmax(cdf >= 0.975)]) + 1

@@ -7,6 +7,7 @@ deterministic.
 """
 
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -735,19 +736,69 @@ def _ncx2_cdf_mpmath(x, df, nc):
         return total
 
 
-@pytest.mark.parametrize("N", [4, 60, 1800])
-@pytest.mark.parametrize("K", [0.0, 2.0, 5.0])
+def _assert_ncx2_cdf_matches(got, x, df, nc):
+    """`got` within 1e-13 of the 40-digit CDF at x; return that CDF."""
+    ref = _ncx2_cdf_mpmath(x, df, nc)
+    assert abs(got - ref) <= 1e-13 * ref, (x, df, nc, got, float(ref))
+    return float(ref)
+
+
+@pytest.mark.parametrize("N", [1, 4, 60, 1800])
+@pytest.mark.parametrize("K", [0.0, 0.01, 2.0, 5.0])
 def test_sum_gain_cdf_mpmath_oracle(N, K):
-    # pooled N up to 1800, from the deep lower tail to 1 - 1e-9
+    # pooled N from 1 to 1800, from 1e-280 deep in the lower tail to 1 - 1e-9
     f = RicianFading(K, 1.3, N)
     scale = 1.3 / (2.0 * (K + 1.0))
     df, nc = 2.0 * N, 2.0 * K * N
-    for q in (1e-14, 1e-9, 1e-5, 0.5, 1.0 - 1e-9):
-        x = chi2.ppf(q, df) if nc == 0 else ncx2.ppf(q, df, nc)
-        ref = float(_ncx2_cdf_mpmath(x, df, nc))
-        assert 0.5 * q < ref < 2.0 * q
-        assert_allclose(_sum_gain_cdf(scale * x, f), ref, rtol=1e-12,
-                        err_msg=f"CDF {q:g}")
+    for q in (1e-280, 1e-200, 1e-100, 1e-40, 1e-14, 1e-9, 1e-5, 0.5, 1.0 - 1e-9):
+        if q >= 1e-14:
+            x = chi2.ppf(q, df) if nc == 0 else ncx2.ppf(q, df, nc)
+        else:  # scipy's ppf stops short of these at large nc: bisect ln x
+            lo, hi = math.log(1e-300), math.log(df + nc)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if specfun.ncx2_cdf(math.exp(mid), N, nc) < q else (lo, mid)
+            x = math.exp(hi)
+        # the oracle takes the argument the CDF sees: near 1e-200 at N = 1800
+        # a 1-ulp change of x moves it by 1e-13
+        y = scale * x
+        ref = _assert_ncx2_cdf_matches(_sum_gain_cdf(y, f), y / scale, df, nc)
+        assert 0.5 * q < ref < 2.0 * q, f"CDF {q:g}"
+
+
+def test_ncx2_cdf_on_the_benchmark_arguments(tmp_path, monkeypatch):
+    # every (x, n, nc) that the outage-sweep of the closed_form_grid
+    # scenario and of the README hops on the 6.76-7.26 dB waterfall hand to
+    # the Jensen bounds, deep tails and exact 1.0 included
+    import yaml
+
+    from linkplan import cli
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    doc = yaml.safe_load((golden / "readme.yaml").read_text())
+    doc["sweep"]["grid"] = [6.76, 6.86, 6.96, 7.06, 7.16, 7.26]
+    doc["evaluators"] = [RF_JENSEN_LOWER, RF_JENSEN_UPPER]
+    (tmp_path / "waterfall.yaml").write_text(yaml.safe_dump(doc))
+    seen = set()
+    exact = specfun.ncx2_cdf
+    monkeypatch.setattr(specfun, "ncx2_cdf",
+                        lambda x, n, nc: seen.add((x, n, nc)) or exact(x, n, nc))
+    for cfg in (golden / "closed_form_grid.yaml", tmp_path / "waterfall.yaml"):
+        cli.main(["outage-sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert len(seen) == 60
+    for x, n, nc in sorted(seen):
+        _assert_ncx2_cdf_matches(exact(x, n, nc), x, 2.0 * n, nc)
+
+
+def test_ncx2_cdf_limits():
+    # the complement side returns exactly 1.0 once it is below 2^-54, and
+    # K = 0, N = 1 is the exponential law
+    assert specfun.ncx2_cdf(1e7, 800, 1600.0) == 1.0
+    assert specfun.ncx2_cdf(0.0, 3, 2.0) == 0.0
+    assert specfun.ncx2_cdf(math.inf, 3, 2.0) == 1.0
+    assert specfun.ncx2_cdf(1e-300, 800, 1600.0) == 0.0
+    for x in (1e-300, 1e-8, 0.3, 2.0, 40.0):
+        assert_allclose(specfun.ncx2_cdf(x, 1, 0.0), -math.expm1(-0.5 * x), rtol=1e-13)
 
 
 def test_rf_bounds_collapse_at_single_shot():

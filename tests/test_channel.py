@@ -44,6 +44,32 @@ def _stream(seed, stream_id=0):
 # type validation
 # ----------------------------------------------------------------------------
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: RicianFading(0.1, 1.0, 2.0), "N"),
+    (lambda: RicianFading(0.1, 1.0, np.float64(3.0)), "N"),
+    (lambda: RicianFading(0.1, 1.0, math.inf), "N"),
+    (lambda: RicianFading(0.1, 1.0, math.nan), "N"),
+    (lambda: RicianFading(math.inf, 1.0, 2), "K"),
+    (lambda: RicianFading(math.nan, 1.0, 2), "K"),
+    (lambda: RicianFading(0.1, math.inf, 2), "Omega"),
+    (lambda: RicianFading(0.1, math.nan, 2), "Omega"),
+    (lambda: FsoExponential(math.inf), "lam"),
+    (lambda: FsoExponential(math.nan), "lam"),
+    (lambda: FsoGammaGamma(math.inf, 2.0), "a"),
+    (lambda: FsoGammaGamma(2.0, math.inf), "b"),
+    (lambda: FsoGammaGamma(2.0, math.nan), "b"),
+])
+def test_law_parameters_rejected_by_name(make, field):
+    # antenna counts are integers >= 1 and every law parameter is finite,
+    # each refused with a ValueError that names its field
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make()
+
+
+def test_antenna_count_accepts_numpy_integers():
+    assert RicianFading(0.1, 1.0, np.int64(4)).N == 4
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         RicianFading(K=-0.1, Omega=1.0, N=1)

@@ -1,9 +1,13 @@
-"""Import-graph guards: the package imports numpy, scipy.special and PyYAML,
-and nothing of scipy it does not compute with.
+"""Import-graph guards: every linkplan command and `required_snr` imports
+numpy and PyYAML only, never scipy.  scipy.special loads only inside the
+density and special-function checks that no command calls (`bessel_k`,
+`laguerre`, `expint_ei`, `gg_log_density`, so `fso_pdf`, and
+`rician_gain_pdf`).
 
 Each check runs in a fresh interpreter, since this test session has long
-since imported everything.  scipy.integrate alone pulls in optimize, sparse,
-linalg and spatial: about 0.3 s on every linkplan process.
+since imported everything.  scipy.special alone costs about 0.25 s and 25 MB
+on every linkplan process (it loads numpy.f2py, numpy.testing and numpy.ma),
+and scipy.integrate pulls in optimize, sparse, linalg and spatial on top.
 """
 
 import json
@@ -50,9 +54,8 @@ def test_analysis_quad_resolves_lazily_for_the_tracer():
 
 def test_evaluators_compute_without_integrate_or_fft():
     # every analytic evaluator on the README hops, and the product CDF at
-    # n = 1 and 2, run without loading scipy.integrate or scipy.fft, and no
-    # linkplan module holds a name from them or from numpy.fft (scipy.special
-    # loads numpy.fft itself, so sys.modules cannot tell for that one)
+    # n = 1 and 2, run without loading scipy.integrate, scipy.fft or
+    # numpy.fft, and no linkplan module holds a name from any of them
     got = _fresh(
         "import json, sys\n"
         "from linkplan import analysis as an, specfun\n"
@@ -71,7 +74,7 @@ def test_evaluators_compute_without_integrate_or_fft():
         "an.hop_ergodic_rate(rf), an.hop_ergodic_rate(fso)\n"
         "specfun.gg_product_cdf(4.3939, 2.5636, 1, 0.5), specfun.gg_product_cdf(4.3939, 2.5636, 2, 0.5)\n"
         "heavy = ('scipy.integrate', 'scipy.fft', 'numpy.fft')\n"
-        "loaded = [m for m in heavy[:2] if m in sys.modules]\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
         "held = sorted(\n"
         "    f'{name}.{key}' for name, mod in list(sys.modules.items())\n"
         "    if name.startswith('linkplan') for key, v in vars(mod).items()\n"
@@ -79,3 +82,48 @@ def test_evaluators_compute_without_integrate_or_fft():
         "print(json.dumps([loaded, held, sorted(rejected)]))\n")
     # the README hops have M = 2 (no single shot) and n = 10 > 6 product gains
     assert got == [[], [], ["fso_product_bound", "rf_single_shot"]]
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "readme.yaml")
+
+
+def test_commands_and_required_snr_load_no_scipy(tmp_path):
+    # all four commands on the README scenario, then required_snr on its
+    # mesh by both evaluators, across the 0.1 crossing near 7.03 dB
+    got = _fresh(
+        "import json, sys\n"
+        "from linkplan import cli, config, simulate\n"
+        "codes = [cli.main([cmd, '--config', %r, '--trials', '2000',\n"
+        "                   '--out', %r])\n"
+        "         for cmd in ('outage-sweep', 'rate-sweep', 'validate', 'min-antennas')]\n"
+        "_, _, mesh = config.load_config(%r).materialize()\n"
+        "snr = [simulate.required_snr(0.1, mesh, evaluator=ev, bounds_db=(6.029, 9.029),\n"
+        "                             mc=simulate.McConfig(20000, 3), tol_db=0.05)\n"
+        "       for ev in ('analytical', 'mc')]\n"
+        "print(json.dumps([codes, [round(v, 1) for v in snr],\n"
+        "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        % (README, str(tmp_path / "out.csv"), README))
+    # min-antennas cannot size the README's coupled FSO power (exit 2)
+    assert got == [[0, 0, 1, 2], [7.0, 7.0], []]
+
+
+def test_check_only_names_keep_their_values():
+    # the densities and special functions that only check the closed forms
+    # still give their values (recorded with scipy.special imported at module
+    # level), and only calling them loads scipy.special
+    got = _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from linkplan import channel, specfun\n"
+        "before = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "gg = channel.FsoGammaGamma(4.3939, 2.5636)\n"
+        "vals = [specfun.bessel_k(1.3, 0.7), specfun.laguerre(0.5, -2.0),\n"
+        "        specfun.expint_ei(-1.5), float(specfun.gg_log_density(-0.3, 4.3939, 2.5636)),\n"
+        "        specfun.gg_log_density(np.array([-40.0, 0.0, 2.0]), 2.0, 0.5).tolist(),\n"
+        "        channel.fso_pdf(0.8, gg), channel.fso_pdf(0.8, channel.FsoExponential(1.3)),\n"
+        "        channel.rician_gain_pdf(0.6, channel.RicianFading(2.0, 1.0, 1))]\n"
+        "print(json.dumps([before, 'scipy.special' in sys.modules, vals]))\n")
+    assert got == [[], True, [
+        1.4232613423144334, 1.8130996534803376, -0.10001958240663265, -0.7460706738279175,
+        [-20.69314718055994, -1.5945348918918358, -3.2677160334197852],
+        0.600665648301394, 0.45949108654641424, 0.6358298690289391]]

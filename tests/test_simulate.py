@@ -706,6 +706,25 @@ def test_order_statistic_ci_ranks(n, target):
     assert (1 <= l and u <= n) == inside
 
 
+def test_order_statistic_ci_ranks_match_scipy_bdtr():
+    # the ranks off specfun.binomial_cdf are the ones scipy's bdtr gave
+    from scipy.special import bdtr
+
+    import linkplan.simulate as sim
+
+    def scipy_ranks(n, target):
+        sd = math.sqrt(n * target * (1.0 - target))
+        ks = np.arange(max(0, math.floor(n * target - 10.0 * sd - 10.0)),
+                       min(n, math.ceil(n * target + 10.0 * sd + 10.0)) + 1)
+        cdf = bdtr(ks, n, target)
+        low = ks[cdf <= 0.025]
+        return (int(low[-1]) + 1 if low.size else 0), int(ks[np.argmax(cdf >= 0.975)]) + 1
+
+    for n in (1, 7, 40, 100, 1000, 5000, 20_000, 100_000, 1_000_000):
+        for target in (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999):
+            assert sim._order_statistic_ci(n, target) == scipy_ranks(n, target), (n, target)
+
+
 def _crossing_rank(n, target):
     """The rank `_mc_crossing` picks, read off distinct offsets 0, -1, -2, ..."""
     import linkplan.simulate as sim

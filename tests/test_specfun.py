@@ -446,3 +446,65 @@ def test_gg_product_cdf_pinned_tail_points(a, b, n, x, ref):
     f, _ = _meijer_g_cdf(a, b, n, x)
     assert_allclose(f, ref, rtol=1e-10)
     assert_allclose(gg_product_cdf(a, b, n, x), f, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------------
+# incomplete gamma P/Q, trigamma, binomial CDF
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [0.01, 0.03, 0.1, 0.3, 1.0, 2.5636, 4.3939, 10.0, 30.0, 100.0])
+def test_gamma_pq_mpmath_oracle(s):
+    # both tails from z = 1e-300 to 1e3, and densely across z = s: within
+    # 1e-13 relative, or 4e-16 |ln v| for a value v below e^-250, where the
+    # rounding of the exponent of e^-|ln v| alone is |ln v| 2^-53
+    z = np.concatenate([np.geomspace(1e-300, 1e3, 40), s * np.linspace(0.5, 1.5, 21),
+                        [s + 1.0 - 1e-9, s + 1.0, s + 1.0 + 1e-9]])
+    p, q = specfun.gamma_pq(s, z)
+    with mpmath.workdps(40):
+        for zi, pi, qi in zip(z, p, q):
+            for got, ref in ((pi, mpmath.gammainc(s, 0, zi, regularized=True)),
+                             (qi, mpmath.gammainc(s, zi, mpmath.inf, regularized=True))):
+                if ref < 1e-300:
+                    assert got < 1e-290
+                    continue
+                rtol = max(1e-13, 4e-16 * abs(float(mpmath.log(ref))))
+                assert abs(got - ref) <= rtol * ref, (s, zi, got, float(ref))
+    assert specfun.gamma_pq(s, 0.0) == (0.0, 1.0)
+
+
+def test_gamma_pq_upper_tail_is_exactly_one():
+    # far into the upper tail P is 1.0 to the bit and Q keeps its relative
+    # precision, so `1 - sum w Q` and `sum w P` agree past the median
+    for s in (0.01, 2.5636, 100.0):
+        z = np.array([s + 60.0 * math.sqrt(s) + 60.0, 1e3, math.exp(700.0)])
+        p, q = specfun.gamma_pq(s, z)
+        assert (p == 1.0).all() and q[-1] == 0.0
+    p, q = specfun.gamma_pq(2.5636, 80.0)
+    assert p == 1.0
+    assert_allclose(q, float(mpmath.gammainc(2.5636, 80.0, mpmath.inf, regularized=True)),
+                    rtol=1e-13)
+
+
+def test_trigamma_mpmath_oracle():
+    for x in list(np.geomspace(1e-3, 1e4, 60)) + [0.001, 0.1, 2.5636, 4.3939, 9.5, 10.0, 12.0]:
+        assert_allclose(specfun.trigamma(float(x)), float(mpmath.psi(1, float(x))), rtol=1e-14,
+                        err_msg=f"x={x}")
+    with pytest.raises(ValueError):
+        specfun.trigamma(0.0)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.3), (20, 0.5), (1000, 1e-3), (1000, 0.999),
+                                  (20_000, 0.01), (20_000, 0.1), (20_000, 0.5)])
+def test_binomial_cdf_mpmath_oracle(n, p):
+    # P(B <= k) on a run of counts around the mean, from the lower tail up
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    k = np.arange(max(0, math.floor(mean - 8.0 * sd - 2.0)),
+                  min(n, math.ceil(mean + 8.0 * sd + 2.0)) + 1)
+    got = specfun.binomial_cdf(k, n, p)
+    with mpmath.workdps(30):
+        start = max(0, int(k[0]) - 400)  # the mass below is under 1e-40 of P(B <= k[0])
+        cdf = mpmath.mpf(0)
+        for i in range(start, int(k[-1]) + 1):
+            cdf += mpmath.binomial(n, i) * mpmath.mpf(p) ** i * (1 - mpmath.mpf(p)) ** (n - i)
+            if i >= k[0] and cdf > 1e-300:
+                assert abs(got[i - k[0]] - cdf) <= 1e-12 * cdf, (n, p, i, float(cdf))
