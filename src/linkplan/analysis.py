@@ -341,7 +341,10 @@ def fso_outage_product_bound(h: FsoHopParams) -> OutageEstimate:
     turning outage into a product-of-variates CDF evaluation."""
     _product_bound_applies(h)
     n = h.M * h.C_tilde
-    thr = ((math.exp(h.R / h.M) - 1.0) / h.p_tx) ** n
+    try:
+        thr = (_snr_threshold(h.R / h.M) / h.p_tx) ** n
+    except OverflowError:  # past every float, where the CDF reads 1
+        thr = math.inf
     value = specfun.gg_product_cdf(h.model.a, h.model.b, n, thr)
     return OutageEstimate(value, FSO_PRODUCT_BOUND)
 
@@ -349,6 +352,15 @@ def fso_outage_product_bound(h: FsoHopParams) -> OutageEstimate:
 # ---------------------------------------------------------------------------
 # RF short-codeword bounds and single-shot approximation
 # ---------------------------------------------------------------------------
+
+def _snr_threshold(rate: float) -> float:
+    """e^rate - 1, the SNR one channel use needs to carry `rate` nats: +inf
+    once e^rate overflows a float, where every gain CDF reads 1."""
+    try:
+        return math.exp(rate) - 1.0
+    except OverflowError:
+        return math.inf
+
 
 def _sum_gain_cdf(y: float, f: RicianFading) -> float:
     """Exact CDF of the N-antenna sum gain G = scale * X with
@@ -365,12 +377,12 @@ def _pooled(h: RfHopParams) -> RicianFading:
 
 
 def _rf_jensen_lower(h: RfHopParams) -> OutageEstimate:
-    arg = h.M * h.C * (math.exp(h.R / h.M) - 1.0) / h.drive_power
+    arg = h.M * h.C * _snr_threshold(h.R / h.M) / h.drive_power
     return OutageEstimate(_sum_gain_cdf(arg, _pooled(h)), RF_JENSEN_LOWER)
 
 
 def _rf_jensen_upper(h: RfHopParams) -> OutageEstimate:
-    arg = (math.exp(h.R * h.C) - 1.0) / h.drive_power
+    arg = _snr_threshold(h.R * h.C) / h.drive_power
     return OutageEstimate(_sum_gain_cdf(arg, _pooled(h)), RF_JENSEN_UPPER)
 
 
@@ -389,7 +401,7 @@ def rf_outage_single_shot(h: RfHopParams) -> OutageEstimate:
         )
     p = h.drive_power
     g = clt_sum_gain_params(h.fading)
-    thr = (math.exp(h.R) - 1.0) / p
+    thr = _snr_threshold(h.R) / p
     return OutageEstimate(gaussian_outage(g, 1, 1, thr), RF_SINGLE_SHOT)
 
 

@@ -24,6 +24,13 @@ bound could raise the max over the route's earlier hops, so a hop that
 never limits its route costs its draws and the bound.  That pass holds the
 hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS) bytes, and three
 (rounds x CRITICAL_CHUNK) temporaries.
+
+Both passes stop drawing a hop's rounds once no later round can change a
+result: the sweep kernel once every trial has decoded at every drive, the
+critical pass once no trial's bound can reach above its route's floor.
+Later rounds only add terms >= 0 to a trial's log-rate sum, and nothing
+else draws from the hop's substream, so every result is the same to the
+bit as with every round drawn.
 """
 from __future__ import annotations
 
@@ -126,13 +133,21 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     Each round's unscaled gain X is drawn once and scored at every drive:
     acc[i] += log1p((drives[i] * scale) * X), the arithmetic of a one-drive
     run, so every row is bit-identical to simulating its drive alone.
+
+    The hop stops drawing once every trial has decoded at every drive, each
+    row's min / rounds > R / M, and ORs in nothing: a later round adds a
+    log1p term >= 0, which never lowers a float sum, and the division is
+    monotone, so no trial could fail after all.  Nothing else draws from
+    the hop's substream, so the draws it skips change no other result.
     """
     acc.fill(0.0)
+    rounds, threshold = hop.rounds, hop.R / hop.M
     for scale, x in _draw_rounds(hop, gen, buf.size):
         for row, p in zip(acc, drives):
             np.multiply(x, p * scale, out=buf)
             row += np.log1p(buf, out=buf)
-    rounds, threshold = hop.rounds, hop.R / hop.M
+        if all(row.min() / rounds > threshold for row in acc):
+            return
     for row, fail in zip(acc, out):
         fail |= np.divide(row, rounds, out=buf) <= threshold
 
@@ -217,20 +232,50 @@ def _newton_start(lnx: np.ndarray, total: float) -> np.ndarray:
     softplus^-1(total / m) - mean ln X_r; and at total - max ln X_r the
     largest term alone exceeds total.
     """
+    if lnx.min() > -math.inf:          # no gain underflowed
+        m = lnx.shape[0]
+        start = lnx.sum(axis=0)
+    else:
+        live = lnx > -math.inf
+        m = np.count_nonzero(live, axis=0)
+        start = np.sum(lnx, axis=0, where=live)
+    return _jensen_start(start, m, lnx.max(axis=0), total, start)
+
+
+def _jensen_start(lnx_sum: np.ndarray, m, lnx_max: np.ndarray, total: float,
+                  out: np.ndarray) -> np.ndarray:
+    """`_newton_start` into out, from each trial's sum and count m (an int
+    when every trial has the same) of its live ln X_r and its max ln X_r."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        if lnx.min() > -math.inf:          # no gain underflowed
-            m = lnx.shape[0]
-            start = lnx.sum(axis=0)
-        else:
-            live = lnx > -math.inf
-            m = np.count_nonzero(live, axis=0)
-            start = np.sum(lnx, axis=0, where=live)
-        start /= -m                        # -mean ln X_r: NaN where m = 0
+        np.divide(lnx_sum, -m, out=out)    # -mean ln X_r: NaN where m = 0
         y = total / m
         # softplus^-1(y) = ln(e^y - 1), written so that no e^y overflows
-        start += y + np.log(-np.expm1(-y))
+        out += y + np.log(-np.expm1(-y))
     # fmin passes over the NaN: a trial with no X_r > 0 gets total + inf
-    return np.fmin(start, total - lnx.max(axis=0), out=start)
+    return np.fmin(out, total - lnx_max, out=out)
+
+
+class _PartialStart:
+    """`_newton_start` of the rounds drawn so far, kept in O(n) per round
+    from each trial's running sum, count and max of its live ln X_r."""
+
+    def __init__(self, n: int):
+        self.sum = np.zeros(n)
+        self.max = np.full(n, -math.inf)
+        self.live = 0                      # one int until a gain underflows
+        self.start = np.empty(n)
+
+    def add(self, row: np.ndarray, total: float) -> np.ndarray:
+        """Take in one round's ln X and return the bound (a view kept here)."""
+        np.maximum(self.max, row, out=self.max)
+        if row.min() > -math.inf:
+            self.sum += row
+            self.live += 1
+        else:
+            live = row > -math.inf
+            np.add(self.sum, row, out=self.sum, where=live)
+            self.live = self.live + live
+        return _jensen_start(self.sum, self.live, self.max, total, self.start)
 
 
 def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
@@ -302,14 +347,35 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     first): a trial whose Newton start maps to an offset at or below
     floor[i] keeps that offset, which bounds the solved c from above, so
     neither can raise the route's max.
+
+    Below a finite floor the hop stops drawing once the start of the rounds
+    drawn so far (`_PartialStart`) maps every trial at least
+    _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0, so
+    the partial sum's root lies at or right of the full sum's; the margin
+    dwarfs the float error of Newton's root, so with every round drawn
+    each trial's c would still map at or below its floor.  Those trials
+    keep their partial start and Newton solves none, so the route's max is
+    the same to the bit, and no other hop draws from this substream.
     """
     lnx = np.empty((hop.rounds, n))
-    with np.errstate(divide="ignore"):   # a gain that underflows to 0
-        for row, (scale, x) in zip(lnx, _draw_rounds(hop, gen, n)):
-            np.log(x, out=row)
     total = hop.rounds * hop.R / hop.M
-    u = _newton_start(lnx, total)
-    shift, slope = math.log(hop.drive_power * scale), hop.slope
+    slope = hop.slope
+    partial = _PartialStart(n) if floor.min() > -math.inf else None
+    with np.errstate(divide="ignore"):   # a gain that underflows to 0
+        for k, (row, (scale, x)) in enumerate(zip(lnx, _draw_rounds(hop, gen, n)), 1):
+            np.log(x, out=row)
+            if k == 1:
+                shift = math.log(hop.drive_power * scale)
+                if partial is not None:
+                    # a start below bar maps below floor - _CROSSING_MARGIN_DB
+                    bar = (floor - _CROSSING_MARGIN_DB) * slope + shift
+            if partial is not None and k < hop.rounds:
+                u = partial.add(row, total)
+                if (u < bar).all():
+                    lnx = lnx[:k]
+                    break
+        else:
+            u = _newton_start(lnx, total)
     # a start of +inf (every gain 0) is the root already
     solve = np.isfinite(u) & ((u - shift) / slope > floor)
     _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)

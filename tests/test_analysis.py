@@ -824,6 +824,29 @@ def test_rf_bounds_sandwich_mc():
     assert lo.value < up.value
 
 
+@pytest.mark.parametrize("M, C, R", [(2, 400, 2.0), (1, 1, 710.0), (3, 1, 2200.0)])
+def test_threshold_past_every_float_reads_outage_one(M, C, R):
+    # e^(R C) (upper bound) or e^(R / M) (lower bound, single shot) beyond
+    # the largest float: the pooled CDF at an infinite threshold is 1
+    h = RfHopParams(fading=RicianFading(2.0, 1.0, 40), pa=PaConfig.ideal(1.0),
+                    M=M, C=C, R=R)
+    lo, up = rf_outage_bounds_short(h)
+    assert up.value == 1.0
+    if R / M > 709.8:
+        assert lo.value == 1.0
+    if M == C == 1:
+        assert rf_outage_single_shot(h).value == 1.0
+
+
+@pytest.mark.parametrize("R", [200.0, 800.0])
+def test_product_bound_threshold_past_every_float_reads_one(R):
+    # R = 200: e^(R/M) is finite but its 6th power is not; R = 800: e^(R/M)
+    # itself overflows
+    h = FsoHopParams(model=FsoGammaGamma(4.3939, 2.5636), p_tx=40.0, M=1,
+                     C_tilde=6, R=R)
+    assert fso_outage_product_bound(h).value == 1.0
+
+
 # ----------------------------------------------------------------------------
 # single-shot approximation
 # ----------------------------------------------------------------------------

@@ -660,6 +660,22 @@ def test_evaluator_error_rows_exit3(tmp_path):
     assert "single-shot" in row[4]
 
 
+def test_jensen_bounds_past_float_range_read_one(tmp_path):
+    # the README hop with C = 400: e^(R C) overflows a float, and the upper
+    # bound is the pooled CDF at an infinite threshold, 1, not an error row
+    doc = yaml.safe_load((GOLDEN / "readme.yaml").read_text())
+    doc["rf_hops"][0]["C"] = 400
+    doc["evaluators"] = ["rf_jensen_upper", "rf_jensen_lower"]
+    code, text = run_to_file(tmp_path, "outage-sweep", write_config(tmp_path, doc))
+    assert code == 0, text
+    rows = data_rows(text)
+    assert len(rows) == 12
+    for row in rows:
+        assert row[4] == "", row
+        if row[1] == "rf_jensen_upper":
+            assert row[2] == "1", row
+
+
 @pytest.mark.parametrize("command, column", [("rate-sweep", 2), ("outage-sweep", 4)])
 def test_nan_variance_rows_name_the_surrogate(tmp_path, command, column):
     # omega = 1e300 overflows the sum-gain variance; the linearized log

@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,12 +329,124 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
     fail = np.zeros((len(drives), n), dtype=bool)
     sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc,
                       np.empty(n), fail)
+    # some trial fails at some drive, so the hop never stopped drawing and
+    # acc holds every round's sum, not a partial one
+    assert fail.any()
     for row, p in zip(acc, drives):
         gen = sim._block_generator(5, 0, 1)
         expect = np.zeros(n)
         for _ in range(rounds):
             expect += np.log1p(sample_snr(model, p, gen, n))
         assert np.array_equal(row, expect)
+
+
+# the README mesh: K=2, N=40 RF hop and Gamma-Gamma FSO hop, M=2, C=C~=5
+README_PA = PaConfig(epsilon=0.75, theta_pa=0.5, p_max=316.2278, p_cons=1.0)
+README_RF = RfHopParams(fading=RicianFading(2.0, 1.0, 40), pa=README_PA, M=2, C=5, R=2.0)
+README_GG = FsoHopParams(model=GG, p_tx=40.0, M=2, C_tilde=5, R=2.0)
+README_MESH = MeshNetwork(routes=(Route(hops=(README_RF, README_GG)),))
+# README_MESH plus a K=0 RF hop and an exponential FSO hop on a second route
+TWO_ROUTE_MESH = MeshNetwork(routes=README_MESH.routes + (Route(hops=(
+    replace(README_RF, fading=RicianFading(0.0, 1.0, 40)),
+    FsoHopParams(model=FsoExponential(1.0), p_tx=40.0, M=2, C_tilde=5, R=2.0))),))
+# MC outage of README_MESH falls from 0.98 to 4e-5 across these offsets
+WATERFALL_DB = (6.76, 6.86, 6.96, 7.06, 7.16, 7.26)
+
+
+def _count_draws(monkeypatch):
+    """Rounds drawn per gain law (one law per hop in the meshes used)."""
+    import linkplan.simulate as sim
+    from collections import Counter
+    draws = Counter()
+    real = sim.sample_gain
+
+    def counting(law, gen, n):
+        draws[law] += 1
+        return real(law, gen, n)
+
+    monkeypatch.setattr(sim, "sample_gain", counting)
+    return draws
+
+
+def _all_rounds_failures(meshes, mc):
+    """Failures of each mesh (one block of trials) with every hop drawing
+    all its rounds, in the kernel's arithmetic."""
+    import linkplan.simulate as sim
+    _, n, routes = next(sim._substreams(meshes[0].routes, mc))
+    assert n == mc.trials
+    mesh_fail = np.ones((len(meshes), n), dtype=bool)
+    for r, hops in enumerate(routes):
+        route_fail = np.zeros_like(mesh_fail)
+        for i, (_, hop, gen) in enumerate(hops):
+            rounds = [sample_gain(hop.law, gen, n) for _ in range(hop.rounds)]
+            for fail, mesh in zip(route_fail, meshes):
+                p, acc = mesh.routes[r].hops[i].drive_power, np.zeros(n)
+                for scale, x in rounds:
+                    acc += np.log1p(x * (p * scale))
+                fail |= acc / hop.rounds <= hop.R / hop.M
+        mesh_fail &= route_fail
+    return np.count_nonzero(mesh_fail, axis=1).tolist()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_hop_stops_drawing_once_decided(monkeypatch, seed):
+    # across the waterfall every trial decodes the Gamma-Gamma hop at every
+    # drive by its 4th round of 10, and the failures equal a run that draws
+    # every round
+    mc = McConfig(trials=100_000, seed=seed)
+    meshes = [shift_scenario(README_MESH, d) for d in WATERFALL_DB]
+    draws = _count_draws(monkeypatch)
+    ests = simulate_sweep(meshes, mc)
+    assert draws == {README_RF.law: 10, GG: 4}
+    monkeypatch.undo()
+    assert [e.value for e in ests] == [f / mc.trials for f in _all_rounds_failures(meshes, mc)]
+
+
+class _Crafted:
+    """A hop whose rounds draw fixed gains (scale 1), one list per round."""
+
+    def __init__(self, monkeypatch, gains, R, **fields):
+        import linkplan.simulate as sim
+        self.gains, self.drawn = gains, 0
+        self.hop = SimpleNamespace(law=self, rounds=len(gains), R=R, M=1, **fields)
+        monkeypatch.setattr(sim, "sample_gain", lambda law, gen, n: law.draw())
+
+    def draw(self):
+        self.drawn += 1
+        return 1.0, np.array(self.gains[self.drawn - 1], dtype=float)
+
+
+def _crafted_failures(monkeypatch, gains, R, drives=(1.0,)):
+    """(rounds drawn, failure rows) of `_hop_failures` on crafted gains."""
+    import linkplan.simulate as sim
+    crafted = _Crafted(monkeypatch, gains, R)
+    n = len(gains[0])
+    fail = np.zeros((len(drives), n), dtype=bool)
+    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)),
+                      np.empty(n), fail)
+    return crafted.drawn, fail.tolist()
+
+
+def test_sweep_stop_on_crafted_gains(monkeypatch):
+    e = math.e
+    # R = 1 over 4 rounds: a trial decodes once its log-rate sum exceeds 4.
+    # The last trial adds 1.1 a round: 3.3 after round 3, decoded only by
+    # round 4, so every round is drawn
+    late = [[e ** 5, e ** 1.1 - 1.0]] * 4
+    assert _crafted_failures(monkeypatch, late, 1.0) == (4, [[False, False]])
+    # every trial past 4 after round 2: rounds 3 and 4 are never drawn
+    early = [[e ** 2.5 - 1.0, e ** 5]] * 2 + [[0.0, 0.0]] * 2
+    assert _crafted_failures(monkeypatch, early, 1.0) == (2, [[False, False]])
+    # a sum exactly on the threshold after round 2 has not decoded: rounds
+    # 3 and 4 add 0, and the trial fails
+    on = [[0.7, e ** 5], [2.9, e ** 5], [0.0, 0.0], [0.0, 0.0]]
+    R = float((np.float64(0.0) + np.log1p(0.7) + np.log1p(2.9)) / 4)
+    assert _crafted_failures(monkeypatch, on, R) == (4, [[True, False]])
+    # at drive 2 every trial decodes by round 2, at drive 1 the first never
+    # does: the hop draws on and fails it at drive 1
+    mixed = [[4.0, e ** 5]] * 2 + [[0.0, 0.0]] * 2
+    assert _crafted_failures(monkeypatch, mixed, 1.0, drives=(2.0, 1.0)) == \
+        (4, [[False, False], [True, False]])
 
 
 def test_sweep_matches_per_point_simulation_multiple_blocks(monkeypatch):
@@ -555,6 +668,54 @@ def test_critical_offsets_readme_mesh_solves_no_fso_trial(monkeypatch):
     assert calls == [("route 0: hop 0", 20_000), ("route 0: hop 1", 0)]
 
 
+@pytest.mark.parametrize("mesh, rounds", [
+    (README_MESH, {README_RF.law: 10, GG: 4}),
+    (TWO_ROUTE_MESH, {README_RF.law: 10, GG: 4, TWO_ROUTE_MESH.routes[1].hops[0].law: 10,
+                      TWO_ROUTE_MESH.routes[1].hops[1].law: 6}),
+], ids=["readme", "two_routes"])
+def test_critical_offsets_later_hop_stops_drawing(monkeypatch, mesh, rounds):
+    # at seed 1 no trial's partial start on the FSO hops could raise its
+    # route's max after round 4 (Gamma-Gamma) or 6 (exponential); the
+    # offsets equal, bit for bit, those with every round drawn and solved
+    import linkplan.simulate as sim
+    mc = McConfig(trials=20_000, seed=1)
+    draws = _count_draws(monkeypatch)
+    c = sim._critical_offsets(mesh, mc)
+    assert draws == rounds
+    monkeypatch.undo()
+    assert np.array_equal(c, _critical_offsets_all_solved(sim, mesh, mc))
+
+
+@pytest.mark.parametrize("seed, block_trials", [(1, None), (2, None), (3, None),
+                                                (1, 1000), (2, 1000)])
+def test_critical_offsets_stop_is_exact(monkeypatch, seed, block_trials):
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mc = McConfig(trials=20_000, seed=seed)
+    assert np.array_equal(sim._critical_offsets(TWO_ROUTE_MESH, mc),
+                          _critical_offsets_all_solved(sim, TWO_ROUTE_MESH, mc))
+
+
+def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
+    # a later hop whose partial start after round 1 maps 0.5e-9 dB below
+    # every trial's floor draws on; at 2e-9 dB below it stops there
+    import linkplan.simulate as sim
+    gains = [[0.5, 3.0, 40.0], [0.2, 1.5, 9.0], [0.1, 0.7, 2.0]]
+    fields = dict(drive_power=2.0, slope=0.1 * math.log(10.0))
+    total = 3 * 2.0
+    lnx = np.log(np.array(gains))
+    shift = math.log(fields["drive_power"])
+    first = (sim._newton_start(lnx[:1], total) - shift) / fields["slope"]
+    drawn = []
+    for below in (0.5e-9, 2e-9):
+        crafted = _Crafted(monkeypatch, gains, 2.0, **fields)
+        c = sim._hop_critical_offsets(crafted.hop, None, 3, "margin", first + below)
+        assert np.all(c <= first + below)
+        drawn.append(crafted.drawn)
+    assert drawn[0] > 1 and drawn[1] == 1
+
+
 def _digest_meshes():
     """Two meshes over all three gain laws: exponential at lam = 2.7 and 0.3,
     a PA with theta_pa > 0, M*C > 1, and in mesh "a" both routes limited
@@ -636,6 +797,26 @@ def test_newton_start_bounds_the_root(rounds, data, total):
         assert start[i] >= hi - 1e-9 * max(1.0, abs(hi))
         assert u[i] <= start[i]
         assert u[i] == pytest.approx(hi, rel=1e-9, abs=1e-9)
+
+
+def test_partial_start_tracks_newton_start_of_rounds_drawn():
+    # after each round the running bound is `_newton_start` of the rounds
+    # drawn so far, underflowed gains (ln X = -inf) and all-dead trials too
+    import linkplan.simulate as sim
+    rng = np.random.default_rng(7)
+    late = rng.normal(0.0, 2.0, size=(8, 300))   # gains underflow from round 4
+    late[3:][rng.random((5, 300)) < 0.3] = -math.inf
+    early = late.copy()                          # and from round 1
+    early[:2, 0] = -math.inf                     # dead for two rounds, then alive
+    early[:, 1] = -math.inf                      # dead throughout
+    total = 9.0
+    for lnx in (late, early):
+        partial = sim._PartialStart(lnx.shape[1])
+        for k, row in enumerate(lnx, 1):
+            got = partial.add(row, total)
+            expect = sim._newton_start(lnx[:k], total)
+            assert np.array_equal(np.isinf(got), np.isinf(expect))
+            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
 def test_critical_log_drive_result_depends_on_its_column_alone(monkeypatch):
