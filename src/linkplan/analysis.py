@@ -12,13 +12,18 @@ over the `specfun.gamma_log_table` of the law's Gamma factors in ln G.
 
 An RF and an FSO hop are one HARQ object: M rounds of C (or C_tilde) uses,
 `rounds` in all, decoded against R/M, gains drawn from `law` at `drive_power`,
-whose log rises by `slope` per dB of `shifted`; only `_HOP_KINDS` tells them apart.
+whose log rises by `slope` per dB of `shifted`.  Two tables tell them apart:
+`EVALUATORS` has one row per method tag (the hop class it scores, its outage
+of (hop, theta), its `validate` class and any check that refuses a hop), and
+`_HOP_KINDS` one row per hop class (its link kind, default tag and ergodic
+rate).  Every tag list, check and dispatch reads them, so a new tag is one row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -452,62 +457,85 @@ def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float) ->
 
 
 # ---------------------------------------------------------------------------
-# per-hop dispatch used by network / CLI
+# the evaluator table: per-hop dispatch used by network / CLI
 # ---------------------------------------------------------------------------
 
-_RF_EVALUATORS = {
-    RF_LOW_SNR: rf_outage_low_snr,
-    RF_PIECEWISE: rf_outage_piecewise,
-    RF_LINEARIZED: rf_outage_linearized,
-    RF_SINGLE_SHOT: rf_outage_single_shot,
-    RF_JENSEN_LOWER: _rf_jensen_lower,
-    RF_JENSEN_UPPER: _rf_jensen_upper,
-}
-_FSO_EVALUATORS = {
-    FSO_CLT: fso_outage_clt,
-    FSO_PRODUCT_BOUND: fso_outage_product_bound,
-}
-RF_TAGS = tuple(_RF_EVALUATORS)
-FSO_TAGS = tuple(_FSO_EVALUATORS)
+# `validate` classes: an estimate is held within a factor of MC, a bound
+# to its own side of MC
+ESTIMATE, LOWER_BOUND, UPPER_BOUND = "estimate", "lower_bound", "upper_bound"
 
 
-# hop class -> (kind, evaluators, index of its tag in (rf_method, fso_method),
-# ergodic rate); each rate looks its function up when called, so a tracer's
-# or a monkeypatch's rebinding of it takes effect
+class Evaluator(NamedTuple):
+    """A method tag's hop class, outage of (hop, theta), `validate` class and
+    check that raises, before any numerics, where the tag does not apply."""
+    hop: type
+    outage: Callable
+    bound: str
+    check: Callable = lambda hop: None
+
+
+# method tag -> its row; every function is looked up when called, so a
+# tracer's or a monkeypatch's rebinding of it takes effect
+EVALUATORS = {
+    RF_LOW_SNR: Evaluator(RfHopParams, lambda h, _: rf_outage_low_snr(h), ESTIMATE),
+    RF_PIECEWISE: Evaluator(RfHopParams, lambda h, theta: rf_outage_piecewise(h, theta),
+                            ESTIMATE),
+    RF_LINEARIZED: Evaluator(RfHopParams, lambda h, _: rf_outage_linearized(h), ESTIMATE),
+    RF_SINGLE_SHOT: Evaluator(RfHopParams, lambda h, _: rf_outage_single_shot(h), ESTIMATE),
+    RF_JENSEN_LOWER: Evaluator(RfHopParams, lambda h, _: _rf_jensen_lower(h), LOWER_BOUND),
+    RF_JENSEN_UPPER: Evaluator(RfHopParams, lambda h, _: _rf_jensen_upper(h), UPPER_BOUND),
+    FSO_CLT: Evaluator(FsoHopParams, lambda h, _: fso_outage_clt(h), ESTIMATE),
+    FSO_PRODUCT_BOUND: Evaluator(FsoHopParams, lambda h, _: fso_outage_product_bound(h),
+                                 UPPER_BOUND, lambda h: _product_bound_applies(h)),
+}
+RF_TAGS = tuple(t for t, row in EVALUATORS.items() if row.hop is RfHopParams)
+FSO_TAGS = tuple(t for t, row in EVALUATORS.items() if row.hop is FsoHopParams)
+
+
+# hop class -> (link kind, its default tag, ergodic rate), in the order in
+# which an (rf_method, fso_method) pair gives one tag per kind
 _HOP_KINDS = {
-    RfHopParams: ("RF", _RF_EVALUATORS, 0, lambda h: rf_ergodic_rate(h.fading, h.pa)),
-    FsoHopParams: ("FSO", _FSO_EVALUATORS, 1, lambda h: fso_ergodic_rate(h)),
+    RfHopParams: ("RF", RF_LINEARIZED, lambda h: rf_ergodic_rate(h.fading, h.pa)),
+    FsoHopParams: ("FSO", FSO_CLT, lambda h: fso_ergodic_rate(h)),
 }
+DEFAULT_TAGS = tuple(default for _, default, _ in _HOP_KINDS.values())
+_PAIR_PLACE = {cls: i for i, cls in enumerate(_HOP_KINDS)}
 
 
 def _hop_kind(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):
-    """(kind, evaluators, the tag of the pair it takes, ergodic rate) of a hop."""
-    try:
-        kind, known, slot, rate = _HOP_KINDS[type(hop)]
-    except KeyError:
-        raise TypeError(f"unsupported hop type {type(hop).__name__}") from None
-    return kind, known, (rf_method, fso_method)[slot], rate
+    """(link kind, the tag of the pair it takes, ergodic rate) of a hop."""
+    if type(hop) not in _HOP_KINDS:
+        raise TypeError(f"unsupported hop type {type(hop).__name__}")
+    kind, _, rate = _HOP_KINDS[type(hop)]
+    return kind, (rf_method, fso_method)[_PAIR_PLACE[type(hop)]], rate
+
+
+def method_pair(tag: str) -> tuple:
+    """(rf_method, fso_method): `tag` on its link kind, the default on the other."""
+    return tuple(tag if cls is EVALUATORS[tag].hop else default
+                 for cls, (_, default, _) in _HOP_KINDS.items())
+
+
+def _row(hop, rf_method: str, fso_method: str) -> Evaluator:
+    """The row of the tag the hop takes; ValueError if none scores the hop's class."""
+    kind, method, _ = _hop_kind(hop, rf_method, fso_method)
+    row = EVALUATORS.get(method)
+    if row is None or row.hop is not type(hop):
+        raise ValueError(f"unknown {kind} method {method!r}")
+    return row
 
 
 def check_hop(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):
-    """Raise, before any numerics, for an unknown method tag or a product
-    bound on a hop that is not Gamma-Gamma; a mesh checks every hop first."""
-    kind, known, method, _ = _hop_kind(hop, rf_method, fso_method)
-    if method not in known:
-        raise ValueError(f"unknown {kind} method {method!r}")
-    if method == FSO_PRODUCT_BOUND:
-        _product_bound_applies(hop)
+    """Raise, before any numerics, for an unknown tag or a row's check (a product
+    bound on a hop that is not Gamma-Gamma); a mesh checks every hop first."""
+    _row(hop, rf_method, fso_method).check(hop)
 
 
 def hop_outage(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT,
                theta: float = 1.0) -> OutageEstimate:
-    """Evaluate one hop with the chosen analytic method tags."""
-    check_hop(hop, rf_method, fso_method)
-    _, known, method, _ = _hop_kind(hop, rf_method, fso_method)
-    if method == RF_PIECEWISE:
-        return rf_outage_piecewise(hop, theta)
-    return known[method](hop)
+    """One hop's outage by its tag's row, whose evaluator also runs its check."""
+    return _row(hop, rf_method, fso_method).outage(hop, theta)
 
 
 def hop_ergodic_rate(hop) -> float:
-    return _hop_kind(hop)[3](hop)
+    return _hop_kind(hop)[2](hop)

@@ -19,15 +19,13 @@ import sys
 
 from . import __version__
 from .analysis import (
-    FSO_CLT,
-    FSO_PRODUCT_BOUND,
+    EVALUATORS,
+    LOWER_BOUND,
     MONTE_CARLO,
-    RF_JENSEN_LOWER,
-    RF_JENSEN_UPPER,
-    RF_LINEARIZED,
-    RF_TAGS,
+    UPPER_BOUND,
     fso_ergodic_rate,
     hop_ergodic_rate,
+    method_pair,
     min_rf_antennas,
 )
 from .config import ConfigError, ScenarioConfig, load_config, mc_config
@@ -52,13 +50,12 @@ def _provenance(cfg: ScenarioConfig, seed: int):
 
 
 def _analytic_outages(point, tags, theta: float) -> dict:
-    """{tag: mesh outage with `tag` on its link type and the default evaluator
-    (linearized RF or CLT FSO) on the other, or the exception raised}, from
-    one `mesh_outages` call; an unbuilt point gives its exception to all."""
+    """{tag: mesh outage with `tag` on the link kind it scores and the default
+    tag on the other (`method_pair`), or the exception raised}, from one
+    `mesh_outages` call; an unbuilt point gives its exception to all."""
     if isinstance(point, Exception):
         return dict.fromkeys(tags, point)
-    pairs = [(tag, FSO_CLT) if tag in RF_TAGS else (RF_LINEARIZED, tag) for tag in tags]
-    return dict(zip(tags, mesh_outages(point[2], pairs, theta)))
+    return dict(zip(tags, mesh_outages(point[2], [method_pair(t) for t in tags], theta)))
 
 
 def _apply(fn, point):
@@ -98,7 +95,7 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,method,outage,ci_halfwidth,error")
     had_error = False
-    analytic = [t for t in cfg.evaluators if t != MONTE_CARLO]
+    analytic = [t for t in cfg.evaluators if t in EVALUATORS]
     for g, point, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
         ests = _analytic_outages(point, analytic, cfg.theta)
         for tag in cfg.evaluators:
@@ -172,9 +169,10 @@ def cmd_min_antennas(cfg: ScenarioConfig, mc: McConfig):
 
 
 def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
-    """Analytic evaluators vs MC at every grid point, per tolerance class:
+    """Analytic evaluators vs MC at every grid point, per the `validate`
+    class of each tag's `EVALUATORS` row:
 
-    CLT methods: within factor 1.5 of MC wherever MC is in [1e-3, 0.5]
+    estimates: within factor 1.5 of MC wherever MC is in [1e-3, 0.5]
     (SKIP outside); lower/upper bounds: correct side of MC within 3 sigma.
     A run in which no row passed or failed says so on stderr and, unless an
     evaluator raised, exits 4.
@@ -182,7 +180,7 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     checked = passed = failed = skipped = 0
     had_error = False
-    analytic = [t for t in cfg.evaluators if t != MONTE_CARLO]
+    analytic = [t for t in cfg.evaluators if t in EVALUATORS]
     for g, point, ref in _grid_points(cfg, mc):
         if isinstance(ref, Exception):
             lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(ref)}")
@@ -200,10 +198,11 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
             checked += 1
             head = (f"point={_fmt(g)} method={tag} mc={_fmt(ref.value)} "
                     f"mc_ci={_fmt(ref.ci_halfwidth)} value={_fmt(est.value)}")
-            if tag == RF_JENSEN_LOWER:
-                ok, verdict_class = est.value <= ref.value + sigma3, "lower_bound"
-            elif tag in (RF_JENSEN_UPPER, FSO_PRODUCT_BOUND):
-                ok, verdict_class = ref.value <= est.value + sigma3, "upper_bound"
+            bound = EVALUATORS[tag].bound
+            if bound == LOWER_BOUND:
+                ok, verdict_class = est.value <= ref.value + sigma3, bound
+            elif bound == UPPER_BOUND:
+                ok, verdict_class = ref.value <= est.value + sigma3, bound
             elif not 1e-3 <= ref.value <= 0.5:
                 lines.append(f"{head} status=SKIP class=clt_factor_1.5 "
                              f"detail=mc_outside_[1e-3,0.5]")

@@ -14,21 +14,11 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .analysis import (
-    FSO_CLT,
-    FSO_TAGS,
-    MONTE_CARLO,
-    RF_LINEARIZED,
-    RF_TAGS,
-    FsoHopParams,
-    RfHopParams,
-)
+from .analysis import DEFAULT_TAGS, EVALUATORS, MONTE_CARLO, FsoHopParams, RfHopParams
 from .channel import FsoExponential, FsoGammaGamma, RicianFading
 from .hardware import PaConfig
 from .network import MeshNetwork, Route
 from .simulate import McConfig
-
-KNOWN_TAGS = RF_TAGS + FSO_TAGS + (MONTE_CARLO,)
 
 # libyaml's parser (about 8x faster on a scenario file); PyYAML built without
 # libyaml has only the pure-Python one, which reads the same documents
@@ -295,12 +285,13 @@ def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
             _require(grid[-1] <= len(routes), "sweep.grid",
                      f"grid exceeds the {len(routes)} configured routes")
 
-    evaluators = doc.get("evaluators", [RF_LINEARIZED, FSO_CLT])
+    evaluators = doc.get("evaluators", list(DEFAULT_TAGS))
     _require(isinstance(evaluators, list) and evaluators,
              "evaluators", "expected a nonempty list")
+    known = (*EVALUATORS, MONTE_CARLO)  # read here, so that a row added later counts
     for i, tag in enumerate(evaluators):
-        _require(tag in KNOWN_TAGS, f"evaluators[{i}]",
-                 f"unknown method tag {tag!r} (known: {', '.join(KNOWN_TAGS)})")
+        _require(tag in known, f"evaluators[{i}]",
+                 f"unknown method tag {tag!r} (known: {', '.join(known)})")
 
     mc_doc = doc.get("mc", {})
     _require(isinstance(mc_doc, dict), "mc", "expected a mapping")

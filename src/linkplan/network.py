@@ -110,7 +110,7 @@ def mesh_outages(mesh: MeshNetwork, pairs, theta: float = 1.0) -> list:
     done = {}  # (fn, hop identity, method) -> result; the mesh keeps every hop alive
 
     def once(fn, hop, rf_method, fso_method, *args):
-        key = (fn, id(hop), _hop_kind(hop, rf_method, fso_method)[2])
+        key = (fn, id(hop), _hop_kind(hop, rf_method, fso_method)[1])
         if key not in done:
             done[key] = _caught(fn, hop, rf_method, fso_method, *args)
         if isinstance(done[key], Exception):

@@ -204,11 +204,11 @@ def simulate_sweep(meshes, mc: McConfig) -> list:
 
 
 def simulate_rf_hop(hop, mc: McConfig) -> OutageEstimate:
+    """MC outage of one hop, RF or FSO alike: `simulate_fso_hop` is this function."""
     return _simulate([(Route((hop,)),)], mc)[0]
 
 
-def simulate_fso_hop(hop, mc: McConfig) -> OutageEstimate:
-    return _simulate([(Route((hop,)),)], mc)[0]
+simulate_fso_hop = simulate_rf_hop
 
 
 def simulate_route(route: Route, mc: McConfig) -> OutageEstimate:
@@ -221,52 +221,17 @@ def simulate_mesh(mesh: MeshNetwork, mc: McConfig) -> OutageEstimate:
     return _simulate([mesh.routes], mc)[0]
 
 
-def _newton_start(lnx: np.ndarray, total: float) -> np.ndarray:
-    """Per trial (column of lnx = ln X_r), an upper bound on the u solving
-    sum_r log1p(e^u X_r) = total: +inf when every X_r is 0.
-
-    Each term is softplus(u + ln X_r), convex and increasing in u, so two
-    bounds put the root at or left of a point, and the smaller is taken.
-    Jensen over the m rounds with X_r > 0 gives a sum of at least
-    m * softplus(u + mean ln X_r), which reaches total at
-    softplus^-1(total / m) - mean ln X_r; and at total - max ln X_r the
-    largest term alone exceeds total.
-    """
-    if lnx.min() > -math.inf:          # no gain underflowed
-        m = lnx.shape[0]
-        start = lnx.sum(axis=0)
-    else:
-        live = lnx > -math.inf
-        m = np.count_nonzero(live, axis=0)
-        start = np.sum(lnx, axis=0, where=live)
-    return _jensen_start(start, m, lnx.max(axis=0), total, start)
-
-
-def _jensen_start(lnx_sum: np.ndarray, m, lnx_max: np.ndarray, total: float,
-                  out: np.ndarray) -> np.ndarray:
-    """`_newton_start` into out, from each trial's sum and count m (an int
-    when every trial has the same) of its live ln X_r and its max ln X_r."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(lnx_sum, -m, out=out)    # -mean ln X_r: NaN where m = 0
-        y = total / m
-        # softplus^-1(y) = ln(e^y - 1), written so that no e^y overflows
-        out += y + np.log(-np.expm1(-y))
-    # fmin passes over the NaN: a trial with no X_r > 0 gets total + inf
-    return np.fmin(out, total - lnx_max, out=out)
-
-
 class _PartialStart:
-    """`_newton_start` of the rounds drawn so far, kept in O(n) per round
-    from each trial's running sum, count and max of its live ln X_r."""
+    """Per trial, the running sum, count and max of its live ln X_r over the
+    rounds drawn so far, kept in O(n) per round, and from them `bound`."""
 
     def __init__(self, n: int):
         self.sum = np.zeros(n)
         self.max = np.full(n, -math.inf)
         self.live = 0                      # one int until a gain underflows
-        self.start = np.empty(n)
 
-    def add(self, row: np.ndarray, total: float) -> np.ndarray:
-        """Take in one round's ln X and return the bound (a view kept here)."""
+    def add(self, row: np.ndarray) -> None:
+        """Take in one round's ln X, trial by trial, whatever the block's width."""
         np.maximum(self.max, row, out=self.max)
         if row.min() > -math.inf:
             self.sum += row
@@ -275,13 +240,33 @@ class _PartialStart:
             live = row > -math.inf
             np.add(self.sum, row, out=self.sum, where=live)
             self.live = self.live + live
-        return _jensen_start(self.sum, self.live, self.max, total, self.start)
+
+    def bound(self, total: float) -> np.ndarray:
+        """Per trial, an upper bound on the u solving sum_r log1p(e^u X_r) =
+        total over the rounds taken in: +inf when every X_r is 0.
+
+        Each term is softplus(u + ln X_r), convex and increasing in u, so two
+        bounds put the root at or left of a point, and the smaller is taken.
+        Jensen over the m rounds with X_r > 0 gives a sum of at least
+        m * softplus(u + mean ln X_r), which reaches total at
+        softplus^-1(total / m) - mean ln X_r; and at total - max ln X_r the
+        largest term alone exceeds total.
+        """
+        m = self.live
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.divide(self.sum, -m)       # -mean ln X_r: NaN where m = 0
+            y = total / m
+            # softplus^-1(y) = ln(e^y - 1), written so that no e^y overflows
+            out += y + np.log(-np.expm1(-y))
+        # fmin passes over the NaN: a trial with no X_r > 0 gets total + inf
+        return np.fmin(out, total - self.max, out=out)
 
 
 def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
                         todo: np.ndarray, where: str) -> None:
-    """Move u[i], for each trial i in todo, from its start (`_newton_start`)
-    onto the root of sum_r log1p(e^u X_r) = total, X_r = e^lnx[r, i].
+    """Move u[i], for each trial i in todo, from its start
+    (`_PartialStart.bound`) onto the root of sum_r log1p(e^u X_r) = total,
+    X_r = e^lnx[r, i].
 
     The sum f is convex and increasing in u, so Newton started right of the
     root falls monotonically onto it, and from a start at or left of
@@ -348,8 +333,9 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     floor[i] keeps that offset, which bounds the solved c from above, so
     neither can raise the route's max.
 
-    Below a finite floor the hop stops drawing once the start of the rounds
-    drawn so far (`_PartialStart`) maps every trial at least
+    Every hop keeps its start's running sums (`_PartialStart`) round by
+    round.  Below a finite floor the hop stops drawing once the start of
+    the rounds drawn so far maps every trial at least
     _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0, so
     the partial sum's root lies at or right of the full sum's; the margin
     dwarfs the float error of Newton's root, so with every round drawn
@@ -360,22 +346,24 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
     slope = hop.slope
-    partial = _PartialStart(n) if floor.min() > -math.inf else None
+    start = _PartialStart(n)
+    later = floor.min() > -math.inf      # only a hop with a floor can stop early
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for k, (row, (scale, x)) in enumerate(zip(lnx, _draw_rounds(hop, gen, n)), 1):
             np.log(x, out=row)
+            start.add(row)
             if k == 1:
                 shift = math.log(hop.drive_power * scale)
-                if partial is not None:
+                if later:
                     # a start below bar maps below floor - _CROSSING_MARGIN_DB
                     bar = (floor - _CROSSING_MARGIN_DB) * slope + shift
-            if partial is not None and k < hop.rounds:
-                u = partial.add(row, total)
+            if later and k < hop.rounds:
+                u = start.bound(total)
                 if (u < bar).all():
                     lnx = lnx[:k]
                     break
         else:
-            u = _newton_start(lnx, total)
+            u = start.bound(total)
     # a start of +inf (every gain 0) is the root already
     solve = np.isfinite(u) & ((u - shift) / slope > floor)
     _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)

@@ -1059,6 +1059,24 @@ def test_hop_outage_dispatch_tags():
         hop_outage(42)
 
 
+def test_tags_pairs_and_classes_come_from_the_table():
+    an = analysis
+    assert an.RF_TAGS + an.FSO_TAGS == tuple(an.EVALUATORS)
+    assert an.DEFAULT_TAGS == (RF_LINEARIZED, FSO_CLT)
+    assert an.method_pair(RF_JENSEN_LOWER) == (RF_JENSEN_LOWER, FSO_CLT)
+    assert an.method_pair(FSO_PRODUCT_BOUND) == (RF_LINEARIZED, FSO_PRODUCT_BOUND)
+    # validate knows three classes; every row names one of them
+    classes = {t: row.bound for t, row in an.EVALUATORS.items()}
+    assert set(classes.values()) == {an.ESTIMATE, an.LOWER_BOUND, an.UPPER_BOUND}
+    assert {t: c for t, c in classes.items() if c != an.ESTIMATE} == {
+        RF_JENSEN_LOWER: an.LOWER_BOUND, RF_JENSEN_UPPER: an.UPPER_BOUND,
+        FSO_PRODUCT_BOUND: an.UPPER_BOUND}
+    # a tag of the other link kind is unknown for this hop's kind
+    rf = RfHopParams(fading=RicianFading(0.01, 1.0, 4), pa=PaConfig.ideal(0.5), R=1.0)
+    with pytest.raises(ValueError, match=r"^unknown RF method 'fso_clt'$"):
+        an.check_hop(rf, rf_method=FSO_CLT)
+
+
 def test_jensen_tags_compute_one_bound_each(monkeypatch):
     # each tag evaluates its own pooled CDF; rf_outage_bounds_short gives both
     calls = []

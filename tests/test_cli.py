@@ -16,6 +16,7 @@ from linkplan.hardware import PaConfig
 from linkplan.analysis import rf_ergodic_rate
 from linkplan import analysis, cli, network
 from linkplan.cli import main
+from linkplan.config import load_config
 from linkplan.simulate import simulate_mesh
 
 BASE = {
@@ -641,6 +642,77 @@ def test_validate_bound_classes(tmp_path):
     assert "class=lower_bound" in text
     assert "class=upper_bound" in text
     assert "status=FAIL" not in text
+
+
+_CLASSES_DOC = {
+    "rf_hops": [{"K": 0.01, "omega": 1.0, "N": 4, "M": 2, "C": 1, "R": 1.0,
+                 "pa": {"epsilon": 1.0, "theta_pa": 0.0, "p_cons_db": -3.0}}],
+    "fso_hops": [{"model": "gamma_gamma", "a": 4.3939, "b": 2.5636, "M": 1,
+                  "C_tilde": 2, "R": 1.0, "p_tx_db": 3.0}],
+    "sweep": {"variable": "snr_db", "grid": [-3.0, -1.0]},
+    "evaluators": ["rf_jensen_lower", "rf_jensen_upper", "fso_product_bound", "fso_clt",
+                   "monte_carlo"],
+    "mc": {"trials": 20_000, "seed": 7},
+}
+
+
+def test_validate_lines_of_every_class(tmp_path):
+    # each tag's validate class comes from its EVALUATORS row: both Jensen
+    # bounds, the product bound and a CLT estimate keep their lines, PASS,
+    # FAIL and SKIP alike, byte for byte
+    code, text = run_to_file(tmp_path, "validate", write_config(tmp_path, _CLASSES_DOC),
+                             name="report.txt")
+    assert code == 1, text
+    mc3 = "mc=0.55835 mc_ci=0.00688151946186"
+    mc1 = "mc=0.2603 mc_ci=0.00608091209937"
+    assert text.splitlines()[3:] == [
+        f"point=-3 method=rf_jensen_lower {mc3} value=0.531781271848 status=PASS "
+        "class=lower_bound",
+        f"point=-3 method=rf_jensen_upper {mc3} value=0.540664153453 status=FAIL "
+        "class=upper_bound",
+        f"point=-3 method=fso_product_bound {mc3} value=0.596972684113 status=PASS "
+        "class=upper_bound",
+        f"point=-3 method=fso_clt {mc3} value=0.529664103306 status=SKIP "
+        "class=clt_factor_1.5 detail=mc_outside_[1e-3,0.5]",
+        f"point=-1 method=rf_jensen_lower {mc1} value=0.249895769239 status=PASS "
+        "class=lower_bound",
+        f"point=-1 method=rf_jensen_upper {mc1} value=0.25100993259 status=PASS "
+        "class=upper_bound",
+        f"point=-1 method=fso_product_bound {mc1} value=0.303274950642 status=PASS "
+        "class=upper_bound",
+        f"point=-1 method=fso_clt {mc1} value=0.249678009005 status=PASS "
+        "class=clt_factor_1.5 factor=1.04254275752",
+        "summary: checked=8 passed=6 failed=1 skipped=1",
+    ]
+
+
+@pytest.mark.parametrize("bound, value, verdict", [
+    (analysis.LOWER_BOUND, 0.0, "status=PASS class=lower_bound"),
+    (analysis.UPPER_BOUND, 0.0, "status=FAIL class=upper_bound"),
+    (analysis.ESTIMATE, 0.01, "status=PASS class=clt_factor_1.5 factor="),
+])
+def test_new_tag_is_one_table_row(tmp_path, monkeypatch, bound, value, verdict):
+    # a tag added by one EVALUATORS row, and nothing else, is accepted by the
+    # config, scored by outage-sweep on the link kind the row names (the FSO
+    # hop takes its default tag) and judged by validate in the row's class
+    monkeypatch.setitem(analysis.EVALUATORS, "rf_test_tag", analysis.Evaluator(
+        analysis.RfHopParams,
+        lambda h, theta: analysis.OutageEstimate(value, "rf_test_tag"), bound))
+    doc = copy.deepcopy(_CLASSES_DOC)
+    doc["evaluators"] = ["rf_test_tag", "monte_carlo"]
+    doc["sweep"]["grid"] = [-1.0]
+    cfg = write_config(tmp_path, doc)
+    code, text = run_to_file(tmp_path, "outage-sweep", cfg)
+    assert code == 0, text
+    fso = analysis.hop_outage(load_config(cfg).point(-1.0)[1][0]).value
+    want = 1.0 - (1.0 - value) * (1.0 - fso)
+    assert data_rows(text)[0][:2] == ["-1", "rf_test_tag"]
+    assert float(data_rows(text)[0][2]) == pytest.approx(want, rel=1e-11)
+    code, text = run_to_file(tmp_path, "validate", cfg, name="report.txt")
+    line = text.splitlines()[3]
+    assert line.startswith("point=-1 method=rf_test_tag mc=0.2603 ")
+    assert verdict in line
+    assert code == (0 if "PASS" in verdict else 1)
 
 
 # ----------------------------------------------------------------------------

@@ -201,8 +201,8 @@ def test_product_bound_rejected_before_any_hop_is_evaluated(monkeypatch):
 def test_unknown_method_rejected_before_any_hop_is_evaluated(monkeypatch):
     # an RF tag given to the FSO slot fails on route 1 before route 0 runs
     import linkplan.analysis as an
-    monkeypatch.setitem(an._RF_EVALUATORS, RF_LINEARIZED,
-                        lambda h: pytest.fail("route 0 was evaluated"))
+    monkeypatch.setitem(an.EVALUATORS, RF_LINEARIZED, an.Evaluator(
+        RfHopParams, lambda h, theta: pytest.fail("route 0 was evaluated"), an.ESTIMATE))
     mesh = MeshNetwork(routes=(Route(hops=(_rf(0.1),)), Route(hops=(_fso(2.0),))))
     with pytest.raises(ValueError, match=r"^route 1: hop 0: unknown FSO method"):
         mesh_outage(mesh, fso_method=RF_LINEARIZED)

@@ -697,6 +697,15 @@ def test_critical_offsets_stop_is_exact(monkeypatch, seed, block_trials):
                           _critical_offsets_all_solved(sim, TWO_ROUTE_MESH, mc))
 
 
+def _start(lnx, total):
+    """`_PartialStart.bound` with every round (row) of lnx taken in."""
+    import linkplan.simulate as sim
+    start = sim._PartialStart(lnx.shape[1])
+    for row in lnx:
+        start.add(row)
+    return start.bound(total)
+
+
 def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
     # a later hop whose partial start after round 1 maps 0.5e-9 dB below
     # every trial's floor draws on; at 2e-9 dB below it stops there
@@ -706,7 +715,7 @@ def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
     total = 3 * 2.0
     lnx = np.log(np.array(gains))
     shift = math.log(fields["drive_power"])
-    first = (sim._newton_start(lnx[:1], total) - shift) / fields["slope"]
+    first = (_start(lnx[:1], total) - shift) / fields["slope"]
     drawn = []
     for below in (0.5e-9, 2e-9):
         crafted = _Crafted(monkeypatch, gains, 2.0, **fields)
@@ -773,12 +782,13 @@ _LOG_GAIN = st.one_of(st.just(-math.inf), st.floats(-60.0, 8.0))
        total=st.floats(1e-3, 60.0))
 def test_newton_start_bounds_the_root(rounds, data, total):
     # the start is at or right of the root of sum_r softplus(u + ln X_r) =
-    # total, and +inf exactly when every round underflowed
+    # total, +inf exactly when every round underflowed, and otherwise the
+    # Jensen bound over the rounds that did not
     import linkplan.simulate as sim
     n = data.draw(st.integers(1, 6))
     lnx = np.array(data.draw(st.lists(st.lists(_LOG_GAIN, min_size=n, max_size=n),
                                       min_size=rounds, max_size=rounds)))
-    start = sim._newton_start(lnx, total)
+    start = _start(lnx, total)
     dead = np.all(lnx == -math.inf, axis=0)
     assert np.array_equal(start == math.inf, dead)
     live = np.flatnonzero(~dead)
@@ -787,6 +797,13 @@ def test_newton_start_bounds_the_root(rounds, data, total):
     for i in live:
         col = lnx[:, i]
         assert _softplus_sum(start[i], col) >= total * (1.0 - 1e-12)
+        # the smaller of the Jensen bound over the live rounds and
+        # total - max ln X_r, in exact sums
+        live_col = col[col > -math.inf]
+        y = total / live_col.size
+        want = min(y + math.log(-math.expm1(-y)) - math.fsum(live_col) / live_col.size,
+                   total - col.max())
+        assert start[i] == pytest.approx(want, rel=1e-12, abs=1e-11)
         # the root by bisection, between a point where the largest term alone
         # exceeds total and one where every term is below total / rounds
         hi = total - col.max() + 1.0
@@ -799,24 +816,20 @@ def test_newton_start_bounds_the_root(rounds, data, total):
         assert u[i] == pytest.approx(hi, rel=1e-9, abs=1e-9)
 
 
-def test_partial_start_tracks_newton_start_of_rounds_drawn():
-    # after each round the running bound is `_newton_start` of the rounds
-    # drawn so far, underflowed gains (ln X = -inf) and all-dead trials too
+def test_lone_trial_offset_matches_its_column_in_a_wider_block(monkeypatch):
+    # a block of one trial: numpy would sum its lone column of ln X pairwise,
+    # not round by round as it sums wider blocks, and move the offset's last
+    # bits; beside a copy of itself the same column must give the same bits
     import linkplan.simulate as sim
-    rng = np.random.default_rng(7)
-    late = rng.normal(0.0, 2.0, size=(8, 300))   # gains underflow from round 4
-    late[3:][rng.random((5, 300)) < 0.3] = -math.inf
-    early = late.copy()                          # and from round 1
-    early[:2, 0] = -math.inf                     # dead for two rounds, then alive
-    early[:, 1] = -math.inf                      # dead throughout
-    total = 9.0
-    for lnx in (late, early):
-        partial = sim._PartialStart(lnx.shape[1])
-        for k, row in enumerate(lnx, 1):
-            got = partial.add(row, total)
-            expect = sim._newton_start(lnx[:k], total)
-            assert np.array_equal(np.isinf(got), np.isinf(expect))
-            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+    col = [0.52, 0.173, 13.586, 0.475, 1.638, 0.679, 10.753, 7.247, 2.586, 0.037]
+    fields = dict(drive_power=2.0, slope=0.1 * math.log(10.0))
+    got = []
+    for width in (1, 2):
+        crafted = _Crafted(monkeypatch, [[g] * width for g in col], 2.0, **fields)
+        got.append(sim._hop_critical_offsets(crafted.hop, None, width, "lone",
+                                             np.full(width, -math.inf)))
+    assert got[1][0] == got[1][1]
+    assert got[0][0] == got[1][0]
 
 
 def test_critical_log_drive_result_depends_on_its_column_alone(monkeypatch):
@@ -830,7 +843,7 @@ def test_critical_log_drive_result_depends_on_its_column_alone(monkeypatch):
     lnx = rng.normal(0.0, 1.0, size=(40, 50)) * rng.uniform(0.1, 6.0, size=50)
     lnx[rng.random(lnx.shape) < 0.2] = -math.inf
     total = 25.0
-    start = sim._newton_start(lnx, total)
+    start = _start(lnx, total)
     every = start.copy()
     sim._critical_log_drive(lnx, total, every, np.arange(50), "all")
     for todo in ([7], [0, 49], list(range(3, 40, 4)), list(range(17))):
