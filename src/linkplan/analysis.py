@@ -43,9 +43,7 @@ def __getattr__(name):
     # without importing scipy.integrate with the package: this module calls
     # no `quad`.  It goes when the benchmark drops that hook (ROADMAP item 1).
     if name == "quad":
-        from scipy.integrate import quad
-
-        return quad
+        return specfun.import_scipy("integrate").quad
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

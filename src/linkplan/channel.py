@@ -4,17 +4,18 @@ RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation, each the product of its
 independent Gamma `factors` (shape, scale), with `log_mean` ln of its mean.
 
-Densities are exact formulas, kept as independent checks that no command
-calls: the single-antenna Rician gain on scipy's `ive` (imported in the
-call), and the FSO gains (the Gamma-Gamma one through
-`specfun.gg_log_density`).  The N-antenna sum gain is scale * ncx2(2N, 2KN),
-so its exact CDF is `specfun.ncx2_cdf` (see `analysis`) and it needs no
-density of its own here.  Each law's `sample` (one for both FSO laws) draws its
-unscaled gains; `sample_gain`, the only draw the Monte Carlo engine makes,
-calls it, and `sample_snr` scales it to one drive.  A Gaussian surrogate for
-the sum gain, moment-matched in closed form, feeds the analytical outage
-evaluators; `_half_moment` gives the same moments through Laguerre functions
-of the single-antenna gain.
+The one density here, of the single-antenna Rician gain, is an exact
+formula kept as an independent check that no command calls; it takes
+scipy's `ive` from `specfun.import_scipy` at the call (scipy is a test-only
+dependency).  The FSO densities live with the tests' oracles.  The N-antenna
+sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
+(see `analysis`) and it needs no density of its own here.  Each law's
+`sample` (one for both FSO laws) draws its unscaled gains; `sample_gain`,
+the only draw the Monte Carlo engine makes, calls it, and `sample_snr`
+scales it to one drive.  A Gaussian surrogate for the sum gain,
+moment-matched in closed form, feeds the analytical outage evaluators;
+`_half_moment` gives the same moments through Laguerre functions of the
+single-antenna gain.
 """
 from __future__ import annotations
 
@@ -105,13 +106,11 @@ class GaussianApprox:
 
 
 # ---------------------------------------------------------------------------
-# densities
+# density
 # ---------------------------------------------------------------------------
 
 def rician_gain_pdf(x, f: RicianFading):
     """Density of the single-antenna gain g = |h|^2 under Rician fading."""
-    from scipy.special import ive
-
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     K, Om = f.K, f.Omega
@@ -122,24 +121,10 @@ def rician_gain_pdf(x, f: RicianFading):
         math.log((K + 1.0) / Om)
         - K
         - (K + 1.0) * x / Om
-        + math.log(ive(0.0, arg))
+        + math.log(specfun.import_scipy("special").ive(0.0, arg))
         + arg
     )
     return math.exp(log_f) if log_f > -700.0 else 0.0
-
-
-def fso_pdf(x, model):
-    """Density of the FSO gain under either scintillation model."""
-    if isinstance(model, FsoExponential):
-        if x < 0:
-            raise ValueError(f"x must be >= 0, got {x}")
-        return model.lam * math.exp(-model.lam * x)
-    if isinstance(model, FsoGammaGamma):
-        if x <= 0:
-            raise ValueError(f"x must be > 0 for the Gamma-Gamma model, got {x}")
-        y = math.log(x)
-        return math.exp(specfun.gg_log_density(y, model.a, model.b) - y)
-    raise TypeError(f"unsupported FSO model {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,19 @@ def _provenance(cfg: ScenarioConfig, seed: int):
     ]
 
 
-def _analytic_outages(point, tags, theta: float) -> dict:
-    """{tag: mesh outage with `tag` on the link kind it scores and the default
-    tag on the other (`method_pair`), or the exception raised}, from one
-    `mesh_outages` call; an unbuilt point gives its exception to all."""
+def _method_pairs(cfg: ScenarioConfig) -> dict:
+    """{analytic tag: (rf_method, fso_method), the tag on the link kind it
+    scores and the default tag on the other (`method_pair`)}, in evaluator
+    order; a command builds it once for all its sweep points."""
+    return {t: method_pair(t) for t in cfg.evaluators if t in EVALUATORS}
+
+
+def _analytic_outages(point, pairs: dict, theta: float) -> dict:
+    """{tag: mesh outage with the pair `pairs[tag]`, or the exception raised},
+    from one `mesh_outages` call; an unbuilt point gives its exception to all."""
     if isinstance(point, Exception):
-        return dict.fromkeys(tags, point)
-    return dict(zip(tags, mesh_outages(point[2], [method_pair(t) for t in tags], theta)))
+        return dict.fromkeys(pairs, point)
+    return dict(zip(pairs, mesh_outages(point[2], list(pairs.values()), theta)))
 
 
 def _apply(fn, point):
@@ -95,9 +101,9 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     lines.append("sweep_var,method,outage,ci_halfwidth,error")
     had_error = False
-    analytic = [t for t in cfg.evaluators if t in EVALUATORS]
+    pairs = _method_pairs(cfg)
     for g, point, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
-        ests = _analytic_outages(point, analytic, cfg.theta)
+        ests = _analytic_outages(point, pairs, cfg.theta)
         for tag in cfg.evaluators:
             est = ref if tag == MONTE_CARLO else ests[tag]
             if isinstance(est, Exception):
@@ -180,14 +186,15 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
     lines = _provenance(cfg, mc.seed)
     checked = passed = failed = skipped = 0
     had_error = False
-    analytic = [t for t in cfg.evaluators if t in EVALUATORS]
+    pairs = _method_pairs(cfg)
+    analytic = [t for t in cfg.evaluators if t in pairs]
     for g, point, ref in _grid_points(cfg, mc):
         if isinstance(ref, Exception):
             lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(ref)}")
             had_error = True
             continue
         sigma3 = 3.0 * ref.ci_halfwidth / _Z95
-        ests = _analytic_outages(point, analytic, cfg.theta)
+        ests = _analytic_outages(point, pairs, cfg.theta)
         for tag in analytic:
             est = ests[tag]
             if isinstance(est, Exception):

@@ -82,6 +82,11 @@ class McConfig:
     seed: int = 0        # base seed, 64-bit (>= 0)
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))  # a numpy one would make estimates numpy floats
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if self.seed < 0:

@@ -22,15 +22,17 @@ x ln(x/m) + m - x is summed as a series near x = m, and ln Gamma as
 Stirling's series plus its correction.  `ncx2_cdf` needs none: its
 Poisson masses are products of ratios, normalized by their own sum.
 
-`bessel_k` (K_nu), `expint_ei` (Ei), `laguerre` (1F1) and the Gamma-Gamma
-log-gain density (`gg_log_density`, on `kve`) are the independent checks of
-the closed forms: they import scipy.special inside each call, and no
-command calls them.
+`bessel_k` (K_nu), `expint_ei` (Ei) and `laguerre` (1F1) are independent
+checks of the closed forms that no command calls.  They take scipy.special
+at the call from `import_scipy`, the one place the package imports scipy:
+scipy is a test-only dependency, so a missing one raises an ImportError
+that names the `test` extra.
 
 All routines are real-valued double precision, pure and thread-safe.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from functools import lru_cache
 
@@ -370,73 +372,47 @@ def binomial_cdf(k, n: int, p: float):
     return cdf[k - lo]
 
 
+# ---------------------------------------------------------------------------
+# scipy-backed checks
+# ---------------------------------------------------------------------------
+
+def import_scipy(name: str):
+    """scipy.<name>, imported at the call.  scipy is a test-only dependency
+    (`pip install .` leaves it out), so a missing one raises an ImportError
+    that names the extra that brings it."""
+    try:
+        return importlib.import_module(f"scipy.{name}")
+    except ImportError as exc:
+        raise ImportError(
+            f"scipy.{name} is not installed; the reference functions that check "
+            "the closed forms need it: pip install 'linkplan[test]'") from exc
+
+
 def bessel_k(order, x):
     """Modified Bessel function of the second kind K_order(x), x > 0."""
-    from scipy.special import kv
-
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    return float(kv(order, x))
+    return float(import_scipy("special").kv(order, x))
 
 
 def laguerre(order, x):
     """Laguerre function L_order(x) = 1F1(-order; 1; x) (polynomial for
     integer order, entire function otherwise)."""
-    from scipy.special import hyp1f1
-
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return float(hyp1f1(-order, 1.0, x))
+    return float(import_scipy("special").hyp1f1(-order, 1.0, x))
 
 
 def expint_ei(x):
     """Exponential integral Ei(x) for x < 0, where Ei(x) = -E1(-x)."""
-    from scipy.special import expi
-
     if x >= 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
-    return float(expi(x))
+    return float(import_scipy("special").expi(x))
 
 
 # ---------------------------------------------------------------------------
 # Gamma-Gamma gains
 # ---------------------------------------------------------------------------
-
-def gg_log_density(y, a, b):
-    """log f_Y(y) for Y = ln G, G ~ GammaGamma(a, b) with unit mean:
-    f_Y(y) = f_G(e^y) e^y with f_G(x) = 2 (ab)^((a+b)/2) x^((a+b)/2-1)
-    K_{a-b}(2 sqrt(ab x)) / (Gamma(a) Gamma(b)).
-
-    Takes a float (returns a numpy scalar) or an array of floats.
-    """
-    y = np.asarray(y, dtype=float)
-    return (
-        _LOG2
-        + 0.5 * (a + b) * (math.log(a * b) + y)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + _log_kv(abs(a - b), 0.5 * (y + math.log(4.0 * a * b)))
-    )[()]
-
-
-def _log_kv(nu, log_z):
-    """log K_nu(z) at z = e^log_z, elementwise over an array of any real log_z."""
-    from scipy.special import kve
-
-    # kve is nan beyond z ~ 1e9; e^{-z} zeroes every density long before
-    z = np.exp(np.minimum(log_z, 18.0))
-    with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(kve(nu, z)) - z)
-    # kve overflows at small z (below 1e-25 for nu = 12, and z = 0 once
-    # e^{y/2} underflows); there the leading term of K is exact in doubles
-    small = np.isinf(out)
-    if small.any():
-        lz = log_z[small]
-        out[small] = (np.log(_LOG2 - np.euler_gamma - lz) if nu == 0.0
-                      else math.lgamma(nu) + (nu - 1.0) * _LOG2 - nu * lz)
-    out[log_z > 18.0] = -math.inf
-    return out
-
 
 def _gamma_log_weights(k, dy):
     """(first node index j0, weights f(y_j) dy on the nodes y_j = j dy) of

@@ -54,12 +54,12 @@ from linkplan.channel import (
     GaussianApprox,
     RicianFading,
     clt_sum_gain_params,
-    fso_pdf,
     sample_snr,
 )
 from linkplan.hardware import PaConfig
 from linkplan.simulate import McConfig, simulate_fso_hop, simulate_rf_hop
 from linkplan.specfun import ConvergenceError
+from oracles import fso_pdf
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
 

@@ -18,11 +18,11 @@ from linkplan.channel import (
     GaussianApprox,
     RicianFading,
     clt_sum_gain_params,
-    fso_pdf,
     rician_gain_pdf,
     sample_gain,
     sample_snr,
 )
+from oracles import fso_pdf
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
 

@@ -840,6 +840,20 @@ def test_sweep_evaluates_each_hop_once_per_method(tmp_path, monkeypatch, command
     assert len(by_method) == 12 * (6 + 5 + 2)
 
 
+@pytest.mark.parametrize("command", ["outage-sweep", "validate"])
+def test_sweep_builds_each_method_pair_once(tmp_path, monkeypatch, command):
+    # the (rf_method, fso_method) pairs depend on the evaluator list alone:
+    # one per analytic tag for the whole run, not one per tag and point
+    built = []
+    real = cli.method_pair
+    monkeypatch.setattr(cli, "method_pair", lambda tag: built.append(tag) or real(tag))
+    cfg = str(GOLDEN / "closed_form_grid.yaml")
+    run_to_file(tmp_path, command, cfg, extra=("--trials", "2000"))
+    analytic = [t for t in load_config(cfg).evaluators if t in analysis.EVALUATORS]
+    assert len(analytic) == 8
+    assert built == analytic
+
+
 def test_rate_sweep_evaluates_each_hop_once(tmp_path, monkeypatch):
     calls = _count_by_hop(monkeypatch, cli, "hop_ergodic_rate")
     code, _ = run_to_file(tmp_path, "rate-sweep", str(GOLDEN / "closed_form_grid.yaml"))

@@ -1,8 +1,10 @@
 """Import-graph guards: every linkplan command and `required_snr` imports
-numpy and PyYAML only, never scipy.  scipy.special loads only inside the
-density and special-function checks that no command calls (`bessel_k`,
-`laguerre`, `expint_ei`, `gg_log_density`, so `fso_pdf`, and
-`rician_gain_pdf`).
+numpy and PyYAML only, never scipy, which only the `test` extra installs.
+scipy.special loads only inside the checks that no command calls
+(`specfun.bessel_k`, `laguerre`, `expint_ei` and `channel.rician_gain_pdf`),
+through `specfun.import_scipy`, whose ImportError names that extra when
+scipy is missing.  The FSO densities are test oracles (`tests/oracles.py`).
+With scipy blocked, every command still gives its golden bytes.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported everything.  scipy.special alone costs about 0.25 s and 25 MB
@@ -12,20 +14,24 @@ and scipy.integrate pulls in optimize, sparse, linalg and spatial on top.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from test_cli import GOLDEN, GOLDEN_EXIT, GOLDEN_TRIALS
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
          "scipy.spatial", "scipy.fft")
 
 
 def _fresh(code):
-    """Run `code` in a new interpreter with src/ on the path; return the
-    JSON it prints."""
+    """Run `code` in a new interpreter with src/ and tests/ on the path;
+    return the JSON it prints."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return json.loads(done.stdout)
@@ -84,7 +90,7 @@ def test_evaluators_compute_without_integrate_or_fft():
     assert got == [[], [], ["fso_product_bound", "rf_single_shot"]]
 
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "readme.yaml")
+README = os.path.join(TESTS, "golden", "readme.yaml")
 
 
 def test_commands_and_required_snr_load_no_scipy(tmp_path):
@@ -116,14 +122,86 @@ def test_check_only_names_keep_their_values():
         "import numpy as np\n"
         "from linkplan import channel, specfun\n"
         "before = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "checks = [specfun.bessel_k(1.3, 0.7), specfun.laguerre(0.5, -2.0),\n"
+        "          specfun.expint_ei(-1.5)]\n"
+        "loaded = 'scipy.special' in sys.modules\n"
+        "import oracles\n"
         "gg = channel.FsoGammaGamma(4.3939, 2.5636)\n"
-        "vals = [specfun.bessel_k(1.3, 0.7), specfun.laguerre(0.5, -2.0),\n"
-        "        specfun.expint_ei(-1.5), float(specfun.gg_log_density(-0.3, 4.3939, 2.5636)),\n"
-        "        specfun.gg_log_density(np.array([-40.0, 0.0, 2.0]), 2.0, 0.5).tolist(),\n"
-        "        channel.fso_pdf(0.8, gg), channel.fso_pdf(0.8, channel.FsoExponential(1.3)),\n"
-        "        channel.rician_gain_pdf(0.6, channel.RicianFading(2.0, 1.0, 1))]\n"
-        "print(json.dumps([before, 'scipy.special' in sys.modules, vals]))\n")
+        "vals = checks + [\n"
+        "    float(oracles.gg_log_density(-0.3, 4.3939, 2.5636)),\n"
+        "    oracles.gg_log_density(np.array([-40.0, 0.0, 2.0]), 2.0, 0.5).tolist(),\n"
+        "    oracles.fso_pdf(0.8, gg), oracles.fso_pdf(0.8, channel.FsoExponential(1.3)),\n"
+        "    channel.rician_gain_pdf(0.6, channel.RicianFading(2.0, 1.0, 1))]\n"
+        "print(json.dumps([before, loaded, vals]))\n")
     assert got == [[], True, [
         1.4232613423144334, 1.8130996534803376, -0.10001958240663265, -0.7460706738279175,
         [-20.69314718055994, -1.5945348918918358, -3.2677160334197852],
         0.600665648301394, 0.45949108654641424, 0.6358298690289391]]
+
+
+# `sys.modules["scipy"] = None` makes every scipy import fail, as it does on
+# a runtime install (`pip install .`, no `test` extra)
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
+def test_commands_without_scipy_give_golden_bytes(tmp_path):
+    runs = sorted(GOLDEN_EXIT)
+    outs = [str(tmp_path / f"{scenario}.{command}.csv") for scenario, command in runs]
+    codes = _fresh(
+        NO_SCIPY + "import json\n"
+        "from linkplan import cli\n"
+        "print(json.dumps([cli.main([command, '--config', config, '--trials', trials,\n"
+        "                            '--out', out])\n"
+        "                  for command, config, trials, out in %r]))\n"
+        % [(command, str(GOLDEN / f"{scenario}.yaml"), GOLDEN_TRIALS[scenario], out)
+           for (scenario, command), out in zip(runs, outs)])
+    assert codes == [GOLDEN_EXIT[run] for run in runs]
+    for (scenario, command), out in zip(runs, outs):
+        golden = GOLDEN / f"{scenario}.{command}.csv"
+        if golden.exists():
+            assert pathlib.Path(out).read_bytes() == golden.read_bytes(), (scenario, command)
+        else:  # the README's min-antennas is a config error: nothing written
+            assert not os.path.exists(out)
+
+
+# the README's library call, printing its value or the exception it raises
+README_CALL = (
+    "import json\n"
+    "from linkplan.analysis import FsoHopParams, RfHopParams\n"
+    "from linkplan.channel import FsoGammaGamma, RicianFading\n"
+    "from linkplan.hardware import PaConfig\n"
+    "from linkplan.network import MeshNetwork, Route\n"
+    "from linkplan.simulate import required_snr\n"
+    "rf = RfHopParams(fading=RicianFading(K=2.0, Omega=1.0, N=40),\n"
+    "                 pa=PaConfig(0.75, 0.5, 316.2278, 1.0), M=2, C=5, R=2.0)\n"
+    "fso = FsoHopParams(model=FsoGammaGamma(a=4.3939, b=2.5636), p_tx=40.0,\n"
+    "                   M=2, C_tilde=5, R=2.0)\n"
+    "mesh = MeshNetwork(routes=(Route(hops=(rf, fso)),))\n"
+    "try:\n"
+    "    got = ['value', repr(required_snr(1e-3, mesh, evaluator='analytical'))]\n"
+    "except Exception as exc:\n"
+    "    got = ['raised', type(exc).__name__, str(exc)]\n"
+    "print(json.dumps(got))\n")
+
+
+def test_required_snr_without_scipy_matches_with_scipy():
+    assert _fresh(NO_SCIPY + README_CALL) == _fresh(README_CALL)
+
+
+def test_scipy_backed_checks_name_the_test_extra():
+    got = _fresh(
+        NO_SCIPY + "import json\n"
+        "from linkplan import analysis, channel, specfun\n"
+        "calls = [lambda: specfun.bessel_k(0.5, 1.0), lambda: specfun.laguerre(0.5, -2.0),\n"
+        "         lambda: specfun.expint_ei(-1.5),\n"
+        "         lambda: channel.rician_gain_pdf(0.6, channel.RicianFading(2.0, 1.0, 1)),\n"
+        "         lambda: analysis.quad]\n"
+        "out = []\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        out.append(['value', repr(call())])\n"
+        "    except Exception as exc:\n"
+        "        out.append([type(exc).__name__, str(exc)])\n"
+        "print(json.dumps(out))\n")
+    assert [kind for kind, _ in got] == ["ImportError"] * 5
+    assert all("pip install 'linkplan[test]'" in msg for _, msg in got), got

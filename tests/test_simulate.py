@@ -64,6 +64,24 @@ def test_mcconfig_validation():
         McConfig(trials=999)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2000.0), ("trials", math.nan), ("trials", True),
+    ("seed", 1.5), ("seed", math.nan), ("seed", False)])
+def test_mcconfig_names_a_non_integer_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+        McConfig(**{"trials": 2000, "seed": 0, field: value})
+
+
+def test_mcconfig_takes_numpy_integers():
+    # held as Python ints, so the estimate is the same, floats included
+    mc = McConfig(np.int64(2000), np.uint64(3))
+    assert (type(mc.trials), type(mc.seed)) == (int, int)
+    hop = _rf(0.3, n=4, c=2, r=1.5)
+    est = simulate_rf_hop(hop, mc)
+    assert est == simulate_rf_hop(hop, McConfig(2000, 3))
+    assert type(est.value) is float
+
+
 def test_determinism_same_seed_bit_identical():
     hop = _rf(0.3, n=4, c=2, r=1.5)
     a = simulate_rf_hop(hop, McConfig(trials=200_000, seed=3))
