@@ -78,7 +78,7 @@ def _check_harq(hop, uses: str):
     are integers >= 1, R > 0, and the drive is finite and > 0."""
     for name in ("M", uses):
         v = getattr(hop, name)
-        if not (isinstance(v, (int, np.integer)) and v >= 1):
+        if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= 1):
             raise ValueError(f"{name} must be a positive integer, got {v}")
     if not hop.R > 0:
         raise ValueError(f"R must be > 0, got {hop.R}")

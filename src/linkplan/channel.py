@@ -45,7 +45,8 @@ class RicianFading:
         if not 0 <= self.K < math.inf:
             raise ValueError(f"K must be finite and >= 0, got {self.K}")
         _check_positive(self, "Omega")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+        if isinstance(self.N, bool) or not (isinstance(self.N, (int, np.integer))
+                                            and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
     def sample(self, gen: np.random.Generator, n):

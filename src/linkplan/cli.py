@@ -24,12 +24,11 @@ from .analysis import (
     MONTE_CARLO,
     UPPER_BOUND,
     fso_ergodic_rate,
-    hop_ergodic_rate,
     method_pair,
     min_rf_antennas,
 )
 from .config import ConfigError, ScenarioConfig, load_config, mc_config
-from .network import mesh_outages
+from .network import _fastest_route, mesh_outages
 from .simulate import _Z95, McConfig, simulate_sweep
 
 
@@ -115,13 +114,11 @@ def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     return lines, (3 if had_error else 0)
 
 
-def _fastest_route(cfg: ScenarioConfig, mesh):
+def _limiting_hop(cfg: ScenarioConfig, mesh):
     """(rate, limiting hop reference) of the mesh's fastest route."""
-    rates = [[hop_ergodic_rate(h) for h in r.hops] for r in mesh.routes]
-    best = max(range(len(rates)), key=lambda i: min(rates[i]))
-    hop = min(range(len(rates[best])), key=rates[best].__getitem__)
-    kind, idx = cfg.routes[best][hop]
-    return rates[best][hop], f"{kind}:{idx}"
+    rate, route, hop = _fastest_route(mesh)
+    kind, idx = cfg.routes[route][hop]
+    return rate, f"{kind}:{idx}"
 
 
 def cmd_rate_sweep(cfg: ScenarioConfig, mc: McConfig):
@@ -130,7 +127,7 @@ def cmd_rate_sweep(cfg: ScenarioConfig, mc: McConfig):
     lines.append("sweep_var,rate_npcu,limiting_hop")
     had_error = False
     for g, point, _ in _grid_points(cfg, mc, with_mc=False):
-        best = _apply(lambda p: _fastest_route(cfg, p[2]), point)
+        best = _apply(lambda p: _limiting_hop(cfg, p[2]), point)
         if isinstance(best, Exception):
             lines.append(f"{_fmt(g)},nan,error:{_sanitize(best)}")
             had_error = True

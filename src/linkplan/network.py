@@ -138,20 +138,36 @@ def _caught(fn, *args):
         return exc
 
 
+def _slowest_hop(route: Route):
+    """(ergodic rate, index) of the route's first slowest hop: a
+    decode-and-forward chain runs at its slowest hop."""
+    rates = [hop_ergodic_rate(h) for h in route.hops]
+    j = min(range(len(rates)), key=rates.__getitem__)
+    return rates[j], j
+
+
+def _fastest_route(mesh: MeshNetwork):
+    """(ergodic rate, route index, hop index) of the mesh's first fastest
+    route and its first slowest hop: the mesh delivers at its best route's
+    rate.  Each hop's rate is computed once."""
+    slowest = [_slowest_hop(r) for r in mesh.routes]
+    i = max(range(len(slowest)), key=lambda i: slowest[i][0])
+    return slowest[i][0], i, slowest[i][1]
+
+
 def route_ergodic_rate(route: Route) -> float:
     """A decode-and-forward chain runs at its slowest hop."""
-    return min(hop_ergodic_rate(h) for h in route.hops)
+    return _slowest_hop(route)[0]
 
 
 def route_limiting_hop(route: Route) -> int:
     """Index of the hop whose ergodic rate limits the route."""
-    rates = [hop_ergodic_rate(h) for h in route.hops]
-    return min(range(len(rates)), key=rates.__getitem__)
+    return _slowest_hop(route)[1]
 
 
 def mesh_ergodic_rate(mesh: MeshNetwork) -> float:
     """The mesh delivers at the rate of its best route."""
-    return max(route_ergodic_rate(r) for r in mesh.routes)
+    return _fastest_route(mesh)[0]
 
 
 def shift_scenario(scenario, delta_db: float):

@@ -5,7 +5,6 @@ command imports scipy:
 
 - the regularized incomplete gamma functions P and Q (`gamma_pq`), by their
   series below s + 1 and Lentz's continued fraction above it;
-- the trigamma function psi'(x) (`trigamma`);
 - the CDF of a noncentral chi-square law with an even number of degrees of
   freedom (`ncx2_cdf`), the exact CDF of the RF sum gain, as the Skellam
   tail P(A - J >= n) of two Poisson counts;
@@ -62,10 +61,6 @@ _LOG_UNDERFLOW = -745.2
 # series takes over from lgamma (1e-14 absolute at s <= 15)
 _STIRLING_MIN = 15.0
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
-# trigamma's asymptotic series: B_2k / x^(2k+1) for k = 1..9, past x = 10
-_TRIGAMMA_MIN = 10.0
-_TRIGAMMA_B = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
-               -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0)
 # ln(1 + u) - u = -u r + 2 r^3 sum_k r^(2k) / (2k + 3), r = u / (2 + u): for
 # |u| <= 1/2, r^2 <= 1/9 and 17 terms reach 1e-17
 _LOG1PMX_COEF = tuple(1.0 / (2 * k + 3) for k in range(16, -1, -1))
@@ -112,30 +107,19 @@ def gen_hypergeometric(a_list, b_list, x):
 
 
 # ---------------------------------------------------------------------------
-# log-prefixes, P and Q, trigamma
+# log-prefixes, P and Q
 # ---------------------------------------------------------------------------
 
 def _log1pmx(u):
-    """ln(1 + u) - u for u >= -3/4, a float or an array, to a few ulps: by
-    the series in r = u / (2 + u) for |u| <= 1/2 (no cancellation), else
+    """ln(1 + u) - u, elementwise for u >= -3/4, to a few ulps: by the
+    series in r = u / (2 + u) for |u| <= 1/2 (no cancellation), else
     directly (the terms cancel at most 3 to 1)."""
-    if isinstance(u, np.ndarray):
-        r = u / (2.0 + u)
-        r2 = r * r
-        acc = 0.0
-        for c in _LOG1PMX_COEF:
-            acc = acc * r2 + c
-        return np.where(np.abs(u) <= 0.5, 2.0 * r * r2 * acc - u * r, np.log1p(u) - u)
-    if abs(u) > 0.5:
-        return math.log1p(u) - u
     r = u / (2.0 + u)
     r2 = r * r
-    term, k, acc = r * r2, 3.0, 0.0
-    while abs(term) > 1e-17 * abs(acc) or k == 3.0:
-        acc += term / k
-        term *= r2
-        k += 2.0
-    return 2.0 * acc - u * r
+    acc = 0.0
+    for c in _LOG1PMX_COEF:
+        acc = acc * r2 + c
+    return np.where(np.abs(u) <= 0.5, 2.0 * r * r2 * acc - u * r, np.log1p(u) - u)
 
 
 def _stirlerr(s):
@@ -150,30 +134,14 @@ def _stirlerr(s):
 
 
 def _bd0(x, m):
-    """x ln(x / m) + m - x >= 0 for x > 0, m >= 0 (m a float or an array):
-    the exponent deficit of a Poisson(m) mass at x, or of a Gamma(x) density
-    at m.  For m >= x/4 it is -x ln1pmx((m - x)/x), which does not cancel;
-    below, x ln(x/m) outweighs m - x at least 1.8 to 1."""
-    if not isinstance(m, np.ndarray):
-        if m >= 0.25 * x:
-            return -x * _log1pmx((m - x) / x)
-        if not m > 0.0:
-            return math.inf
-        r = x / m
-        return x * (math.log(r) if r < math.inf else math.log(x) - math.log(m)) + m - x
+    """x ln(x / m) + m - x >= 0, elementwise for x > 0, m >= 0: the exponent
+    deficit of a Poisson(m) mass at x, or of a Gamma(x) density at m.  For
+    m >= x/4 it is -x ln1pmx((m - x)/x), which does not cancel; below,
+    x ln(x/m) outweighs m - x at least 1.8 to 1."""
     with np.errstate(divide="ignore", over="ignore"):
         far = x * np.log(x / m) + m - x
     near = -x * _log1pmx(np.maximum(m - x, -0.75 * x) / x)
     return np.where(m >= 0.25 * x, near, far)
-
-
-def _poisson_pmf(k: int, mu: float) -> float:
-    """P(A = k) for A ~ Poisson(mu), k >= 0: e^-_bd0(k, mu) times
-    e^-(ln(2 pi k)/2 + _stirlerr(k)), so that no exponent near -700 takes a
-    second rounding."""
-    if k == 0:
-        return math.exp(-mu)
-    return math.exp(-_bd0(k, mu)) * math.exp(-0.5 * math.log(2.0 * math.pi * k) - _stirlerr(k))
 
 
 def gamma_pq(s, z):
@@ -238,23 +206,6 @@ def gamma_pq(s, z):
     return p, q
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0: psi'(x) = psi'(x + 1) + 1/x^2 up to x >= 10, then
-    the asymptotic series 1/x + 1/(2 x^2) + sum_k B_2k / x^(2k+1)."""
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    shift = max(0, math.ceil(_TRIGAMMA_MIN - x))
-    y = x + shift
-    inv2 = 1.0 / (y * y)
-    acc = 0.0
-    for b in reversed(_TRIGAMMA_B):
-        acc = acc * inv2 + b
-    total = (1.0 + (0.5 + acc / y) / y) / y
-    for k in range(shift - 1, -1, -1):  # smallest terms first
-        total += 1.0 / ((x + k) * (x + k))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # noncentral chi-square and binomial CDFs
 # ---------------------------------------------------------------------------
@@ -278,7 +229,13 @@ def _poisson_tails(mu: float):
     their relative precision.  The arrays are read-only."""
     lo, hi = _poisson_span(mu, -math.log(_TABLE_FLOOR)) if mu else (0.0, 0.0)
     j0 = max(0, math.floor(lo)) - 1
-    pmf = np.array([_poisson_pmf(j, mu) for j in range(j0 + 1, math.ceil(hi) + 1)])
+    # P(J = j) = e^-_bd0(j, mu) e^-(ln(2 pi j)/2 + _stirlerr(j)), so that no
+    # exponent near -700 takes a second rounding; P(J = 0) = e^-mu
+    j = np.arange(max(j0, 0) + 1, math.ceil(hi) + 1)
+    pmf = np.exp(-_bd0(j, mu)) * np.exp(-0.5 * np.log(2.0 * math.pi * j)
+                                        - [_stirlerr(i) for i in j.tolist()])
+    if j0 < 0:
+        pmf = np.concatenate(([math.exp(-mu)], pmf))
     cdf = np.concatenate(([0.0], np.cumsum(pmf), [1.0]))
     sf = np.concatenate(([1.0], np.cumsum(pmf[::-1])[::-1], [0.0]))
     cdf[-2] = sf[1] = 1.0  # the mass beyond is below 1e-300
@@ -349,10 +306,11 @@ def binomial_cdf(k, n: int, p: float):
     q = 1.0 - p
     k0 = int(k[0])
     mode = min(n, math.floor((n + 1) * p))
+    mean = np.array([n * p, n * q])  # the deficits at j and n - j in one _bd0 call
     depth = _SUM_DEPTH
     if 0 < k0 < n * p:  # -ln P(B = k0), less its Stirling corrections
-        depth += (_bd0(k0, n * p) + _bd0(n - k0, n * q)
-                  + 0.5 * math.log(2.0 * math.pi * k0 * (n - k0) / n))
+        bd = _bd0(np.array([k0, n - k0]), mean)
+        depth += bd[0] + bd[1] + 0.5 * math.log(2.0 * math.pi * k0 * (n - k0) / n)
     lo = max(0, min(k0, math.floor(n * p - math.sqrt(2.0 * n * p * depth))))
     hi = max(int(k[-1]), lo)
     anchor = min(max(mode, lo), hi)
@@ -361,8 +319,8 @@ def binomial_cdf(k, n: int, p: float):
     elif anchor == n:
         log_anchor = n * math.log(p)
     else:  # Loader's saddle-point form of the log-mass
-        log_anchor = (_stirlerr(n) - _stirlerr(anchor) - _stirlerr(n - anchor)
-                      - _bd0(anchor, n * p) - _bd0(n - anchor, n * q)
+        bd = _bd0(np.array([anchor, n - anchor]), mean)
+        log_anchor = (_stirlerr(n) - _stirlerr(anchor) - _stirlerr(n - anchor) - bd[0] - bd[1]
                       + 0.5 * math.log(n / (2.0 * math.pi * anchor * (n - anchor))))
     up = np.arange(anchor, hi, dtype=float)      # P(i + 1) / P(i)
     down = np.arange(anchor, lo, -1, dtype=float)  # P(i - 1) / P(i)
@@ -456,8 +414,9 @@ def gamma_log_table(shapes):
 
     Each factor's log-density is analytic and decays exponentially at both
     ends, so its trapezoid weights are exact to round-off once the spacing
-    resolves the narrowest factor: two nodes per standard deviation
-    sqrt(psi'(k)) of its ln.  Direct convolution keeps every weight's
+    resolves the narrowest factor: two nodes or more per standard deviation
+    sqrt(psi'(k)) of its ln, as psi'(k) > 1/k + 1/(2 k^2) (from A&S 6.4.1,
+    psi'(k) = int_0^inf t e^-kt / (1 - e^-t) dt, and t / (1 - e^-t) >= 1 + t/2).  Direct convolution keeps every weight's
     relative precision deep in the tails, where an FFT adds 1e-16 times the
     peak.  Past the node cap, a heavy left tail's mass moves onto the first
     node kept: the table keeps mass 1, and only the tail's shape below that
@@ -465,7 +424,8 @@ def gamma_log_table(shapes):
     weight floor lost some) raises `ConvergenceError`, on every call.  The
     arrays are read-only.
     """
-    dy = min(_TABLE_DY, 0.5 * math.sqrt(trigamma(max(shapes))))
+    k_max = max(shapes)
+    dy = min(_TABLE_DY, 0.5 * math.sqrt(1.0 / k_max + 0.5 / (k_max * k_max)))
     j0, w = 0, np.ones(1)
     for k in sorted(shapes, reverse=True):  # narrow factors first: short operands
         j, f = _gamma_log_weights(k, dy)

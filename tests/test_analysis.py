@@ -131,10 +131,15 @@ def test_hop_params_validated():
         FsoHopParams(model=GG, p_tx=0.0, M=1, C_tilde=1, R=1.0)
     with pytest.raises(ValueError):
         FsoHopParams(model=GG, p_tx=1.0, M=1, C_tilde=0, R=1.0)
-    # a round count that is not an integer reached `range` in MC, and an
-    # infinite drive made MC score the hop a perfect link
+    # a round count that is not an integer reached `range` in MC (True
+    # counted as 1, as bool subclasses int), and an infinite drive made MC
+    # score the hop a perfect link
     for field, build in (
             ("M", lambda: RfHopParams(fading=fad, pa=pa, M=2.0)),
+            ("M", lambda: RfHopParams(fading=fad, pa=pa, M=True)),
+            ("C", lambda: RfHopParams(fading=fad, pa=pa, C=True)),
+            ("M", lambda: FsoHopParams(model=GG, p_tx=1.0, M=True)),
+            ("C_tilde", lambda: FsoHopParams(model=GG, p_tx=1.0, C_tilde=False)),
             ("M", lambda: RfHopParams(fading=fad, pa=pa, M=math.inf)),
             ("C", lambda: RfHopParams(fading=fad, pa=pa, C=np.float64(3.0))),
             ("M", lambda: FsoHopParams(model=GG, p_tx=1.0, M=2.0)),

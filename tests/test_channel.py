@@ -49,6 +49,7 @@ def _stream(seed, stream_id=0):
     (lambda: RicianFading(0.1, 1.0, np.float64(3.0)), "N"),
     (lambda: RicianFading(0.1, 1.0, math.inf), "N"),
     (lambda: RicianFading(0.1, 1.0, math.nan), "N"),
+    (lambda: RicianFading(0.1, 1.0, True), "N"),
     (lambda: RicianFading(math.inf, 1.0, 2), "K"),
     (lambda: RicianFading(math.nan, 1.0, 2), "K"),
     (lambda: RicianFading(0.1, math.inf, 2), "Omega"),

@@ -855,7 +855,7 @@ def test_sweep_builds_each_method_pair_once(tmp_path, monkeypatch, command):
 
 
 def test_rate_sweep_evaluates_each_hop_once(tmp_path, monkeypatch):
-    calls = _count_by_hop(monkeypatch, cli, "hop_ergodic_rate")
+    calls = _count_by_hop(monkeypatch, network, "hop_ergodic_rate")
     code, _ = run_to_file(tmp_path, "rate-sweep", str(GOLDEN / "closed_form_grid.yaml"))
     assert code == 0
     assert list(calls.values()) == [1] * (12 * 4)

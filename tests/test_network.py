@@ -133,6 +133,23 @@ def test_mesh_rate_is_max_over_routes():
                                           route_ergodic_rate(r2))
 
 
+def test_fastest_route_takes_first_ties_and_one_rate_per_hop(monkeypatch):
+    # equal routes go to the first, equal hops to the first; each hop's rate
+    # is computed once for the rate, the route and the hop
+    calls = []
+    monkeypatch.setattr(network, "hop_ergodic_rate",
+                        lambda h: calls.append(h) or hop_ergodic_rate(h))
+    fso, rf = _fso(0.5), _rf(1.0, n=8)
+    slow = Route(hops=(_rf(0.01, n=4), fso))
+    tied = Route(hops=(fso, rf, fso))
+    mesh = MeshNetwork(routes=(slow, tied, tied))
+    rate, route, hop = network._fastest_route(mesh)
+    assert len(calls) == 8
+    assert (route, hop) == (1, 0)
+    assert rate == hop_ergodic_rate(fso) == mesh_ergodic_rate(mesh)
+    assert route_limiting_hop(tied) == 0
+
+
 def test_bottleneck_switches_with_rf_drive():
     # fixed FSO terminal, RF drive swept: the route bottleneck moves from the
     # RF hop (low drive) to the FSO hop (high drive)

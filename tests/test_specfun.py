@@ -282,6 +282,25 @@ def test_gamma_log_table_node_cap_folds_exact_tail():
     assert 0.03 < w[0] < 0.04
 
 
+@pytest.mark.parametrize("k", [float(k) for k in np.geomspace(0.05, 1e4, 25)] + [6.7, 6.8])
+def test_gamma_log_table_spacing_resolves_the_narrowest_factor(k):
+    # two nodes or more per standard deviation sqrt(psi'(k)) of the ln of
+    # the narrowest factor, capped at 0.2, and at most 0.5% finer than that
+    y, _ = specfun.gamma_log_table((k,))
+    dy = (y[-1] - y[0]) / (len(y) - 1)
+    with mpmath.workdps(30):
+        ref = min(0.2, 0.5 * math.sqrt(mpmath.psi(1, k)))
+    assert ref * (1.0 - 5e-3) <= dy <= ref * (1.0 + 1e-12), (k, dy, ref)
+
+
+@pytest.mark.parametrize("shapes", [(1.0,), (GG_A, GG_B), (GG_A,) * 3 + (GG_B,) * 2])
+def test_gamma_log_table_spacing_is_0_2_for_the_readme_laws(shapes):
+    # the exponential and the README Gamma-Gamma factors: nodes at j * 0.2
+    y, _ = specfun.gamma_log_table(shapes)
+    j0 = round(y[0] / 0.2)
+    assert np.array_equal(y, (j0 + np.arange(len(y))) * 0.2)
+
+
 @pytest.mark.parametrize("a, b, x, ref, three_sigma", [
     (2.0, 0.5, 0.01, 0.2780647, 4.3e-4),
     (12.0, 0.1, 1e-4, 0.6320447, 4.6e-4),
@@ -450,7 +469,7 @@ def test_gg_product_cdf_pinned_tail_points(a, b, n, x, ref):
 
 
 # ----------------------------------------------------------------------------
-# incomplete gamma P/Q, trigamma, binomial CDF
+# log-deficit kernels, incomplete gamma P/Q, binomial CDF
 # ----------------------------------------------------------------------------
 
 @pytest.mark.parametrize("s", [0.01, 0.03, 0.1, 0.3, 1.0, 2.5636, 4.3939, 10.0, 30.0, 100.0])
@@ -486,12 +505,33 @@ def test_gamma_pq_upper_tail_is_exactly_one():
                     rtol=1e-13)
 
 
-def test_trigamma_mpmath_oracle():
-    for x in list(np.geomspace(1e-3, 1e4, 60)) + [0.001, 0.1, 2.5636, 4.3939, 9.5, 10.0, 12.0]:
-        assert_allclose(specfun.trigamma(float(x)), float(mpmath.psi(1, float(x))), rtol=1e-14,
-                        err_msg=f"x={x}")
-    with pytest.raises(ValueError):
-        specfun.trigamma(0.0)
+_EPS = 1e-9
+
+
+@pytest.mark.parametrize("u", [-0.75, -0.5 - _EPS, -0.5, -0.5 + _EPS, -0.3, -1e-3, -1e-8,
+                               0.0, 1e-8, 1e-3, 0.3, 0.5 - _EPS, 0.5, 0.5 + _EPS, 2.0, 1e3])
+def test_log1pmx_mpmath_oracle(u):
+    # both sides of the series/direct branch at |u| = 1/2, to a few ulps; a
+    # float and a one-element array give the same bits
+    got = specfun._log1pmx(u)
+    assert got == specfun._log1pmx(np.array([u]))[0]
+    with mpmath.workdps(40):
+        ref = mpmath.log1p(u) - u
+        assert abs(got - ref) <= 1e-15 * abs(ref), (u, float(got), float(ref))
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 7.0, 150.0, 1e5])
+def test_bd0_mpmath_oracle(x):
+    # both sides of the branch at m = x/4, and across m = x, to a few ulps; a
+    # float m and a one-element array give the same bits
+    for f in (1e-6, 0.1, 0.25 - _EPS, 0.25, 0.25 + _EPS, 0.5, 0.9, 1.0, 1.0 + 1e-7,
+              1.5, 1.5 + _EPS, 4.0, 1e3):
+        m = f * x
+        got = specfun._bd0(x, m)
+        assert got == specfun._bd0(x, np.array([m]))[0]
+        with mpmath.workdps(40):
+            ref = x * mpmath.log(mpmath.mpf(x) / m) + m - x
+            assert abs(got - ref) <= 1e-15 * abs(ref), (x, m, float(got), float(ref))
 
 
 @pytest.mark.parametrize("n, p", [(1, 0.3), (20, 0.5), (1000, 1e-3), (1000, 0.999),
