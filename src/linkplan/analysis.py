@@ -216,11 +216,11 @@ def log_moments_piecewise(p: float, g: GaussianApprox, theta: float = 1.0):
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     nz, nv = g.mean, g.variance
-    s = theta / (p * (1.0 - math.exp(-theta))) - 1.0 / p
-    r = p * math.exp(-theta)
-    d = (math.exp(theta) - 1.0) / p
-    c2 = theta - r * d
     try:
+        s = theta / (p * (1.0 - math.exp(-theta))) - 1.0 / p
+        r = p * math.exp(-theta)
+        d = (math.exp(theta) - 1.0) / p
+        c2 = theta - r * d
         # both moments piece by piece, each pair differenced before the
         # sum: at a tiny drive the pieces near the mean are O(p) (mean) and
         # O(p^2) (variance) while the raw antiderivatives are O(1), so a sum
@@ -233,9 +233,9 @@ def log_moments_piecewise(p: float, g: GaussianApprox, theta: float = 1.0):
             + (_kernel_t(r, c2 - mu, nz, nv, math.inf)
                - _kernel_t(r, c2 - mu, nz, nv, s))
         )
-    except OverflowError as exc:  # a float ** past 1.8e308 raises, not inf
+    except (OverflowError, ZeroDivisionError) as exc:  # ** or e^theta overflow; theta < 2^-53
         raise ApproximationInvalidError(
-            f"piecewise log surrogate overflows at sum-gain mean {nz:g}, "
+            f"piecewise log surrogate overflows at theta {theta:g}, sum-gain mean {nz:g}, "
             f"variance {nv:g}") from exc
     if not var > 0:
         raise ApproximationInvalidError(
@@ -258,22 +258,23 @@ def rf_outage_piecewise(h: RfHopParams, theta: float = 1.0) -> OutageEstimate:
 # linearized-CDF surrogate
 # ---------------------------------------------------------------------------
 
-def log_moments_linearized(p: float, g: GaussianApprox):
-    """Mean and variance of log(1+p*G) with the Gaussian survival function of
-    G replaced by a linear ramp across [mean - w/2, mean + w/2],
-    w = sqrt(2 pi var): E[log] = p * integral of ramp/(1 + p x)."""
+def _linearized_mean(p: float, g: GaussianApprox):
+    """(E[log(1+p*G)], (a2, a3, lo, x2)) with the Gaussian survival function of
+    G replaced by a ramp a2 t + a3 from lo = max(mean - w/2, 0) to x2 = mean +
+    w/2, w = sqrt(2 pi var): E[log] = p * integral of ramp/(1 + p x)."""
     nz, nv = g.mean, g.variance
     w = math.sqrt(2.0 * math.pi * nv)
-    x1 = nz - 0.5 * w
-    x2 = nz + 0.5 * w
-    a2 = -1.0 / w
-    a3 = 0.5 + nz / w
-    lo = max(x1, 0.0)
+    x2, a2, a3 = nz + 0.5 * w, -1.0 / w, 0.5 + nz / w
+    lo = max(nz - 0.5 * w, 0.0)
+    c = a3 - a2 / p  # the ramp's antiderivative: a2 x + c log1p(p x)
+    mu = math.log1p(p * lo) + (a2 * x2 + c * math.log1p(p * x2)) - (
+        a2 * lo + c * math.log1p(p * lo))
+    return mu, (a2, a3, lo, x2)
 
-    def ramp_int(x):  # antiderivative of p*(a2 t + a3)/(1 + p t)
-        return a2 * x + (a3 - a2 / p) * math.log1p(p * x)
 
-    mu = math.log1p(p * lo) + ramp_int(x2) - ramp_int(lo)
+def log_moments_linearized(p: float, g: GaussianApprox):
+    """Mean and variance of log(1+p*G) under `_linearized_mean`'s ramp."""
+    mu, (a2, a3, lo, x2) = _linearized_mean(p, g)
 
     def b_kernel(x):  # antiderivative of 2 p (a2 t + a3) log(1 + p t)/(1 + p t)
         lg = math.log1p(p * x)
@@ -413,9 +414,11 @@ def rf_outage_single_shot(h: RfHopParams) -> OutageEstimate:
 # ---------------------------------------------------------------------------
 
 def rf_ergodic_rate(f: RicianFading, pa: PaConfig) -> float:
-    """Ergodic rate E[log(1+P'G)] from the linearized-CDF closed form."""
-    p = output_power(pa)
-    return log_moments_linearized(p, clt_sum_gain_params(f)).mean
+    """Ergodic rate E[log(1+P'G)]: the linearized-CDF closed form's mean alone."""
+    mu = _linearized_mean(output_power(pa), clt_sum_gain_params(f))[0]
+    if not math.isfinite(mu):
+        raise ApproximationInvalidError(f"linearized log surrogate mean {mu} is not finite")
+    return mu
 
 
 def fso_ergodic_rate(h: FsoHopParams) -> float:

@@ -1,5 +1,7 @@
 """Scenario configuration: YAML document -> validated hop parameters.
 
+The grammar is one key table per mapping, from `_ROOT` down, naming each key
+once with its type, default and range; one reader, `_read`, applies them all.
 The config holds the scenario's `RfHopParams` and `FsoHopParams` at their
 configured drives; `point` builds one sweep point from them.  All dB <-> linear
 conversions of the config happen here.  Unless a `p_tx_db` is given, an FSO
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import yaml
@@ -33,27 +36,47 @@ class ConfigError(ValueError):
     """Configuration rejected; message carries the offending field path."""
 
 
-def _db_to_linear(x_db: float, path: str) -> float:
-    try:
-        x = 10.0 ** (x_db / 10.0)
-    except OverflowError:
-        x = math.inf
-    _require(0.0 < x < math.inf, path, f"{x_db:g} dB is beyond the range of a float")
-    return x
-
-
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _reject_unknown(d: dict, known, path: str):
+_REQUIRED = object()  # the default of a key that the document must give
+_RANGES = {  # a key's range, as printed after "must be"
+    ">= 0": lambda v: v >= 0.0,
+    "> 0": lambda v: v > 0.0,
+    ">= 1": lambda v: v >= 1,
+    "in [0,1)": lambda v: 0.0 <= v < 1.0,
+    "in (0,1] (at 0 the PA would radiate nothing)": lambda v: 0.0 < v <= 1.0,
+}
+# a key's reader(value, path, done: the keys of its mapping read so far), its
+# default (`_REQUIRED`; None: stays None if missing) and range (a `_RANGES` key)
+_Key = namedtuple("_Key", "read default range", defaults=(_REQUIRED, ""))
+
+
+def _read(d, path: str, keys: dict) -> dict:
+    """{key: value} of the mapping `d` at `path`, by its key table `keys`; an entry
+    {value: table} adds the keys of the table its value names (an FSO model's shape)."""
+    _require(isinstance(d, dict), path or "<root>", "expected a mapping")
+    pre, table = f"{path}." if path else "", {}
+    for key, spec in keys.items():
+        if isinstance(spec, dict):
+            table[key] = _Key(_choice(spec))
+            table.update(spec[table[key].read(d.get(key), pre + key)])
+        else:
+            table[key] = spec
     for key in d:
-        _require(key in known, f"{path}.{key}",
-                 f"unknown key (known: {', '.join(known)})")
+        _require(key in table, f"{pre}{key}", f"unknown key (known: {', '.join(table)})")
+    done = {}
+    for key, spec in table.items():
+        v = d.get(key, spec.default)
+        _require(v is not _REQUIRED, pre + key, "required field missing")
+        done[key] = v = None if key not in d and v is None else spec.read(v, pre + key, done)
+        _require(not spec.range or _RANGES[spec.range](v), pre + key, f"must be {spec.range}")
+    return done
 
 
-def _number(v, path: str) -> float:
+def _number(v, path: str, done=None) -> float:
     _require(isinstance(v, (int, float)) and not isinstance(v, bool),
              path, f"expected a number, got {v!r}")
     try:
@@ -64,21 +87,161 @@ def _number(v, path: str) -> float:
     return v
 
 
-def _get_number(d: dict, key: str, path: str, default=None, required=False):
-    if key not in d:
-        _require(not required, f"{path}.{key}", "required field missing")
-        return default
-    return _number(d[key], f"{path}.{key}")
-
-
-def _get_int(d: dict, key: str, path: str, default=None, required=False):
-    if key not in d:
-        _require(not required, f"{path}.{key}", "required field missing")
-        return default
-    v = d[key]
+def _integer(v, path: str, done=None) -> int:
     _require(isinstance(v, int) and not isinstance(v, bool),
-             f"{path}.{key}", f"expected an integer, got {v!r}")
+             path, f"expected an integer, got {v!r}")
     return v
+
+
+def _db(v, path: str, done=None) -> float:
+    """A dB number, read as its linear power."""
+    x_db = _number(v, path)
+    try:
+        x = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        x = math.inf
+    _require(0.0 < x < math.inf, path, f"{x_db:g} dB is beyond the range of a float")
+    return x
+
+
+def _choice(*options):
+    """Reader of one string of the `options`, each iterated at each call (a
+    list compares by ==, so an unhashable value is no `TypeError`)."""
+    def read(v, path, done=None):
+        known = [k for o in options for k in o]
+        _require(v in known, path, f"must be one of {', '.join(known)}, got {v!r}")
+        return v
+    return read
+
+
+def _list(item, nonempty: bool = False):
+    """Reader of a list whose entry i `item` reads at `path[i]`."""
+    def read(v, path, done=None):
+        _require(isinstance(v, list) and (v or not nonempty), path,
+                 f"expected a {'nonempty ' * nonempty}list")
+        return [item(x, f"{path}[{i}]", done) for i, x in enumerate(v)]
+    return read
+
+
+def _pa(v, path: str, done=None) -> PaConfig:
+    pa = _read(v, path, _PA)
+    _require(pa["theta_pa"] == 0.0 or pa["p_max_db"], f"{path}.p_max_db",
+             "required when theta_pa > 0 (the PA would radiate nothing)")
+    try:
+        return PaConfig(pa["epsilon"], pa["theta_pa"], pa["p_max_db"] or math.inf,
+                        pa["p_cons_db"])
+    except (ValueError, ArithmeticError) as exc:  # saturation, overflow
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+_PA = {  # a dB key reads as its linear power
+    "epsilon": _Key(_number, 1.0, "in (0,1] (at 0 the PA would radiate nothing)"),
+    "theta_pa": _Key(_number, 0.0, "in [0,1)"),
+    "p_cons_db": _Key(_db),
+    "p_max_db": _Key(_db, None),  # None: no saturation, so theta_pa must be 0
+}
+
+_RF_HOP = {
+    "K": _Key(_number, _REQUIRED, ">= 0"),
+    "omega": _Key(_number, 1.0, "> 0"),
+    "N": _Key(_integer, _REQUIRED, ">= 1"),
+    "M": _Key(_integer, 1, ">= 1"),
+    "C": _Key(_integer, 1, ">= 1"),
+    "R": _Key(_number, _REQUIRED, "> 0"),
+    "pa": _Key(_pa),
+}
+
+_FSO_HOP = {
+    "model": {"exponential": {"lambda": _Key(_number, _REQUIRED, "> 0")},
+              "gamma_gamma": {"a": _Key(_number, _REQUIRED, "> 0"),
+                              "b": _Key(_number, _REQUIRED, "> 0")}},
+    "M": _Key(_integer, 1, ">= 1"),
+    "C_tilde": _Key(_integer, 1, ">= 1"),
+    "R": _Key(_number, _REQUIRED, "> 0"),
+    "p_tx_db": _Key(_db, None),  # None: N * P_cons of an RF hop
+}
+
+
+def _rf_hop(v, path: str, done=None) -> RfHopParams:
+    h = _read(v, path, _RF_HOP)
+    return RfHopParams(RicianFading(h["K"], h["omega"], h["N"]), h["pa"],
+                       h["M"], h["C"], h["R"])
+
+
+def _coupled_p_tx(rf_hop: RfHopParams) -> float:
+    """Transmit power of an FSO hop coupled to `rf_hop`: N * P_cons."""
+    return rf_hop.fading.N * rf_hop.pa.p_cons
+
+
+def _fso_hops(v, path: str, done: dict) -> list:
+    """(FsoHopParams, None or the RF hop it couples to, min(i, last)) per FSO hop i."""
+    _require(isinstance(v, list), path, "expected a list")
+    rf, hops = done["rf_hops"], []
+    for i, d in enumerate(v):
+        h, p = _read(d, f"{path}[{i}]", _FSO_HOP), f"{path}[{i}].p_tx_db"
+        law = (FsoExponential(h["lambda"]) if h["model"] == "exponential"
+               else FsoGammaGamma(h["a"], h["b"]))
+        partner = None if h["p_tx_db"] else min(i, len(rf) - 1)
+        _require(partner is None or rf, p, "required when there is no RF hop to couple to")
+        try:
+            p_tx = h["p_tx_db"] or _coupled_p_tx(rf[partner])
+            hops.append((FsoHopParams(law, p_tx, h["M"], h["C_tilde"], h["R"]), partner))
+        except (ValueError, OverflowError) as exc:  # N * P_cons past the float range
+            raise ConfigError(f"{p}: N * P_cons is beyond the range of a float") from exc
+    _require(rf or hops, "rf_hops", "at least one hop required")
+    return hops
+
+
+def _routes(v, path: str, done: dict):
+    """Hop references per route, or None: one route over every hop, RF first.  Routes
+    are independent (closed forms and MC alike): no hop sits on two, nor twice on one."""
+    seen = {}
+    def ref(x, p, _):
+        kind, _, i = x.partition(":") if isinstance(x, str) else ("", "", "")
+        _require(kind in ("rf", "fso") and i.isdecimal(), p,
+                 f"expected 'rf:<i>' or 'fso:<i>', got {x!r}")
+        hop = (kind, int(i))
+        _require(hop[1] < len(done[f"{kind}_hops"]), p, f"hop {x!r} does not exist")
+        _require(hop not in seen, p, f"hop {x!r} is already on {seen.get(hop)}")
+        seen[hop] = p
+        return hop
+    return None if v is None else _list(_list(ref, nonempty=True), nonempty=True)(v, path)
+
+
+def _grid(v, path: str, done: dict) -> list:
+    """The grid as given (integers stay integers), strictly increasing."""
+    _list(_number, nonempty=True)(v, path)
+    _require(all(a < b for a, b in zip(v, v[1:])), path, "must be strictly increasing")
+    if done["variable"] != "snr_db":  # N, M and routes count
+        for i, g in enumerate(v):
+            _require(isinstance(g, int) and g >= 1, f"{path}[{i}]",
+                     "must be a positive integer")
+    return list(v)
+
+
+def mc_config(trials: int, seed: int) -> McConfig:
+    """`McConfig`, whose range errors become `mc: ...` config errors."""
+    try:
+        return McConfig(trials, seed)
+    except ValueError as exc:
+        raise ConfigError(f"mc: {exc}") from exc
+
+
+_SWEEP = {"variable": _Key(_choice(SWEEP_VARIABLES)), "grid": _Key(_grid)}
+# `McConfig` holds the ranges of mc's keys, for the file and the --trials/--seed flags
+_MC = {"trials": _Key(_integer, 1_000_000), "seed": _Key(_integer, 0)}
+_ANALYSIS = {"theta": _Key(_number, 1.0, "> 0")}  # tangent anchor of rf_piecewise_clt
+_ROOT = {
+    "rf_hops": _Key(_list(_rf_hop), []),
+    "fso_hops": _Key(_fso_hops, []),
+    "routes": _Key(_routes, None),
+    "sweep": _Key(lambda v, path, done: _read(v, path, _SWEEP)),
+    # tags read at each parse, so that a row added to the table later counts
+    "evaluators": _Key(_list(_choice(EVALUATORS, [MONTE_CARLO]), nonempty=True),
+                       list(DEFAULT_TAGS)),
+    "mc": _Key(lambda v, path, done: mc_config(**_read(v, path, _MC)), {}),
+    "analysis": _Key(lambda v, path, done: _read(v, path, _ANALYSIS), {}),
+}
 
 
 @dataclass
@@ -130,184 +293,17 @@ class ScenarioConfig:
         return self.materialize(**{SWEEP_VARIABLES[self.sweep_variable]: value})
 
 
-def _coupled_p_tx(rf_hop: RfHopParams) -> float:
-    """Transmit power of an FSO hop coupled to `rf_hop`: N * P_cons."""
-    return rf_hop.fading.N * rf_hop.pa.p_cons
-
-
-def _parse_rf_hop(d, path) -> RfHopParams:
-    _require(isinstance(d, dict), path, "expected a mapping")
-    _reject_unknown(d, ("K", "omega", "N", "M", "C", "R", "pa"), path)
-    K = _get_number(d, "K", path, required=True)
-    _require(K >= 0.0, f"{path}.K", "must be >= 0")
-    omega = _get_number(d, "omega", path, default=1.0)
-    _require(omega > 0.0, f"{path}.omega", "must be > 0")
-    N = _get_int(d, "N", path, required=True)
-    _require(N >= 1, f"{path}.N", "must be >= 1")
-    M = _get_int(d, "M", path, default=1)
-    _require(M >= 1, f"{path}.M", "must be >= 1")
-    C = _get_int(d, "C", path, default=1)
-    _require(C >= 1, f"{path}.C", "must be >= 1")
-    R = _get_number(d, "R", path, required=True)
-    _require(R > 0.0, f"{path}.R", "must be > 0")
-    pa = d.get("pa")
-    _require(isinstance(pa, dict), f"{path}.pa", "required mapping missing")
-    _reject_unknown(pa, ("epsilon", "theta_pa", "p_cons_db", "p_max_db"), f"{path}.pa")
-    eps = _get_number(pa, "epsilon", f"{path}.pa", default=1.0)
-    _require(0.0 <= eps <= 1.0, f"{path}.pa.epsilon", "must be in [0,1]")
-    _require(eps > 0.0, f"{path}.pa.epsilon", "must be > 0 (the PA would radiate nothing)")
-    th = _get_number(pa, "theta_pa", f"{path}.pa", default=0.0)
-    _require(0.0 <= th < 1.0, f"{path}.pa.theta_pa", "must be in [0,1)")
-    p_cons = _db_to_linear(_get_number(pa, "p_cons_db", f"{path}.pa", required=True),
-                           f"{path}.pa.p_cons_db")
-    if "p_max_db" in pa:
-        p_max = _db_to_linear(_get_number(pa, "p_max_db", f"{path}.pa"),
-                              f"{path}.pa.p_max_db")
-    else:
-        _require(th == 0.0, f"{path}.pa.p_max_db",
-                 "required when theta_pa > 0 (the PA would radiate nothing)")
-        p_max = math.inf
-    try:
-        pa_config = PaConfig(eps, th, p_max, p_cons)
-    except (ValueError, ArithmeticError) as exc:  # saturation, overflow
-        raise ConfigError(f"{path}.pa: {exc}") from exc
-    return RfHopParams(RicianFading(K, omega, N), pa_config, M, C, R)
-
-
-def _parse_fso_hop(d, path, idx, rf):
-    """(FsoHopParams, index of the coupled RF hop or None if p_tx_db is given)."""
-    _require(isinstance(d, dict), path, "expected a mapping")
-    model = d.get("model")
-    _require(model in ("exponential", "gamma_gamma"),
-             f"{path}.model", "must be 'exponential' or 'gamma_gamma'")
-    shape = ("lambda",) if model == "exponential" else ("a", "b")
-    _reject_unknown(d, ("model", *shape, "M", "C_tilde", "R", "p_tx_db"), path)
-    if model == "exponential":
-        lam = _get_number(d, "lambda", path, required=True)
-        _require(lam > 0.0, f"{path}.lambda", "must be > 0")
-        gain = FsoExponential(lam)
-    else:
-        a = _get_number(d, "a", path, required=True)
-        _require(a > 0.0, f"{path}.a", "must be > 0")
-        b = _get_number(d, "b", path, required=True)
-        _require(b > 0.0, f"{path}.b", "must be > 0")
-        gain = FsoGammaGamma(a, b)
-    M = _get_int(d, "M", path, default=1)
-    _require(M >= 1, f"{path}.M", "must be >= 1")
-    Ct = _get_int(d, "C_tilde", path, default=1)
-    _require(Ct >= 1, f"{path}.C_tilde", "must be >= 1")
-    R = _get_number(d, "R", path, required=True)
-    _require(R > 0.0, f"{path}.R", "must be > 0")
-    if "p_tx_db" in d:
-        p_tx = _db_to_linear(_get_number(d, "p_tx_db", path), f"{path}.p_tx_db")
-        return FsoHopParams(gain, p_tx, M, Ct, R), None
-    _require(len(rf) > 0, f"{path}.p_tx_db",
-             "required when there is no RF hop to couple to")
-    partner = min(idx, len(rf) - 1)
-    return FsoHopParams(gain, _coupled_p_tx(rf[partner]), M, Ct, R), partner
-
-
-def _parse_route_ref(ref, path, n_rf, n_fso):
-    _require(isinstance(ref, str), path, f"expected 'rf:<i>' or 'fso:<i>', got {ref!r}")
-    kind, _, idx_s = ref.partition(":")
-    _require(kind in ("rf", "fso") and idx_s.isdigit(), path,
-             f"expected 'rf:<i>' or 'fso:<i>', got {ref!r}")
-    idx = int(idx_s)
-    limit = n_rf if kind == "rf" else n_fso
-    _require(idx < limit, path, f"hop {ref!r} does not exist")
-    return kind, idx
-
-
-def mc_config(trials: int, seed: int) -> McConfig:
-    """`McConfig`, whose range errors become `mc: ...` config errors."""
-    try:
-        return McConfig(trials, seed)
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
-
-
 def parse_config(doc: dict, sha256: str = "") -> ScenarioConfig:
-    _require(isinstance(doc, dict), "<root>", "config must be a mapping")
-    known = {"rf_hops", "fso_hops", "routes", "sweep", "evaluators", "mc", "analysis"}
-    for key in doc:
-        _require(key in known, str(key), "unknown section")
-
-    rf_raw = doc.get("rf_hops", [])
-    fso_raw = doc.get("fso_hops", [])
-    _require(isinstance(rf_raw, list), "rf_hops", "expected a list")
-    _require(isinstance(fso_raw, list), "fso_hops", "expected a list")
-    rf = [_parse_rf_hop(h, f"rf_hops[{i}]") for i, h in enumerate(rf_raw)]
-    fso_parsed = [_parse_fso_hop(h, f"fso_hops[{i}]", i, rf)
-                  for i, h in enumerate(fso_raw)]
-    fso = [hop for hop, _ in fso_parsed]
-    _require(len(rf) + len(fso) > 0, "rf_hops", "at least one hop required")
-
-    routes_raw = doc.get("routes")
-    if routes_raw is None:
-        # default: one route spanning all hops, RF first
-        routes = [[("rf", i) for i in range(len(rf))]
-                  + [("fso", i) for i in range(len(fso))]]
-    else:
-        _require(isinstance(routes_raw, list) and routes_raw,
-                 "routes", "expected a nonempty list")
-        # routes are independent (closed forms and MC alike), so no hop may
-        # sit on two of them, nor twice on one
-        routes, seen = [], {}
-        for i, r in enumerate(routes_raw):
-            _require(isinstance(r, list) and r,
-                     f"routes[{i}]", "expected a nonempty list of hop references")
-            route = []
-            for j, ref in enumerate(r):
-                path = f"routes[{i}][{j}]"
-                hop = _parse_route_ref(ref, path, len(rf), len(fso))
-                _require(hop not in seen, path, f"hop {ref!r} is already on {seen.get(hop)}")
-                seen[hop] = path
-                route.append(hop)
-            routes.append(route)
-
-    sweep = doc.get("sweep")
-    _require(isinstance(sweep, dict), "sweep", "required mapping missing")
-    _reject_unknown(sweep, ("variable", "grid"), "sweep")
-    variable = sweep.get("variable")
-    _require(variable in SWEEP_VARIABLES,
-             "sweep.variable", f"must be one of {', '.join(SWEEP_VARIABLES)}")
-    grid = sweep.get("grid")
-    _require(isinstance(grid, list) and grid, "sweep.grid", "must be a nonempty list")
-    for i, g in enumerate(grid):
-        _number(g, f"sweep.grid[{i}]")
-    _require(all(grid[i] < grid[i + 1] for i in range(len(grid) - 1)),
-             "sweep.grid", "must be strictly increasing")
-    if variable in ("N", "M", "routes"):
-        for i, g in enumerate(grid):
-            _require(isinstance(g, int) and g >= 1,
-                     f"sweep.grid[{i}]", "must be a positive integer")
-        if variable == "routes":
-            _require(grid[-1] <= len(routes), "sweep.grid",
-                     f"grid exceeds the {len(routes)} configured routes")
-
-    evaluators = doc.get("evaluators", list(DEFAULT_TAGS))
-    _require(isinstance(evaluators, list) and evaluators,
-             "evaluators", "expected a nonempty list")
-    known = (*EVALUATORS, MONTE_CARLO)  # read here, so that a row added later counts
-    for i, tag in enumerate(evaluators):
-        _require(tag in known, f"evaluators[{i}]",
-                 f"unknown method tag {tag!r} (known: {', '.join(known)})")
-
-    mc_doc = doc.get("mc", {})
-    _require(isinstance(mc_doc, dict), "mc", "expected a mapping")
-    _reject_unknown(mc_doc, ("trials", "seed"), "mc")
-    mc = mc_config(_get_int(mc_doc, "trials", "mc", default=1_000_000),
-                   _get_int(mc_doc, "seed", "mc", default=0))
-
-    analysis = doc.get("analysis", {})
-    _require(isinstance(analysis, dict), "analysis", "expected a mapping")
-    _reject_unknown(analysis, ("theta",), "analysis")
-    theta = _get_number(analysis, "theta", "analysis", default=1.0)
-    _require(theta > 0.0, "analysis.theta", "must be > 0")
-
-    return ScenarioConfig(rf, fso, [c for _, c in fso_parsed], routes, variable,
-                          list(grid), list(evaluators), mc.trials, mc.seed, theta,
-                          sha256=sha256)
+    v = _read(doc, "", _ROOT)
+    rf, fso, mc = v["rf_hops"], v["fso_hops"], v["mc"]
+    routes = v["routes"] or [[("rf", i) for i in range(len(rf))]
+                             + [("fso", i) for i in range(len(fso))]]
+    sweep = v["sweep"]
+    _require(sweep["variable"] != "routes" or sweep["grid"][-1] <= len(routes), "sweep.grid",
+             f"grid exceeds the {len(routes)} configured routes")
+    return ScenarioConfig(rf, [h for h, _ in fso], [c for _, c in fso], routes,
+                          sweep["variable"], sweep["grid"], v["evaluators"],
+                          mc.trials, mc.seed, v["analysis"]["theta"], sha256=sha256)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -140,8 +140,8 @@ def _caught(fn, *args):
 
 def _slowest_hop(route: Route):
     """(ergodic rate, index) of the route's first slowest hop: a
-    decode-and-forward chain runs at its slowest hop."""
-    rates = [hop_ergodic_rate(h) for h in route.hops]
+    decode-and-forward chain runs at its slowest hop.  An error gets `hop j: `."""
+    rates = _each("hop", route.hops, hop_ergodic_rate)
     j = min(range(len(rates)), key=rates.__getitem__)
     return rates[j], j
 
@@ -149,8 +149,8 @@ def _slowest_hop(route: Route):
 def _fastest_route(mesh: MeshNetwork):
     """(ergodic rate, route index, hop index) of the mesh's first fastest
     route and its first slowest hop: the mesh delivers at its best route's
-    rate.  Each hop's rate is computed once."""
-    slowest = [_slowest_hop(r) for r in mesh.routes]
+    rate.  Each hop's rate is computed once; an error gets `route i: hop j: `."""
+    slowest = _each("route", mesh.routes, _slowest_hop)
     i = max(range(len(slowest)), key=lambda i: slowest[i][0])
     return slowest[i][0], i, slowest[i][1]
 

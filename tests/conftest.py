@@ -1,3 +1,11 @@
+from hypothesis import settings
+
+# every run draws the same hypothesis examples, and none are replayed from a
+# local database, so a rerun repeats the run that failed
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance verdict lines after the test run.
 

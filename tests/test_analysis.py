@@ -371,6 +371,17 @@ def test_piecewise_overflow_names_the_surrogate():
         rf_outage_piecewise(h)
 
 
+@pytest.mark.parametrize("theta", [1e-17, 1e-320, 710.0])
+def test_piecewise_theta_past_float_range_names_theta(theta):
+    # below 2^-53, 1 - e^-theta is 0 and the breakpoint divided by it; above
+    # 709.78, e^theta overflowed: a bare ZeroDivisionError or OverflowError
+    h = RfHopParams(fading=RicianFading(2.0, 1.0, 40), pa=PaConfig.ideal(1.0),
+                    M=2, C=5, R=2.0)
+    with pytest.raises(ApproximationInvalidError,
+                       match=rf"piecewise log surrogate overflows at theta {theta:g}, "):
+        rf_outage_piecewise(h, theta)
+
+
 # ----------------------------------------------------------------------------
 # linearized-CDF surrogate
 # ----------------------------------------------------------------------------
@@ -910,6 +921,20 @@ def test_rf_ergodic_rate_vs_quadrature():
         ref, _ = quad(lambda x: math.log1p(p * x) * _sum_gain_pdf(x, f), 0.0, hi,
                       limit=300)
         assert abs(closed - ref) / ref < 0.01, snr_db
+
+
+def test_rf_ergodic_rate_reads_only_the_mean():
+    # theta_pa = 0.99 at p_max = p_cons = 1 radiates about 3.2e-13: the
+    # linearized variance rounds to -8.9e-16, which the rate never reads
+    f, pa = RicianFading(2.0, 1.0, 40), PaConfig(0.75, 0.99, 1.0, 1.0)
+    g = clt_sum_gain_params(f)
+    p = analysis.output_power(pa)
+    with pytest.raises(ApproximationInvalidError, match="variance .* is not > 0"):
+        log_moments_linearized(p, g)
+    # log(1 + x) ~ x: p times the mean gain (3e-5 of round-off at this drive)
+    assert_allclose(rf_ergodic_rate(f, pa), p * g.mean, rtol=1e-4)
+    assert_allclose(rf_ergodic_rate(f, PaConfig.ideal(1.0)),
+                    log_moments_linearized(1.0, g).mean, rtol=0, atol=0)
 
 
 def test_rf_ergodic_rate_large_n():

@@ -748,10 +748,63 @@ def test_jensen_bounds_past_float_range_read_one(tmp_path):
             assert row[2] == "1", row
 
 
+@pytest.mark.parametrize("theta", [1e-17, 1e-320, 710.0])
+def test_piecewise_theta_past_float_range_is_a_named_row(tmp_path, theta):
+    # 1e-17 printed `route 0: hop 0: float division by zero`, and 710 ended
+    # in a bare `OverflowError: math range error`
+    doc = yaml.safe_load((GOLDEN / "readme.yaml").read_text())
+    doc.update(fso_hops=[], routes=[["rf:0"]], evaluators=["rf_piecewise_clt"],
+               analysis={"theta": theta})
+    doc["sweep"]["grid"] = [7.0]
+    code, text = run_to_file(tmp_path, "outage-sweep", write_config(tmp_path, doc))
+    assert code == 3
+    assert data_rows(text) == [["7", "rf_piecewise_clt", "nan", "nan",
+                                "route 0: hop 0: piecewise log surrogate overflows at "
+                                f"theta {theta:g}; sum-gain mean 40; variance 22.2222"]]
+
+
+@pytest.mark.parametrize("command", ["rate-sweep", "min-antennas"])
+def test_rate_reads_no_surrogate_variance(tmp_path, command):
+    # theta_pa = 0.99 at p_max = p_cons = 0 dB radiates about 3.2e-13, where
+    # the linearized variance rounds to -8.9e-16; both commands printed that
+    # variance as an error row, though the rate reads only the mean
+    doc = {"rf_hops": [dict(BASE["rf_hops"][0], R=1e-7, pa={
+               "epsilon": 0.75, "theta_pa": 0.99, "p_max_db": 0.0, "p_cons_db": 0.0})],
+           "sweep": {"variable": "snr_db", "grid": [0.0]}}
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
+    assert code == 0, text
+    (row,) = data_rows(text)
+    pa = PaConfig(0.75, 0.99, 1.0, 1.0)
+    if command == "rate-sweep":
+        assert row == ["0", f"{rf_ergodic_rate(RicianFading(0.01, 1.0, 20), pa):.12g}", "rf:0"]
+    else:
+        n = int(row[3])
+        assert rf_ergodic_rate(RicianFading(0.01, 1.0, n), pa) >= 1e-7 - 1e-9
+        assert rf_ergodic_rate(RicianFading(0.01, 1.0, n - 1), pa) < 1e-7 - 1e-9
+
+
+def test_rate_error_names_the_hop(tmp_path):
+    # an exponential FSO hop at -3000 dB: outage rows carried `route 0: hop
+    # 1: `, the rate row did not
+    doc = copy.deepcopy(BASE)
+    doc["fso_hops"][0]["p_tx_db"] = -3000.0
+    doc["evaluators"] = ["fso_clt"]
+    doc["sweep"]["grid"] = [-3.0]
+    cfg = write_config(tmp_path, doc)
+    message = "route 0: hop 1: FSO surrogate variance 0.0 is not > 0"
+    code, text = run_to_file(tmp_path, "outage-sweep", cfg)
+    assert (code, data_rows(text)[0][4]) == (3, message)
+    code, text = run_to_file(tmp_path, "rate-sweep", cfg)
+    assert (code, data_rows(text)) == (3, [["-3", "nan", f"error:{message}"]])
+
+
 @pytest.mark.parametrize("command, column", [("rate-sweep", 2), ("outage-sweep", 4)])
 def test_nan_variance_rows_name_the_surrogate(tmp_path, command, column):
     # omega = 1e300 overflows the sum-gain variance; the linearized log
-    # surrogate's variance is then nan, which a `<= 0` check let through
+    # surrogate's variance is then nan, which a `<= 0` check let through, and
+    # so is its mean, the only moment the rate reads
+    message = ("linearized log surrogate mean nan is not finite" if command == "rate-sweep"
+               else "linearized log surrogate variance nan is not > 0")
     doc = copy.deepcopy(BASE)
     doc["rf_hops"][0]["omega"] = 1e300
     doc["evaluators"] = ["rf_linearized_clt", "fso_clt"]
@@ -760,7 +813,7 @@ def test_nan_variance_rows_name_the_surrogate(tmp_path, command, column):
     rows = data_rows(text)
     assert len(rows) == (3 if command == "rate-sweep" else 6)
     for row in rows:
-        assert "linearized log surrogate variance nan is not > 0" in row[column], row
+        assert message in row[column], row
 
 
 def test_default_route_spans_all_hops(tmp_path):

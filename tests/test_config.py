@@ -1,6 +1,8 @@
 """Scenario config tests: `ScenarioConfig.point` builds, for one grid value of
 each sweep variable, the hops a hand-built scenario would hold; `load_config`
-parses with libyaml and reports YAML it cannot parse as a config error."""
+parses with libyaml and reports YAML it cannot parse as a config error; and a
+wrong value, unknown key or missing key in any mapping is a config error that
+names the key."""
 
 import copy
 import dataclasses
@@ -10,7 +12,7 @@ import re
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkplan import config
@@ -200,3 +202,94 @@ def test_non_finite_number_names_its_field(path, value):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert str(info.value) == f"{_field_name(path)}: must be finite"
+
+
+# ----------------------------------------------------------------------------
+# the whole grammar: one edit of the README scenario
+# ----------------------------------------------------------------------------
+
+README_DOC = yaml.safe_load(_readme_scenario())
+MAPPINGS = [(), ("rf_hops", 0), ("rf_hops", 0, "pa"), ("fso_hops", 0), ("sweep",), ("mc",),
+            ("analysis",)]
+# the keys the README scenario must give (p_max_db, since its theta_pa > 0)
+REQUIRED = {(): ("sweep",), ("rf_hops", 0): ("K", "N", "R", "pa"),
+            ("rf_hops", 0, "pa"): ("p_cons_db", "p_max_db"),
+            ("fso_hops", 0): ("model", "a", "b", "R"), ("sweep",): ("variable", "grid")}
+# values of the wrong kind for every key, and numbers out of range for some
+# keys (none that another key's rule could reject: at 4000 dB every power is
+# past a float)
+VALUES = [["x"], {"a": 1}, None, True, "x", -1, 0, -0.5, 1.5, 4000.0, -4000.0, math.inf,
+          math.nan]
+
+
+def _mapping(doc, where):
+    for p in where:
+        doc = doc[p]
+    return doc
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("set"),
+              st.sampled_from([(m, k) for m in MAPPINGS for k in _mapping(README_DOC, m)]),
+              st.sampled_from(VALUES)),
+    st.tuples(st.just("add"), st.sampled_from([(m, "zz") for m in MAPPINGS]), st.just(1.0)),
+    st.tuples(st.just("remove"),
+              st.sampled_from([(m, k) for m, keys in REQUIRED.items() for k in keys]),
+              st.none()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=EDITS)
+@example(edit=("set", (("sweep",), "variable"), ["snr_db"]))
+@example(edit=("set", (("sweep",), "variable"), {"a": 1}))
+def test_one_edit_parses_or_names_its_key(edit):
+    # a YAML list once reached a dict-membership test (`TypeError:
+    # unhashable type`) before anything checked its type
+    op, (where, key), value = edit
+    doc = copy.deepcopy(README_DOC)
+    mapping = _mapping(doc, where)
+    if op == "remove":
+        del mapping[key]
+    else:
+        mapping[key] = value
+    # every edit is rejected but a number, which may be in range, and
+    # `routes: null`, which reads as if absent
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    rejected = not (op == "set" and (number or (where, key, value) == ((), "routes", None)))
+    try:
+        cfg = parse_config(doc)
+    except ConfigError as exc:
+        # `McConfig` states mc's ranges, for the file and the --trials/--seed flags
+        if where != ("mc",) or not str(exc).startswith(f"mc: {key} "):
+            assert re.match(rf"{re.escape(_field_name((*where, key)))}(: |\.|\[)", str(exc))
+    else:
+        assert not rejected and isinstance(cfg, config.ScenarioConfig)
+
+
+@pytest.mark.parametrize("value", [["snr_db"], {"a": 1}])
+def test_unhashable_sweep_variable_exits_2(tmp_path, capsys, value):
+    doc = copy.deepcopy(README_DOC)
+    doc["sweep"]["variable"] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["outage-sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep.variable: must be one of ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    # str.isdigit() holds for '²', which int() then refused with a ValueError
+    (lambda d: d.update(routes=[["rf:²", "fso:0"]]),
+     "routes[0][0]: expected 'rf:<i>' or 'fso:<i>', got 'rf:²'"),
+    # N * P_cons of the coupled FSO hop: an OverflowError, or an infinite
+    # transmit power that `FsoHopParams` refused with a ValueError
+    (lambda d: d["rf_hops"][0].update(N=10**400),
+     "fso_hops[0].p_tx_db: N * P_cons is beyond the range of a float"),
+    (lambda d: d["rf_hops"][0].update(N=10**10, pa={"p_cons_db": 3000.0}),
+     "fso_hops[0].p_tx_db: N * P_cons is beyond the range of a float"),
+], ids=["route_ref_digit", "coupled_n_past_float", "coupled_power_past_float"])
+def test_parser_crash_is_a_config_error(edit, message):
+    doc = copy.deepcopy(README_DOC)
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
