@@ -6,16 +6,20 @@ Subcommands:
   min-antennas   smallest RF antenna count meeting the route's rate target
   validate       analytic evaluators vs Monte Carlo on the configured grid
 
-Exit codes: 0 ok; 1 validate-tolerance failures; 2 config or flags rejected,
-or --out not writable; 3 evaluator errors (rows carry NaN plus an error
-message); 4 a validate run that compared nothing (every check skipped).
-Where several apply, the first of 3, 1, 4 wins.
+Each command is a generator of (line, status) rows over one sweep of the
+grid: every point is built, the built meshes share one Monte Carlo pass, and
+what a build, the MC pass or an evaluator raised becomes the message of each
+row it reaches, with status ERROR.  The exit code is read off the statuses:
+0 ok; 1 a validate FAIL row; 2 config or flags rejected, or --out not
+writable; 3 an ERROR row (an evaluator error: NaN plus an error message);
+4 a validate run with no PASS or FAIL row (it compared nothing).  Where
+several apply, the first of 3, 1, 4 wins.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from collections import Counter
 
 from . import __version__
 from .analysis import (
@@ -28,8 +32,10 @@ from .analysis import (
     min_rf_antennas,
 )
 from .config import ConfigError, ScenarioConfig, load_config, mc_config
-from .network import _fastest_route, mesh_outages
+from .network import _caught, _each, _fastest_route, mesh_outages
 from .simulate import _Z95, McConfig, simulate_sweep
+
+OK, ERROR, PASS, FAIL, SKIP = "OK", "ERROR", "PASS", "FAIL", "SKIP"
 
 
 def _fmt(x: float) -> str:
@@ -40,100 +46,76 @@ def _sanitize(msg: str) -> str:
     return str(msg).replace(",", ";").replace("\n", " ")
 
 
-def _provenance(cfg: ScenarioConfig, seed: int):
-    return [
-        f"# linkplan {__version__}",
-        f"# config_sha256: {cfg.sha256}",
-        f"# seed: {seed}",
-    ]
+def _report(cfg: ScenarioConfig, mc: McConfig, rows, *head):
+    """(provenance, `head` and row lines; a Counter of the row statuses)."""
+    rows = list(rows)
+    lines = [f"# linkplan {__version__}", f"# config_sha256: {cfg.sha256}",
+             f"# seed: {mc.seed}", *head]
+    return lines + [line for line, _ in rows], Counter(status for _, status in rows)
 
 
-def _method_pairs(cfg: ScenarioConfig) -> dict:
-    """{analytic tag: (rf_method, fso_method), the tag on the link kind it
-    scores and the default tag on the other (`method_pair`)}, in evaluator
-    order; a command builds it once for all its sweep points."""
-    return {t: method_pair(t) for t in cfg.evaluators if t in EVALUATORS}
-
-
-def _analytic_outages(point, pairs: dict, theta: float) -> dict:
-    """{tag: mesh outage with the pair `pairs[tag]`, or the exception raised},
-    from one `mesh_outages` call; an unbuilt point gives its exception to all."""
-    if isinstance(point, Exception):
-        return dict.fromkeys(pairs, point)
-    return dict(zip(pairs, mesh_outages(point[2], list(pairs.values()), theta)))
-
-
-def _apply(fn, point):
-    """fn(point), or the exception that building the point or fn raised."""
-    if isinstance(point, Exception):
-        return point
-    try:
-        return fn(point)
-    except Exception as exc:
-        return exc
+def _csv(cfg: ScenarioConfig, mc: McConfig, header: str, rows):
+    """The CSV of `rows` under `header`, and exit 3 if any row is an ERROR."""
+    lines, statuses = _report(cfg, mc, rows, header)
+    return lines, (3 if statuses[ERROR] else 0)
 
 
 def _grid_points(cfg: ScenarioConfig, mc: McConfig, with_mc: bool = True):
-    """(grid value, (rf, fso, mesh), MC estimate) per sweep point, in grid order.
+    """(grid value as printed, (rf, fso, mesh), MC estimate) per sweep point,
+    in grid order, each of the last two being the exception it raised if so.
 
     Every point is built first (`ScenarioConfig.point`); the built meshes
     then go through one `simulate_sweep` call, so a drive sweep shares one
-    set of draws.  A point that fails to build carries its exception as both
-    point and estimate; if the MC pass raises, every built point carries that
+    set of draws.  A point that fails to build carries its exception as its
+    estimate too; if the MC pass raises, every built point carries that
     exception.  Without MC the estimate of a built point is None.
     """
-    points = [_apply(cfg.point, g) for g in cfg.sweep_grid]
+    points = [_caught(cfg.point, g) for g in cfg.sweep_grid]
     built = [p[2] for p in points if not isinstance(p, Exception)]
-    ests = [None] * len(built)
-    if with_mc:
-        try:
-            ests = simulate_sweep(built, mc)
-        except Exception as exc:
-            ests = [exc] * len(built)
-    ests = iter(ests)
-    return [(g, p, p if isinstance(p, Exception) else next(ests))
-            for g, p in zip(cfg.sweep_grid, points)]
+    ests = _caught(simulate_sweep, built, mc) if with_mc else [None] * len(built)
+    ests = iter([ests] * len(built) if isinstance(ests, Exception) else ests)
+    for g, p in zip(cfg.sweep_grid, points):
+        yield _fmt(g), p, p if isinstance(p, Exception) else next(ests)
+
+
+def _outages(cfg: ScenarioConfig, mc: McConfig, with_mc: bool):
+    """(grid value, {tag: outage estimate or the exception raised}) per sweep
+    point: MONTE_CARLO's from the MC pass, and every analytic tag's, with its
+    (rf_method, fso_method) pair (built once per run), from one
+    `mesh_outages` call."""
+    pairs = {t: method_pair(t) for t in cfg.evaluators if t in EVALUATORS}
+    for g, point, ref in _grid_points(cfg, mc, with_mc):
+        ests = (dict.fromkeys(pairs, point) if isinstance(point, Exception) else
+                dict(zip(pairs, mesh_outages(point[2], list(pairs.values()), cfg.theta))))
+        yield g, {MONTE_CARLO: ref, **ests}
 
 
 def cmd_outage_sweep(cfg: ScenarioConfig, mc: McConfig):
     """Rows: sweep_var,method,outage,ci_halfwidth,error."""
-    lines = _provenance(cfg, mc.seed)
-    lines.append("sweep_var,method,outage,ci_halfwidth,error")
-    had_error = False
-    pairs = _method_pairs(cfg)
-    for g, point, ref in _grid_points(cfg, mc, MONTE_CARLO in cfg.evaluators):
-        ests = _analytic_outages(point, pairs, cfg.theta)
-        for tag in cfg.evaluators:
-            est = ref if tag == MONTE_CARLO else ests[tag]
-            if isinstance(est, Exception):
-                lines.append(f"{_fmt(g)},{tag},nan,nan,{_sanitize(est)}")
-                had_error = True
-            else:
-                lines.append(f"{_fmt(g)},{tag},{_fmt(est.value)},"
-                             f"{_fmt(est.ci_halfwidth)},")
-    return lines, (3 if had_error else 0)
-
-
-def _limiting_hop(cfg: ScenarioConfig, mesh):
-    """(rate, limiting hop reference) of the mesh's fastest route."""
-    rate, route, hop = _fastest_route(mesh)
-    kind, idx = cfg.routes[route][hop]
-    return rate, f"{kind}:{idx}"
+    def rows():
+        for g, ests in _outages(cfg, mc, MONTE_CARLO in cfg.evaluators):
+            for tag in cfg.evaluators:
+                est = ests[tag]
+                if isinstance(est, Exception):
+                    yield f"{g},{tag},nan,nan,{_sanitize(est)}", ERROR
+                else:
+                    yield f"{g},{tag},{_fmt(est.value)},{_fmt(est.ci_halfwidth)},", OK
+    return _csv(cfg, mc, "sweep_var,method,outage,ci_halfwidth,error", rows())
 
 
 def cmd_rate_sweep(cfg: ScenarioConfig, mc: McConfig):
-    """Rows: sweep_var,rate_npcu,limiting_hop."""
-    lines = _provenance(cfg, mc.seed)
-    lines.append("sweep_var,rate_npcu,limiting_hop")
-    had_error = False
-    for g, point, _ in _grid_points(cfg, mc, with_mc=False):
-        best = _apply(lambda p: _limiting_hop(cfg, p[2]), point)
-        if isinstance(best, Exception):
-            lines.append(f"{_fmt(g)},nan,error:{_sanitize(best)}")
-            had_error = True
-        else:
-            lines.append(f"{_fmt(g)},{_fmt(best[0])},{best[1]}")
-    return lines, (3 if had_error else 0)
+    """Rows: sweep_var,rate_npcu,limiting_hop, the hop that limits the
+    mesh's fastest route."""
+    def rows():
+        for g, point, _ in _grid_points(cfg, mc, with_mc=False):
+            best = point if isinstance(point, Exception) else _caught(_fastest_route, point[2])
+            if isinstance(best, Exception):
+                yield f"{g},nan,error:{_sanitize(best)}", ERROR
+            else:
+                rate, route, hop = best
+                kind, idx = cfg.routes[route][hop]
+                yield f"{g},{_fmt(rate)},{kind}:{idx}", OK
+    return _csv(cfg, mc, "sweep_var,rate_npcu,limiting_hop", rows())
 
 
 def cmd_min_antennas(cfg: ScenarioConfig, mc: McConfig):
@@ -141,9 +123,9 @@ def cmd_min_antennas(cfg: ScenarioConfig, mc: McConfig):
 
     The rate target for each RF hop is the slowest FSO hop's ergodic rate
     (the antenna count at which the RF hop stops limiting the route); with no
-    FSO hops the hop's own code rate R is the target.  FSO transmit powers
-    must be explicit here: the default N-coupled power would depend on the
-    antenna count being solved for.
+    FSO hops the hop's own code rate R is the target.  A failing FSO rate
+    names its hop, `fso:j: `.  FSO transmit powers must be explicit here: the
+    default N-coupled power would depend on the antenna count being solved for.
     """
     if cfg.sweep_variable != "snr_db":
         raise ConfigError("sweep.variable: min-antennas requires 'snr_db'")
@@ -151,24 +133,21 @@ def cmd_min_antennas(cfg: ScenarioConfig, mc: McConfig):
         if partner is not None:
             raise ConfigError(f"fso_hops[{i}].p_tx_db: min-antennas requires an "
                               "explicit transmit power")
-    lines = _provenance(cfg, mc.seed)
-    lines.append("sweep_var,hop,epsilon,n_antennas,error")
-    had_error = False
-    for g, point, _ in _grid_points(cfg, mc, with_mc=False):
-        # None when there is no FSO hop: each RF hop then targets its own R
-        target = _apply(lambda p: min((fso_ergodic_rate(h) for h in p[1]), default=None),
-                        point)
-        for i, spec in enumerate(cfg.rf_hops):
-            n = _apply(lambda t: min_rf_antennas(spec.fading.K, spec.fading.Omega,
-                                                 point[0][i].pa,
-                                                 spec.R if t is None else t), target)
-            if isinstance(n, Exception):
-                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.pa.epsilon)},nan,"
-                             f"{_sanitize(n)}")
-                had_error = True
-            else:
-                lines.append(f"{_fmt(g)},rf:{i},{_fmt(spec.pa.epsilon)},{n},")
-    return lines, (3 if had_error else 0)
+
+    def rows():
+        for g, point, _ in _grid_points(cfg, mc, with_mc=False):
+            # None when there is no FSO hop: each RF hop then targets its own R
+            target = point if isinstance(point, Exception) else _caught(
+                lambda: min(_each("fso:", point[1], fso_ergodic_rate), default=None))
+            for i, spec in enumerate(cfg.rf_hops):
+                n = target if isinstance(target, Exception) else _caught(
+                    min_rf_antennas, spec.fading.K, spec.fading.Omega, point[0][i].pa,
+                    spec.R if target is None else target)
+                if isinstance(n, Exception):
+                    yield f"{g},rf:{i},{_fmt(spec.pa.epsilon)},nan,{_sanitize(n)}", ERROR
+                else:
+                    yield f"{g},rf:{i},{_fmt(spec.pa.epsilon)},{n},", OK
+    return _csv(cfg, mc, "sweep_var,hop,epsilon,n_antennas,error", rows())
 
 
 def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
@@ -180,52 +159,46 @@ def cmd_validate(cfg: ScenarioConfig, mc: McConfig):
     A run in which no row passed or failed says so on stderr and, unless an
     evaluator raised, exits 4.
     """
-    lines = _provenance(cfg, mc.seed)
-    checked = passed = failed = skipped = 0
-    had_error = False
-    pairs = _method_pairs(cfg)
-    analytic = [t for t in cfg.evaluators if t in pairs]
-    for g, point, ref in _grid_points(cfg, mc):
-        if isinstance(ref, Exception):
-            lines.append(f"point={_fmt(g)} status=ERROR detail={_sanitize(ref)}")
-            had_error = True
-            continue
-        sigma3 = 3.0 * ref.ci_halfwidth / _Z95
-        ests = _analytic_outages(point, pairs, cfg.theta)
-        for tag in analytic:
-            est = ests[tag]
-            if isinstance(est, Exception):
-                lines.append(f"point={_fmt(g)} method={tag} status=ERROR "
-                             f"detail={_sanitize(est)}")
-                had_error = True
+    def rows():
+        for g, ests in _outages(cfg, mc, with_mc=True):
+            ref = ests[MONTE_CARLO]
+            if isinstance(ref, Exception):
+                yield f"point={g} status=ERROR detail={_sanitize(ref)}", ERROR
                 continue
-            checked += 1
-            head = (f"point={_fmt(g)} method={tag} mc={_fmt(ref.value)} "
-                    f"mc_ci={_fmt(ref.ci_halfwidth)} value={_fmt(est.value)}")
-            bound = EVALUATORS[tag].bound
-            if bound == LOWER_BOUND:
-                ok, verdict_class = est.value <= ref.value + sigma3, bound
-            elif bound == UPPER_BOUND:
-                ok, verdict_class = ref.value <= est.value + sigma3, bound
-            elif not 1e-3 <= ref.value <= 0.5:
-                lines.append(f"{head} status=SKIP class=clt_factor_1.5 "
-                             f"detail=mc_outside_[1e-3,0.5]")
-                skipped += 1
-                continue
-            else:
-                factor = max(est.value / ref.value, ref.value / max(est.value, 1e-300))
-                ok, verdict_class = factor <= 1.5, f"clt_factor_1.5 factor={_fmt(factor)}"
-            lines.append(f"{head} status={'PASS' if ok else 'FAIL'} class={verdict_class}")
-            passed += ok
-            failed += not ok
-    lines.append(f"summary: checked={checked} passed={passed} failed={failed} "
-                 f"skipped={skipped}")
-    if not passed + failed:
+            sigma3 = 3.0 * ref.ci_halfwidth / _Z95
+            for tag in cfg.evaluators:
+                if tag == MONTE_CARLO:
+                    continue
+                est = ests[tag]
+                if isinstance(est, Exception):
+                    yield (f"point={g} method={tag} status=ERROR "
+                           f"detail={_sanitize(est)}"), ERROR
+                    continue
+                head = (f"point={g} method={tag} mc={_fmt(ref.value)} "
+                        f"mc_ci={_fmt(ref.ci_halfwidth)} value={_fmt(est.value)}")
+                bound = EVALUATORS[tag].bound
+                if bound == LOWER_BOUND:
+                    ok, verdict_class = est.value <= ref.value + sigma3, bound
+                elif bound == UPPER_BOUND:
+                    ok, verdict_class = ref.value <= est.value + sigma3, bound
+                elif not 1e-3 <= ref.value <= 0.5:
+                    yield (f"{head} status=SKIP class=clt_factor_1.5 "
+                           f"detail=mc_outside_[1e-3,0.5]"), SKIP
+                    continue
+                else:
+                    factor = max(est.value / ref.value, ref.value / max(est.value, 1e-300))
+                    ok, verdict_class = factor <= 1.5, f"clt_factor_1.5 factor={_fmt(factor)}"
+                status = PASS if ok else FAIL
+                yield f"{head} status={status} class={verdict_class}", status
+
+    lines, count = _report(cfg, mc, rows())
+    checked = count[PASS] + count[FAIL] + count[SKIP]
+    lines.append(f"summary: checked={checked} passed={count[PASS]} "
+                 f"failed={count[FAIL]} skipped={count[SKIP]}")
+    if not count[PASS] + count[FAIL]:
         print(f"validate: no analytic value was compared with MC ({checked} checked, "
-              f"{skipped} skipped)", file=sys.stderr)
-    if had_error:
-        return lines, 3
-    return lines, (1 if failed else 4 if not passed else 0)
+              f"{count[SKIP]} skipped)", file=sys.stderr)
+    return lines, (3 if count[ERROR] else 1 if count[FAIL] else 4 if not count[PASS] else 0)
 
 
 def _build_mc(cfg: ScenarioConfig, args) -> McConfig:

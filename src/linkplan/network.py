@@ -71,25 +71,25 @@ def _method_label(estimates):
 
 
 def _each(label, items, fn):
-    """[fn(item) for item in items]; what fn(items[j]) raises gets `label j: `."""
+    """[fn(item) for item in items]; what fn(items[j]) raises gets `{label}{j}: `."""
     out = []
     for j, item in enumerate(items):
         try:
             out.append(fn(item))
         except Exception as exc:
-            raise type(exc)(f"{label} {j}: {exc}") from exc
+            raise type(exc)(f"{label}{j}: {exc}") from exc
     return out
 
 
 def route_outage(route: Route, rf_method: str = RF_LINEARIZED,
                  fso_method: str = FSO_CLT, theta: float = 1.0) -> OutageEstimate:
     """Analytic route outage: check every hop, evaluate each, compose serially."""
-    _each("hop", route.hops, lambda h: check_hop(h, rf_method, fso_method))
+    _each("hop ", route.hops, lambda h: check_hop(h, rf_method, fso_method))
     return _serial(route, lambda h: hop_outage(h, rf_method, fso_method, theta))
 
 
 def _serial(route: Route, evaluate) -> OutageEstimate:
-    ests = _each("hop", route.hops, evaluate)
+    ests = _each("hop ", route.hops, evaluate)
     return OutageEstimate(_combine_serial(ests), _method_label(ests))
 
 
@@ -118,9 +118,9 @@ def mesh_outages(mesh: MeshNetwork, pairs, theta: float = 1.0) -> list:
         return done[key]
 
     def outage(rf, fso):
-        _each("route", mesh.routes,
-              lambda r: _each("hop", r.hops, lambda h: once(check_hop, h, rf, fso)))
-        ests = _each("route", mesh.routes,
+        _each("route ", mesh.routes,
+              lambda r: _each("hop ", r.hops, lambda h: once(check_hop, h, rf, fso)))
+        ests = _each("route ", mesh.routes,
                      lambda r: _serial(r, lambda h: once(hop_outage, h, rf, fso, theta)))
         return OutageEstimate(math.prod(sorted(e.value for e in ests)), _method_label(ests))
 
@@ -141,7 +141,7 @@ def _caught(fn, *args):
 def _slowest_hop(route: Route):
     """(ergodic rate, index) of the route's first slowest hop: a
     decode-and-forward chain runs at its slowest hop.  An error gets `hop j: `."""
-    rates = _each("hop", route.hops, hop_ergodic_rate)
+    rates = _each("hop ", route.hops, hop_ergodic_rate)
     j = min(range(len(rates)), key=rates.__getitem__)
     return rates[j], j
 
@@ -150,7 +150,7 @@ def _fastest_route(mesh: MeshNetwork):
     """(ergodic rate, route index, hop index) of the mesh's first fastest
     route and its first slowest hop: the mesh delivers at its best route's
     rate.  Each hop's rate is computed once; an error gets `route i: hop j: `."""
-    slowest = _each("route", mesh.routes, _slowest_hop)
+    slowest = _each("route ", mesh.routes, _slowest_hop)
     i = max(range(len(slowest)), key=lambda i: slowest[i][0])
     return slowest[i][0], i, slowest[i][1]
 

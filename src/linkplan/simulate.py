@@ -76,7 +76,7 @@ class McPrecisionError(RuntimeError):
     """required_snr: too few MC trials to hold the 95% CI of the crossing."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class McConfig:
     trials: int          # total trials (>= 1e3)
     seed: int = 0        # base seed, 64-bit (>= 0)
@@ -86,7 +86,7 @@ class McConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-            setattr(self, name, int(v))  # a numpy one would make estimates numpy floats
+            object.__setattr__(self, name, int(v))  # a numpy one would make estimates numpy floats
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if self.seed < 0:

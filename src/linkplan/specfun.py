@@ -379,12 +379,19 @@ def _gamma_log_weights(k, dy):
     the node cap cuts the left tail, the first node also takes the cut
     nodes' mass: P(ln X < y) = P(k, k e^y) below its cell, y = y_0 - dy/2,
     times (x/2) / sinh(x/2), x = k dy, the ratio of the trapezoid sum of an
-    e^{ky} tail to its integral."""
-    c = k * math.log(k) - k - math.lgamma(k)
+    e^{ky} tail to its integral.  A cap that would cut off the mode (of one
+    factor past about 6.5e7, or of a wide factor at the spacing of a far
+    narrower one) raises `ConvergenceError` naming the shape."""
+    # ln(k^k e^-k / Gamma(k)), without the cancellation of k ln k - k - lgamma(k)
+    c = 0.5 * math.log(k) - _HALF_LOG_2PI - _stirlerr(k)
     # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth
     depth = -math.log(_TABLE_FLOOR / dy) + abs(c)
     j_hi = math.ceil((math.log1p(2.0 * depth / k) + 1.0) / dy)
     j_lo = max(math.floor(-(depth / k + 1.0) / dy), j_hi - _TABLE_MAX_NODES + 1)
+    if j_lo > 0:  # checked before numpy sees indices, which may pass int64
+        raise ConvergenceError(
+            f"log-gain table of Gamma factor {k:g}: the {_TABLE_MAX_NODES}-node cap "
+            f"at spacing {dy:.3g} cuts off the mode")
     y = np.arange(j_lo, j_hi + 1) * dy
     w = np.exp(k * (y - np.expm1(y)) + c) * dy
     if j_lo == j_hi - _TABLE_MAX_NODES + 1:
@@ -393,7 +400,8 @@ def _gamma_log_weights(k, dy):
         # once z underflows, P(k, z) is its series' first term z^k / Gamma(k + 1)
         tail = (gamma_pq(k, z)[0] if z > 0.0
                 else math.exp(k * (math.log(k) + y_cut) - math.lgamma(k + 1.0)))
-        w[0] += tail * (0.5 * k * dy) / math.sinh(0.5 * k * dy)
+        x = 0.5 * k * dy  # sinh overflows past x = 710.47; the ratio's limit is 0
+        w[0] += tail * x / math.sinh(x) if x < 710.0 else 0.0
     return _trim(j_lo, w)
 
 

@@ -173,15 +173,22 @@ def test_validate_mc_grid_equals_per_point(tmp_path, monkeypatch):
     assert passes == [2]
 
 
-def test_mc_pass_error_fills_every_mc_row(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["outage-sweep", "validate"])
+def test_mc_pass_error_fills_every_mc_row(tmp_path, monkeypatch, command):
     import linkplan.cli as cli
 
     def fail(meshes, mc):
         raise RuntimeError("MC pass failed, on purpose")
 
     monkeypatch.setattr(cli, "simulate_sweep", fail)
-    code, text = run_to_file(tmp_path, "outage-sweep", write_config(tmp_path, BASE))
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, BASE))
     assert code == 3
+    if command == "validate":  # nothing to compare with: one ERROR line per point
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert lines == [f"point={g} status=ERROR detail=MC pass failed; on purpose"
+                         for g in ("-3.5", "-3", "-2.5")] + [
+                            "summary: checked=0 passed=0 failed=0 skipped=0"]
+        return
     rows = data_rows(text)
     assert len(rows) == 3 * 3
     for r in rows:
@@ -796,6 +803,20 @@ def test_rate_error_names_the_hop(tmp_path):
     assert (code, data_rows(text)[0][4]) == (3, message)
     code, text = run_to_file(tmp_path, "rate-sweep", cfg)
     assert (code, data_rows(text)) == (3, [["-3", "nan", f"error:{message}"]])
+
+
+def test_min_antennas_error_names_the_fso_hop(tmp_path):
+    # each RF hop's rate target is the slowest FSO hop's rate; when fso:1's
+    # rate raises, every row named only the RF hop it sizes
+    doc = copy.deepcopy(BASE)
+    doc["rf_hops"] *= 2
+    doc["fso_hops"] = [dict(BASE["fso_hops"][0], p_tx_db=p) for p in (17.0, -3000.0)]
+    doc["routes"] = [["rf:0", "fso:0"], ["rf:1", "fso:1"]]
+    doc["sweep"]["grid"] = [-3.0]
+    code, text = run_to_file(tmp_path, "min-antennas", write_config(tmp_path, doc))
+    message = "fso:1: FSO surrogate variance 0.0 is not > 0"
+    assert (code, data_rows(text)) == (3, [["-3", f"rf:{i}", "1", "nan", message]
+                                           for i in (0, 1)])
 
 
 @pytest.mark.parametrize("command, column", [("rate-sweep", 2), ("outage-sweep", 4)])

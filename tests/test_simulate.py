@@ -4,7 +4,7 @@ joint route/mesh semantics, and the power-search on top of it."""
 import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +62,12 @@ def _sigma(est):
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(trials=999)
+    # frozen: an assignment would skip the >= 1000 and integer checks
+    mc = McConfig(1000, 1)
+    for field, value in (("trials", 10), ("trials", 2.5), ("seed", -1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mc, field, value)
+    assert (mc.trials, mc.seed) == (1000, 1)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -8,6 +8,7 @@ package.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.special import i0, ive
 
 from linkplan import specfun
 from linkplan.analysis import FsoHopParams, fso_moments
-from linkplan.channel import FsoExponential
+from linkplan.channel import FsoExponential, FsoGammaGamma
 from linkplan.specfun import (
     ConvergenceError,
     bessel_k,
@@ -280,6 +281,33 @@ def test_gamma_log_table_node_cap_folds_exact_tail():
     assert len(w) == specfun._TABLE_MAX_NODES
     assert abs(w.sum() - 1.0) <= 1e-14
     assert 0.03 < w[0] < 0.04
+
+
+@pytest.mark.parametrize("k", [1e6, 3e7])
+def test_gamma_log_table_large_shape_matches_mpmath(k):
+    # k ln k - k - lgamma(k) cancelled to a mass 1.4e-9 short at k = 1e6, and
+    # at 3e7 the node cap's fold overflowed sinh; the ln-moments of a
+    # product of two Gamma(k) factors are 2 (psi(k) - ln k) and 2 psi'(k)
+    y, w = specfun.gamma_log_table((k, k))
+    mean = float(w @ y)
+    var = float(w @ (y - mean) ** 2)
+    with mpmath.workdps(30):
+        ref_mean = float(2 * (mpmath.psi(0, k) - mpmath.log(k)))
+        ref_var = float(2 * mpmath.psi(1, k))
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert abs(mean - ref_mean) <= 1e-12
+    assert var == pytest.approx(ref_var, rel=1e-6)
+    assert math.isfinite(fso_moments(FsoHopParams(FsoGammaGamma(k, k), 10.0, 1, 1, 1.0)).mean)
+
+
+@pytest.mark.parametrize("k", [1e8, 1e38])
+def test_gamma_log_table_past_the_node_cap_is_a_named_error(k):
+    # past k ~ 7e7 the 2^14 nodes at spacing 0.5 / sqrt(k) end short of the
+    # mode: a bare OverflowError (sinh in the fold) or numpy's TypeError
+    # (node indices past int64) became a ConvergenceError naming the shape
+    message = re.escape(f"Gamma factor {k:g}: ") + ".* cuts off the mode"
+    with pytest.raises(ConvergenceError, match=message):
+        fso_moments(FsoHopParams(FsoGammaGamma(k, k), 10.0, 1, 1, 1.0))
 
 
 @pytest.mark.parametrize("k", [float(k) for k in np.geomspace(0.05, 1e4, 25)] + [6.7, 6.8])
