@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -461,18 +461,39 @@ def min_rf_antennas(K: float, Omega: float, pa: PaConfig, target_rate: float) ->
 # the evaluator table: per-hop dispatch used by network / CLI
 # ---------------------------------------------------------------------------
 
+# hop class -> (link kind, its default tag, ergodic rate), in the order in
+# which an (rf_method, fso_method) pair gives one tag per kind
+_HOP_KINDS = {
+    RfHopParams: ("RF", RF_LINEARIZED, lambda h: rf_ergodic_rate(h.fading, h.pa)),
+    FsoHopParams: ("FSO", FSO_CLT, lambda h: fso_ergodic_rate(h)),
+}
+DEFAULT_TAGS = tuple(default for _, default, _ in _HOP_KINDS.values())
+_PAIR_PLACE = {cls: i for i, cls in enumerate(_HOP_KINDS)}
+
+
 # `validate` classes: an estimate is held within a factor of MC, a bound
 # to its own side of MC
 ESTIMATE, LOWER_BOUND, UPPER_BOUND = "estimate", "lower_bound", "upper_bound"
 
 
-class Evaluator(NamedTuple):
+@dataclass(frozen=True)
+class Evaluator:
     """A method tag's hop class, outage of (hop, theta), `validate` class and
-    check that raises, before any numerics, where the tag does not apply."""
+    check that raises, before any numerics, where the tag does not apply.
+    A row whose hop or `validate` class is not one of those known raises
+    when it is built, not when `validate` reads it."""
     hop: type
     outage: Callable
     bound: str
     check: Callable = lambda hop: None
+
+    def __post_init__(self):
+        if not any(self.hop is cls for cls in _HOP_KINDS):
+            raise ValueError(f"hop must be one of {', '.join(c.__name__ for c in _HOP_KINDS)}, "
+                             f"got {self.hop!r}")
+        if self.bound not in (ESTIMATE, LOWER_BOUND, UPPER_BOUND):
+            raise ValueError(f"bound must be {ESTIMATE!r}, {LOWER_BOUND!r} or "
+                             f"{UPPER_BOUND!r}, got {self.bound!r}")
 
 
 # method tag -> its row; every function is looked up when called, so a
@@ -491,16 +512,6 @@ EVALUATORS = {
 }
 RF_TAGS = tuple(t for t, row in EVALUATORS.items() if row.hop is RfHopParams)
 FSO_TAGS = tuple(t for t, row in EVALUATORS.items() if row.hop is FsoHopParams)
-
-
-# hop class -> (link kind, its default tag, ergodic rate), in the order in
-# which an (rf_method, fso_method) pair gives one tag per kind
-_HOP_KINDS = {
-    RfHopParams: ("RF", RF_LINEARIZED, lambda h: rf_ergodic_rate(h.fading, h.pa)),
-    FsoHopParams: ("FSO", FSO_CLT, lambda h: fso_ergodic_rate(h)),
-}
-DEFAULT_TAGS = tuple(default for _, default, _ in _HOP_KINDS.values())
-_PAIR_PLACE = {cls: i for i, cls in enumerate(_HOP_KINDS)}
 
 
 def _hop_kind(hop, rf_method: str = RF_LINEARIZED, fso_method: str = FSO_CLT):

@@ -21,9 +21,14 @@ the mesh fails, so the MC outage at any offset s is #{c >= s} / trials and
 the solve returns the exact crossing.  Each hop and trial starts from a
 cheap upper bound on its own offset; Newton refines it only where that
 bound could raise the max over the route's earlier hops, so a hop that
-never limits its route costs its draws and the bound.  That pass holds the
-hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS) bytes, and three
-(rounds x CRITICAL_CHUNK) temporaries.
+never limits its route costs its draws and the bound.  The solve reads
+only the r largest offsets, r from the crossing's rank and its CI's, so
+the mesh's last route also leaves unsolved every trial whose bound stays
+at or below a cut at most the r-th largest offset: such a trial's value is
+at or below the cut, and every value above it is exact.  That pass holds
+the hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS) bytes, and three
+(rounds x CRITICAL_CHUNK) temporaries; the cut adds a float key and an
+int64 index per trial of the block, 16 bytes a trial.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -325,34 +330,29 @@ def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
         u[idx] = np.minimum(uk, u[idx])
 
 
-def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor: np.ndarray) -> np.ndarray:
-    """Per trial, the dB drive offset c at or below which the hop fails.
+def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
+    """(lnx, total, u, shift) of a hop: the ln X_r of the rounds it draws,
+    rounds * R / M, each trial's Newton start u (`_PartialStart.bound`) in
+    ln(drive * scale), and shift, the u of offset 0 dB.
 
     The rounds are drawn as `_hop_failures` draws them.  The hop fails at
     offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M, and
-    ln(p(s) * scale) rises linearly in s with the hop's `slope`.
+    ln(p(s) * scale) rises linearly in s with the hop's `slope`, so a trial's
+    offset is (u - shift) / slope at its root u.
 
-    `floor` is the max of c over the route's earlier hops (-inf before its
-    first): a trial whose Newton start maps to an offset at or below
-    floor[i] keeps that offset, which bounds the solved c from above, so
-    neither can raise the route's max.
-
-    Every hop keeps its start's running sums (`_PartialStart`) round by
-    round.  Below a finite floor the hop stops drawing once the start of
-    the rounds drawn so far maps every trial at least
-    _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0, so
-    the partial sum's root lies at or right of the full sum's; the margin
-    dwarfs the float error of Newton's root, so with every round drawn
-    each trial's c would still map at or below its floor.  Those trials
-    keep their partial start and Newton solves none, so the route's max is
-    the same to the bit, and no other hop draws from this substream.
+    Below a finite `floor` (per trial, or -inf for none) the hop stops
+    drawing once the start of the rounds drawn so far maps every trial at
+    least _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0,
+    so the partial sum's root lies at or right of the full sum's; the margin
+    dwarfs the float error of Newton's root, so with every round drawn each
+    trial's offset would still map at or below its floor.  Nothing else
+    draws from the hop's substream, so the skipped draws change no result.
     """
     lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
     slope = hop.slope
     start = _PartialStart(n)
-    later = floor.min() > -math.inf      # only a hop with a floor can stop early
+    later = np.min(floor) > -math.inf    # only a hop with a floor can stop early
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for k, (row, (scale, x)) in enumerate(zip(lnx, _draw_rounds(hop, gen, n)), 1):
             np.log(x, out=row)
@@ -369,31 +369,106 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
                     break
         else:
             u = start.bound(total)
+    return lnx, total, u, shift
+
+
+def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
+                          floor: np.ndarray) -> np.ndarray:
+    """Per trial, the dB drive offset c at or below which the hop fails.
+
+    `floor` is the max of c over the route's earlier hops (-inf before its
+    first), or higher: a trial whose Newton start maps to an offset at or
+    below floor[i] keeps that offset, which bounds the solved c from above,
+    so neither can raise the route's max above floor[i].  The hop stops
+    drawing below the floor as `_hop_starts` says; those trials keep their
+    partial start, which lies at or right of the full one, and Newton solves
+    none of them.
+    """
+    lnx, total, u, shift = _hop_starts(hop, gen, n, floor)
     # a start of +inf (every gain 0) is the root already
-    solve = np.isfinite(u) & ((u - shift) / slope > floor)
+    solve = np.isfinite(u) & ((u - shift) / hop.slope > floor)
     _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
     u -= shift
-    u /= slope
+    u /= hop.slope
     return u
 
 
-def _critical_offsets(mesh: MeshNetwork, mc: McConfig) -> np.ndarray:
+def _largest(x: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values of x, in no order (all of x when it has fewer)."""
+    return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
+
+
+def _cut_hop_offsets(hop, gen: np.random.Generator, n: int, where: str,
+                     prior: np.ndarray, top: np.ndarray, rank: int) -> tuple:
+    """(c, t): the first hop of a mesh's last route, solved only where the
+    mesh's `rank` largest offsets can need it, and the cut t.
+
+    prior is the min of the earlier routes' offsets (+inf for none), and top
+    the `rank` largest offsets of the blocks done.  Newton first solves the
+    `rank` trials whose min(prior, start) is highest.  A route's offset is
+    at least its first hop's, so each of them has a mesh offset >= min(prior,
+    c), and t, the `rank`-th largest of those and of top, is at most the
+    mesh's `rank`-th largest offset.  Every other trial is solved only where
+    min(prior, start) > t.  The others keep their start, which is at or
+    below t, or lies behind a prior at or below t that caps their mesh
+    offset.
+    """
+    lnx, total, u, shift = _hop_starts(hop, gen, n, -math.inf)
+    key = np.minimum(prior, (u - shift) / hop.slope)
+    below = n - min(rank, n)
+    first = np.sort(np.argpartition(key, below)[below:])
+    _critical_log_drive(lnx, total, u, first[np.isfinite(u[first])], where)
+    reached = _largest(np.concatenate(
+        (top, np.minimum(prior[first], (u[first] - shift) / hop.slope))), rank)
+    t = reached.min() if reached.size == rank else -math.inf
+    rest = np.isfinite(u) & (key > t)
+    rest[first] = False
+    _critical_log_drive(lnx, total, u, np.flatnonzero(rest), where)
+    u -= shift
+    u /= hop.slope
+    return u, t
+
+
+def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) -> np.ndarray:
     """Per trial, the largest dB offset of every drive at which the mesh
     fails: a hop fails iff the offset is <= its own critical offset, a
     route iff it is <= the max over the route's hops (-inf: no hop failed),
     and the mesh iff it is <= the min over its routes (+inf: every route
     failed).  The draws are those of `simulate_mesh`.  Each hop solves only
     the trials it could raise its route's max on.
+
+    With a `rank` r, the last route solves only what the r largest offsets
+    need (`_cut_hop_offsets`), and its first hop's values below the cut t
+    are raised to t, so its later hops take t as a floor too.
+    A trial with an offset above t gets it exactly; any other gets a value
+    at or below t, where its own offset lies too.  So the r largest values,
+    and every value above t, equal the uncut ones bit for bit, while a value
+    at or below t may stand above its trial's offset.  The draws held are
+    those without a rank, one hop's rounds x trials; the cut adds a key and
+    an index array, one float and one int64 per trial, while the first
+    hop's draws are held.
     """
     out = np.full(mc.trials, math.inf)
+    top = np.empty(0)            # the `rank` largest offsets of the blocks done
     for start, n, routes in _substreams(mesh.routes, mc):
         mesh_c = out[start:start + n]
+        t = -math.inf
         for r, hops in enumerate(routes):
             route_c = np.full(n, -math.inf)
             for j, (_, hop, gen) in enumerate(hops):
-                c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c)
+                where = f"route {r}: hop {j}"
+                if rank is not None and r == len(routes) - 1 and j == 0:
+                    c, t = _cut_hop_offsets(hop, gen, n, where, mesh_c, top, rank)
+                    # a value below the cut may stand at it, so the later
+                    # hops read the cut in their floor, route_c
+                    np.maximum(c, t, out=c)
+                else:
+                    c = _hop_critical_offsets(hop, gen, n, where, route_c)
                 np.maximum(route_c, c, out=route_c)
             np.minimum(mesh_c, route_c, out=mesh_c)
+        if rank is not None and start + n < mc.trials:
+            # the cut of a later block reads this block's largest offsets
+            top = _largest(np.concatenate((top, mesh_c)), rank)
     return out
 
 
@@ -415,16 +490,23 @@ def _order_statistic_ci(n: int, target: float) -> tuple:
     return l, u
 
 
-def _mc_crossing(desc: np.ndarray, target: float, lo: float, hi: float) -> float:
-    """The solve's crossing from the critical offsets sorted descending."""
-    n = desc.size
-    # least k with k / n >= target, as the simulator's outage compares
+def _crossing_ranks(n: int, target: float) -> tuple:
+    """(k, l, u): the crossing's rank k, the least k with k / n >= target as
+    the simulator compares its outage, and its CI's ranks l and u
+    (`_order_statistic_ci`), all counted from the largest offset."""
     k = max(1, math.ceil(target * n))
     if (k - 1) / n >= target:
         k -= 1
     elif k / n < target:
         k += 1
-    l, u = _order_statistic_ci(n, target)
+    return (k, *_order_statistic_ci(n, target))
+
+
+def _mc_crossing(desc: np.ndarray, n: int, target: float, ranks: tuple,
+                 lo: float, hi: float) -> float:
+    """The solve's crossing from the largest critical offsets of n trials,
+    sorted descending down to every rank in ranks = `_crossing_ranks(n, target)`."""
+    k, l, u = ranks
     if l < 1 or u > n:
         ci_lo = f"{desc[u - 1]:.6g} dB" if u <= n else "-inf"
         ci_hi = f"{desc[l - 1]:.6g} dB" if l >= 1 else "+inf"
@@ -456,8 +538,19 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     the simulator's own arithmetic, so `simulate_mesh` at the result gives
     outage >= target and at the result + 1e-6 dB outage < target.  When the
     sample cannot hold both ends of the crossing's distribution-free 95%
-    CI (a pair of order statistics of c), `McPrecisionError` says so with
-    the CI.
+    CI (a pair of order statistics of c, ranks l <= u), `McPrecisionError`
+    says so with the CI.
+
+    The pass solves only what the r = min(n, max(k + 1, u)) largest c need
+    (`_critical_offsets` with a rank): a trial below the cut gets a value
+    at or below the r-th largest c rather than its own; the draws held are
+    unchanged, and the cut adds 16 bytes of key and index per trial.
+    So the bracket is tested on order statistics: outage(lo) >= target iff
+    the k-th largest c reaches lo, and outage(hi) <= target iff the one
+    past the most failures whose share stays <= target falls below hi.
+    The crossing and the CI are ranks <= r, so every value returned or
+    printed is the uncut one; a `BracketError` counts its two outages on
+    offsets computed again without the cut.
     """
     if not 0.0 < target_outage < 1.0:
         raise ValueError(f"target_outage must be in (0,1), got {target_outage}")
@@ -482,18 +575,28 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
         # a bracket end past PA saturation raises as a per-point run would
         shift_scenario(mesh, lo)
         shift_scenario(mesh, hi)
-        c = _critical_offsets(mesh, mc)
-        n = c.size
-        p_lo, p_hi = np.count_nonzero(c >= lo) / n, np.count_nonzero(c >= hi) / n
+        n = mc.trials
+        ranks = k, _, u = _crossing_ranks(n, target_outage)
+        rank = min(n, max(k + 1, u))
+        desc = np.sort(_largest(_critical_offsets(mesh, mc, rank), rank))[::-1]
+        # p_lo >= target iff the k-th largest offset reaches lo, and p_hi <=
+        # target iff the one past the most failures whose share stays <=
+        # target falls below hi
+        fewer = k if k / n <= target_outage else k - 1
+        bracketed = desc[k - 1] >= lo and desc[fewer] < hi
+        if not bracketed:
+            # an end's count below the cut is not exact: count uncut offsets
+            c = _critical_offsets(mesh, mc)
+            p_lo, p_hi = np.count_nonzero(c >= lo) / n, np.count_nonzero(c >= hi) / n
     else:
         p_lo, p_hi = outage_at(lo), outage_at(hi)
-    if not (p_lo >= target_outage >= p_hi):
+        bracketed = p_lo >= target_outage >= p_hi
+    if not bracketed:
         raise BracketError(
             f"target {target_outage:g} not bracketed: outage({lo:g} dB)={p_lo:g}, "
             f"outage({hi:g} dB)={p_hi:g}")
     if evaluator == "mc":
-        c.sort()
-        return _mc_crossing(c[::-1], target_outage, lo, hi)
+        return _mc_crossing(desc, n, target_outage, ranks, lo, hi)
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
         if outage_at(mid) >= target_outage:

@@ -1107,6 +1107,21 @@ def test_tags_pairs_and_classes_come_from_the_table():
         an.check_hop(rf, rf_method=FSO_CLT)
 
 
+@pytest.mark.parametrize("hop, bound, field", [
+    (RicianFading, analysis.ESTIMATE, "hop"),        # a law, not a hop class
+    (RfHopParams(fading=RicianFading(0.01, 1.0, 4), pa=PaConfig.ideal(0.5), R=1.0),
+     analysis.ESTIMATE, "hop"),                      # a hop, not its class
+    ([RfHopParams], analysis.ESTIMATE, "hop"),       # unhashable
+    (FsoHopParams, "upper", "bound"),
+    (RfHopParams, None, "bound"),
+])
+def test_evaluator_row_checked_when_built(hop, bound, field):
+    # a monkeypatched or future row with an unknown hop or validate class
+    # fails where it is made, naming the field, before validate can read it
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        analysis.Evaluator(hop, lambda h, theta: None, bound)
+
+
 def test_jensen_tags_compute_one_bound_each(monkeypatch):
     # each tag evaluates its own pooled CDF; rf_outage_bounds_short gives both
     calls = []

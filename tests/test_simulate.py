@@ -721,6 +721,112 @@ def test_critical_offsets_stop_is_exact(monkeypatch, seed, block_trials):
                           _critical_offsets_all_solved(sim, TWO_ROUTE_MESH, mc))
 
 
+def _solve_rank(n, target):
+    """The rank r the MC required_snr passes to `_critical_offsets`."""
+    import linkplan.simulate as sim
+    k, _, u = sim._crossing_ranks(n, target)
+    return min(n, max(k + 1, u))
+
+
+@pytest.mark.parametrize("name, block_trials", CRITICAL_CASES)
+@pytest.mark.parametrize("target", [1e-3, 0.01, 0.1, 0.5, 0.9])
+def test_critical_offsets_rank_cut_keeps_the_largest_exact(monkeypatch, name, block_trials,
+                                                           target):
+    # with a rank r, the r largest offsets equal the uncut ones bit for bit;
+    # a value that differs lies, with its trial's own offset, at or below
+    # the r-th largest, so it changes no order statistic up to r
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mesh = _critical_meshes()[name]
+    mc = McConfig(trials=3500, seed=43)
+    r = _solve_rank(mc.trials, target)
+    full = sim._critical_offsets(mesh, mc)
+    cut = sim._critical_offsets(mesh, mc, r)
+    assert np.array_equal(np.sort(sim._largest(cut, r)), np.sort(sim._largest(full, r)))
+    rth = np.sort(full)[-r]
+    moved = cut != full
+    assert np.all(cut[moved] <= rth) and np.all(full[moved] <= rth)
+
+
+def _uncut(monkeypatch):
+    """Make `required_snr` read every offset without the rank cut."""
+    import linkplan.simulate as sim
+    real = sim._critical_offsets
+    monkeypatch.setattr(sim, "_critical_offsets", lambda mesh, mc, rank=None: real(mesh, mc))
+
+
+def _solve_or_error(mesh, target, bounds_db, mc):
+    try:
+        return repr(required_snr(target, mesh, evaluator="mc", bounds_db=bounds_db, mc=mc))
+    except (BracketError, McPrecisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("block_trials", [None, 1000])
+def test_required_snr_mc_cut_matches_uncut(monkeypatch, block_trials):
+    # every crossing, BracketError and McPrecisionError of the cut solve is
+    # the uncut one's, to the bit and to the character
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mc = McConfig(trials=3500, seed=43)
+    cases = [(mesh, target) for mesh in _critical_meshes().values()
+             for target in (1e-3, 0.01, 0.1, 0.5, 0.9)]
+    cut = [_solve_or_error(mesh, target, (-40.0, 40.0), mc) for mesh, target in cases]
+    _uncut(monkeypatch)
+    assert cut == [_solve_or_error(mesh, target, (-40.0, 40.0), mc) for mesh, target in cases]
+    assert sum("Error" not in v for v in cut) >= 10
+
+
+@pytest.mark.parametrize("bounds_db, end", [((7.05, 8.0), "lo"), ((6.8, 6.95), "hi")])
+def test_required_snr_mc_bracket_error_outages_are_exact(monkeypatch, bounds_db, end):
+    # the bracket fails at one end; both outages in the message are those of
+    # the uncut offsets, although below the cut the other end's count is not
+    import linkplan.simulate as sim
+    mc = McConfig(trials=20_000, seed=1)
+    with pytest.raises(BracketError) as err:
+        required_snr(0.1, README_MESH, evaluator="mc", bounds_db=bounds_db, mc=mc)
+    full = sim._critical_offsets(README_MESH, mc)
+    p_lo, p_hi = (np.count_nonzero(full >= b) / mc.trials for b in bounds_db)
+    assert (p_lo < 0.1) == (end == "lo") and (p_hi > 0.1) == (end == "hi")
+    if end == "hi":
+        cut = sim._critical_offsets(README_MESH, mc, _solve_rank(mc.trials, 0.1))
+        assert np.count_nonzero(cut >= bounds_db[0]) != np.count_nonzero(full >= bounds_db[0])
+    _uncut(monkeypatch)
+    with pytest.raises(BracketError) as uncut:
+        required_snr(0.1, README_MESH, evaluator="mc", bounds_db=bounds_db, mc=mc)
+    assert str(err.value) == str(uncut.value)
+    assert f"outage({bounds_db[0]:g} dB)={p_lo:g}" in str(err.value)
+
+
+def test_required_snr_mc_precision_error_ranks_are_exact(monkeypatch):
+    # 1e-3 of 1000 trials: the CI's upper end needs order statistic 0; the
+    # crossing and the CI's lower end are read at ranks k and u <= r
+    route = Route(hops=(_rf(0.1, n=20, c=10, r=2.0),))
+    mc = McConfig(trials=1000, seed=36)
+    with pytest.raises(McPrecisionError) as err:
+        required_snr(1e-3, route, evaluator="mc", bounds_db=(-30.0, 30.0), mc=mc)
+    assert _solve_rank(mc.trials, 1e-3) < mc.trials
+    _uncut(monkeypatch)
+    with pytest.raises(McPrecisionError) as uncut:
+        required_snr(1e-3, route, evaluator="mc", bounds_db=(-30.0, 30.0), mc=mc)
+    assert str(err.value) == str(uncut.value)
+    assert re.search(r"95% CI \[[-\d.]+ dB, \+inf\] needs order statistics 0 and \d+ of 1000",
+                     str(err.value))
+
+
+@pytest.mark.parametrize("target, r", [(0.1, 2085), (0.01, 229)])
+def test_required_snr_mc_newton_solves_at_most_twice_the_rank(monkeypatch, target, r):
+    # Newton solves the r trials that seed the cut and those whose start
+    # reaches it, not all 20,000
+    assert _solve_rank(20_000, target) == r
+    calls = _count_newton_columns(monkeypatch)
+    required_snr(target, README_MESH, evaluator="mc", bounds_db=(5.0, 9.0),
+                 mc=McConfig(trials=20_000, seed=1))
+    assert sum(size for _, size in calls) <= 2 * r
+
+
 def _start(lnx, total):
     """`_PartialStart.bound` with every round (row) of lnx taken in."""
     import linkplan.simulate as sim
@@ -947,7 +1053,8 @@ def _crossing_rank(n, target):
     """The rank `_mc_crossing` picks, read off distinct offsets 0, -1, -2, ..."""
     import linkplan.simulate as sim
     desc = -np.arange(n, dtype=float)
-    return 1 - round(sim._mc_crossing(desc, target, -2.0 * n, 1.0))
+    return 1 - round(sim._mc_crossing(desc, n, target, sim._crossing_ranks(n, target),
+                                      -2.0 * n, 1.0))
 
 
 def test_mc_crossing_rank_steps_down_past_rounding():
