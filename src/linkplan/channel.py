@@ -49,10 +49,10 @@ class RicianFading:
                                             and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
-    def sample(self, gen: np.random.Generator, n):
+    def sample(self, gen: np.random.Generator, n, scratch=None):
         """(scale, X): scale = Omega/(2(K+1)) and X ~ ncx2(df=2N, nonc=2KN),
         the law of the complex-Gaussian antenna sum (numpy draws the central
-        chi-square itself when nonc = 0)."""
+        chi-square itself when nonc = 0).  One draw: `scratch` goes unused."""
         return self.Omega / (2.0 * (self.K + 1.0)), gen.noncentral_chisquare(
             2.0 * self.N, 2.0 * self.K * self.N, size=n)
 
@@ -61,12 +61,16 @@ class _GammaProduct:
     """An FSO gain law: the product of independent Gamma(shape, scale)
     `factors`, with `log_mean` = ln of the product's mean."""
 
-    def sample(self, gen: np.random.Generator, n):
-        """(1, X): X the product of the factors, drawn in order."""
+    def sample(self, gen: np.random.Generator, n, scratch=None):
+        """(1, X): X the product of the factors, drawn in order, each further
+        factor into `scratch` if given, else into a temporary."""
         (k, s), *rest = self.factors
         x = gen.gamma(k, s, size=n)
         for k, s in rest:
-            x *= gen.gamma(k, s, size=n)  # in place: one array less
+            # the bits and stream use of gamma(k, s), which is s * standard_gamma(k)
+            f = gen.standard_gamma(k, size=n, out=scratch)
+            f *= s
+            x *= f
         return 1.0, x
 
 
@@ -132,14 +136,15 @@ def rician_gain_pdf(x, f: RicianFading):
 # sampler
 # ---------------------------------------------------------------------------
 
-def sample_gain(model, gen: np.random.Generator, size):
+def sample_gain(model, gen: np.random.Generator, size, scratch=None):
     """Draw `size` unscaled gains X of any gain law: (scale, X) with
     G = scale * X (see each law's `sample`).  The received SNR at drive p is
-    (p * scale) * X, so one draw serves every drive."""
+    (p * scale) * X, so one draw serves every drive.  A law may overwrite
+    `scratch`, `size` float64 cells the caller has free, for a temporary."""
     sample = getattr(model, "sample", None)
     if sample is None:
         raise TypeError(f"unsupported gain model {type(model).__name__}")
-    return sample(gen, size)
+    return sample(gen, size, scratch)
 
 
 def sample_snr(model, power, gen: np.random.Generator, size):

@@ -4,16 +4,17 @@ Trials are partitioned into fixed-size blocks; block b of hop j (hops
 numbered across routes) draws from substream (seed, b, j).  Every estimate
 spends exactly `mc.trials` trials, so it is a bit-reproducible function of
 the mesh, `mc.trials` and `mc.seed` alone.  Both passes below walk the
-substreams with `_substreams`, draw a hop's rounds with `_draw_rounds`, and
-fold hop -> route -> mesh alike: a route fails when any hop fails, the mesh
+substreams with `_substreams`, draw each round with `sample_gain` into a
+row they hold free, and fold hop -> route -> mesh alike: a route fails when any hop fails, the mesh
 when every route does.  A hop is read only through the fields both kinds
 share (`law`, `rounds`, `drive_power`, `slope`), never by its class.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
-bit-identical to simulating it alone.  The extra memory is a float64
-accumulator of about 8 * points * min(trials, BLOCK_TRIALS) bytes, capped at
-8 * PASS_FLOATS bytes per pass.
+bit-identical to simulating it alone.  Over n = min(trials, BLOCK_TRIALS)
+trials and K points a pass holds a float64 accumulator of 8 * K * n bytes
+(at most 8 * PASS_FLOATS), one round's draw and one scratch row of 8 * n
+bytes each, and K * n bytes of mesh failure mask, twice that with two routes.
 
 The MC `required_snr` makes one pass over the same draws and gives every
 trial its critical dB offset c, the largest common drive offset at which
@@ -26,9 +27,10 @@ only the r largest offsets, r from the crossing's rank and its CI's, so
 the mesh's last route also leaves unsolved every trial whose bound stays
 at or below a cut at most the r-th largest offset: such a trial's value is
 at or below the cut, and every value above it is exact.  That pass holds
-the hop's draws, 8 * rounds * min(trials, BLOCK_TRIALS) bytes, and three
-(rounds x CRITICAL_CHUNK) temporaries; the cut adds a float key and an
-int64 index per trial of the block, 16 bytes a trial.
+one hop's draws, rounds floats a trial, seven more float arrays of the
+trials (the mesh's and the route's offsets, the hop's running sum, max,
+floor and start, one temporary), which also cover the cut's key and index,
+and three (rounds x CRITICAL_CHUNK) Newton temporaries.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -51,16 +53,19 @@ from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError, binomial_cdf
 
 BLOCK_TRIALS = 1 << 20
-# most float64 accumulator cells one kernel pass holds (64 MiB); a longer
-# drive sweep takes further passes over the same substreams
+# most float64 accumulator cells one kernel pass holds (64 MiB), beside one
+# draw, one scratch row and the failure masks; a longer drive sweep takes
+# further passes over the same substreams
 PASS_FLOATS = 8 * BLOCK_TRIALS
 
 # two-sided 95% normal quantile: the Wilson interval's z, and the factor
 # `validate` divides an MC half-width by to get its sigma
 _Z95 = 1.959963984540054
 
-# trials per Newton chunk of the MC required_snr pass: bounds its temporaries
-CRITICAL_CHUNK = 4096
+# trials per Newton chunk of the MC required_snr pass: bounds its three
+# (rounds x chunk) temporaries, 480 KB at 10 rounds, small enough for a
+# core's L2 cache and for the pass's peak memory at 2e4 trials
+CRITICAL_CHUNK = 2048
 # Newton steps allowed per trial, and the step in u = ln(drive * scale) at
 # which a trial counts as converged: from the right of a root of a convex
 # sum whose f'' <= f', a step d leaves an error of at most d^2 / 2, here
@@ -130,17 +135,12 @@ def _substreams(routes, mc: McConfig):
             for route, first in zip(routes, firsts)]
 
 
-def _draw_rounds(hop, gen: np.random.Generator, n: int):
-    """Each round's (scale, unscaled gains X) of n trials, in draw order."""
-    for _ in range(hop.rounds):
-        yield sample_gain(hop.law, gen, n)
-
-
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
                   buf: np.ndarray, out: np.ndarray) -> None:
     """OR the hop's outage indicator at drive drives[i] into out[i].
 
-    Each round's unscaled gain X is drawn once and scored at every drive:
+    Each round's unscaled gain X is drawn once, with buf as the draw's
+    scratch, and scored at every drive:
     acc[i] += log1p((drives[i] * scale) * X), the arithmetic of a one-drive
     run, so every row is bit-identical to simulating its drive alone.
 
@@ -152,10 +152,12 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     """
     acc.fill(0.0)
     rounds, threshold = hop.rounds, hop.R / hop.M
-    for scale, x in _draw_rounds(hop, gen, buf.size):
+    for _ in range(rounds):
+        scale, x = sample_gain(hop.law, gen, buf.size, buf)
         for row, p in zip(acc, drives):
             np.multiply(x, p * scale, out=buf)
             row += np.log1p(buf, out=buf)
+        del x  # scored: the next round's draw need not sit beside it
         if all(row.min() / rounds > threshold for row in acc):
             return
     for row, fail in zip(acc, out):
@@ -173,17 +175,19 @@ def _simulate(points, mc: McConfig) -> list:
     acc = np.empty((len(points), width))
     buf = np.empty(width)
     mesh_buf = np.empty((len(points), width), dtype=bool)
-    route_buf = np.empty_like(mesh_buf)
+    route_buf = np.empty_like(mesh_buf) if len(points[0]) > 1 else None
     failures = np.zeros(len(points), dtype=np.int64)
     for _, n, routes in _substreams(points[0], mc):
-        # the mesh starts with every route failed, a route with no hop failed
-        mesh_fail, route_fail = mesh_buf[:, :n], route_buf[:, :n]
-        mesh_fail.fill(True)
-        for hops in routes:
+        mesh_fail = mesh_buf[:, :n]
+        for r, hops in enumerate(routes):
+            # a route starts with no hop failed; the first route's failures
+            # are the mesh's until a later route ANDs its own in
+            route_fail = route_buf[:, :n] if r else mesh_fail
             route_fail.fill(False)
             for j, hop, gen in hops:
                 _hop_failures(hop, drives[:, j], gen, acc[:, :n], buf[:n], route_fail)
-            mesh_fail &= route_fail
+            if r:
+                mesh_fail &= route_fail
         failures += np.count_nonzero(mesh_fail, axis=1)
     return [OutageEstimate(f / mc.trials, MONTE_CARLO, wilson_halfwidth(f, mc.trials))
             for f in failures.tolist()]
@@ -195,9 +199,10 @@ def simulate_sweep(meshes, mc: McConfig) -> list:
 
     Meshes that differ only in drive power (an `snr_db` sweep) share one set
     of draws: each hop-round gain is drawn once and scored at every drive.
-    Other meshes fall back to a pass of their own.  A pass holds
-    8 * points * min(trials, BLOCK_TRIALS) bytes of accumulator; points
-    beyond PASS_FLOATS go into further passes over the same substreams.
+    Other meshes fall back to a pass of their own.  A pass holds an
+    8 * points * min(trials, BLOCK_TRIALS)-byte accumulator, one draw, one
+    scratch row and the failure masks (module docstring); points beyond
+    PASS_FLOATS go into further passes over the same substreams.
     """
     groups = {}
     for i, mesh in enumerate(meshes):
@@ -354,8 +359,11 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
     start = _PartialStart(n)
     later = np.min(floor) > -math.inf    # only a hop with a floor can stop early
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
-        for k, (row, (scale, x)) in enumerate(zip(lnx, _draw_rounds(hop, gen, n)), 1):
+        for k, row in enumerate(lnx, 1):
+            # the row about to take ln X is the draw's scratch
+            scale, x = sample_gain(hop.law, gen, n, row)
             np.log(x, out=row)
+            del x
             start.add(row)
             if k == 1:
                 shift = math.log(hop.drive_power * scale)
@@ -367,6 +375,7 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
                 if (u < bar).all():
                     lnx = lnx[:k]
                     break
+                del u  # the next round's start takes its place
         else:
             u = start.bound(total)
     return lnx, total, u, shift
@@ -443,10 +452,8 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     A trial with an offset above t gets it exactly; any other gets a value
     at or below t, where its own offset lies too.  So the r largest values,
     and every value above t, equal the uncut ones bit for bit, while a value
-    at or below t may stand above its trial's offset.  The draws held are
-    those without a rank, one hop's rounds x trials; the cut adds a key and
-    an index array, one float and one int64 per trial, while the first
-    hop's draws are held.
+    at or below t may stand above its trial's offset.  The memory held is
+    that without a rank (module docstring).
     """
     out = np.full(mc.trials, math.inf)
     top = np.empty(0)            # the `rank` largest offsets of the blocks done
@@ -465,6 +472,7 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
                 else:
                     c = _hop_critical_offsets(hop, gen, n, where, route_c)
                 np.maximum(route_c, c, out=route_c)
+                del c
             np.minimum(mesh_c, route_c, out=mesh_c)
         if rank is not None and start + n < mc.trials:
             # the cut of a later block reads this block's largest offsets
@@ -543,8 +551,8 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
 
     The pass solves only what the r = min(n, max(k + 1, u)) largest c need
     (`_critical_offsets` with a rank): a trial below the cut gets a value
-    at or below the r-th largest c rather than its own; the draws held are
-    unchanged, and the cut adds 16 bytes of key and index per trial.
+    at or below the r-th largest c rather than its own; the memory held is
+    unchanged.
     So the bracket is tested on order statistics: outage(lo) >= target iff
     the k-th largest c reaches lo, and outage(hi) <= target iff the one
     past the most failures whose share stays <= target falls below hi.

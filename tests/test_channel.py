@@ -270,6 +270,24 @@ def test_gg_sample_is_the_product_of_its_factor_draws():
         assert np.array_equal(x, draw(_stream(19), 100_000)), model
 
 
+@pytest.mark.parametrize("model", [RicianFading(2.0, 1.0, 40), RicianFading(0.0, 1.0, 3),
+                                   FsoExponential(lam=2.7), FsoGammaGamma(a=4.3939, b=0.6)],
+                         ids=["rician_k2", "rician_k0", "exponential", "gg_b0.6"])
+def test_sample_gain_into_scratch_draws_the_same_bits(model):
+    # a law may draw a further Gamma factor into the caller's scratch rather
+    # than a temporary: the gains, and the generator's state after them, are
+    # those of a draw without it, and X is never the scratch itself
+    n = 10_001
+    plain, scratched = _stream(23), _stream(23)
+    scale, x = sample_gain(model, plain, n)
+    scratch = np.full(n, np.nan)
+    got_scale, got = sample_gain(model, scratched, n, scratch)
+    assert got_scale == scale
+    assert np.array_equal(got, x)
+    assert not np.shares_memory(got, scratch)
+    assert np.array_equal(scratched.random(8), plain.random(8))
+
+
 def test_gg_sampler_log_rate_matches_quadrature():
     # E[log(1 + P*G)] by MC vs quadrature against the density, 3 sigma gate
     draws = sample_snr(GG, 1.0, _stream(18), 100_000)

@@ -4,6 +4,7 @@ joint route/mesh semantics, and the power-search on top of it."""
 import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -384,9 +385,9 @@ def _count_draws(monkeypatch):
     draws = Counter()
     real = sim.sample_gain
 
-    def counting(law, gen, n):
+    def counting(law, gen, n, scratch=None):
         draws[law] += 1
-        return real(law, gen, n)
+        return real(law, gen, n, scratch)
 
     monkeypatch.setattr(sim, "sample_gain", counting)
     return draws
@@ -433,7 +434,7 @@ class _Crafted:
         import linkplan.simulate as sim
         self.gains, self.drawn = gains, 0
         self.hop = SimpleNamespace(law=self, rounds=len(gains), R=R, M=1, **fields)
-        monkeypatch.setattr(sim, "sample_gain", lambda law, gen, n: law.draw())
+        monkeypatch.setattr(sim, "sample_gain", lambda law, gen, n, scratch=None: law.draw())
 
     def draw(self):
         self.drawn += 1
@@ -512,6 +513,48 @@ def test_sweep_draws_once_per_block_and_hop(monkeypatch):
     simulate_sweep(_drive_grid(), McConfig(trials=3500, seed=12))
     # 4 blocks x 4 hops, not 5 points x 4 blocks x 4 hops
     assert sorted(calls) == [(b, h) for b in range(4) for h in range(4)]
+
+
+# what a pass may hold beyond its documented budget: Python objects and
+# small arrays (about 8 KB measured), not another array of the trials
+PASS_SLACK_BYTES = 64 * 1024
+
+
+def _peak_bytes(run):
+    """tracemalloc's peak over run(), numpy's buffers included, after one
+    untraced call has done the set-up that later calls reuse."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mesh", [README_MESH, TWO_ROUTE_MESH], ids=["one_route", "two_routes"])
+def test_sweep_pass_holds_its_documented_budget(mesh):
+    # per trial: the K-drive accumulator, one draw, one scratch, and K bools
+    # of the mesh's mask, plus a route's mask once the mesh has two routes
+    n, drives = 50_000, len(WATERFALL_DB)
+    meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
+    masks = min(len(mesh.routes), 2)
+    budget = n * (8 * drives + 8 + 8 + drives * masks)
+    peak = _peak_bytes(lambda: simulate_sweep(meshes, McConfig(trials=n, seed=11)))
+    assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
+
+
+@pytest.mark.parametrize("mesh, rank", [(README_MESH, None), (TWO_ROUTE_MESH, 100)],
+                         ids=["readme", "two_routes_cut"])
+def test_critical_pass_holds_its_documented_budget(mesh, rank):
+    # per trial: one hop's draws (rounds floats) and seven more floats,
+    # plus three (rounds x CRITICAL_CHUNK) Newton temporaries
+    import linkplan.simulate as sim
+    n = 50_000
+    rounds = max(hop.rounds for route in mesh.routes for hop in route.hops)
+    budget = 8 * n * (rounds + 7) + 3 * 8 * rounds * sim.CRITICAL_CHUNK
+    peak = _peak_bytes(lambda: sim._critical_offsets(mesh, McConfig(trials=n, seed=1), rank))
+    assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
 
 
 # ----------------------------------------------------------------------------
