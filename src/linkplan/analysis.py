@@ -367,12 +367,11 @@ def _snr_threshold(rate: float) -> float:
 
 
 def _sum_gain_cdf(y: float, f: RicianFading) -> float:
-    """Exact CDF of the N-antenna sum gain G = scale * X with
-    scale = Omega/(2(K+1)) and X ~ ncx2(2N, 2KN), the law `sample_gain` draws."""
+    """Exact CDF of the N-antenna sum gain G = f.scale * X with
+    X ~ ncx2(2N, 2KN), the law `sample_gain` draws."""
     if y <= 0:
         return 0.0
-    scale = f.Omega / (2.0 * (f.K + 1.0))
-    return specfun.ncx2_cdf(y / scale, f.N, 2.0 * f.K * f.N)
+    return specfun.ncx2_cdf(y / f.scale, f.N, 2.0 * f.K * f.N)
 
 
 def _pooled(h: RfHopParams) -> RicianFading:

@@ -10,12 +10,12 @@ scipy's `ive` from `specfun.import_scipy` at the call (scipy is a test-only
 dependency).  The FSO densities live with the tests' oracles.  The N-antenna
 sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
 (see `analysis`) and it needs no density of its own here.  Each law's
-`sample` (one for both FSO laws) draws its unscaled gains; `sample_gain`,
-the only draw the Monte Carlo engine makes, calls it, and `sample_snr`
-scales it to one drive.  A Gaussian surrogate for the sum gain,
-moment-matched in closed form, feeds the analytical outage evaluators;
-`_half_moment` gives the same moments through Laguerre functions of the
-single-antenna gain.
+`sample` (one for both FSO laws) draws its unscaled gains X, G = scale * X
+with the law's `scale`; `sample_gain`, the only draw the Monte Carlo
+engine makes, calls it, and `sample_snr` scales it to one drive.  A
+Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
+the analytical outage evaluators; `_half_moment` gives the same moments
+through Laguerre functions of the single-antenna gain.
 """
 from __future__ import annotations
 
@@ -49,21 +49,25 @@ class RicianFading:
                                             and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
+    # Omega/(2(K+1)): the sum gain is G = scale * X, X as `sample` draws it
+    scale = property(lambda self: self.Omega / (2.0 * (self.K + 1.0)))
+
     def sample(self, gen: np.random.Generator, n, scratch=None):
-        """(scale, X): scale = Omega/(2(K+1)) and X ~ ncx2(df=2N, nonc=2KN),
-        the law of the complex-Gaussian antenna sum (numpy draws the central
-        chi-square itself when nonc = 0).  One draw: `scratch` goes unused."""
-        return self.Omega / (2.0 * (self.K + 1.0)), gen.noncentral_chisquare(
-            2.0 * self.N, 2.0 * self.K * self.N, size=n)
+        """X ~ ncx2(df=2N, nonc=2KN), the law of the complex-Gaussian antenna
+        sum over `scale` (numpy draws the central chi-square itself when
+        nonc = 0).  One draw: `scratch` goes unused."""
+        return gen.noncentral_chisquare(2.0 * self.N, 2.0 * self.K * self.N, size=n)
 
 
 class _GammaProduct:
     """An FSO gain law: the product of independent Gamma(shape, scale)
     `factors`, with `log_mean` = ln of the product's mean."""
 
+    scale = 1.0  # the gain is the product itself
+
     def sample(self, gen: np.random.Generator, n, scratch=None):
-        """(1, X): X the product of the factors, drawn in order, each further
-        factor into `scratch` if given, else into a temporary."""
+        """X, the product of the factors, drawn in order, each further factor
+        into `scratch` if given, else into a temporary."""
         (k, s), *rest = self.factors
         x = gen.gamma(k, s, size=n)
         for k, s in rest:
@@ -71,7 +75,7 @@ class _GammaProduct:
             f = gen.standard_gamma(k, size=n, out=scratch)
             f *= s
             x *= f
-        return 1.0, x
+        return x
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,8 @@ def rician_gain_pdf(x, f: RicianFading):
 # ---------------------------------------------------------------------------
 
 def sample_gain(model, gen: np.random.Generator, size, scratch=None):
-    """Draw `size` unscaled gains X of any gain law: (scale, X) with
-    G = scale * X (see each law's `sample`).  The received SNR at drive p is
+    """Draw `size` unscaled gains X of any gain law, G = model.scale * X
+    (see each law's `sample`).  The received SNR at drive p is
     (p * scale) * X, so one draw serves every drive.  A law may overwrite
     `scratch`, `size` float64 cells the caller has free, for a temporary."""
     sample = getattr(model, "sample", None)
@@ -149,8 +153,7 @@ def sample_gain(model, gen: np.random.Generator, size, scratch=None):
 
 def sample_snr(model, power, gen: np.random.Generator, size):
     """Draw `size` received SNRs power * G from the gain model."""
-    scale, x = sample_gain(model, gen, size)
-    return (power * scale) * x
+    return (power * model.scale) * sample_gain(model, gen, size)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ class PaConfig:
             raise ValueError(f"epsilon must be in (0,1], got {self.epsilon}")
         if not (0.0 <= self.theta_pa < 1.0):
             raise ValueError(f"theta_pa must be in [0,1), got {self.theta_pa}")
-        if self.p_max <= 0:
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
-        if self.p_cons <= 0:
-            raise ValueError(f"p_cons must be > 0, got {self.p_cons}")
+        for name in ("p_max", "p_cons"):
+            if not getattr(self, name) > 0:  # NaN fails this too
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         p = self._raw_output()
         if not p > 0.0:
             # theta_pa > 0 against an infinite p_max, or an output that

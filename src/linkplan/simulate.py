@@ -24,13 +24,14 @@ cheap upper bound on its own offset; Newton refines it only where that
 bound could raise the max over the route's earlier hops, so a hop that
 never limits its route costs its draws and the bound.  The solve reads
 only the r largest offsets, r from the crossing's rank and its CI's, so
-the mesh's last route also leaves unsolved every trial whose bound stays
-at or below a cut at most the r-th largest offset: such a trial's value is
-at or below the cut, and every value above it is exact.  That pass holds
-one hop's draws, rounds floats a trial, seven more float arrays of the
-trials (the mesh's and the route's offsets, the hop's running sum, max,
-floor and start, one temporary), which also cover the cut's key and index,
-and three (rounds x CRITICAL_CHUNK) Newton temporaries.
+the first hop of the mesh's last route takes as its floor a cut at most
+the r-th largest offset: a trial whose bound stays at or below the cut
+gets a value at or below it, and every value above it is exact.  That
+pass holds one hop's draws, rounds floats a trial, seven more float
+arrays of the trials (the mesh's and the route's offsets, the hop's
+running sum, max, floor and start, one temporary), which also cover the
+cut's key and index, and three (rounds x CRITICAL_CHUNK) Newton
+temporaries.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -50,7 +51,7 @@ import numpy as np
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
 from .channel import sample_gain
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
-from .specfun import ConvergenceError, binomial_cdf
+from .specfun import ConvergenceError
 
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB), beside one
@@ -151,9 +152,9 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     the hop's substream, so the draws it skips change no other result.
     """
     acc.fill(0.0)
-    rounds, threshold = hop.rounds, hop.R / hop.M
+    rounds, threshold, scale = hop.rounds, hop.R / hop.M, hop.law.scale
     for _ in range(rounds):
-        scale, x = sample_gain(hop.law, gen, buf.size, buf)
+        x = sample_gain(hop.law, gen, buf.size, buf)
         for row, p in zip(acc, drives):
             np.multiply(x, p * scale, out=buf)
             row += np.log1p(buf, out=buf)
@@ -355,21 +356,19 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
     """
     lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
-    slope = hop.slope
+    shift = math.log(hop.drive_power * hop.law.scale)
     start = _PartialStart(n)
     later = np.min(floor) > -math.inf    # only a hop with a floor can stop early
+    if later:
+        # a start below bar maps below floor - _CROSSING_MARGIN_DB
+        bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for k, row in enumerate(lnx, 1):
             # the row about to take ln X is the draw's scratch
-            scale, x = sample_gain(hop.law, gen, n, row)
+            x = sample_gain(hop.law, gen, n, row)
             np.log(x, out=row)
             del x
             start.add(row)
-            if k == 1:
-                shift = math.log(hop.drive_power * scale)
-                if later:
-                    # a start below bar maps below floor - _CROSSING_MARGIN_DB
-                    bar = (floor - _CROSSING_MARGIN_DB) * slope + shift
             if later and k < hop.rounds:
                 u = start.bound(total)
                 if (u < bar).all():
@@ -381,61 +380,53 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
     return lnx, total, u, shift
 
 
-def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor: np.ndarray) -> np.ndarray:
-    """Per trial, the dB drive offset c at or below which the hop fails.
-
-    `floor` is the max of c over the route's earlier hops (-inf before its
-    first), or higher: a trial whose Newton start maps to an offset at or
-    below floor[i] keeps that offset, which bounds the solved c from above,
-    so neither can raise the route's max above floor[i].  The hop stops
-    drawing below the floor as `_hop_starts` says; those trials keep their
-    partial start, which lies at or right of the full one, and Newton solves
-    none of them.
-    """
-    lnx, total, u, shift = _hop_starts(hop, gen, n, floor)
-    # a start of +inf (every gain 0) is the root already
-    solve = np.isfinite(u) & ((u - shift) / hop.slope > floor)
-    _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
-    u -= shift
-    u /= hop.slope
-    return u
-
-
 def _largest(x: np.ndarray, k: int) -> np.ndarray:
     """The k largest values of x, in no order (all of x when it has fewer)."""
     return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
 
 
-def _cut_hop_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                     prior: np.ndarray, top: np.ndarray, rank: int) -> tuple:
-    """(c, t): the first hop of a mesh's last route, solved only where the
-    mesh's `rank` largest offsets can need it, and the cut t.
+def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
+                          floor: np.ndarray, cut: tuple | None = None) -> np.ndarray:
+    """Per trial, max(floor, c), c the dB drive offset at or below which the
+    hop fails: the route's running max when `floor` is the max of c over
+    the route's earlier hops (-inf before its first), or higher.
 
-    prior is the min of the earlier routes' offsets (+inf for none), and top
-    the `rank` largest offsets of the blocks done.  Newton first solves the
-    `rank` trials whose min(prior, start) is highest.  A route's offset is
-    at least its first hop's, so each of them has a mesh offset >= min(prior,
-    c), and t, the `rank`-th largest of those and of top, is at most the
-    mesh's `rank`-th largest offset.  Every other trial is solved only where
-    min(prior, start) > t.  The others keep their start, which is at or
-    below t, or lies behind a prior at or below t that caps their mesh
-    offset.
+    A trial whose Newton start maps to an offset at or below floor[i] keeps
+    that offset, which bounds the solved c from above, so neither can raise
+    the max above floor[i]; Newton solves only the others.  The hop stops
+    drawing below the floor as `_hop_starts` says; those trials keep their
+    partial start, which lies at or right of the full one.
+
+    With cut = (prior, top, rank), the hop is the first of a mesh's last
+    route and raises its floor to a cut t: prior is the min of the earlier
+    routes' offsets (+inf for none), and top the `rank` largest offsets of
+    the blocks done.  Newton first solves the `rank` trials whose key,
+    min(prior, start), is highest.  A route's offset is at least its first
+    hop's, so each of them has a mesh offset >= min(prior, c), and t, the
+    `rank`-th largest of those and of top, is at most the mesh's `rank`-th
+    largest offset.  Every other trial is solved only where its key
+    exceeds t: the rest keep their start, which is at or below t, or lies
+    behind a prior at or below t that caps their mesh offset.
     """
-    lnx, total, u, shift = _hop_starts(hop, gen, n, -math.inf)
-    key = np.minimum(prior, (u - shift) / hop.slope)
-    below = n - min(rank, n)
-    first = np.sort(np.argpartition(key, below)[below:])
-    _critical_log_drive(lnx, total, u, first[np.isfinite(u[first])], where)
-    reached = _largest(np.concatenate(
-        (top, np.minimum(prior[first], (u[first] - shift) / hop.slope))), rank)
-    t = reached.min() if reached.size == rank else -math.inf
-    rest = np.isfinite(u) & (key > t)
-    rest[first] = False
-    _critical_log_drive(lnx, total, u, np.flatnonzero(rest), where)
+    lnx, total, u, shift = _hop_starts(hop, gen, n, floor)
+    key = (u - shift) / hop.slope  # the offset each start maps to
+    if cut is not None:
+        prior, top, rank = cut
+        np.minimum(prior, key, out=key)
+        below = n - min(rank, n)
+        first = np.sort(np.argpartition(key, below)[below:])
+        _critical_log_drive(lnx, total, u, first[np.isfinite(u[first])], where)
+        reached = _largest(np.concatenate(
+            (top, np.minimum(prior[first], (u[first] - shift) / hop.slope))), rank)
+        floor = reached.min() if reached.size == rank else -math.inf
+        key[first] = -math.inf  # solved already
+    solve = key > floor
+    del key  # out of Newton's peak
+    solve &= np.isfinite(u)  # a start of +inf (every gain 0) is the root already
+    _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
     u -= shift
     u /= hop.slope
-    return u, t
+    return np.maximum(u, floor, out=u)
 
 
 def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) -> np.ndarray:
@@ -446,33 +437,24 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     failed).  The draws are those of `simulate_mesh`.  Each hop solves only
     the trials it could raise its route's max on.
 
-    With a `rank` r, the last route solves only what the r largest offsets
-    need (`_cut_hop_offsets`), and its first hop's values below the cut t
-    are raised to t, so its later hops take t as a floor too.
-    A trial with an offset above t gets it exactly; any other gets a value
-    at or below t, where its own offset lies too.  So the r largest values,
-    and every value above t, equal the uncut ones bit for bit, while a value
-    at or below t may stand above its trial's offset.  The memory held is
-    that without a rank (module docstring).
+    With a `rank` r, the last route's first hop takes a cut t as its floor
+    (`_hop_critical_offsets`), and so do its later hops through the route's
+    max.  A trial with an offset above t gets it exactly; any other gets a
+    value at or below t, where its own offset lies too.  So the r largest
+    values, and every value above t, equal the uncut ones bit for bit,
+    while a value at or below t may stand above its trial's offset.  The
+    memory held is that without a rank (module docstring).
     """
     out = np.full(mc.trials, math.inf)
     top = np.empty(0)            # the `rank` largest offsets of the blocks done
     for start, n, routes in _substreams(mesh.routes, mc):
         mesh_c = out[start:start + n]
-        t = -math.inf
         for r, hops in enumerate(routes):
             route_c = np.full(n, -math.inf)
             for j, (_, hop, gen) in enumerate(hops):
-                where = f"route {r}: hop {j}"
-                if rank is not None and r == len(routes) - 1 and j == 0:
-                    c, t = _cut_hop_offsets(hop, gen, n, where, mesh_c, top, rank)
-                    # a value below the cut may stand at it, so the later
-                    # hops read the cut in their floor, route_c
-                    np.maximum(c, t, out=c)
-                else:
-                    c = _hop_critical_offsets(hop, gen, n, where, route_c)
-                np.maximum(route_c, c, out=route_c)
-                del c
+                cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
+                cut = (mesh_c, top, rank) if cut_hop else None
+                route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c, cut)
             np.minimum(mesh_c, route_c, out=mesh_c)
         if rank is not None and start + n < mc.trials:
             # the cut of a later block reads this block's largest offsets
@@ -480,41 +462,74 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     return out
 
 
-def _order_statistic_ci(n: int, target: float) -> tuple:
-    """1-based ranks (l, u), counted from the largest, of the descending
-    order statistics that bound the upper-`target` quantile with at least
-    95% confidence whatever the distribution (David & Nagaraja 2003,
-    section 7.1): B = #{c >= quantile} ~ Binomial(n, target), and
-    P(l <= B < u) >= 0.95.  l = 0 or u = n + 1 when the sample is too small
-    for that end.
-    """
-    sd = math.sqrt(n * target * (1.0 - target))
-    ks = np.arange(max(0, math.floor(n * target - 10.0 * sd - 10.0)),
-                   min(n, math.ceil(n * target + 10.0 * sd + 10.0)) + 1)
-    cdf = binomial_cdf(ks, n, target)  # P(B <= k)
-    low = ks[cdf <= 0.025]
-    l = int(low[-1]) + 1 if low.size else 0
-    u = int(ks[np.argmax(cdf >= 0.975)]) + 1
-    return l, u
-
-
 def _crossing_ranks(n: int, target: float) -> tuple:
-    """(k, l, u): the crossing's rank k, the least k with k / n >= target as
-    the simulator compares its outage, and its CI's ranks l and u
-    (`_order_statistic_ci`), all counted from the largest offset."""
+    """(k, l, u), counted from the largest offset: the crossing's rank k,
+    the least k with k / n >= target as the simulator compares its outage,
+    and the ranks l and u of the descending order statistics that bound the
+    upper-`target` quantile with at least 95% confidence whatever the
+    distribution (David & Nagaraja 2003, section 7.1): B = #{c >= quantile}
+    ~ Binomial(n, target), and P(l <= B < u) >= 0.95.  l = 0 or u = n + 1
+    when the sample is too small for that end.
+
+    B's CDF is read over n * target +- (10 sd + 10), from mass ratios at
+    the mode normalized by their own sum: the mass outside the window is
+    far below the float error of the 2.5% tails.
+    """
     k = max(1, math.ceil(target * n))
     if (k - 1) / n >= target:
         k -= 1
     elif k / n < target:
         k += 1
-    return (k, *_order_statistic_ci(n, target))
+    q = 1.0 - target
+    sd = math.sqrt(n * target * q)
+    ks = np.arange(max(0, math.floor(n * target - 10.0 * sd - 10.0)),
+                   min(n, math.ceil(n * target + 10.0 * sd + 10.0)) + 1)
+    mode = math.floor((n + 1) * target)  # inside the window
+    up = np.arange(mode, ks[-1], dtype=float)      # P(i + 1) / P(i)
+    down = np.arange(mode, ks[0], -1, dtype=float)  # P(i - 1) / P(i)
+    mass = np.concatenate((np.cumprod(down / (n - down + 1.0) * (q / target))[::-1], [1.0],
+                           np.cumprod((n - up) / (up + 1.0) * (target / q))))
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]  # P(B <= k) at each k of ks
+    low = ks[cdf <= 0.025]
+    l = int(low[-1]) + 1 if low.size else 0
+    u = int(ks[np.argmax(cdf >= 0.975)]) + 1
+    return k, l, u
 
 
-def _mc_crossing(desc: np.ndarray, n: int, target: float, ranks: tuple,
-                 lo: float, hi: float) -> float:
-    """The solve's crossing from the largest critical offsets of n trials,
-    sorted descending down to every rank in ranks = `_crossing_ranks(n, target)`."""
-    k, l, u = ranks
+def _bracket_error(target: float, lo: float, hi: float, p_lo: float,
+                   p_hi: float) -> BracketError:
+    """The error of a bracket whose ends' outages p_lo and p_hi miss the target."""
+    return BracketError(f"target {target:g} not bracketed: outage({lo:g} dB)={p_lo:g}, "
+                        f"outage({hi:g} dB)={p_hi:g}")
+
+
+def _required_snr_mc(mesh: MeshNetwork, mc: McConfig, target: float, lo: float,
+                     hi: float) -> float:
+    """The MC `required_snr`: the exact crossing of the `mc.trials` critical
+    offsets c, the k-th largest, k = `_crossing_ranks(n, target)`[0].
+
+    The pass solves only what the r = min(n, max(k + 1, u)) largest c need
+    (`_critical_offsets` with a rank), so the bracket is tested on order
+    statistics: outage(lo) >= target iff the k-th largest c reaches lo, and
+    outage(hi) <= target iff the one past the most failures whose share
+    stays <= target falls below hi.  The crossing and the CI are ranks <= r,
+    so every value returned or printed is the uncut one; a `BracketError`
+    counts its two outages on offsets computed again without the cut.
+    """
+    # a bracket end past PA saturation raises as a per-point run would
+    shift_scenario(mesh, lo)
+    shift_scenario(mesh, hi)
+    n = mc.trials
+    k, l, u = _crossing_ranks(n, target)
+    rank = min(n, max(k + 1, u))
+    desc = np.sort(_largest(_critical_offsets(mesh, mc, rank), rank))[::-1]
+    fewer = k if k / n <= target else k - 1
+    if not (desc[k - 1] >= lo and desc[fewer] < hi):
+        # an end's count below the cut is not exact: count uncut offsets
+        c = _critical_offsets(mesh, mc)
+        raise _bracket_error(target, lo, hi, np.count_nonzero(c >= lo) / n,
+                             np.count_nonzero(c >= hi) / n)
     if l < 1 or u > n:
         ci_lo = f"{desc[u - 1]:.6g} dB" if u <= n else "-inf"
         ci_hi = f"{desc[l - 1]:.6g} dB" if l >= 1 else "+inf"
@@ -547,18 +562,8 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     outage >= target and at the result + 1e-6 dB outage < target.  When the
     sample cannot hold both ends of the crossing's distribution-free 95%
     CI (a pair of order statistics of c, ranks l <= u), `McPrecisionError`
-    says so with the CI.
-
-    The pass solves only what the r = min(n, max(k + 1, u)) largest c need
-    (`_critical_offsets` with a rank): a trial below the cut gets a value
-    at or below the r-th largest c rather than its own; the memory held is
-    unchanged.
-    So the bracket is tested on order statistics: outage(lo) >= target iff
-    the k-th largest c reaches lo, and outage(hi) <= target iff the one
-    past the most failures whose share stays <= target falls below hi.
-    The crossing and the CI are ranks <= r, so every value returned or
-    printed is the uncut one; a `BracketError` counts its two outages on
-    offsets computed again without the cut.
+    says so with the CI.  How the pass spares work is told in
+    `_required_snr_mc`.
     """
     if not 0.0 < target_outage < 1.0:
         raise ValueError(f"target_outage must be in (0,1), got {target_outage}")
@@ -574,37 +579,16 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
     lo, hi = float(bounds_db[0]), float(bounds_db[1])
     if not lo < hi:  # NaN fails this too
         raise ValueError(f"bounds_db must satisfy lo < hi, got {bounds_db}")
+    if evaluator == "mc":
+        return _required_snr_mc(mesh, mc, target_outage, lo, hi)
 
     def outage_at(offset_db) -> float:
         return mesh_outage(shift_scenario(mesh, offset_db), rf_method, fso_method,
                            theta).value
 
-    if evaluator == "mc":
-        # a bracket end past PA saturation raises as a per-point run would
-        shift_scenario(mesh, lo)
-        shift_scenario(mesh, hi)
-        n = mc.trials
-        ranks = k, _, u = _crossing_ranks(n, target_outage)
-        rank = min(n, max(k + 1, u))
-        desc = np.sort(_largest(_critical_offsets(mesh, mc, rank), rank))[::-1]
-        # p_lo >= target iff the k-th largest offset reaches lo, and p_hi <=
-        # target iff the one past the most failures whose share stays <=
-        # target falls below hi
-        fewer = k if k / n <= target_outage else k - 1
-        bracketed = desc[k - 1] >= lo and desc[fewer] < hi
-        if not bracketed:
-            # an end's count below the cut is not exact: count uncut offsets
-            c = _critical_offsets(mesh, mc)
-            p_lo, p_hi = np.count_nonzero(c >= lo) / n, np.count_nonzero(c >= hi) / n
-    else:
-        p_lo, p_hi = outage_at(lo), outage_at(hi)
-        bracketed = p_lo >= target_outage >= p_hi
-    if not bracketed:
-        raise BracketError(
-            f"target {target_outage:g} not bracketed: outage({lo:g} dB)={p_lo:g}, "
-            f"outage({hi:g} dB)={p_hi:g}")
-    if evaluator == "mc":
-        return _mc_crossing(desc, n, target_outage, ranks, lo, hi)
+    p_lo, p_hi = outage_at(lo), outage_at(hi)
+    if not p_lo >= target_outage >= p_hi:
+        raise _bracket_error(target_outage, lo, hi, p_lo, p_hi)
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
         if outage_at(mid) >= target_outage:
@@ -612,4 +596,3 @@ def required_snr(target_outage: float, scenario, evaluator: str = "analytical",
         else:
             hi = mid
     return 0.5 * (lo + hi)
-

@@ -8,7 +8,6 @@ command imports scipy:
 - the CDF of a noncentral chi-square law with an even number of degrees of
   freedom (`ncx2_cdf`), the exact CDF of the RF sum gain, as the Skellam
   tail P(A - J >= n) of two Poisson counts;
-- the binomial CDF over a run of counts (`binomial_cdf`);
 - the generalized hypergeometric series pFq, summed until a term falls
   below `_SERIES_REL_TOL` of the total, at most `_SERIES_MAX_TERMS` terms;
 - one table of ln of a product of unit-mean Gamma factors, by direct
@@ -16,7 +15,7 @@ command imports scipy:
 - the CDF of a product of i.i.d. Gamma-Gamma gains, one P/Q sum.
 
 Every mass or density computed outright (the P/Q prefix, the Poisson
-table, the binomial mode) starts from an exponent that never cancels:
+table) starts from an exponent that never cancels:
 x ln(x/m) + m - x is summed as a series near x = m, and ln Gamma as
 Stirling's series plus its correction.  `ncx2_cdf` needs none: its
 Poisson masses are products of ratios, normalized by their own sum.
@@ -207,7 +206,7 @@ def gamma_pq(s, z):
 
 
 # ---------------------------------------------------------------------------
-# noncentral chi-square and binomial CDFs
+# noncentral chi-square CDF
 # ---------------------------------------------------------------------------
 
 def _poisson_span(mu: float, depth: float):
@@ -294,40 +293,6 @@ def ncx2_cdf(x: float, n: int, nc: float) -> float:
             @ np.concatenate(([1.0], ratio))
     side = total / mass
     return side if lower else 1.0 - side
-
-
-def binomial_cdf(k, n: int, p: float):
-    """P(B <= k) for B ~ Binomial(n, p), 0 < p < 1, at each k of an ascending
-    run of consecutive integers: a cumulative sum of masses, each a product
-    of mass ratios from the exact log-mass at the mode.  The sum starts where
-    Chernoff's bound on the mass below, e^-(np - j)^2 / 2np at j, falls under
-    e^-_SUM_DEPTH of the first count's mass (or of 1, from the mean up)."""
-    k = np.asarray(k)
-    q = 1.0 - p
-    k0 = int(k[0])
-    mode = min(n, math.floor((n + 1) * p))
-    mean = np.array([n * p, n * q])  # the deficits at j and n - j in one _bd0 call
-    depth = _SUM_DEPTH
-    if 0 < k0 < n * p:  # -ln P(B = k0), less its Stirling corrections
-        bd = _bd0(np.array([k0, n - k0]), mean)
-        depth += bd[0] + bd[1] + 0.5 * math.log(2.0 * math.pi * k0 * (n - k0) / n)
-    lo = max(0, min(k0, math.floor(n * p - math.sqrt(2.0 * n * p * depth))))
-    hi = max(int(k[-1]), lo)
-    anchor = min(max(mode, lo), hi)
-    if anchor == 0:
-        log_anchor = n * math.log1p(-p)
-    elif anchor == n:
-        log_anchor = n * math.log(p)
-    else:  # Loader's saddle-point form of the log-mass
-        bd = _bd0(np.array([anchor, n - anchor]), mean)
-        log_anchor = (_stirlerr(n) - _stirlerr(anchor) - _stirlerr(n - anchor) - bd[0] - bd[1]
-                      + 0.5 * math.log(n / (2.0 * math.pi * anchor * (n - anchor))))
-    up = np.arange(anchor, hi, dtype=float)      # P(i + 1) / P(i)
-    down = np.arange(anchor, lo, -1, dtype=float)  # P(i - 1) / P(i)
-    pmf = np.concatenate((np.cumprod(down / (n - down + 1.0) * (q / p))[::-1], [1.0],
-                          np.cumprod((n - up) / (up + 1.0) * (p / q))))
-    cdf = np.cumsum(pmf * math.exp(log_anchor))
-    return cdf[k - lo]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_field_validation():
         PaConfig(epsilon=0.5, theta_pa=0.5, p_max=math.inf, p_cons=0.5)
 
 
+@pytest.mark.parametrize("epsilon, p_max, p_cons, field", [
+    (1.0, math.nan, 1.0, "p_max"), (0.5, math.nan, 1e9, "p_max"),
+    (0.5, 1e9, math.nan, "p_cons"), (0.5, math.nan, math.nan, "p_max")])
+def test_nan_power_names_its_field(epsilon, p_max, p_cons, field):
+    # NaN passes `<= 0`: at theta_pa = 0, nan ** 0 is 1, so a NaN p_max
+    # built a PA whose efficiency read 1.0, whatever its drive, while a NaN
+    # p_cons raised "the PA would radiate nothing" without naming the field
+    with pytest.raises(ValueError, match=f"^{field} must be > 0, got nan$"):
+        PaConfig(epsilon=epsilon, theta_pa=0.0, p_max=p_max, p_cons=p_cons)
+
+
 def test_pa_output_underflow_rejected():
     # theta_pa = 0.99 raises (eps P_cons / P_max^theta) to the power 100:
     # at -40 dB the output underflows to 0, and every rate and outage would

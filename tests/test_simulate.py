@@ -406,8 +406,8 @@ def _all_rounds_failures(meshes, mc):
             rounds = [sample_gain(hop.law, gen, n) for _ in range(hop.rounds)]
             for fail, mesh in zip(route_fail, meshes):
                 p, acc = mesh.routes[r].hops[i].drive_power, np.zeros(n)
-                for scale, x in rounds:
-                    acc += np.log1p(x * (p * scale))
+                for x in rounds:
+                    acc += np.log1p(x * (p * hop.law.scale))
                 fail |= acc / hop.rounds <= hop.R / hop.M
         mesh_fail &= route_fail
     return np.count_nonzero(mesh_fail, axis=1).tolist()
@@ -430,6 +430,8 @@ def test_sweep_hop_stops_drawing_once_decided(monkeypatch, seed):
 class _Crafted:
     """A hop whose rounds draw fixed gains (scale 1), one list per round."""
 
+    scale = 1.0
+
     def __init__(self, monkeypatch, gains, R, **fields):
         import linkplan.simulate as sim
         self.gains, self.drawn = gains, 0
@@ -438,7 +440,7 @@ class _Crafted:
 
     def draw(self):
         self.drawn += 1
-        return 1.0, np.array(self.gains[self.drawn - 1], dtype=float)
+        return np.array(self.gains[self.drawn - 1], dtype=float)
 
 
 def _crafted_failures(monkeypatch, gains, R, drives=(1.0,)):
@@ -672,7 +674,7 @@ def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_tria
     if name == "gg_b001":
         # the draws underflow, and the all-zero trials fail at every drive
         gen = sim._block_generator(mc.seed, 0, 0)
-        assert np.count_nonzero(sample_gain(GG_TINY_B, gen, mc.trials)[1] == 0.0) > 0
+        assert np.count_nonzero(sample_gain(GG_TINY_B, gen, mc.trials) == 0.0) > 0
         dead = np.isinf(c)
         assert dead.any()
         beyond = shift_scenario(mesh, finite[-1] + 1.0)
@@ -933,6 +935,22 @@ def test_critical_offsets_bits_pinned(which, digest):
     assert _sha256(c) == digest
 
 
+@pytest.mark.parametrize("block_trials, digest", [
+    (None, "837fd81e2d5d2a76af4da2eadcb1c1c46bce7b8aa99f6ff01a98c385233e4103"),
+    (1000, "83f85dd8d27470341ad30d37a6b3c432987f450647541e6e26f238d51355c166"),
+], ids=["one_block", "blocks_of_1000"])
+def test_required_snr_mc_bits_pinned(monkeypatch, block_trials, digest):
+    # every crossing, BracketError and McPrecisionError of the MC solve,
+    # cut path included, keeps its bits and its text from release to release
+    import linkplan.simulate as sim
+    if block_trials:
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    mc = McConfig(trials=3500, seed=43)
+    got = [_solve_or_error(mesh, target, (-40.0, 40.0), mc)
+           for mesh in _critical_meshes().values() for target in (1e-3, 0.01, 0.1, 0.5, 0.9)]
+    assert hashlib.sha256("\n".join(got).encode()).hexdigest() == digest
+
+
 def test_simulate_sweep_bits_pinned():
     a, b = _digest_meshes()
     ests = simulate_sweep([shift_scenario(a, d) for d in (-2.0, 0.0, 2.0)] + [b],
@@ -1066,7 +1084,7 @@ def test_order_statistic_ci_ranks(n, target):
     # cannot hold it
     from scipy.stats import binom
     import linkplan.simulate as sim
-    l, u = sim._order_statistic_ci(n, target)
+    _, l, u = sim._crossing_ranks(n, target)
     assert binom.cdf(l - 1, n, target) <= 0.025 < binom.cdf(l, n, target)
     assert binom.cdf(u - 2, n, target) < 0.975 <= binom.cdf(u - 1, n, target)
     inside = (n, target) in ((1000, 0.1), (20_000, 0.01), (20_000, 0.1))
@@ -1074,7 +1092,8 @@ def test_order_statistic_ci_ranks(n, target):
 
 
 def test_order_statistic_ci_ranks_match_scipy_bdtr():
-    # the ranks off specfun.binomial_cdf are the ones scipy's bdtr gave
+    # the CI ranks off the windowed mass ratios are the ones scipy's bdtr
+    # gives, up to the longest products of ratios the solve meets
     from scipy.special import bdtr
 
     import linkplan.simulate as sim
@@ -1087,17 +1106,16 @@ def test_order_statistic_ci_ranks_match_scipy_bdtr():
         low = ks[cdf <= 0.025]
         return (int(low[-1]) + 1 if low.size else 0), int(ks[np.argmax(cdf >= 0.975)]) + 1
 
-    for n in (1, 7, 40, 100, 1000, 5000, 20_000, 100_000, 1_000_000):
+    for n in (1, 7, 40, 100, 1000, 5000, 20_000, 100_000, 1_000_000, 2**20 + 1,
+              2_000_000, 10_000_000):
         for target in (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999):
-            assert sim._order_statistic_ci(n, target) == scipy_ranks(n, target), (n, target)
+            assert sim._crossing_ranks(n, target)[1:] == scipy_ranks(n, target), (n, target)
 
 
 def _crossing_rank(n, target):
-    """The rank `_mc_crossing` picks, read off distinct offsets 0, -1, -2, ..."""
+    """The rank of the critical offset the MC solve returns as its crossing."""
     import linkplan.simulate as sim
-    desc = -np.arange(n, dtype=float)
-    return 1 - round(sim._mc_crossing(desc, n, target, sim._crossing_ranks(n, target),
-                                      -2.0 * n, 1.0))
+    return sim._crossing_ranks(n, target)[0]
 
 
 def test_mc_crossing_rank_steps_down_past_rounding():

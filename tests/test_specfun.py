@@ -560,20 +560,3 @@ def test_bd0_mpmath_oracle(x):
         with mpmath.workdps(40):
             ref = x * mpmath.log(mpmath.mpf(x) / m) + m - x
             assert abs(got - ref) <= 1e-15 * abs(ref), (x, m, float(got), float(ref))
-
-
-@pytest.mark.parametrize("n, p", [(1, 0.3), (20, 0.5), (1000, 1e-3), (1000, 0.999),
-                                  (20_000, 0.01), (20_000, 0.1), (20_000, 0.5)])
-def test_binomial_cdf_mpmath_oracle(n, p):
-    # P(B <= k) on a run of counts around the mean, from the lower tail up
-    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
-    k = np.arange(max(0, math.floor(mean - 8.0 * sd - 2.0)),
-                  min(n, math.ceil(mean + 8.0 * sd + 2.0)) + 1)
-    got = specfun.binomial_cdf(k, n, p)
-    with mpmath.workdps(30):
-        start = max(0, int(k[0]) - 400)  # the mass below is under 1e-40 of P(B <= k[0])
-        cdf = mpmath.mpf(0)
-        for i in range(start, int(k[-1]) + 1):
-            cdf += mpmath.binomial(n, i) * mpmath.mpf(p) ** i * (1 - mpmath.mpf(p)) ** (n - i)
-            if i >= k[0] and cdf > 1e-300:
-                assert abs(got[i - k[0]] - cdf) <= 1e-12 * cdf, (n, p, i, float(cdf))
