@@ -146,7 +146,7 @@ class OutageEstimate:
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"outage must be in [0,1], got {self.value}")
-        if self.ci_halfwidth < 0:
+        if not self.ci_halfwidth >= 0:
             raise ValueError(f"ci_halfwidth must be >= 0, got {self.ci_halfwidth}")
 
 
@@ -263,6 +263,9 @@ def _linearized_mean(p: float, g: GaussianApprox):
     G replaced by a ramp a2 t + a3 from lo = max(mean - w/2, 0) to x2 = mean +
     w/2, w = sqrt(2 pi var): E[log] = p * integral of ramp/(1 + p x)."""
     nz, nv = g.mean, g.variance
+    if not nv > 0:  # 0 once omega**2 underflows
+        raise ApproximationInvalidError(
+            f"linearized log surrogate: sum-gain variance {nv} is not > 0")
     w = math.sqrt(2.0 * math.pi * nv)
     x2, a2, a3 = nz + 0.5 * w, -1.0 / w, 0.5 + nz / w
     lo = max(nz - 0.5 * w, 0.0)
@@ -369,8 +372,6 @@ def _snr_threshold(rate: float) -> float:
 def _sum_gain_cdf(y: float, f: RicianFading) -> float:
     """Exact CDF of the N-antenna sum gain G = f.scale * X with
     X ~ ncx2(2N, 2KN), the law `sample_gain` draws."""
-    if y <= 0:
-        return 0.0
     return specfun.ncx2_cdf(y / f.scale, f.N, 2.0 * f.K * f.N)
 
 

@@ -22,16 +22,18 @@ the mesh fails, so the MC outage at any offset s is #{c >= s} / trials and
 the solve returns the exact crossing.  Each hop and trial starts from a
 cheap upper bound on its own offset; Newton refines it only where that
 bound could raise the max over the route's earlier hops, so a hop that
-never limits its route costs its draws and the bound.  The solve reads
-only the r largest offsets, r from the crossing's rank and its CI's, so
-the first hop of the mesh's last route takes as its floor a cut at most
-the r-th largest offset: a trial whose bound stays at or below the cut
-gets a value at or below it, and every value above it is exact.  That
-pass holds one hop's draws, rounds floats a trial, seven more float
-arrays of the trials (the mesh's and the route's offsets, the hop's
-running sum, max, floor and start, one temporary), which also cover the
-cut's key and index, and three (rounds x CRITICAL_CHUNK) Newton
-temporaries.
+never limits its route costs its draws and the bound.  One function
+solves a hop from its first draw to its offsets, and no state passes from
+one block of trials to the next.  The solve reads only the r largest
+offsets, r from the crossing's rank and its CI's, so in each block the
+first hop of the mesh's last route takes as its floor a cut read off that
+block alone, at most the block's r-th largest offset and so the whole
+sample's: a trial whose bound stays at or below the cut gets a value at
+or below it, and every value above it is exact.  That pass holds one
+hop's draws, rounds floats a trial, seven more float arrays of the trials
+(the mesh's and the route's offsets, the hop's running sum, max, stop bar
+and start, one temporary), which also cover the cut's key and index, and
+three (rounds x CRITICAL_CHUNK) Newton temporaries.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -336,30 +338,52 @@ def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
         u[idx] = np.minimum(uk, u[idx])
 
 
-def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
-    """(lnx, total, u, shift) of a hop: the ln X_r of the rounds it draws,
-    rounds * R / M, each trial's Newton start u (`_PartialStart.bound`) in
-    ln(drive * scale), and shift, the u of offset 0 dB.
+def _largest(x: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values of x, in no order (all of x when it has fewer)."""
+    return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
+
+
+def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
+                          floor, cut: tuple | None = None) -> np.ndarray:
+    """Per trial, max(floor, c), c the dB drive offset at or below which the
+    hop fails: the route's running max when `floor` is the max of c over
+    the route's earlier hops (the scalar -inf before its first), or higher.
 
     The rounds are drawn as `_hop_failures` draws them.  The hop fails at
     offset s iff sum_r log1p(p(s) * scale * X_r) <= rounds * R / M, and
-    ln(p(s) * scale) rises linearly in s with the hop's `slope`, so a trial's
-    offset is (u - shift) / slope at its root u.
+    u = ln(p(s) * scale) rises linearly in s with the hop's `slope` from
+    shift, the u of offset 0 dB, so a trial's offset is (u - shift) / slope
+    at its root u.  Each trial starts from `_PartialStart.bound`, which
+    bounds the root from above, and a trial whose start maps to an offset at
+    or below its floor keeps it: neither it nor the solved c can raise the
+    max above the floor.  Newton solves only the others.
 
-    Below a finite `floor` (per trial, or -inf for none) the hop stops
-    drawing once the start of the rounds drawn so far maps every trial at
-    least _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0,
-    so the partial sum's root lies at or right of the full sum's; the margin
+    A hop with a finite floor and more than one round stops drawing once the
+    start of the rounds drawn so far maps every trial at least
+    _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0, so
+    the partial sum's root lies at or right of the full sum's; the margin
     dwarfs the float error of Newton's root, so with every round drawn each
     trial's offset would still map at or below its floor.  Nothing else
     draws from the hop's substream, so the skipped draws change no result.
+
+    With cut = (prior, rank), the hop is the first of a mesh's last route
+    and raises its floor to a cut t: prior is the min of the block's
+    earlier routes' offsets (+inf for none).  Newton first solves the
+    `rank` trials whose key, min(prior, start), is highest.  A route's
+    offset is at least its first hop's, so each of them has a mesh offset
+    >= min(prior, c), and t, the `rank`-th largest of those, is at most the
+    block's `rank`-th largest offset, and so at most the whole sample's.
+    Every other trial is solved only where its key exceeds t: the rest keep
+    their start, which is at or below t, or lies behind a prior at or below
+    t that caps their mesh offset.  A block of fewer than `rank` trials
+    takes no cut.
     """
     lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
     shift = math.log(hop.drive_power * hop.law.scale)
     start = _PartialStart(n)
-    later = np.min(floor) > -math.inf    # only a hop with a floor can stop early
-    if later:
+    bar = None
+    if hop.rounds > 1 and np.min(floor) > -math.inf:
         # a start below bar maps below floor - _CROSSING_MARGIN_DB
         bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
@@ -369,7 +393,7 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
             np.log(x, out=row)
             del x
             start.add(row)
-            if later and k < hop.rounds:
+            if bar is not None and k < hop.rounds:
                 u = start.bound(total)
                 if (u < bar).all():
                     lnx = lnx[:k]
@@ -377,47 +401,15 @@ def _hop_starts(hop, gen: np.random.Generator, n: int, floor) -> tuple:
                 del u  # the next round's start takes its place
         else:
             u = start.bound(total)
-    return lnx, total, u, shift
-
-
-def _largest(x: np.ndarray, k: int) -> np.ndarray:
-    """The k largest values of x, in no order (all of x when it has fewer)."""
-    return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
-
-
-def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor: np.ndarray, cut: tuple | None = None) -> np.ndarray:
-    """Per trial, max(floor, c), c the dB drive offset at or below which the
-    hop fails: the route's running max when `floor` is the max of c over
-    the route's earlier hops (-inf before its first), or higher.
-
-    A trial whose Newton start maps to an offset at or below floor[i] keeps
-    that offset, which bounds the solved c from above, so neither can raise
-    the max above floor[i]; Newton solves only the others.  The hop stops
-    drawing below the floor as `_hop_starts` says; those trials keep their
-    partial start, which lies at or right of the full one.
-
-    With cut = (prior, top, rank), the hop is the first of a mesh's last
-    route and raises its floor to a cut t: prior is the min of the earlier
-    routes' offsets (+inf for none), and top the `rank` largest offsets of
-    the blocks done.  Newton first solves the `rank` trials whose key,
-    min(prior, start), is highest.  A route's offset is at least its first
-    hop's, so each of them has a mesh offset >= min(prior, c), and t, the
-    `rank`-th largest of those and of top, is at most the mesh's `rank`-th
-    largest offset.  Every other trial is solved only where its key
-    exceeds t: the rest keep their start, which is at or below t, or lies
-    behind a prior at or below t that caps their mesh offset.
-    """
-    lnx, total, u, shift = _hop_starts(hop, gen, n, floor)
+    del start, bar  # the draw phase's arrays, out of Newton's peak
     key = (u - shift) / hop.slope  # the offset each start maps to
     if cut is not None:
-        prior, top, rank = cut
+        prior, rank = cut
         np.minimum(prior, key, out=key)
         below = n - min(rank, n)
         first = np.sort(np.argpartition(key, below)[below:])
         _critical_log_drive(lnx, total, u, first[np.isfinite(u[first])], where)
-        reached = _largest(np.concatenate(
-            (top, np.minimum(prior[first], (u[first] - shift) / hop.slope))), rank)
+        reached = np.minimum(prior[first], (u[first] - shift) / hop.slope)
         floor = reached.min() if reached.size == rank else -math.inf
         key[first] = -math.inf  # solved already
     solve = key > floor
@@ -437,28 +429,25 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     failed).  The draws are those of `simulate_mesh`.  Each hop solves only
     the trials it could raise its route's max on.
 
-    With a `rank` r, the last route's first hop takes a cut t as its floor
-    (`_hop_critical_offsets`), and so do its later hops through the route's
-    max.  A trial with an offset above t gets it exactly; any other gets a
-    value at or below t, where its own offset lies too.  So the r largest
-    values, and every value above t, equal the uncut ones bit for bit,
-    while a value at or below t may stand above its trial's offset.  The
-    memory held is that without a rank (module docstring).
+    With a `rank` r, the last route's first hop of each block takes as its
+    floor a cut t read off that block alone (`_hop_critical_offsets`), and
+    so do its later hops through the route's max.  A trial with an offset
+    above t gets it exactly; any other gets a value at or below t, where
+    its own offset lies too.  So the r largest values, and every value
+    above t, equal the uncut ones bit for bit, while a value at or below t
+    may stand above its trial's offset.  The memory held is that without
+    a rank (module docstring).
     """
     out = np.full(mc.trials, math.inf)
-    top = np.empty(0)            # the `rank` largest offsets of the blocks done
     for start, n, routes in _substreams(mesh.routes, mc):
         mesh_c = out[start:start + n]
         for r, hops in enumerate(routes):
-            route_c = np.full(n, -math.inf)
+            route_c = -math.inf
             for j, (_, hop, gen) in enumerate(hops):
                 cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
-                cut = (mesh_c, top, rank) if cut_hop else None
+                cut = (mesh_c, rank) if cut_hop else None
                 route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c, cut)
             np.minimum(mesh_c, route_c, out=mesh_c)
-        if rank is not None and start + n < mc.trials:
-            # the cut of a later block reads this block's largest offsets
-            top = _largest(np.concatenate((top, mesh_c)), rank)
     return out
 
 

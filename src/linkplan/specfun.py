@@ -427,7 +427,7 @@ def gg_product_cdf(a, b, n, x):
     if n > 6:
         raise ValueError(f"product order n={n} unsupported (max 6)")
     if a <= 0 or b <= 0:
-        raise ValueError("shaping parameters must be positive")
+        raise ValueError(f"shaping parameters must be positive, got a={a}, b={b}")
     if x <= 0:
         return 0.0
     n = int(n)

@@ -28,6 +28,7 @@ from linkplan.analysis import (
     ApproximationInvalidError,
     FsoHopParams,
     InfeasibleError,
+    OutageEstimate,
     RfHopParams,
     _sum_gain_cdf,
     fso_ergodic_rate,
@@ -114,6 +115,16 @@ def test_gaussian_outage_degenerate_variance():
         gaussian_outage(GaussianApprox(mean=1.0, variance=0.0), 1, 1, 1.0)
 
 
+@pytest.mark.parametrize("value, halfwidth, field", [
+    (1.5, 0.0, "outage"), (math.nan, 0.0, "outage"),
+    (0.5, -0.1, "ci_halfwidth"), (0.5, math.nan, "ci_halfwidth"),
+], ids=["value_above_1", "value_nan", "halfwidth_negative", "halfwidth_nan"])
+def test_outage_estimate_validated(value, halfwidth, field):
+    # a NaN half-width passed a `< 0` check
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        OutageEstimate(value, "x", halfwidth)
+
+
 # ----------------------------------------------------------------------------
 # hop parameter validation
 # ----------------------------------------------------------------------------
@@ -131,6 +142,8 @@ def test_hop_params_validated():
         FsoHopParams(model=GG, p_tx=0.0, M=1, C_tilde=1, R=1.0)
     with pytest.raises(ValueError):
         FsoHopParams(model=GG, p_tx=1.0, M=1, C_tilde=0, R=1.0)
+    with pytest.raises(TypeError, match="unsupported FSO model str"):
+        FsoHopParams(model="gamma_gamma", p_tx=1.0)
     # a round count that is not an integer reached `range` in MC (True
     # counted as 1, as bool subclasses int), and an infinite drive made MC
     # score the hop a perfect link
@@ -999,6 +1012,16 @@ def test_min_antennas_infeasible():
     # even the cap of 1e6 antennas misses the target
     with pytest.raises(InfeasibleError, match="up to 1000000"):
         min_rf_antennas(0.01, 1.0, PaConfig.ideal(1e-6), 5.0)
+
+
+def test_min_antennas_underflowing_variance_names_the_surrogate():
+    # at omega = 1e-170 the sum-gain variance N omega^2 (1 + 2K) / (K + 1)^2
+    # underflows to 0, and the linearized mean divided by its square root
+    pa = PaConfig(0.75, 0.5, 316.2278, 1.0)
+    assert clt_sum_gain_params(RicianFading(2.0, 1e-170, 1)).variance == 0.0
+    with pytest.raises(ApproximationInvalidError,
+                       match="^linearized log surrogate: sum-gain variance 0.0 is not > 0$"):
+        min_rf_antennas(2.0, 1e-170, pa, 1.5)
 
 
 def _min_antennas_by_doubling(K, Omega, pa, target_rate):

@@ -195,6 +195,11 @@ def test_fso_pdf_gamma_gamma_moments():
     assert_allclose(mean, 1.0, rtol=1e-7)  # ab/(ab): unit mean by construction
 
 
+def test_rician_gain_pdf_rejects_negative_gain():
+    with pytest.raises(ValueError, match="^x must be >= 0, got -0.001$"):
+        rician_gain_pdf(-1e-3, RicianFading(0.1, 1.0, 1))
+
+
 def test_fso_pdf_rejects_bad_input():
     with pytest.raises(ValueError):
         fso_pdf(-1.0, FsoExponential(lam=1.0))
@@ -205,6 +210,11 @@ def test_fso_pdf_rejects_bad_input():
 # ----------------------------------------------------------------------------
 # SNR sampler (unit power: the draws are the gains)
 # ----------------------------------------------------------------------------
+
+def test_sample_gain_rejects_an_object_without_a_sampler():
+    with pytest.raises(TypeError, match="^unsupported gain model object$"):
+        sample_gain(object(), _stream(0), 4)
+
 
 def test_sample_rician_sum_mean():
     f = RicianFading(K=0.01, Omega=1.0, N=20)

@@ -837,6 +837,24 @@ def test_nan_variance_rows_name_the_surrogate(tmp_path, command, column):
         assert message in row[column], row
 
 
+@pytest.mark.parametrize("command, rows", [
+    ("outage-sweep", [["7", tag, "nan", "nan", "route 0: hop 0: {}"]
+                      for tag in ("rf_linearized_clt", "fso_clt")]),
+    ("rate-sweep", [["7", "nan", "error:route 0: hop 0: {}"]]),
+], ids=["outage-sweep", "rate-sweep"])
+def test_underflowing_variance_rows_name_the_surrogate(tmp_path, command, rows):
+    # omega = 1e-170 underflows the README RF hop's sum-gain variance to 0;
+    # every row printed "float division by zero"
+    message = "linearized log surrogate: sum-gain variance 0.0 is not > 0"
+    doc = yaml.safe_load((GOLDEN / "readme.yaml").read_text())
+    doc["rf_hops"][0]["omega"] = 1.0e-170
+    doc["evaluators"] = ["rf_linearized_clt", "fso_clt"]
+    doc["sweep"]["grid"] = [7.0]
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
+    assert (code, data_rows(text)) == (
+        3, [[cell.format(message) for cell in row] for row in rows])
+
+
 def test_default_route_spans_all_hops(tmp_path):
     doc = copy.deepcopy(BASE)
     doc.pop("routes")

@@ -900,6 +900,25 @@ def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
     assert drawn[0] > 1 and drawn[1] == 1
 
 
+def test_one_round_hop_behind_another_builds_no_stop_bar():
+    # a one-round hop has no round to spare, so behind the README RF hop (a
+    # finite floor) it holds no more than as a route's first hop does: no
+    # stop bar, one float a trial, beside its draw and start
+    import linkplan.simulate as sim
+    n = 100_000
+    one_round = replace(README_GG, M=1, C_tilde=1)
+    assert one_round.rounds == 1
+    floor = sim._hop_critical_offsets(README_RF, sim._block_generator(1, 0, 0), n,
+                                      "route 0: hop 0", -math.inf)
+    assert np.isfinite(floor).all()
+
+    def peak(floor):
+        return _peak_bytes(lambda: sim._hop_critical_offsets(
+            one_round, sim._block_generator(1, 0, 1), n, "route 0: hop 1", floor))
+
+    assert peak(floor) <= peak(-math.inf) + PASS_SLACK_BYTES
+
+
 def _digest_meshes():
     """Two meshes over all three gain laws: exponential at lam = 2.7 and 0.3,
     a PA with theta_pa > 0, M*C > 1, and in mesh "a" both routes limited

@@ -344,6 +344,29 @@ def test_gg_product_order_cap():
         gg_product_cdf(GG_A, GG_B, 7, 1.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: specfun.gamma_pq(0.0, 1.0), "^shape s must be > 0, got 0.0$"),
+    (lambda: specfun.gamma_pq(1.0, np.array([1.0, -1e-3])), "^z must be >= 0$"),
+    (lambda: specfun.ncx2_cdf(1.0, 0, 0.0), r"^need n >= 1 and nc >= 0, got n=0, nc=0.0$"),
+    (lambda: specfun.ncx2_cdf(1.0, 1, -0.5), r"^need n >= 1 and nc >= 0, got n=1, nc=-0.5$"),
+    (lambda: bessel_k(0.5, 0.0), "^x must be > 0, got 0.0$"),
+    (lambda: laguerre(-0.5, 1.0), "^order must be >= 0, got -0.5$"),
+    (lambda: gg_product_cdf(GG_A, GG_B, 1.5, 1.0), "^n must be a positive integer, got 1.5$"),
+    (lambda: gg_product_cdf(0.0, GG_B, 1, 1.0), f"^shaping parameters .* got a=0.0, b={GG_B}$"),
+    (lambda: gg_product_cdf(GG_A, -1.0, 1, 1.0), "^shaping parameters .* b=-1.0$"),
+    (lambda: gen_hypergeometric([1.0], [-2.0], 0.5), "^pFq parameter b=-2.0 is a non-positive"),
+    (lambda: gen_hypergeometric([1.0, 2.0], [3.0], 1.5), r"^pFq\(2,1\) series diverges for \|x\|=1.5"),
+], ids=["gamma_pq_s", "gamma_pq_z", "ncx2_n", "ncx2_nc", "bessel_k_x", "laguerre_order",
+        "gg_n", "gg_a", "gg_b", "pfq_b", "pfq_diverges"])
+def test_out_of_domain_arguments_are_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_gg_product_cdf_is_zero_at_and_below_zero():
+    assert gg_product_cdf(GG_A, GG_B, 2, 0.0) == gg_product_cdf(GG_A, GG_B, 2, -1.0) == 0.0
+
+
 def test_gg_product_sum_table_built_once_read_only():
     # the table of ln of the other 2n - 1 Gamma factors depends on (a, b, n)
     # alone: every x reads the same read-only arrays
