@@ -10,12 +10,13 @@ scipy's `ive` from `specfun.import_scipy` at the call (scipy is a test-only
 dependency).  The FSO densities live with the tests' oracles.  The N-antenna
 sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
 (see `analysis`) and it needs no density of its own here.  Each law's
-`sample` (one for both FSO laws) draws its unscaled gains X, G = scale * X
-with the law's `scale`; `sample_gain`, the only draw the Monte Carlo
-engine makes, calls it, and `sample_snr` scales it to one drive.  A
-Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
-the analytical outage evaluators; `_half_moment` gives the same moments
-through Laguerre functions of the single-antenna gain.
+`tiles` (one for both FSO laws) draws its unscaled gains X, G = scale * X
+with the law's `scale`, TILE_TRIALS at a time; `sample_tiles`, the only
+draw the Monte Carlo engine makes, calls it, `sample_gain` lays the tiles
+end to end and `sample_snr` scales them to one drive.  A Gaussian surrogate
+for the sum gain, moment-matched in closed form, feeds the analytical
+outage evaluators; `_half_moment` gives the same moments through Laguerre
+functions of the single-antenna gain.
 """
 from __future__ import annotations
 
@@ -25,6 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+
+# trials per tile of a draw, a multiple of 8 (a tile's mask packs into bytes):
+# numpy Generator calls of sizes m1, m2, ... return the values of one call of
+# size m1 + m2 + ..., so tiles have the bits of one whole draw
+TILE_TRIALS = 1 << 14
 
 
 def _check_positive(law, *names):
@@ -49,14 +55,16 @@ class RicianFading:
                                             and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
-    # Omega/(2(K+1)): the sum gain is G = scale * X, X as `sample` draws it
+    # Omega/(2(K+1)): the sum gain is G = scale * X, X as `tiles` draws it
     scale = property(lambda self: self.Omega / (2.0 * (self.K + 1.0)))
 
-    def sample(self, gen: np.random.Generator, n, scratch=None):
+    def tiles(self, gen: np.random.Generator, n, out=None):
         """X ~ ncx2(df=2N, nonc=2KN), the law of the complex-Gaussian antenna
         sum over `scale` (numpy draws the central chi-square itself when
-        nonc = 0).  One draw: `scratch` goes unused."""
-        return gen.noncentral_chisquare(2.0 * self.N, 2.0 * self.K * self.N, size=n)
+        nonc = 0), as (first trial, fresh tile) pairs: `out` goes unused."""
+        df, nonc = 2.0 * self.N, 2.0 * self.K * self.N
+        for lo in range(0, n, TILE_TRIALS):
+            yield lo, gen.noncentral_chisquare(df, nonc, size=min(TILE_TRIALS, n - lo))
 
 
 class _GammaProduct:
@@ -65,17 +73,29 @@ class _GammaProduct:
 
     scale = 1.0  # the gain is the product itself
 
-    def sample(self, gen: np.random.Generator, n, scratch=None):
-        """X, the product of the factors, drawn in order, each further factor
-        into `scratch` if given, else into a temporary."""
+    def tiles(self, gen: np.random.Generator, n, out=None):
+        """X, the product of the factors, as (first trial, tile) pairs, each
+        factor drawn for all n trials before the next.  One factor yields
+        fresh tiles.  Of more, the first is drawn whole into `out` (or a new
+        array), each further one multiplied in through a tile of scratch,
+        and a tile yielded once the last is in."""
         (k, s), *rest = self.factors
-        x = gen.gamma(k, s, size=n)
-        for k, s in rest:
-            # the bits and stream use of gamma(k, s), which is s * standard_gamma(k)
-            f = gen.standard_gamma(k, size=n, out=scratch)
-            f *= s
-            x *= f
-        return x
+        if not rest:
+            for lo in range(0, n, TILE_TRIALS):
+                yield lo, gen.gamma(k, s, size=min(TILE_TRIALS, n - lo))
+            return
+        # the bits and stream use of gamma(k, s), which is s * standard_gamma(k)
+        x = gen.standard_gamma(k, size=n, out=out)
+        x *= s
+        f = np.empty(min(TILE_TRIALS, n))
+        for i, (k, s) in enumerate(rest, 1):
+            for lo in range(0, n, TILE_TRIALS):
+                t = x[lo:lo + TILE_TRIALS]
+                g = gen.standard_gamma(k, out=f[:t.size])
+                g *= s
+                t *= g
+                if i == len(rest):
+                    yield lo, t
 
 
 @dataclass(frozen=True)
@@ -140,15 +160,25 @@ def rician_gain_pdf(x, f: RicianFading):
 # sampler
 # ---------------------------------------------------------------------------
 
-def sample_gain(model, gen: np.random.Generator, size, scratch=None):
-    """Draw `size` unscaled gains X of any gain law, G = model.scale * X
-    (see each law's `sample`).  The received SNR at drive p is
-    (p * scale) * X, so one draw serves every drive.  A law may overwrite
-    `scratch`, `size` float64 cells the caller has free, for a temporary."""
-    sample = getattr(model, "sample", None)
-    if sample is None:
+def sample_tiles(model, gen: np.random.Generator, size, out=None):
+    """Draw `size` unscaled gains X of any gain law, G = model.scale * X, as
+    (first trial, tile) pairs in trial order, TILE_TRIALS trials a tile but
+    the last (see each law's `tiles`).  The received SNR at drive p is
+    (p * scale) * X, so one draw serves every drive.  A tile is fresh or a
+    view of `out`, `size` float64 cells the caller has free, which it may
+    overwrite once yielded."""
+    tiles = getattr(model, "tiles", None)
+    if tiles is None:
         raise TypeError(f"unsupported gain model {type(model).__name__}")
-    return sample(gen, size, scratch)
+    return tiles(gen, size, out)
+
+
+def sample_gain(model, gen: np.random.Generator, size):
+    """Draw `size` unscaled gains X into one array: `sample_tiles` end to end."""
+    x = np.empty(size)
+    for lo, tile in sample_tiles(model, gen, size, x):
+        x[lo:lo + tile.size] = tile
+    return x
 
 
 def sample_snr(model, power, gen: np.random.Generator, size):

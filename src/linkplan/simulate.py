@@ -4,17 +4,19 @@ Trials are partitioned into fixed-size blocks; block b of hop j (hops
 numbered across routes) draws from substream (seed, b, j).  Every estimate
 spends exactly `mc.trials` trials, so it is a bit-reproducible function of
 the mesh, `mc.trials` and `mc.seed` alone.  Both passes below walk the
-substreams with `_substreams`, draw each round with `sample_gain` into a
-row they hold free, and fold hop -> route -> mesh alike: a route fails when any hop fails, the mesh
-when every route does.  A hop is read only through the fields both kinds
-share (`law`, `rounds`, `drive_power`, `slope`), never by its class.
+substreams with `_substreams`, draw and use each round TILE_TRIALS trials
+at a time (`sample_tiles`), and fold hop -> route -> mesh alike: a route
+fails when any hop fails, the mesh when every route does.  A hop is read
+only through the fields both kinds share (`law`, `rounds`, `drive_power`,
+`slope`), never by its class.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
 bit-identical to simulating it alone.  Over n = min(trials, BLOCK_TRIALS)
 trials and K points a pass holds a float64 accumulator of 8 * K * n bytes
-(at most 8 * PASS_FLOATS), one round's draw and one scratch row of 8 * n
-bytes each, and K * n bytes of mesh failure mask, twice that with two routes.
+(at most 8 * PASS_FLOATS), a Gamma product's first factor of 8 * n bytes,
+K * n / 8 bytes of mesh failure mask (twice that with two routes) and a few
+tiles.
 
 The MC `required_snr` makes one pass over the same draws and gives every
 trial its critical dB offset c, the largest common drive offset at which
@@ -30,10 +32,10 @@ first hop of the mesh's last route takes as its floor a cut read off that
 block alone, at most the block's r-th largest offset and so the whole
 sample's: a trial whose bound stays at or below the cut gets a value at
 or below it, and every value above it is exact.  That pass holds one
-hop's draws, rounds floats a trial, seven more float arrays of the trials
+hop's draws, rounds floats a trial, six more float arrays of the trials
 (the mesh's and the route's offsets, the hop's running sum, max, stop bar
-and start, one temporary), which also cover the cut's key and index, and
-three (rounds x CRITICAL_CHUNK) Newton temporaries.
+and start), which also cover the cut's key and index, and a few tiles
+while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -51,14 +53,14 @@ from itertools import accumulate
 import numpy as np
 
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
-from .channel import sample_gain
+from .channel import TILE_TRIALS, sample_tiles
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
 
 BLOCK_TRIALS = 1 << 20
-# most float64 accumulator cells one kernel pass holds (64 MiB), beside one
-# draw, one scratch row and the failure masks; a longer drive sweep takes
-# further passes over the same substreams
+# most float64 accumulator cells one kernel pass holds (64 MiB), beside a
+# Gamma product's first factor, the packed failure masks and a few tiles; a
+# longer drive sweep takes further passes over the same substreams
 PASS_FLOATS = 8 * BLOCK_TRIALS
 
 # two-sided 95% normal quantile: the Wilson interval's z, and the factor
@@ -139,13 +141,15 @@ def _substreams(routes, mc: McConfig):
 
 
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
-                  buf: np.ndarray, out: np.ndarray) -> None:
-    """OR the hop's outage indicator at drive drives[i] into out[i].
+                  out: np.ndarray) -> None:
+    """OR the hop's outage indicator at drive drives[i] into out[i], a mask
+    packed 8 trials to a byte in `np.packbits` order.
 
-    Each round's unscaled gain X is drawn once, with buf as the draw's
-    scratch, and scored at every drive:
+    Each round's unscaled gain X is drawn once, a tile at a time, and each
+    tile is scored at every drive before the next is drawn:
     acc[i] += log1p((drives[i] * scale) * X), the arithmetic of a one-drive
-    run, so every row is bit-identical to simulating its drive alone.
+    run, so every row is bit-identical to simulating its drive alone.  In
+    the last round a tile's failures are ORed in once it is scored.
 
     The hop stops drawing once every trial has decoded at every drive, each
     row's min / rounds > R / M, and ORs in nothing: a later round adds a
@@ -155,16 +159,19 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     """
     acc.fill(0.0)
     rounds, threshold, scale = hop.rounds, hop.R / hop.M, hop.law.scale
-    for _ in range(rounds):
-        x = sample_gain(hop.law, gen, buf.size, buf)
-        for row, p in zip(acc, drives):
-            np.multiply(x, p * scale, out=buf)
-            row += np.log1p(buf, out=buf)
-        del x  # scored: the next round's draw need not sit beside it
+    n = acc.shape[1]
+    tmp = np.empty(min(TILE_TRIALS, n))  # a tile's SNRs, then log-rates
+    for r in range(1, rounds + 1):
+        for lo, x in sample_tiles(hop.law, gen, n):
+            t = tmp[:x.size]
+            for row, p, fail in zip(acc[:, lo:lo + x.size], drives, out[:, lo // 8:]):
+                row += np.log1p(np.multiply(x, p * scale, out=t), out=t)
+                if r == rounds:
+                    np.divide(row, rounds, out=t)
+                    fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
+        del x  # a product's tile keeps its first factor: free it before the next round
         if all(row.min() / rounds > threshold for row in acc):
             return
-    for row, fail in zip(acc, out):
-        fail |= np.divide(row, rounds, out=buf) <= threshold
 
 
 def _simulate(points, mc: McConfig) -> list:
@@ -176,22 +183,22 @@ def _simulate(points, mc: McConfig) -> list:
                        for pt in points])
     width = min(BLOCK_TRIALS, mc.trials)
     acc = np.empty((len(points), width))
-    buf = np.empty(width)
-    mesh_buf = np.empty((len(points), width), dtype=bool)
+    # failure masks, 8 trials to a byte; packbits leaves a short tail's bits 0
+    mesh_buf = np.empty((len(points), -(-width // 8)), dtype=np.uint8)
     route_buf = np.empty_like(mesh_buf) if len(points[0]) > 1 else None
     failures = np.zeros(len(points), dtype=np.int64)
     for _, n, routes in _substreams(points[0], mc):
-        mesh_fail = mesh_buf[:, :n]
+        mesh_fail = mesh_buf[:, :-(-n // 8)]
         for r, hops in enumerate(routes):
             # a route starts with no hop failed; the first route's failures
             # are the mesh's until a later route ANDs its own in
-            route_fail = route_buf[:, :n] if r else mesh_fail
-            route_fail.fill(False)
+            route_fail = route_buf[:, :mesh_fail.shape[1]] if r else mesh_fail
+            route_fail.fill(0)
             for j, hop, gen in hops:
-                _hop_failures(hop, drives[:, j], gen, acc[:, :n], buf[:n], route_fail)
+                _hop_failures(hop, drives[:, j], gen, acc[:, :n], route_fail)
             if r:
                 mesh_fail &= route_fail
-        failures += np.count_nonzero(mesh_fail, axis=1)
+        failures += [np.count_nonzero(np.unpackbits(row)) for row in mesh_fail]
     return [OutageEstimate(f / mc.trials, MONTE_CARLO, wilson_halfwidth(f, mc.trials))
             for f in failures.tolist()]
 
@@ -202,10 +209,9 @@ def simulate_sweep(meshes, mc: McConfig) -> list:
 
     Meshes that differ only in drive power (an `snr_db` sweep) share one set
     of draws: each hop-round gain is drawn once and scored at every drive.
-    Other meshes fall back to a pass of their own.  A pass holds an
-    8 * points * min(trials, BLOCK_TRIALS)-byte accumulator, one draw, one
-    scratch row and the failure masks (module docstring); points beyond
-    PASS_FLOATS go into further passes over the same substreams.
+    Other meshes fall back to a pass of their own.  A pass holds what the
+    module docstring lists, its accumulator 8 * points * min(trials,
+    BLOCK_TRIALS) bytes; points beyond PASS_FLOATS go into further passes.
     """
     groups = {}
     for i, mesh in enumerate(meshes):
@@ -277,7 +283,10 @@ class _PartialStart:
             # softplus^-1(y) = ln(e^y - 1), written so that no e^y overflows
             out += y + np.log(-np.expm1(-y))
         # fmin passes over the NaN: a trial with no X_r > 0 gets total + inf
-        return np.fmin(out, total - self.max, out=out)
+        for lo in range(0, out.size, TILE_TRIALS):  # no total - max of all trials
+            tile = out[lo:lo + TILE_TRIALS]
+            np.fmin(tile, total - self.max[lo:lo + TILE_TRIALS], out=tile)
+        return out
 
 
 def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
@@ -388,9 +397,9 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
         bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for k, row in enumerate(lnx, 1):
-            # the row about to take ln X is the draw's scratch
-            x = sample_gain(hop.law, gen, n, row)
-            np.log(x, out=row)
+            # a product's first factor is drawn into the row that takes ln X
+            for lo, x in sample_tiles(hop.law, gen, n, row):
+                np.log(x, out=row[lo:lo + x.size])
             del x
             start.add(row)
             if bar is not None and k < hop.rounds:

@@ -344,15 +344,19 @@ def _gamma_log_weights(k, dy):
     the node cap cuts the left tail, the first node also takes the cut
     nodes' mass: P(ln X < y) = P(k, k e^y) below its cell, y = y_0 - dy/2,
     times (x/2) / sinh(x/2), x = k dy, the ratio of the trapezoid sum of an
-    e^{ky} tail to its integral.  A cap that would cut off the mode (of one
-    factor past about 6.5e7, or of a wide factor at the spacing of a far
-    narrower one) raises `ConvergenceError` naming the shape."""
+    e^{ky} tail to its integral.  A cap that would cut off the mode (of a
+    wide factor at the spacing of a far narrower one) raises
+    `ConvergenceError` naming the shape.  Past a shape of about 1e13 the
+    round-off of y - expm1(y) moves the mass, which `gamma_log_table` checks."""
     # ln(k^k e^-k / Gamma(k)), without the cancellation of k ln k - k - lgamma(k)
     c = 0.5 * math.log(k) - _HALF_LOG_2PI - _stirlerr(k)
-    # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth
-    depth = -math.log(_TABLE_FLOOR / dy) + abs(c)
-    j_hi = math.ceil((math.log1p(2.0 * depth / k) + 1.0) / dy)
-    j_lo = max(math.floor(-(depth / k + 1.0) / dy), j_hi - _TABLE_MAX_NODES + 1)
+    # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth:
+    # e^y - 1 - y >= y^2 / 2 above 0, >= y^2 / (2e) on [-1, 0], >= -1 - y
+    # below, so an edge lies within 1 + depth / k or sqrt(2e depth / k) of 0
+    d = (-math.log(_TABLE_FLOOR / dy) + abs(c)) / k  # depth / k
+    j_hi = math.ceil(min(math.log1p(2.0 * d) + 1.0, math.sqrt(2.0 * d)) / dy)
+    lo = math.sqrt(2.0 * math.e * d) if 2.0 * math.e * d <= 1.0 else d + 1.0
+    j_lo = max(math.floor(-lo / dy), j_hi - _TABLE_MAX_NODES + 1)
     if j_lo > 0:  # checked before numpy sees indices, which may pass int64
         raise ConvergenceError(
             f"log-gain table of Gamma factor {k:g}: the {_TABLE_MAX_NODES}-node cap "

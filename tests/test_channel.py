@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, ncx2
 
 from linkplan.channel import (
+    TILE_TRIALS,
     FsoExponential,
     FsoGammaGamma,
     GaussianApprox,
@@ -21,6 +22,7 @@ from linkplan.channel import (
     rician_gain_pdf,
     sample_gain,
     sample_snr,
+    sample_tiles,
 )
 from oracles import fso_pdf
 
@@ -284,17 +286,52 @@ def test_gg_sample_is_the_product_of_its_factor_draws():
                                    FsoExponential(lam=2.7), FsoGammaGamma(a=4.3939, b=0.6)],
                          ids=["rician_k2", "rician_k0", "exponential", "gg_b0.6"])
 def test_sample_gain_into_scratch_draws_the_same_bits(model):
-    # a law may draw a further Gamma factor into the caller's scratch rather
-    # than a temporary: the gains, and the generator's state after them, are
-    # those of a draw without it, and X is never the scratch itself
+    # a law may draw a Gamma factor into the caller's free cells rather than
+    # a new array: the gains, and the generator's state after them, are
+    # those of a draw without them
     n = 10_001
     plain, scratched = _stream(23), _stream(23)
-    x = sample_gain(model, plain, n)
+    x = np.concatenate([tile for _, tile in sample_tiles(model, plain, n)])
     scratch = np.full(n, np.nan)
-    got = sample_gain(model, scratched, n, scratch)
+    got = np.concatenate([tile for _, tile in sample_tiles(model, scratched, n, scratch)])
     assert np.array_equal(got, x)
-    assert not np.shares_memory(got, scratch)
     assert np.array_equal(scratched.random(8), plain.random(8))
+
+
+TILE_LAWS = [RicianFading(2.0, 1.0, 40), RicianFading(0.0, 1.0, 40), FsoExponential(lam=1.0),
+             GG, FsoGammaGamma(a=4.3939, b=0.6)]
+TILE_LAW_IDS = ["readme_ncx2", "chi2_k0", "exponential", "gg", "gg_b0.6"]
+TILE_SIZES = [1_000, TILE_TRIALS - 1, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
+
+
+def _whole_draw(model, gen, n):
+    """X as one numpy call per factor over all n trials, as perfbench's
+    reference simulator draws it."""
+    if isinstance(model, RicianFading):
+        return gen.noncentral_chisquare(2.0 * model.N, 2.0 * model.K * model.N, size=n)
+    x = 1.0
+    for k, s in model.factors:
+        x = x * gen.gamma(k, s, size=n)
+    return x
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+@pytest.mark.parametrize("model", TILE_LAWS, ids=TILE_LAW_IDS)
+def test_tiles_draw_the_bits_of_one_whole_draw(model, n):
+    # numpy calls of sizes m1, m2, ... return the values of one call of size
+    # m1 + m2 + ...: tiles in trial order, into the caller's cells or not,
+    # are the bits of one whole draw, and leave the stream where it does
+    whole_gen = _stream(29)
+    whole = _whole_draw(model, whole_gen, n)
+    after = whole_gen.random(8)
+    for out in (None, np.full(n, np.nan)):
+        gen = _stream(29)
+        tiles = list(sample_tiles(model, gen, n, out))
+        assert [lo for lo, _ in tiles] == list(range(0, n, TILE_TRIALS))
+        assert [t.size for _, t in tiles] == [min(TILE_TRIALS, n - lo) for lo, _ in tiles]
+        assert np.array_equal(np.concatenate([t for _, t in tiles]), whole)
+        assert np.array_equal(gen.random(8), after)
+    assert np.array_equal(sample_gain(model, _stream(29), n), whole)
 
 
 def test_gg_sampler_log_rate_matches_quadrature():

@@ -18,7 +18,13 @@ from linkplan.analysis import (
     RfHopParams,
     rf_outage_piecewise,
 )
-from linkplan.channel import FsoExponential, FsoGammaGamma, RicianFading, sample_gain
+from linkplan.channel import (
+    TILE_TRIALS,
+    FsoExponential,
+    FsoGammaGamma,
+    RicianFading,
+    sample_gain,
+)
 from linkplan.hardware import PaConfig
 from linkplan.network import MeshNetwork, Route
 from linkplan.simulate import (
@@ -351,9 +357,8 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
     n, drives = 2000, [0.3, 1.7, 4.1]
     model, rounds = hop.law, hop.rounds
     acc = np.empty((len(drives), n))
-    fail = np.zeros((len(drives), n), dtype=bool)
-    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc,
-                      np.empty(n), fail)
+    fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
+    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc, fail)
     # some trial fails at some drive, so the hop never stopped drawing and
     # acc holds every round's sum, not a partial one
     assert fail.any()
@@ -383,13 +388,13 @@ def _count_draws(monkeypatch):
     import linkplan.simulate as sim
     from collections import Counter
     draws = Counter()
-    real = sim.sample_gain
+    real = sim.sample_tiles
 
-    def counting(law, gen, n, scratch=None):
+    def counting(law, gen, n, out=None):
         draws[law] += 1
-        return real(law, gen, n, scratch)
+        return real(law, gen, n, out)
 
-    monkeypatch.setattr(sim, "sample_gain", counting)
+    monkeypatch.setattr(sim, "sample_tiles", counting)
     return draws
 
 
@@ -436,7 +441,7 @@ class _Crafted:
         import linkplan.simulate as sim
         self.gains, self.drawn = gains, 0
         self.hop = SimpleNamespace(law=self, rounds=len(gains), R=R, M=1, **fields)
-        monkeypatch.setattr(sim, "sample_gain", lambda law, gen, n, scratch=None: law.draw())
+        monkeypatch.setattr(sim, "sample_tiles", lambda law, gen, n, out=None: [(0, law.draw())])
 
     def draw(self):
         self.drawn += 1
@@ -448,10 +453,9 @@ def _crafted_failures(monkeypatch, gains, R, drives=(1.0,)):
     import linkplan.simulate as sim
     crafted = _Crafted(monkeypatch, gains, R)
     n = len(gains[0])
-    fail = np.zeros((len(drives), n), dtype=bool)
-    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)),
-                      np.empty(n), fail)
-    return crafted.drawn, fail.tolist()
+    fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
+    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail)
+    return crafted.drawn, np.unpackbits(fail, axis=1, count=n).astype(bool).tolist()
 
 
 def test_sweep_stop_on_crafted_gains(monkeypatch):
@@ -536,12 +540,14 @@ def _peak_bytes(run):
 
 @pytest.mark.parametrize("mesh", [README_MESH, TWO_ROUTE_MESH], ids=["one_route", "two_routes"])
 def test_sweep_pass_holds_its_documented_budget(mesh):
-    # per trial: the K-drive accumulator, one draw, one scratch, and K bools
-    # of the mesh's mask, plus a route's mask once the mesh has two routes
+    # per trial: the K-drive accumulator, a Gamma product's first factor and
+    # K bits of the mesh's mask, plus a route's mask once the mesh has two
+    # routes; beside them two tiles, a round's draw or a factor's scratch
+    # and the scoring scratch
     n, drives = 50_000, len(WATERFALL_DB)
     meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
     masks = min(len(mesh.routes), 2)
-    budget = n * (8 * drives + 8 + 8 + drives * masks)
+    budget = n * (8 * drives + 8 + drives * masks / 8) + 2 * 8 * TILE_TRIALS
     peak = _peak_bytes(lambda: simulate_sweep(meshes, McConfig(trials=n, seed=11)))
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
 
@@ -549,14 +555,67 @@ def test_sweep_pass_holds_its_documented_budget(mesh):
 @pytest.mark.parametrize("mesh, rank", [(README_MESH, None), (TWO_ROUTE_MESH, 100)],
                          ids=["readme", "two_routes_cut"])
 def test_critical_pass_holds_its_documented_budget(mesh, rank):
-    # per trial: one hop's draws (rounds floats) and seven more floats,
-    # plus three (rounds x CRITICAL_CHUNK) Newton temporaries
+    # per trial: one hop's draws (rounds floats) and five more floats; beside
+    # them, while drawing, a sixth float and two tiles, or while solving,
+    # three (rounds x CRITICAL_CHUNK) Newton temporaries
     import linkplan.simulate as sim
     n = 50_000
     rounds = max(hop.rounds for route in mesh.routes for hop in route.hops)
-    budget = 8 * n * (rounds + 7) + 3 * 8 * rounds * sim.CRITICAL_CHUNK
+    budget = 8 * n * (rounds + 5) + max(8 * n + 2 * 8 * TILE_TRIALS,
+                                        3 * 8 * rounds * sim.CRITICAL_CHUNK)
     peak = _peak_bytes(lambda: sim._critical_offsets(mesh, McConfig(trials=n, seed=1), rank))
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
+
+
+def _tile_meshes():
+    """One single-hop mesh per gain law, the README ncx2, a K = 0
+    chi-square, the exponential and two Gamma-Gamma laws, and a two-route
+    mesh over all five: each hop's outage falls across offsets -3 to 3 dB."""
+    rf_k0 = replace(README_RF, fading=RicianFading(0.0, 1.0, 40))
+    exp = FsoHopParams(model=FsoExponential(1.0), p_tx=2.5, M=2, C_tilde=5, R=2.0)
+    gg = replace(README_GG, p_tx=2.5)
+    gg_b06 = replace(gg, model=FsoGammaGamma(4.3939, 0.6))
+    hops = {"readme_ncx2": README_RF, "chi2_k0": rf_k0, "exponential": exp, "gg": gg,
+            "gg_b0.6": gg_b06}
+    meshes = {name: MeshNetwork((Route((hop,)),)) for name, hop in hops.items()}
+    meshes["two_routes"] = MeshNetwork((Route((README_RF, gg_b06)), Route((rf_k0, exp, gg))))
+    # the RF hops' waterfall lies about 6.9 dB above their drive
+    return {name: shift_scenario(mesh, 6.9) if "readme" in name or "chi2" in name
+            or name == "two_routes" else mesh for name, mesh in meshes.items()}
+
+
+TILE_SIZES = [1_000, TILE_TRIALS - 1, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
+TILE_MESHES = ["readme_ncx2", "chi2_k0", "exponential", "gg", "gg_b0.6", "two_routes"]
+
+
+@pytest.mark.parametrize("trials", TILE_SIZES)
+@pytest.mark.parametrize("name", TILE_MESHES)
+def test_sweep_tiles_match_all_rounds_reference(name, trials):
+    # rounds drawn and scored a tile at a time, up to and across tile
+    # edges, fail the trials a whole draw of every round fails
+    mesh = _tile_meshes()[name]
+    mc = McConfig(trials=trials, seed=31)
+    meshes = [shift_scenario(mesh, d) for d in (-3.0, -0.1, 0.0, 0.1, 3.0)]
+    failures = _all_rounds_failures(meshes, mc)
+    assert 0 < failures[2] < trials
+    assert [e.value for e in simulate_sweep(meshes, mc)] == [f / trials for f in failures]
+
+
+@pytest.mark.parametrize("trials", TILE_SIZES)
+@pytest.mark.parametrize("name", TILE_MESHES)
+def test_critical_offsets_tiles_count_per_point_failures(name, trials):
+    # failures read off the critical offsets, #{c >= s}, equal the sweep
+    # kernel's at offsets 1e-6 dB either side of trials' crossings, at every
+    # size up to and across a tile edge
+    import linkplan.simulate as sim
+    mesh = _tile_meshes()[name]
+    mc = McConfig(trials=trials, seed=31)
+    c = sim._critical_offsets(mesh, mc)
+    finite = np.sort(c[np.isfinite(c)])
+    offsets = [s for q in (0.1, 0.5, 0.9) for crossing in [finite[int(q * (finite.size - 1))]]
+               for s in (crossing - 1e-6, crossing + 1e-6)]
+    ests = simulate_sweep([shift_scenario(mesh, s) for s in offsets], mc)
+    assert [e.value for e in ests] == [np.count_nonzero(c >= s) / trials for s in offsets]
 
 
 # ----------------------------------------------------------------------------
