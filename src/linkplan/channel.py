@@ -13,15 +13,18 @@ sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
 `tiles` (one for both FSO laws) draws its unscaled gains X, G = scale * X
 with the law's `scale`, TILE_TRIALS at a time; `sample_tiles`, the only
 draw the Monte Carlo engine makes, calls it, `sample_gain` lays the tiles
-end to end and `sample_snr` scales them to one drive.  A Gaussian surrogate
-for the sum gain, moment-matched in closed form, feeds the analytical
-outage evaluators; `_half_moment` gives the same moments through Laguerre
-functions of the single-antenna gain.
+end to end and `sample_snr` scales them to one drive.  `_score_tiles`
+scores the sweep kernel's tiles on a worker thread while the next is drawn.
+A Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
+the analytical outage evaluators; `_half_moment` gives the same moments
+through Laguerre functions of the single-antenna gain.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -171,6 +174,94 @@ def sample_tiles(model, gen: np.random.Generator, size, out=None):
     if tiles is None:
         raise TypeError(f"unsupported gain model {type(model).__name__}")
     return tiles(gen, size, out)
+
+
+# the thread that scores tiles while its caller draws the next: (pid that
+# started it, busy lock, task lock, done lock, [task, what it raised]), or None
+_scorer = None
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or the machine's where the OS
+    cannot say (`os.sched_getaffinity` is Linux-only)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _score_forever(todo, done, slot) -> None:
+    """The scoring thread: once `todo` is released, score the (score,
+    (lo, tile), errstate) task in slot[0] under the caller's errstate, put
+    what it raised, or None, in slot[1] and release `done`."""
+    while True:
+        todo.acquire()
+        score, (lo, x), err = slot[0]
+        slot[0] = None
+        try:
+            with np.errstate(**err):
+                score(lo, x)
+            slot[1] = None
+        except BaseException as e:  # raised again in the caller
+            slot[1] = e
+        del score, x  # no tile outlives its completion
+        done.release()
+
+
+def _claim_scorer():
+    """(busy lock, task lock, done lock, slot) of the scoring thread, held
+    until the busy lock is released, or None while another caller holds it.
+    The thread starts on first use, and again in a forked child, which has
+    no thread behind its parent's locks.  Raw locks hand the tiles over: a
+    `queue` import would cost more memory than the thread."""
+    global _scorer
+    if _scorer is None or _scorer[0] != os.getpid():
+        import threading
+        todo, done, slot = threading.Lock(), threading.Lock(), [None, None]
+        todo.acquire()
+        done.acquire()
+        threading.Thread(target=_score_forever, args=(todo, done, slot), daemon=True,
+                         name="linkplan-scorer").start()
+        _scorer = os.getpid(), threading.Lock(), todo, done, slot
+    _, busy, todo, done, slot = _scorer
+    return (busy, todo, done, slot) if busy.acquire(blocking=False) else None
+
+
+def _score_tiles(tiles, size, score) -> None:
+    """score(lo, tile) on each (first trial, tile) pair of `tiles`, a draw of
+    `size` trials from `sample_tiles`, one tile at a time in trial order.
+
+    When the draw spans more than one tile and the process may run on two
+    CPUs, one long-lived worker thread scores tile k, under the caller's
+    `np.errstate`, while this thread draws tile k + 1: numpy releases the
+    GIL in its draws and ufunc loops.  What the scoring raises is raised
+    here.  Each tile is drawn after the one before it and scored before the
+    call returns, so the draws and the scores are the serial loop's, bit
+    for bit.  Otherwise, or while another thread holds the worker, the
+    tiles are scored here.  No tile is held once the call returns.
+    """
+    claimed = _claim_scorer() if size > TILE_TRIALS and _cpus() > 1 else None
+    if claimed is None:
+        for lo, x in tiles:
+            score(lo, x)
+        return
+    busy, todo, done, slot = claimed
+    err, pending = np.geterr(), False
+    try:
+        for tile in chain(tiles, [None]):  # None: collect the last tile
+            if pending:
+                done.acquire()
+                pending = False
+                error, slot[1] = slot[1], None
+                if error is not None:
+                    raise error
+            if tile is not None:
+                slot[0] = score, tile, err
+                todo.release()
+                pending = True
+    finally:
+        if pending:  # a draw raised with a tile in flight: collect it
+            done.acquire()
+            slot[1] = None
+        busy.release()
 
 
 def sample_gain(model, gen: np.random.Generator, size):

@@ -12,7 +12,11 @@ only through the fields both kinds share (`law`, `rounds`, `drive_power`,
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
-bit-identical to simulating it alone.  Over n = min(trials, BLOCK_TRIALS)
+bit-identical to simulating it alone.  The caller draws a round's tiles in
+turn.  A worker thread scores each at every drive while the next is drawn
+(`channel._score_tiles`), unless the round is one tile or the process has
+one CPU: then the caller scores it.  No draw, order or sum changes, so no
+result depends on the threading.  Over n = min(trials, BLOCK_TRIALS)
 trials and K points a pass holds a float64 accumulator of 8 * K * n bytes
 (at most 8 * PASS_FLOATS), a Gamma product's first factor of 8 * n bytes,
 K * n / 8 bytes of mesh failure mask (twice that with two routes) and a few
@@ -24,18 +28,16 @@ the mesh fails, so the MC outage at any offset s is #{c >= s} / trials and
 the solve returns the exact crossing.  Each hop and trial starts from a
 cheap upper bound on its own offset; Newton refines it only where that
 bound could raise the max over the route's earlier hops, so a hop that
-never limits its route costs its draws and the bound.  One function
-solves a hop from its first draw to its offsets, and no state passes from
-one block of trials to the next.  The solve reads only the r largest
-offsets, r from the crossing's rank and its CI's, so in each block the
-first hop of the mesh's last route takes as its floor a cut read off that
-block alone, at most the block's r-th largest offset and so the whole
-sample's: a trial whose bound stays at or below the cut gets a value at
-or below it, and every value above it is exact.  That pass holds one
-hop's draws, rounds floats a trial, six more float arrays of the trials
-(the mesh's and the route's offsets, the hop's running sum, max, stop bar
-and start), which also cover the cut's key and index, and a few tiles
-while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
+never limits its route costs its draws and the bound.  The solve reads
+only the r largest offsets, r from the crossing's rank and its CI's, so in
+each block the first hop of the mesh's last route takes as its floor a cut
+read off that block alone, at most the block's r-th largest offset and so
+the whole sample's: a trial whose bound stays at or below the cut gets a
+value at or below it, and every value above it is exact.  That pass holds
+one hop's draws, rounds floats a trial, six more float arrays of the
+trials (the mesh's and the route's offsets, the hop's running sum, max,
+stop bar and start), which also cover the cut's key and index, and a few
+tiles while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -53,7 +55,7 @@ from itertools import accumulate
 import numpy as np
 
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
-from .channel import TILE_TRIALS, sample_tiles
+from .channel import TILE_TRIALS, _score_tiles, sample_tiles
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
 
@@ -146,30 +148,30 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     packed 8 trials to a byte in `np.packbits` order.
 
     Each round's unscaled gain X is drawn once, a tile at a time, and each
-    tile is scored at every drive before the next is drawn:
-    acc[i] += log1p((drives[i] * scale) * X), the arithmetic of a one-drive
-    run, so every row is bit-identical to simulating its drive alone.  In
-    the last round a tile's failures are ORed in once it is scored.
+    tile is scored at every drive (`_score_tiles`), the last round's with
+    its failures: acc[i] += log1p((drives[i] * scale) * X), the arithmetic
+    of a one-drive run, so every row is bit-identical to its drive alone.
 
     The hop stops drawing once every trial has decoded at every drive, each
     row's min / rounds > R / M, and ORs in nothing: a later round adds a
     log1p term >= 0, which never lowers a float sum, and the division is
-    monotone, so no trial could fail after all.  Nothing else draws from
-    the hop's substream, so the draws it skips change no other result.
+    monotone, so no trial could fail after all.
     """
     acc.fill(0.0)
     rounds, threshold, scale = hop.rounds, hop.R / hop.M, hop.law.scale
     n = acc.shape[1]
     tmp = np.empty(min(TILE_TRIALS, n))  # a tile's SNRs, then log-rates
+
+    def score(lo, x):
+        t = tmp[:x.size]
+        for row, p, fail in zip(acc[:, lo:lo + x.size], drives, out[:, lo // 8:]):
+            row += np.log1p(np.multiply(x, p * scale, out=t), out=t)
+            if r == rounds:
+                np.divide(row, rounds, out=t)
+                fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
+
     for r in range(1, rounds + 1):
-        for lo, x in sample_tiles(hop.law, gen, n):
-            t = tmp[:x.size]
-            for row, p, fail in zip(acc[:, lo:lo + x.size], drives, out[:, lo // 8:]):
-                row += np.log1p(np.multiply(x, p * scale, out=t), out=t)
-                if r == rounds:
-                    np.divide(row, rounds, out=t)
-                    fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
-        del x  # a product's tile keeps its first factor: free it before the next round
+        _score_tiles(sample_tiles(hop.law, gen, n), n, score)
         if all(row.min() / rounds > threshold for row in acc):
             return
 
@@ -210,8 +212,7 @@ def simulate_sweep(meshes, mc: McConfig) -> list:
     Meshes that differ only in drive power (an `snr_db` sweep) share one set
     of draws: each hop-round gain is drawn once and scored at every drive.
     Other meshes fall back to a pass of their own.  A pass holds what the
-    module docstring lists, its accumulator 8 * points * min(trials,
-    BLOCK_TRIALS) bytes; points beyond PASS_FLOATS go into further passes.
+    module docstring lists; points beyond PASS_FLOATS go into further passes.
     """
     groups = {}
     for i, mesh in enumerate(meshes):
@@ -372,8 +373,7 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     _CROSSING_MARGIN_DB below its floor.  Later rounds add terms >= 0, so
     the partial sum's root lies at or right of the full sum's; the margin
     dwarfs the float error of Newton's root, so with every round drawn each
-    trial's offset would still map at or below its floor.  Nothing else
-    draws from the hop's substream, so the skipped draws change no result.
+    trial's offset would still map at or below its floor.
 
     With cut = (prior, rank), the hop is the first of a mesh's last route
     and raises its floor to a cut t: prior is the min of the block's

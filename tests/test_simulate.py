@@ -3,7 +3,12 @@ joint route/mesh semantics, and the power-search on top of it."""
 
 import hashlib
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
@@ -616,6 +621,220 @@ def test_critical_offsets_tiles_count_per_point_failures(name, trials):
                for s in (crossing - 1e-6, crossing + 1e-6)]
     ests = simulate_sweep([shift_scenario(mesh, s) for s in offsets], mc)
     assert [e.value for e in ests] == [np.count_nonzero(c >= s) / trials for s in offsets]
+
+
+# ----------------------------------------------------------------------------
+# the scoring thread: draws of tile k + 1 overlap the scoring of tile k
+# ----------------------------------------------------------------------------
+
+OVERLAP_SIZES = [1_000, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
+OVERLAP_MESHES = {"waterfall": README_MESH, "two_routes": TWO_ROUTE_MESH}
+
+
+@pytest.fixture
+def claims(monkeypatch):
+    """`_score_tiles`' claims of the scoring thread during the test, True
+    where it took the thread."""
+    import linkplan.channel as channel
+    claims = []
+    real = channel._claim_scorer
+
+    def claim():
+        claimed = real()
+        claims.append(claimed is not None)
+        return claimed
+
+    monkeypatch.setattr(channel, "_claim_scorer", claim)
+    return claims
+
+
+def _set_cpus(monkeypatch, count):
+    """Let `_score_tiles` see `count` CPUs, whatever this host's affinity."""
+    import linkplan.channel as channel
+    monkeypatch.setattr(channel, "_cpus", lambda: count)
+
+
+def _scorer_idle():
+    """Whether the scoring thread waits for a task with nothing held, no
+    task pending and no completion left over."""
+    import linkplan.channel as channel
+    _, busy, todo, done, slot = channel._scorer
+    return not busy.locked() and todo.locked() and done.locked() and slot == [None, None]
+
+
+def _waterfall_estimates(mesh, trials, seed=11):
+    meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
+    return [(e.value, e.ci_halfwidth)
+            for e in simulate_sweep(meshes, McConfig(trials=trials, seed=seed))]
+
+
+def _serial_estimates(monkeypatch, mesh, trials):
+    with monkeypatch.context() as m:
+        _set_cpus(m, 1)
+        return _waterfall_estimates(mesh, trials)
+
+
+@pytest.mark.parametrize("trials", OVERLAP_SIZES)
+@pytest.mark.parametrize("name", list(OVERLAP_MESHES))
+def test_threaded_sweep_matches_serial(monkeypatch, claims, name, trials):
+    mesh = OVERLAP_MESHES[name]
+    serial = _serial_estimates(monkeypatch, mesh, trials)
+    assert claims == []
+    _set_cpus(monkeypatch, 2)
+    assert _waterfall_estimates(mesh, trials) == serial
+    # a round of one tile has nothing to overlap
+    assert (claims and all(claims)) if trials > TILE_TRIALS else claims == []
+
+
+@pytest.mark.parametrize("mesh", list(OVERLAP_MESHES.values()), ids=list(OVERLAP_MESHES))
+def test_threaded_sweep_holds_what_the_serial_one_holds(monkeypatch, mesh):
+    # the scoring thread drops each tile once scored: a Gamma-Gamma round's
+    # first factor is gone before the next round draws its own
+    meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
+    run = lambda: simulate_sweep(meshes, McConfig(trials=50_000, seed=11))  # noqa: E731
+    with monkeypatch.context() as m:
+        _set_cpus(m, 1)
+        serial = _peak_bytes(run)
+    _set_cpus(monkeypatch, 2)
+    assert _peak_bytes(run) <= serial + 8 * 1024
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["first", "middle", "last"])
+def test_scoring_error_reaches_the_caller(monkeypatch, failing):
+    import linkplan.channel as channel
+    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    _set_cpus(monkeypatch, 2)
+    tiles = [(lo, np.zeros(TILE_TRIALS)) for lo in range(0, 3 * TILE_TRIALS, TILE_TRIALS)]
+    threads = []
+
+    def score(lo, x):
+        threads.append(threading.current_thread().name)
+        if lo == failing * TILE_TRIALS:
+            raise ZeroDivisionError(f"tile at {lo} failed")
+
+    with pytest.raises(ZeroDivisionError, match=f"^tile at {failing * TILE_TRIALS} failed$"):
+        channel._score_tiles(iter(tiles), 3 * TILE_TRIALS, score)
+    assert threads == ["linkplan-scorer"] * (failing + 1)
+    assert _scorer_idle()
+    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
+
+
+def test_draw_error_leaves_no_stale_completion(monkeypatch, claims):
+    import linkplan.channel as channel
+    import linkplan.simulate as sim
+    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    _set_cpus(monkeypatch, 2)
+
+    def failing(law, gen, n, out=None):
+        yield next(iter(channel.sample_tiles(law, gen, n, out)))
+        raise MemoryError("draw failed with a tile in flight")
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "sample_tiles", failing)
+        with pytest.raises(MemoryError, match="^draw failed with a tile in flight$"):
+            _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
+    assert claims == [True]
+    assert _scorer_idle()
+    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
+
+
+def test_scorer_is_one_thread_across_sweeps(monkeypatch, claims):
+    _set_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    for seed in range(20):
+        _waterfall_estimates(README_MESH, TILE_TRIALS + 1, seed)
+    assert threading.active_count() <= before + 1
+    assert claims and all(claims)
+
+
+def test_scorer_runs_under_the_callers_errstate(monkeypatch):
+    import linkplan.channel as channel
+    _set_cpus(monkeypatch, 2)
+    seen = []
+
+    def score(lo, x):
+        seen.append((threading.current_thread().name, np.geterr()))
+
+    tiles = [(lo, np.zeros(1)) for lo in (0, TILE_TRIALS)]
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+        caller = np.geterr()
+        channel._score_tiles(iter(tiles), 2 * TILE_TRIALS, score)
+    assert caller != np.geterr()
+    assert seen == [("linkplan-scorer", caller)] * 2
+
+
+def test_concurrent_sweeps_keep_their_bits(monkeypatch, claims):
+    # more calling threads than cores, switching every microsecond: one
+    # sweep at a time holds the scoring thread, the others score their own
+    # tiles, and each keeps the serial bits
+    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, TILE_TRIALS + 1)
+    _set_cpus(monkeypatch, 2)
+    results = []
+
+    def sweeps():
+        results.extend(_waterfall_estimates(TWO_ROUTE_MESH, TILE_TRIALS + 1) for _ in range(3))
+
+    callers = [threading.Thread(target=sweeps, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 120
+        for caller in callers:
+            caller.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [reference] * 12
+    assert True in claims
+
+
+def _sweep_in_child(conn, mesh, trials):
+    import linkplan.channel as channel
+    estimates = _waterfall_estimates(mesh, trials)
+    conn.send((estimates, channel._scorer[0] == os.getpid()))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_starts_its_own_scorer(monkeypatch):
+    import linkplan.channel as channel
+    trials = 2 * TILE_TRIALS + 3
+    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
+    _set_cpus(monkeypatch, 2)
+    assert _waterfall_estimates(TWO_ROUTE_MESH, trials) == reference
+    assert channel._scorer[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_sweep_in_child, args=(send, TWO_ROUTE_MESH, trials))
+    child.start()
+    try:
+        # a child that waited on its parent's thread would never answer
+        assert receive.poll(60), "the forked child gave no estimates"
+        assert receive.recv() == (reference, True)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_cpu_count_fallback_without_posix_calls(monkeypatch, claims):
+    import linkplan.channel as channel
+    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    if hasattr(os, "sched_getaffinity"):
+        assert channel._cpus() == len(os.sched_getaffinity(0))
+    # off Linux and POSIX neither call exists: the CPU count falls back to
+    # os.cpu_count(), and a forked child is told apart by its pid alone
+    for name in ("sched_getaffinity", "register_at_fork"):
+        monkeypatch.delattr(os, name, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert channel._cpus() == 2
+    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
+    assert claims and all(claims)
 
 
 # ----------------------------------------------------------------------------
