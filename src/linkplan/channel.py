@@ -227,17 +227,19 @@ def _claim_scorer():
 
 def _score_tiles(tiles, size, score) -> None:
     """score(lo, tile) on each (first trial, tile) pair of `tiles`, a draw of
-    `size` trials from `sample_tiles`, one tile at a time in trial order.
+    `size` trials from `sample_tiles`, in trial order.
 
     When the draw spans more than one tile and the process may run on two
-    CPUs, one long-lived worker thread scores tile k, under the caller's
-    `np.errstate`, while this thread draws tile k + 1: numpy releases the
-    GIL in its draws and ufunc loops.  What the scoring raises is raised
-    here.  Each tile is drawn after the one before it and scored before the
-    call returns, so the draws and the scores are the serial loop's, bit
-    for bit.  Otherwise, or while another thread holds the worker, the
-    tiles are scored here.  No tile is held once the call returns.
+    CPUs, a worker thread scores tile k under the caller's `np.errstate`
+    while this thread draws tile k + 1 (numpy releases the GIL in both).
+    Tile k is scored before k + 1 is handed over and the last before the
+    call returns, so the draws and sums are the serial loop's, bit for bit.
+    A scoring error is raised here; any other exception, a draw's or an
+    interrupt mid hand-off, abandons the worker to its tile, so no stale
+    completion reaches a later call.  Otherwise, or while another thread
+    holds the worker, the tiles are scored here.
     """
+    global _scorer
     claimed = _claim_scorer() if size > TILE_TRIALS and _cpus() > 1 else None
     if claimed is None:
         for lo, x in tiles:
@@ -249,19 +251,19 @@ def _score_tiles(tiles, size, score) -> None:
         for tile in chain(tiles, [None]):  # None: collect the last tile
             if pending:
                 done.acquire()
-                pending = False
-                error, slot[1] = slot[1], None
-                if error is not None:
-                    raise error
+                if slot[1] is not None:
+                    break
             if tile is not None:
                 slot[0] = score, tile, err
-                todo.release()
                 pending = True
-    finally:
-        if pending:  # a draw raised with a tile in flight: collect it
-            done.acquire()
-            slot[1] = None
-        busy.release()
+                todo.release()
+    except BaseException:
+        _scorer = None
+        raise
+    error, slot[1] = slot[1], None
+    busy.release()
+    if error is not None:
+        raise error
 
 
 def sample_gain(model, gen: np.random.Generator, size):

@@ -733,9 +733,66 @@ def test_draw_error_leaves_no_stale_completion(monkeypatch, claims):
         m.setattr(sim, "sample_tiles", failing)
         with pytest.raises(MemoryError, match="^draw failed with a tile in flight$"):
             _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
+    # the worker is left to finish the tile in flight alone, so its
+    # completion cannot reach the next sweep, which starts a fresh one
     assert claims == [True]
-    assert _scorer_idle()
+    assert channel._scorer is None
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
+    assert _scorer_idle()
+
+
+class _Interrupting:
+    """A lock that raises KeyboardInterrupt once its `call` has succeeded."""
+
+    def __init__(self, lock, call):
+        self.lock, self.call = lock, call
+
+    def acquire(self, *args):
+        self.lock.acquire(*args)
+        if self.call == "acquire":
+            raise KeyboardInterrupt
+
+    def release(self):
+        self.lock.release()
+        if self.call == "release":
+            raise KeyboardInterrupt
+
+
+def _in_thread(run, seconds=60):
+    """run()'s result, or what it raised, on a thread that must end in time."""
+    out = []
+
+    def target():
+        try:
+            out.append(run())
+        except BaseException as e:
+            out.append(e)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the sweep hung"
+    return out[0]
+
+
+@pytest.mark.parametrize("lock, call", [("todo", "release"), ("done", "acquire")])
+def test_interrupt_mid_hand_off_abandons_the_scorer(monkeypatch, lock, call):
+    # an interrupt right after a tile is handed over, or right after one is
+    # collected: the sweep neither hangs nor leaves a stale completion
+    import linkplan.channel as channel
+    trials = 2 * TILE_TRIALS + 3
+    reference = _serial_estimates(monkeypatch, README_MESH, trials)
+    _set_cpus(monkeypatch, 2)
+    assert _waterfall_estimates(README_MESH, trials) == reference
+    pid, busy, todo, done, slot = channel._scorer
+    locks = {"todo": todo, "done": done}
+    locks[lock] = _Interrupting(locks[lock], call)
+    channel._scorer = pid, busy, locks["todo"], locks["done"], slot
+    sweep = lambda: _waterfall_estimates(README_MESH, trials)  # noqa: E731
+    assert isinstance(_in_thread(sweep), KeyboardInterrupt)
+    assert channel._scorer is None
+    assert _in_thread(sweep) == reference
+    assert _scorer_idle()
 
 
 def test_scorer_is_one_thread_across_sweeps(monkeypatch, claims):
@@ -790,15 +847,38 @@ def test_concurrent_sweeps_keep_their_bits(monkeypatch, claims):
     assert True in claims
 
 
-def _sweep_in_child(conn, mesh, trials):
+def _sweep_in_child(conn, mesh, trials, cpus):
     import linkplan.channel as channel
+    if cpus:
+        os.sched_setaffinity(0, cpus)
     estimates = _waterfall_estimates(mesh, trials)
-    conn.send((estimates, channel._scorer[0] == os.getpid()))
+    conn.send((estimates, channel._scorer is not None and channel._scorer[0] == os.getpid()))
     conn.close()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method on this platform")
+def _forked_sweep(mesh, trials, cpus=None):
+    """A forked child's waterfall estimates, pinned to `cpus` if given, and
+    whether the child started a scoring thread of its own."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus))
+    child.start()
+    try:
+        # a child that waited on its parent's thread would never answer
+        assert receive.poll(60), "the forked child gave no estimates"
+        return receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                             reason="no fork start method on this platform")
+
+
+@needs_fork
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
 def test_forked_child_starts_its_own_scorer(monkeypatch):
     import linkplan.channel as channel
@@ -807,30 +887,28 @@ def test_forked_child_starts_its_own_scorer(monkeypatch):
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(TWO_ROUTE_MESH, trials) == reference
     assert channel._scorer[0] == os.getpid()
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_sweep_in_child, args=(send, TWO_ROUTE_MESH, trials))
-    child.start()
-    try:
-        # a child that waited on its parent's thread would never answer
-        assert receive.poll(60), "the forked child gave no estimates"
-        assert receive.recv() == (reference, True)
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
+    assert _forked_sweep(TWO_ROUTE_MESH, trials) == (reference, True)
 
 
-def test_cpu_count_fallback_without_posix_calls(monkeypatch, claims):
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_one_cpu_affinity_scores_on_the_caller(monkeypatch):
+    # the real affinity check, unpatched: a child pinned to one CPU scores
+    # its own tiles and starts no thread
+    trials = 2 * TILE_TRIALS + 3
+    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
+    one_cpu = {min(os.sched_getaffinity(0))}
+    assert _forked_sweep(TWO_ROUTE_MESH, trials, one_cpu) == (reference, False)
+
+
+def test_cpu_count_fallback_without_affinity_call(monkeypatch, claims):
     import linkplan.channel as channel
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
     if hasattr(os, "sched_getaffinity"):
         assert channel._cpus() == len(os.sched_getaffinity(0))
-    # off Linux and POSIX neither call exists: the CPU count falls back to
-    # os.cpu_count(), and a forked child is told apart by its pid alone
-    for name in ("sched_getaffinity", "register_at_fork"):
-        monkeypatch.delattr(os, name, raising=False)
+    # off Linux there is no affinity call: the count falls back to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert channel._cpus() == 2
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
