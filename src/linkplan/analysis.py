@@ -86,6 +86,19 @@ def _check_harq(hop, uses: str):
         raise ValueError(f"drive power must be finite and > 0, got {hop.drive_power}")
 
 
+def _shift_power(name: str, power: float, delta_db: float) -> float:
+    """power * 10^(delta_db / 10); a ValueError names the `name` power and
+    the shift where the product overflows or underflows to 0."""
+    try:
+        out = power * 10.0 ** (delta_db / 10.0)
+    except OverflowError:  # 10^(delta_db / 10) itself
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ValueError(f"{name} {power:g} shifted by {delta_db:g} dB "
+                         f"{'underflows to 0' if out == 0.0 else 'overflows a float'}")
+    return out
+
+
 @dataclass(frozen=True)
 class RfHopParams:
     fading: RicianFading
@@ -110,7 +123,7 @@ class RfHopParams:
 
     def shifted(self, delta_db: float) -> "RfHopParams":
         """This hop with its consumed power moved by delta_db."""
-        p_cons = self.pa.p_cons * 10.0 ** (delta_db / 10.0)
+        p_cons = _shift_power("p_cons", self.pa.p_cons, delta_db)
         return replace(self, pa=self.pa.with_drive(p_cons))
 
 
@@ -134,7 +147,7 @@ class FsoHopParams:
 
     def shifted(self, delta_db: float) -> "FsoHopParams":
         """This hop with its transmit power moved by delta_db."""
-        return replace(self, p_tx=self.p_tx * 10.0 ** (delta_db / 10.0))
+        return replace(self, p_tx=_shift_power("p_tx", self.p_tx, delta_db))
 
 
 @dataclass(frozen=True)

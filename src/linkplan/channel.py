@@ -13,8 +13,9 @@ sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
 `tiles` (one for both FSO laws) draws its unscaled gains X, G = scale * X
 with the law's `scale`, TILE_TRIALS at a time; `sample_tiles`, the only
 draw the Monte Carlo engine makes, calls it, `sample_gain` lays the tiles
-end to end and `sample_snr` scales them to one drive.  `_score_tiles`
-scores the sweep kernel's tiles on a worker thread while the next is drawn.
+end to end and `sample_snr` scales them to one drive.  `_tile_scorer`
+gives the sweep kernel, for one hop's rounds, a worker thread that scores
+each tile while the next is drawn.
 A Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
 the analytical outage evaluators; `_half_moment` gives the same moments
 through Laguerre functions of the single-antenna gain.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -176,11 +178,6 @@ def sample_tiles(model, gen: np.random.Generator, size, out=None):
     return tiles(gen, size, out)
 
 
-# the thread that scores tiles while its caller draws the next: (pid that
-# started it, busy lock, task lock, done lock, [task, what it raised]), or None
-_scorer = None
-
-
 def _cpus() -> int:
     """The CPUs this process may run on, or the machine's where the OS
     cannot say (`os.sched_getaffinity` is Linux-only)."""
@@ -189,11 +186,14 @@ def _cpus() -> int:
 
 
 def _score_forever(todo, done, slot) -> None:
-    """The scoring thread: once `todo` is released, score the (score,
+    """The scoring thread: each time `todo` is released, score the (score,
     (lo, tile), errstate) task in slot[0] under the caller's errstate, put
-    what it raised, or None, in slot[1] and release `done`."""
+    what it raised, or None, in slot[1] and release `done`; end on a
+    release with no task."""
     while True:
         todo.acquire()
+        if slot[0] is None:
+            return
         score, (lo, x), err = slot[0]
         slot[0] = None
         try:
@@ -206,64 +206,61 @@ def _score_forever(todo, done, slot) -> None:
         done.release()
 
 
-def _claim_scorer():
-    """(busy lock, task lock, done lock, slot) of the scoring thread, held
-    until the busy lock is released, or None while another caller holds it.
-    The thread starts on first use, and again in a forked child, which has
-    no thread behind its parent's locks.  Raw locks hand the tiles over: a
-    `queue` import would cost more memory than the thread."""
-    global _scorer
-    if _scorer is None or _scorer[0] != os.getpid():
-        import threading
-        todo, done, slot = threading.Lock(), threading.Lock(), [None, None]
-        todo.acquire()
-        done.acquire()
-        threading.Thread(target=_score_forever, args=(todo, done, slot), daemon=True,
-                         name="linkplan-scorer").start()
-        _scorer = os.getpid(), threading.Lock(), todo, done, slot
-    _, busy, todo, done, slot = _scorer
-    return (busy, todo, done, slot) if busy.acquire(blocking=False) else None
+@contextmanager
+def _tile_scorer(size):
+    """score_tiles(tiles, score) for the block's draws of `size` trials from
+    `sample_tiles`: score(lo, tile) on each (first trial, tile) pair of
+    `tiles`, in trial order.
 
-
-def _score_tiles(tiles, size, score) -> None:
-    """score(lo, tile) on each (first trial, tile) pair of `tiles`, a draw of
-    `size` trials from `sample_tiles`, in trial order.
-
-    When the draw spans more than one tile and the process may run on two
-    CPUs, a worker thread scores tile k under the caller's `np.errstate`
-    while this thread draws tile k + 1 (numpy releases the GIL in both).
-    Tile k is scored before k + 1 is handed over and the last before the
-    call returns, so the draws and sums are the serial loop's, bit for bit.
-    A scoring error is raised here; any other exception, a draw's or an
-    interrupt mid hand-off, abandons the worker to its tile, so no stale
-    completion reaches a later call.  Otherwise, or while another thread
-    holds the worker, the tiles are scored here.
+    When a draw spans more than one tile and the process may run on two
+    CPUs, the block runs a worker thread, stopped and joined on leaving,
+    that scores tile k under the caller's `np.errstate` while the caller
+    draws tile k + 1 (numpy releases the GIL in both).  Tile k is scored
+    before k + 1 is handed over and the last before score_tiles returns, so
+    the draws and sums are the serial loop's, bit for bit.  A scoring error
+    is raised in the caller.  An exception with a tile in flight leaves the
+    worker to finish it and wait, idle, on locks no later block shares.
+    Otherwise the caller scores the tiles.  Raw locks hand the tiles over:
+    a `queue` import would cost more memory than the thread.
     """
-    global _scorer
-    claimed = _claim_scorer() if size > TILE_TRIALS and _cpus() > 1 else None
-    if claimed is None:
-        for lo, x in tiles:
-            score(lo, x)
+    if size <= TILE_TRIALS or _cpus() < 2:
+        def score_tiles(tiles, score) -> None:
+            for lo, x in tiles:
+                score(lo, x)
+        yield score_tiles
         return
-    busy, todo, done, slot = claimed
-    err, pending = np.geterr(), False
-    try:
+    import threading
+    todo, done, slot = threading.Lock(), threading.Lock(), [None, None]
+    todo.acquire()
+    done.acquire()
+    worker = threading.Thread(target=_score_forever, args=(todo, done, slot), daemon=True,
+                              name="linkplan-scorer")
+    worker.start()
+    pending = False  # a tile may be handed over and not yet collected
+
+    def score_tiles(tiles, score) -> None:
+        nonlocal pending
+        err = np.geterr()
         for tile in chain(tiles, [None]):  # None: collect the last tile
             if pending:
                 done.acquire()
+                pending = False
                 if slot[1] is not None:
                     break
             if tile is not None:
-                slot[0] = score, tile, err
                 pending = True
+                slot[0] = score, tile, err
                 todo.release()
-    except BaseException:
-        _scorer = None
-        raise
-    error, slot[1] = slot[1], None
-    busy.release()
-    if error is not None:
-        raise error
+        error, slot[1] = slot[1], None
+        if error is not None:
+            raise error
+
+    try:
+        yield score_tiles
+    finally:
+        if not pending:  # else the worker is left to its tile
+            todo.release()  # with no task: stop
+            worker.join()
 
 
 def sample_gain(model, gen: np.random.Generator, size):

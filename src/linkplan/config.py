@@ -20,7 +20,7 @@ import yaml
 from .analysis import DEFAULT_TAGS, EVALUATORS, MONTE_CARLO, FsoHopParams, RfHopParams
 from .channel import FsoExponential, FsoGammaGamma, RicianFading
 from .hardware import PaConfig
-from .network import MeshNetwork, Route
+from .network import MeshNetwork, Route, _each
 from .simulate import McConfig
 
 # libyaml's parser (about 8x faster on a scenario file); PyYAML built without
@@ -270,7 +270,8 @@ class ScenarioConfig:
 
         snr_db values are absolute for the anchor hop; every other hop keeps
         its configured dB offset (a single global shift).  A coupled FSO hop
-        follows N * P_cons of its RF hop at the point.
+        follows N * P_cons of its RF hop at the point.  A hop's build error
+        gets `rf:i: ` or `fso:i: `.
         """
         rf_hops, fso_hops = self.rf_hops, self.fso_hops
         if n_override is not None:
@@ -279,10 +280,13 @@ class ScenarioConfig:
             rf_hops = [replace(h, M=m_override) for h in rf_hops]
             fso_hops = [replace(h, M=m_override) for h in fso_hops]
         delta = 0.0 if snr_db is None else snr_db - self.anchor_db()
-        rf = [h.shifted(delta) for h in rf_hops]
-        fso = [h.shifted(delta) if partner is None
-               else replace(h, p_tx=_coupled_p_tx(rf[partner]))
-               for h, partner in zip(fso_hops, self.fso_coupling)]
+        rf = _each("rf:", rf_hops, lambda h: h.shifted(delta))
+
+        def fso_hop(coupled):
+            h, partner = coupled
+            return (h.shifted(delta) if partner is None
+                    else replace(h, p_tx=_coupled_p_tx(rf[partner])))
+        fso = _each("fso:", zip(fso_hops, self.fso_coupling), fso_hop)
         hops = {"rf": rf, "fso": fso}
         mesh = MeshNetwork(tuple(Route(tuple(hops[kind][i] for kind, i in refs))
                                  for refs in self.routes[:n_routes]))

@@ -171,9 +171,11 @@ def mesh_ergodic_rate(mesh: MeshNetwork) -> float:
 
 
 def shift_scenario(scenario, delta_db: float):
-    """Move every hop's drive power by a common dB offset."""
+    """Move every hop's drive power by a common dB offset; an error gets
+    `route i: hop j: ` (`hop j: ` for a route)."""
     if isinstance(scenario, Route):
-        return Route(tuple(h.shifted(delta_db) for h in scenario.hops))
+        return Route(tuple(_each("hop ", scenario.hops, lambda h: h.shifted(delta_db))))
     if isinstance(scenario, MeshNetwork):
-        return MeshNetwork(tuple(shift_scenario(r, delta_db) for r in scenario.routes))
+        return MeshNetwork(tuple(_each("route ", scenario.routes,
+                                       lambda r: shift_scenario(r, delta_db))))
     raise TypeError(f"unsupported scenario type {type(scenario).__name__}")

@@ -13,8 +13,9 @@ only through the fields both kinds share (`law`, `rounds`, `drive_power`,
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
 bit-identical to simulating it alone.  The caller draws a round's tiles in
-turn.  A worker thread scores each at every drive while the next is drawn
-(`channel._score_tiles`), unless the round is one tile or the process has
+turn.  A worker thread started for the hop scores each at every drive
+while the next is drawn, and is joined once the hop's rounds are done
+(`channel._tile_scorer`), unless a round is one tile or the process has
 one CPU: then the caller scores it.  No draw, order or sum changes, so no
 result depends on the threading.  Over n = min(trials, BLOCK_TRIALS)
 trials and K points a pass holds a float64 accumulator of 8 * K * n bytes
@@ -55,7 +56,7 @@ from itertools import accumulate
 import numpy as np
 
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
-from .channel import TILE_TRIALS, _score_tiles, sample_tiles
+from .channel import TILE_TRIALS, _tile_scorer, sample_tiles
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
 
@@ -148,7 +149,7 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     packed 8 trials to a byte in `np.packbits` order.
 
     Each round's unscaled gain X is drawn once, a tile at a time, and each
-    tile is scored at every drive (`_score_tiles`), the last round's with
+    tile is scored at every drive (`_tile_scorer`), the last round's with
     its failures: acc[i] += log1p((drives[i] * scale) * X), the arithmetic
     of a one-drive run, so every row is bit-identical to its drive alone.
 
@@ -170,10 +171,11 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
                 np.divide(row, rounds, out=t)
                 fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
 
-    for r in range(1, rounds + 1):
-        _score_tiles(sample_tiles(hop.law, gen, n), n, score)
-        if all(row.min() / rounds > threshold for row in acc):
-            return
+    with _tile_scorer(n) as score_tiles:
+        for r in range(1, rounds + 1):
+            score_tiles(sample_tiles(hop.law, gen, n), score)
+            if all(row.min() / rounds > threshold for row in acc):
+                return
 
 
 def _simulate(points, mc: McConfig) -> list:

@@ -7,6 +7,7 @@ stdout/stderr behavior are exercised exactly as a shell user would see them.
 import copy
 import math
 import pathlib
+import threading
 
 import pytest
 import yaml
@@ -853,6 +854,58 @@ def test_underflowing_variance_rows_name_the_surrogate(tmp_path, command, rows):
     code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
     assert (code, data_rows(text)) == (
         3, [[cell.format(message) for cell in row] for row in rows])
+
+
+# the README scenario's drive shifted to a grid point: past the float range
+# it printed a bare `(34; 'Numerical result out of range')` or `p_cons must
+# be > 0; got 0.0`, past PA saturation the PA's message, none naming the hop
+SHIFT_ERRORS = {
+    -4000: "rf:0: p_cons 1 shifted by -4000 dB underflows to 0",
+    4000: "rf:0: p_cons 1 shifted by 4000 dB overflows a float",
+    60: "rf:0: drive p_cons=1000000.0 would require output 1.77878e+09 beyond p_max=316.228",
+}
+
+
+@pytest.mark.parametrize("command", ["outage-sweep", "rate-sweep", "min-antennas", "validate"])
+@pytest.mark.parametrize("grid", [[-4000, 7, 4000], [7, 60]], ids=["float_range", "saturation"])
+def test_unbuildable_sweep_point_names_the_hop(tmp_path, command, grid):
+    doc = yaml.safe_load((GOLDEN / "readme.yaml").read_text())
+    doc["sweep"]["grid"] = grid
+    doc["mc"]["trials"] = 2000
+    if command == "min-antennas":  # it sizes against an explicit FSO power
+        doc["fso_hops"][0]["p_tx_db"] = 16.0
+    code, text = run_to_file(tmp_path, command, write_config(tmp_path, doc))
+    assert code == 3
+    lines = [l for l in text.splitlines()[4:] if not l.startswith("summary:")]
+    assert lines
+    for line in lines:
+        g = int(line.removeprefix("point=").split(",")[0].split()[0])
+        if g in SHIFT_ERRORS:
+            assert line.endswith(SHIFT_ERRORS[g]), line
+        else:
+            assert "shifted" not in line and "p_max" not in line, line
+
+
+@pytest.mark.parametrize("command, code", [("outage-sweep", 0), ("validate", 1)])
+def test_mc_sweep_leaves_no_thread_behind(tmp_path, monkeypatch, command, code):
+    # on two CPUs the README scenario at two tiles and a bit scores each hop
+    # on a scoring thread of its own, and the command joins both before it
+    # returns: no thread outlives the sweep
+    from linkplan import channel
+    monkeypatch.setattr(channel, "_cpus", lambda: 2)
+    started, score_forever = [], channel._score_forever
+
+    def counted(*args):
+        started.append(threading.current_thread().name)
+        score_forever(*args)
+
+    monkeypatch.setattr(channel, "_score_forever", counted)
+    before = threading.active_count()
+    trials = str(2 * channel.TILE_TRIALS + 3)
+    assert run_to_file(tmp_path, command, str(GOLDEN / "readme.yaml"),
+                       extra=("--trials", trials))[0] == code
+    assert started == ["linkplan-scorer"] * 2
+    assert threading.active_count() == before
 
 
 def test_default_route_spans_all_hops(tmp_path):

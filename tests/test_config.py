@@ -119,6 +119,20 @@ def test_point_snr_db_anchors_fso_only_scenario_at_first_fso_hop():
     assert [r.hops for r in mesh.routes] == [(fso[0],), (fso[1],)]
 
 
+@pytest.mark.parametrize("snr_db, message", [
+    (4000.0, "fso:0: p_tx 10 shifted by 3990 dB overflows a float"),
+    (-4000.0, "fso:0: p_tx 10 shifted by -4010 dB underflows to 0"),
+])
+def test_point_past_float_range_names_the_fso_hop(snr_db, message):
+    # the FSO-only scenario above, anchored at 10 dB, shifted out of range
+    doc = {"fso_hops": [dict(DOC["fso_hops"][1]), dict(DOC["fso_hops"][0], p_tx_db=13.0)],
+           "routes": [["fso:0"], ["fso:1"]],
+           "sweep": {"variable": "snr_db", "grid": [16.0]}}
+    with pytest.raises(ValueError) as err:
+        parse_config(doc).point(snr_db)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 # ----------------------------------------------------------------------------
 # YAML parsing
 # ----------------------------------------------------------------------------

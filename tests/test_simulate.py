@@ -1,7 +1,9 @@
 """Monte Carlo engine: determinism, closed-form anchors, interval behavior,
 joint route/mesh semantics, and the power-search on top of it."""
 
+import contextlib
 import hashlib
+import linecache
 import math
 import multiprocessing
 import os
@@ -627,39 +629,50 @@ def test_critical_offsets_tiles_count_per_point_failures(name, trials):
 # the scoring thread: draws of tile k + 1 overlap the scoring of tile k
 # ----------------------------------------------------------------------------
 
-OVERLAP_SIZES = [1_000, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
+OVERLAP_SIZES = [1_000, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
 OVERLAP_MESHES = {"waterfall": README_MESH, "two_routes": TWO_ROUTE_MESH}
+SCORER = "linkplan-scorer"
 
 
 @pytest.fixture
-def claims(monkeypatch):
-    """`_score_tiles`' claims of the scoring thread during the test, True
-    where it took the thread."""
-    import linkplan.channel as channel
-    claims = []
-    real = channel._claim_scorer
+def scorers(monkeypatch):
+    """Per `_tile_scorer` block the sweep kernel opens during the test, in
+    order: its caller's thread name and the names of the threads that
+    scored its tiles."""
+    import linkplan.simulate as sim
+    blocks, real = [], sim._tile_scorer
 
-    def claim():
-        claimed = real()
-        claims.append(claimed is not None)
-        return claimed
+    @contextlib.contextmanager
+    def tile_scorer(size):
+        block = SimpleNamespace(caller=threading.current_thread().name, scored=set())
+        blocks.append(block)
 
-    monkeypatch.setattr(channel, "_claim_scorer", claim)
-    return claims
+        def recorded(score):
+            def run(lo, x):
+                block.scored.add(threading.current_thread().name)
+                score(lo, x)
+            return run
+
+        with real(size) as score_tiles:
+            yield lambda tiles, score: score_tiles(tiles, recorded(score))
+
+    monkeypatch.setattr(sim, "_tile_scorer", tile_scorer)
+    return blocks
 
 
 def _set_cpus(monkeypatch, count):
-    """Let `_score_tiles` see `count` CPUs, whatever this host's affinity."""
+    """Let `_tile_scorer` see `count` CPUs, whatever this host's affinity."""
     import linkplan.channel as channel
     monkeypatch.setattr(channel, "_cpus", lambda: count)
 
 
-def _scorer_idle():
-    """Whether the scoring thread waits for a task with nothing held, no
-    task pending and no completion left over."""
-    import linkplan.channel as channel
-    _, busy, todo, done, slot = channel._scorer
-    return not busy.locked() and todo.locked() and done.locked() and slot == [None, None]
+def _scorer_threads():
+    """The scoring threads alive now."""
+    return {t for t in threading.enumerate() if t.name == SCORER}
+
+
+def _hops(mesh):
+    return sum(len(route.hops) for route in mesh.routes)
 
 
 def _waterfall_estimates(mesh, trials, seed=11):
@@ -676,14 +689,37 @@ def _serial_estimates(monkeypatch, mesh, trials):
 
 @pytest.mark.parametrize("trials", OVERLAP_SIZES)
 @pytest.mark.parametrize("name", list(OVERLAP_MESHES))
-def test_threaded_sweep_matches_serial(monkeypatch, claims, name, trials):
+def test_threaded_sweep_matches_serial(monkeypatch, scorers, name, trials):
     mesh = OVERLAP_MESHES[name]
     serial = _serial_estimates(monkeypatch, mesh, trials)
-    assert claims == []
+    caller = threading.current_thread().name
+    assert [b.scored for b in scorers] == [{caller}] * _hops(mesh)
+    scorers.clear()
+    before = _scorer_threads()
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(mesh, trials) == serial
     # a round of one tile has nothing to overlap
-    assert (claims and all(claims)) if trials > TILE_TRIALS else claims == []
+    scored = {SCORER} if trials > TILE_TRIALS else {caller}
+    assert [b.scored for b in scorers] == [scored] * _hops(mesh)
+    assert _scorer_threads() == before
+
+
+@pytest.mark.parametrize("name", list(OVERLAP_MESHES))
+def test_threaded_sweep_across_blocks_matches_serial(monkeypatch, scorers, name):
+    # three blocks of 2 TILE_TRIALS + 8 trials and a short fourth of two
+    # tiles: every hop of every block scores on a thread of its own, and
+    # none outlives the sweep
+    import linkplan.simulate as sim
+    mesh = OVERLAP_MESHES[name]
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 2 * TILE_TRIALS + 8)
+    trials = 3 * sim.BLOCK_TRIALS + TILE_TRIALS + 5
+    serial = _serial_estimates(monkeypatch, mesh, trials)
+    scorers.clear()
+    before = _scorer_threads()
+    _set_cpus(monkeypatch, 2)
+    assert _waterfall_estimates(mesh, trials) == serial
+    assert [b.scored for b in scorers] == [{SCORER}] * (4 * _hops(mesh))
+    assert _scorer_threads() == before
 
 
 @pytest.mark.parametrize("mesh", list(OVERLAP_MESHES.values()), ids=list(OVERLAP_MESHES))
@@ -704,6 +740,7 @@ def test_scoring_error_reaches_the_caller(monkeypatch, failing):
     import linkplan.channel as channel
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
     _set_cpus(monkeypatch, 2)
+    before = _scorer_threads()
     tiles = [(lo, np.zeros(TILE_TRIALS)) for lo in range(0, 3 * TILE_TRIALS, TILE_TRIALS)]
     threads = []
 
@@ -713,49 +750,56 @@ def test_scoring_error_reaches_the_caller(monkeypatch, failing):
             raise ZeroDivisionError(f"tile at {lo} failed")
 
     with pytest.raises(ZeroDivisionError, match=f"^tile at {failing * TILE_TRIALS} failed$"):
-        channel._score_tiles(iter(tiles), 3 * TILE_TRIALS, score)
-    assert threads == ["linkplan-scorer"] * (failing + 1)
-    assert _scorer_idle()
+        with channel._tile_scorer(3 * TILE_TRIALS) as score_tiles:
+            score_tiles(iter(tiles), score)
+    assert threads == [SCORER] * (failing + 1)
+    assert _scorer_threads() == before
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
 
 
-def test_draw_error_leaves_no_stale_completion(monkeypatch, claims):
+def _failing_draws(tiles_first):
+    """A `sample_tiles` that yields its first `tiles_first` tiles, then raises."""
     import linkplan.channel as channel
+
+    def draw(law, gen, n, out=None):
+        for _, tile in zip(range(tiles_first), channel.sample_tiles(law, gen, n, out)):
+            yield tile
+        raise MemoryError(f"draw failed after {tiles_first} tiles")
+    return draw
+
+
+def test_draw_error_leaves_no_stale_completion(monkeypatch, scorers):
     import linkplan.simulate as sim
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    scorers.clear()
     _set_cpus(monkeypatch, 2)
-
-    def failing(law, gen, n, out=None):
-        yield next(iter(channel.sample_tiles(law, gen, n, out)))
-        raise MemoryError("draw failed with a tile in flight")
-
+    before = _scorer_threads()
     with monkeypatch.context() as m:
-        m.setattr(sim, "sample_tiles", failing)
-        with pytest.raises(MemoryError, match="^draw failed with a tile in flight$"):
+        m.setattr(sim, "sample_tiles", _failing_draws(1))
+        with pytest.raises(MemoryError, match="^draw failed after 1 tiles$"):
             _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
-    # the worker is left to finish the tile in flight alone, so its
-    # completion cannot reach the next sweep, which starts a fresh one
-    assert claims == [True]
-    assert channel._scorer is None
+    # the worker is left to finish the tile in flight and wait, idle, on
+    # locks of its own, so its completion cannot reach the next sweep
+    assert len(scorers) == 1
+    left = _scorer_threads() - before
+    assert len(left) <= 1
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert _scorer_idle()
+    assert _scorer_threads() - before == left
 
 
-class _Interrupting:
-    """A lock that raises KeyboardInterrupt once its `call` has succeeded."""
-
-    def __init__(self, lock, call):
-        self.lock, self.call = lock, call
-
-    def acquire(self, *args):
-        self.lock.acquire(*args)
-        if self.call == "acquire":
-            raise KeyboardInterrupt
-
-    def release(self):
-        self.lock.release()
-        if self.call == "release":
-            raise KeyboardInterrupt
+def test_draw_error_with_no_tile_in_flight_stops_the_scorer(monkeypatch, scorers):
+    import linkplan.simulate as sim
+    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    scorers.clear()
+    _set_cpus(monkeypatch, 2)
+    before = _scorer_threads()
+    with monkeypatch.context() as m:
+        m.setattr(sim, "sample_tiles", _failing_draws(0))
+        with pytest.raises(MemoryError, match="^draw failed after 0 tiles$"):
+            _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
+    assert [b.scored for b in scorers] == [set()]
+    assert _scorer_threads() == before
+    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
 
 
 def _in_thread(run, seconds=60):
@@ -775,33 +819,75 @@ def _in_thread(run, seconds=60):
     return out[0]
 
 
+def _interrupted(run, call):
+    """run(), on whose thread a KeyboardInterrupt is raised right after the
+    first lock `call` (acquire or release) in a `score_tiles` returns, as a
+    signal landing there would raise it."""
+    def profile(frame, event, arg):
+        if (event == "c_return" and frame.f_code.co_name == "score_tiles"
+                and getattr(arg, "__name__", None) == call):
+            raise KeyboardInterrupt
+
+    sys.setprofile(profile)  # the profile function is unset once it raises
+    try:
+        return run()
+    finally:
+        sys.setprofile(None)
+
+
 @pytest.mark.parametrize("lock, call", [("todo", "release"), ("done", "acquire")])
 def test_interrupt_mid_hand_off_abandons_the_scorer(monkeypatch, lock, call):
-    # an interrupt right after a tile is handed over, or right after one is
-    # collected: the sweep neither hangs nor leaves a stale completion
-    import linkplan.channel as channel
+    # an interrupt right after a tile is handed over (the only release in
+    # score_tiles), or right after one is collected (the only acquire): the
+    # sweep neither hangs nor leaves a stale completion, and at most one
+    # idle thread stays behind
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, README_MESH, trials)
     _set_cpus(monkeypatch, 2)
-    assert _waterfall_estimates(README_MESH, trials) == reference
-    pid, busy, todo, done, slot = channel._scorer
-    locks = {"todo": todo, "done": done}
-    locks[lock] = _Interrupting(locks[lock], call)
-    channel._scorer = pid, busy, locks["todo"], locks["done"], slot
+    before = _scorer_threads()
     sweep = lambda: _waterfall_estimates(README_MESH, trials)  # noqa: E731
-    assert isinstance(_in_thread(sweep), KeyboardInterrupt)
-    assert channel._scorer is None
+    assert isinstance(_in_thread(lambda: _interrupted(sweep, call)), KeyboardInterrupt)
+    left = _scorer_threads() - before
+    assert len(left) <= 1
     assert _in_thread(sweep) == reference
-    assert _scorer_idle()
+    assert _scorer_threads() - before == left
 
 
-def test_scorer_is_one_thread_across_sweeps(monkeypatch, claims):
+def test_interrupt_before_a_hand_off_stops_the_scorer(monkeypatch):
+    # an interrupt as score_tiles reaches its first hand-off: no tile is in
+    # flight, so the block stops and joins its thread (one that found a task
+    # it was never told of would score it and leave the join hanging)
+    trials = 2 * TILE_TRIALS + 3
+    reference = _serial_estimates(monkeypatch, README_MESH, trials)
+    _set_cpus(monkeypatch, 2)
+    before = _scorer_threads()
+
+    def at_hand_off(frame, event, arg):
+        if event == "line" and linecache.getline(
+                frame.f_code.co_filename, frame.f_lineno).strip() == "pending = True":
+            raise KeyboardInterrupt  # the trace function is unset once it raises
+        return at_hand_off
+
+    def interrupted():
+        sys.settrace(lambda frame, event, arg: at_hand_off
+                     if frame.f_code.co_name == "score_tiles" else None)
+        try:
+            return _waterfall_estimates(README_MESH, trials)
+        finally:
+            sys.settrace(None)
+
+    assert isinstance(_in_thread(interrupted), KeyboardInterrupt)
+    assert _scorer_threads() == before
+    assert _in_thread(lambda: _waterfall_estimates(README_MESH, trials)) == reference
+
+
+def test_no_scorer_thread_outlives_a_clean_sweep(monkeypatch, scorers):
     _set_cpus(monkeypatch, 2)
     before = threading.active_count()
     for seed in range(20):
         _waterfall_estimates(README_MESH, TILE_TRIALS + 1, seed)
-    assert threading.active_count() <= before + 1
-    assert claims and all(claims)
+        assert threading.active_count() == before
+    assert [b.scored for b in scorers] == [{SCORER}] * (20 * _hops(README_MESH))
 
 
 def test_scorer_runs_under_the_callers_errstate(monkeypatch):
@@ -815,17 +901,20 @@ def test_scorer_runs_under_the_callers_errstate(monkeypatch):
     tiles = [(lo, np.zeros(1)) for lo in (0, TILE_TRIALS)]
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
         caller = np.geterr()
-        channel._score_tiles(iter(tiles), 2 * TILE_TRIALS, score)
+        with channel._tile_scorer(2 * TILE_TRIALS) as score_tiles:
+            score_tiles(iter(tiles), score)
     assert caller != np.geterr()
-    assert seen == [("linkplan-scorer", caller)] * 2
+    assert seen == [(SCORER, caller)] * 2
 
 
-def test_concurrent_sweeps_keep_their_bits(monkeypatch, claims):
-    # more calling threads than cores, switching every microsecond: one
-    # sweep at a time holds the scoring thread, the others score their own
-    # tiles, and each keeps the serial bits
+def test_concurrent_sweeps_keep_their_bits(monkeypatch, scorers):
+    # more calling threads than cores, switching every microsecond: every
+    # sweep's hops take scoring threads of their own, and each sweep keeps
+    # the serial bits
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, TILE_TRIALS + 1)
+    scorers.clear()
     _set_cpus(monkeypatch, 2)
+    before = _scorer_threads()
     results = []
 
     def sweeps():
@@ -844,27 +933,29 @@ def test_concurrent_sweeps_keep_their_bits(monkeypatch, claims):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert results == [reference] * 12
-    assert True in claims
+    assert sorted(b.caller for b in scorers) == sorted(
+        c.name for c in callers for _ in range(3 * _hops(TWO_ROUTE_MESH)))
+    assert all(b.scored == {SCORER} for b in scorers)
+    assert _scorer_threads() == before
 
 
-def _sweep_in_child(conn, mesh, trials, cpus):
-    import linkplan.channel as channel
+def _sweep_in_child(conn, mesh, trials, cpus, scorers):
     if cpus:
         os.sched_setaffinity(0, cpus)
+    scorers.clear()
     estimates = _waterfall_estimates(mesh, trials)
-    conn.send((estimates, channel._scorer is not None and channel._scorer[0] == os.getpid()))
+    conn.send((estimates, set().union(*(b.scored for b in scorers))))
     conn.close()
 
 
-def _forked_sweep(mesh, trials, cpus=None):
+def _forked_sweep(mesh, trials, scorers, cpus=None):
     """A forked child's waterfall estimates, pinned to `cpus` if given, and
-    whether the child started a scoring thread of its own."""
+    the names of the threads that scored its tiles."""
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus))
+    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus, scorers))
     child.start()
     try:
-        # a child that waited on its parent's thread would never answer
         assert receive.poll(60), "the forked child gave no estimates"
         return receive.recv()
     finally:
@@ -880,31 +971,31 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 
 @needs_fork
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_forked_child_starts_its_own_scorer(monkeypatch):
-    import linkplan.channel as channel
+def test_forked_child_starts_its_own_scorer(monkeypatch, scorers):
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(TWO_ROUTE_MESH, trials) == reference
-    assert channel._scorer[0] == os.getpid()
-    assert _forked_sweep(TWO_ROUTE_MESH, trials) == (reference, True)
+    assert _forked_sweep(TWO_ROUTE_MESH, trials, scorers) == (reference, {SCORER})
 
 
 @needs_fork
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_one_cpu_affinity_scores_on_the_caller(monkeypatch):
+def test_one_cpu_affinity_scores_on_the_caller(monkeypatch, scorers):
     # the real affinity check, unpatched: a child pinned to one CPU scores
     # its own tiles and starts no thread
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
     one_cpu = {min(os.sched_getaffinity(0))}
-    assert _forked_sweep(TWO_ROUTE_MESH, trials, one_cpu) == (reference, False)
+    assert _forked_sweep(TWO_ROUTE_MESH, trials, scorers, one_cpu) == (
+        reference, {threading.current_thread().name})
 
 
-def test_cpu_count_fallback_without_affinity_call(monkeypatch, claims):
+def test_cpu_count_fallback_without_affinity_call(monkeypatch, scorers):
     import linkplan.channel as channel
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
+    scorers.clear()
     if hasattr(os, "sched_getaffinity"):
         assert channel._cpus() == len(os.sched_getaffinity(0))
     # off Linux there is no affinity call: the count falls back to os.cpu_count()
@@ -912,7 +1003,7 @@ def test_cpu_count_fallback_without_affinity_call(monkeypatch, claims):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert channel._cpus() == 2
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert claims and all(claims)
+    assert [b.scored for b in scorers] == [{SCORER}] * _hops(README_MESH)
 
 
 # ----------------------------------------------------------------------------
@@ -929,6 +1020,38 @@ def test_shift_scenario_moves_all_drives():
     assert shifted_mesh.routes[0].hops[0].pa.p_cons == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(TypeError):
         shift_scenario("route", 1.0)
+
+
+def test_shift_scenario_past_float_range_names_the_hop():
+    # 10^(delta/10) overflowed into a bare OverflowError, and a drive that
+    # underflowed to 0 was reported by the PA without its hop
+    from linkplan.hardware import SaturationError
+    cases = [
+        (Route(hops=(_fso(2.0), _rf(0.5))), 4000.0, ValueError,
+         "hop 0: p_tx 2 shifted by 4000 dB overflows a float"),
+        (Route(hops=(_rf(0.5), _fso(2.0))), -4000.0, ValueError,
+         "hop 0: p_cons 0.5 shifted by -4000 dB underflows to 0"),
+        (MeshNetwork(routes=(Route(hops=(_fso(2.0),)), Route(hops=(_fso(1.0), _rf(1e10))))),
+         3000.0, ValueError, "route 1: hop 1: p_cons 1e+10 shifted by 3000 dB overflows a float"),
+        (README_MESH, 60.0, SaturationError, "route 0: hop 0: drive p_cons=1000000.0 would "
+         "require output 1.77878e+09 beyond p_max=316.228"),
+    ]
+    for scenario, delta_db, kind, message in cases:
+        with pytest.raises(kind) as err:
+            shift_scenario(scenario, delta_db)
+        assert (type(err.value), str(err.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("evaluator", ["analytical", "mc"])
+@pytest.mark.parametrize("bounds_db, message", [
+    ((-5.0, 4000.0), "p_cons 1 shifted by 4000 dB overflows a float"),
+    ((-4000.0, 5.0), "p_cons 1 shifted by -4000 dB underflows to 0"),
+], ids=["overflow", "underflow"])
+def test_required_snr_bracket_past_float_range_names_the_hop(evaluator, bounds_db, message):
+    with pytest.raises(ValueError) as err:
+        required_snr(0.1, README_MESH, evaluator=evaluator, bounds_db=bounds_db,
+                     mc=McConfig(trials=1000, seed=3))
+    assert (type(err.value), str(err.value)) == (ValueError, f"route 0: hop 0: {message}")
 
 
 def test_required_snr_median_crossing():
