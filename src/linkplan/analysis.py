@@ -5,10 +5,10 @@ Gaussian surrogate (or an exact CDF bound) and returns an OutageEstimate
 carrying a method tag.  Monte Carlo lives in `simulate`; the two never share
 code paths, so each validates the other.
 
-The exact pieces are array evaluations: the RF sum-gain CDF is
-`specfun.ncx2_cdf`, the noncentral chi-square CDF at even degrees of freedom
-as a Skellam tail, and the FSO log-rate moments of both gain laws are one sum
-over the `specfun.gamma_log_table` of the law's Gamma factors in ln G.
+A gain law is read only through its own methods: the Jensen bounds through
+`RicianFading.cdf`, the exact CDF of the pooled sum gain, and the FSO
+log-rate moments of both gain laws through `_GammaProduct.log_table`, one
+sum over the law's table in ln G.
 
 An RF and an FSO hop are one HARQ object: M rounds of C (or C_tilde) uses,
 `rounds` in all, decoded against R/M, gains drawn from `law` at `drive_power`,
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -58,8 +57,6 @@ FSO_CLT = "fso_clt"
 FSO_PRODUCT_BOUND = "fso_product_bound"
 MONTE_CARLO = "monte_carlo"
 
-# FSO moment tables drop the weights below this: no moment moves beyond round-off
-_MOMENT_FLOOR = 1e-20
 # `min_rf_antennas` gives up past this antenna count
 _MAX_ANTENNAS = 1_000_000
 
@@ -88,14 +85,15 @@ def _check_harq(hop, uses: str):
 
 def _shift_power(name: str, power: float, delta_db: float) -> float:
     """power * 10^(delta_db / 10); a ValueError names the `name` power and
-    the shift where the product overflows or underflows to 0."""
+    the shift where the product overflows, underflows to 0 or is NaN."""
     try:
         out = power * 10.0 ** (delta_db / 10.0)
     except OverflowError:  # 10^(delta_db / 10) itself
         out = math.inf
     if not 0.0 < out < math.inf:
-        raise ValueError(f"{name} {power:g} shifted by {delta_db:g} dB "
-                         f"{'underflows to 0' if out == 0.0 else 'overflows a float'}")
+        why = ("is not a number" if math.isnan(out) else
+               "underflows to 0" if out == 0.0 else "overflows a float")
+        raise ValueError(f"{name} {power:g} shifted by {delta_db:g} dB {why}")
     return out
 
 
@@ -108,6 +106,8 @@ class RfHopParams:
     R: float = 1.0  # initial code rate (nats per channel use)
 
     def __post_init__(self):
+        if not isinstance(self.fading, RicianFading):
+            raise TypeError(f"unsupported RF fading {type(self.fading).__name__}")
         _check_harq(self, "C")
 
     law = property(lambda self: self.fading)
@@ -319,24 +319,11 @@ def rf_outage_linearized(h: RfHopParams) -> OutageEstimate:
 # FSO surrogate moments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _log_gain_table(model):
-    """Read-only nodes y = ln G and weights above `_MOMENT_FLOOR` (one run:
-    the weights are unimodal), once per FSO law: the table of its Gamma
-    factors' shapes at unit mean, moved by the law's `log_mean`."""
-    y, w = specfun.gamma_log_table(tuple(k for k, _ in model.factors))
-    y = y + model.log_mean
-    keep = w > _MOMENT_FLOOR
-    y, w = y[keep], w[keep]
-    y.flags.writeable = w.flags.writeable = False
-    return y, w
-
-
 def fso_moments(h: FsoHopParams) -> GaussianApprox:
     """Surrogate moments of log(1 + p_tx * G) for one FSO realization: one
     trapezoid sum over the gain law's table in y = ln G, for the exponential
     and the Gamma-Gamma model alike, with the variance centered."""
-    y, w = _log_gain_table(h.model)
+    y, w = h.model.log_table()
     lg = np.log1p(h.p_tx * np.exp(y))
     mu = float(w @ lg)
     var = float(w @ (lg - mu) ** 2)
@@ -382,12 +369,6 @@ def _snr_threshold(rate: float) -> float:
         return math.inf
 
 
-def _sum_gain_cdf(y: float, f: RicianFading) -> float:
-    """Exact CDF of the N-antenna sum gain G = f.scale * X with
-    X ~ ncx2(2N, 2KN), the law `sample_gain` draws."""
-    return specfun.ncx2_cdf(y / f.scale, f.N, 2.0 * f.K * f.N)
-
-
 def _pooled(h: RfHopParams) -> RicianFading:
     """The hop's M*C rounds of N antennas pooled into one sum gain."""
     return RicianFading(h.fading.K, h.fading.Omega, h.M * h.C * h.fading.N)
@@ -395,12 +376,12 @@ def _pooled(h: RfHopParams) -> RicianFading:
 
 def _rf_jensen_lower(h: RfHopParams) -> OutageEstimate:
     arg = h.M * h.C * _snr_threshold(h.R / h.M) / h.drive_power
-    return OutageEstimate(_sum_gain_cdf(arg, _pooled(h)), RF_JENSEN_LOWER)
+    return OutageEstimate(_pooled(h).cdf(arg), RF_JENSEN_LOWER)
 
 
 def _rf_jensen_upper(h: RfHopParams) -> OutageEstimate:
     arg = _snr_threshold(h.R * h.C) / h.drive_power
-    return OutageEstimate(_sum_gain_cdf(arg, _pooled(h)), RF_JENSEN_UPPER)
+    return OutageEstimate(_pooled(h).cdf(arg), RF_JENSEN_UPPER)
 
 
 def rf_outage_bounds_short(h: RfHopParams):

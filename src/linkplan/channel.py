@@ -1,21 +1,21 @@
-"""Channel-gain models and samplers.
+"""Channel-gain laws: each is the one interface to its gain.
 
 RF hops: Rician MISO with N transmit antennas, sum gain G = sum_j |h_j|^2.
 FSO hops: exponential or Gamma-Gamma scintillation, each the product of its
 independent Gamma `factors` (shape, scale), with `log_mean` ln of its mean.
 
-The one density here, of the single-antenna Rician gain, is an exact
-formula kept as an independent check that no command calls; it takes
-scipy's `ive` from `specfun.import_scipy` at the call (scipy is a test-only
-dependency).  The FSO densities live with the tests' oracles.  The N-antenna
-sum gain is scale * ncx2(2N, 2KN), so its exact CDF is `specfun.ncx2_cdf`
-(see `analysis`) and it needs no density of its own here.  Each law's
-`tiles` (one for both FSO laws) draws its unscaled gains X, G = scale * X
-with the law's `scale`, TILE_TRIALS at a time; `sample_tiles`, the only
-draw the Monte Carlo engine makes, calls it, `sample_gain` lays the tiles
-end to end and `sample_snr` scales them to one drive.  `_tile_scorer`
-gives the sweep kernel, for one hop's rounds, a worker thread that scores
-each tile while the next is drawn.
+A law's `tiles` (one for both FSO laws) draws its unscaled gains X,
+G = scale * X with the law's `scale`, TILE_TRIALS at a time: the only draw
+the Monte Carlo engine makes.  The closed forms read a law through
+`RicianFading.cdf`, the exact CDF of the N-antenna sum gain
+scale * ncx2(2N, 2KN) by `specfun.ncx2_cdf`, and `_GammaProduct.log_table`,
+the table in ln G of an FSO law's Gamma factors.  The one density here, of
+the single-antenna Rician gain, is an exact formula kept as an independent
+check that no command calls; it takes scipy's `ive` from
+`specfun.import_scipy` at the call (scipy is a test-only dependency).  The
+FSO densities live with the tests' oracles.  `_tile_scorer` gives the sweep
+kernel, for one hop's rounds, a worker thread that scores each tile while
+the next is drawn.
 A Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
 the analytical outage evaluators; `_half_moment` gives the same moments
 through Laguerre functions of the single-antenna gain.
@@ -26,6 +26,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -36,6 +37,8 @@ from . import specfun
 # numpy Generator calls of sizes m1, m2, ... return the values of one call of
 # size m1 + m2 + ..., so tiles have the bits of one whole draw
 TILE_TRIALS = 1 << 14
+# FSO log tables drop the weights below this: no moment moves beyond round-off
+_MOMENT_FLOOR = 1e-20
 
 
 def _check_positive(law, *names):
@@ -71,6 +74,10 @@ class RicianFading:
         for lo in range(0, n, TILE_TRIALS):
             yield lo, gen.noncentral_chisquare(df, nonc, size=min(TILE_TRIALS, n - lo))
 
+    def cdf(self, y: float) -> float:
+        """P(G <= y), exact: X = G / scale ~ ncx2(2N, 2KN)."""
+        return specfun.ncx2_cdf(y / self.scale, self.N, 2.0 * self.K * self.N)
+
 
 class _GammaProduct:
     """An FSO gain law: the product of independent Gamma(shape, scale)
@@ -81,9 +88,10 @@ class _GammaProduct:
     def tiles(self, gen: np.random.Generator, n, out=None):
         """X, the product of the factors, as (first trial, tile) pairs, each
         factor drawn for all n trials before the next.  One factor yields
-        fresh tiles.  Of more, the first is drawn whole into `out` (or a new
-        array), each further one multiplied in through a tile of scratch,
-        and a tile yielded once the last is in."""
+        fresh tiles.  Of more, the first is drawn whole into `out` (n float64
+        cells the caller has free, or a new array), each further one
+        multiplied in through a tile of scratch, and a tile yielded, for the
+        caller to overwrite, once the last is in."""
         (k, s), *rest = self.factors
         if not rest:
             for lo in range(0, n, TILE_TRIALS):
@@ -101,6 +109,18 @@ class _GammaProduct:
                 t *= g
                 if i == len(rest):
                     yield lo, t
+
+    @lru_cache(maxsize=64)
+    def log_table(self):
+        """Read-only nodes y = ln G and weights above `_MOMENT_FLOOR` (one run:
+        the weights are unimodal), cached per law: the table of its Gamma
+        factors' shapes at unit mean, moved by the law's `log_mean`."""
+        y, w = specfun.gamma_log_table(tuple(k for k, _ in self.factors))
+        y = y + self.log_mean
+        keep = w > _MOMENT_FLOOR
+        y, w = y[keep], w[keep]
+        y.flags.writeable = w.flags.writeable = False
+        return y, w
 
 
 @dataclass(frozen=True)
@@ -162,21 +182,8 @@ def rician_gain_pdf(x, f: RicianFading):
 
 
 # ---------------------------------------------------------------------------
-# sampler
+# tile scoring
 # ---------------------------------------------------------------------------
-
-def sample_tiles(model, gen: np.random.Generator, size, out=None):
-    """Draw `size` unscaled gains X of any gain law, G = model.scale * X, as
-    (first trial, tile) pairs in trial order, TILE_TRIALS trials a tile but
-    the last (see each law's `tiles`).  The received SNR at drive p is
-    (p * scale) * X, so one draw serves every drive.  A tile is fresh or a
-    view of `out`, `size` float64 cells the caller has free, which it may
-    overwrite once yielded."""
-    tiles = getattr(model, "tiles", None)
-    if tiles is None:
-        raise TypeError(f"unsupported gain model {type(model).__name__}")
-    return tiles(gen, size, out)
-
 
 def _cpus() -> int:
     """The CPUs this process may run on, or the machine's where the OS
@@ -209,7 +216,7 @@ def _score_forever(todo, done, slot) -> None:
 @contextmanager
 def _tile_scorer(size):
     """score_tiles(tiles, score) for the block's draws of `size` trials from
-    `sample_tiles`: score(lo, tile) on each (first trial, tile) pair of
+    a law's `tiles`: score(lo, tile) on each (first trial, tile) pair of
     `tiles`, in trial order.
 
     When a draw spans more than one tile and the process may run on two
@@ -261,19 +268,6 @@ def _tile_scorer(size):
         if not pending:  # else the worker is left to its tile
             todo.release()  # with no task: stop
             worker.join()
-
-
-def sample_gain(model, gen: np.random.Generator, size):
-    """Draw `size` unscaled gains X into one array: `sample_tiles` end to end."""
-    x = np.empty(size)
-    for lo, tile in sample_tiles(model, gen, size, x):
-        x[lo:lo + tile.size] = tile
-    return x
-
-
-def sample_snr(model, power, gen: np.random.Generator, size):
-    """Draw `size` received SNRs power * G from the gain model."""
-    return (power * model.scale) * sample_gain(model, gen, size)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ numbered across routes) draws from substream (seed, b, j).  Every estimate
 spends exactly `mc.trials` trials, so it is a bit-reproducible function of
 the mesh, `mc.trials` and `mc.seed` alone.  Both passes below walk the
 substreams with `_substreams`, draw and use each round TILE_TRIALS trials
-at a time (`sample_tiles`), and fold hop -> route -> mesh alike: a route
+at a time (the law's `tiles`), and fold hop -> route -> mesh alike: a route
 fails when any hop fails, the mesh when every route does.  A hop is read
 only through the fields both kinds share (`law`, `rounds`, `drive_power`,
-`slope`), never by its class.
+`slope`), never by its class, and its law only through `scale` and `tiles`.
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
@@ -56,7 +56,7 @@ from itertools import accumulate
 import numpy as np
 
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
-from .channel import TILE_TRIALS, _tile_scorer, sample_tiles
+from .channel import TILE_TRIALS, _tile_scorer
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
 
@@ -173,7 +173,7 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
 
     with _tile_scorer(n) as score_tiles:
         for r in range(1, rounds + 1):
-            score_tiles(sample_tiles(hop.law, gen, n), score)
+            score_tiles(hop.law.tiles(gen, n), score)
             if all(row.min() / rounds > threshold for row in acc):
                 return
 
@@ -400,7 +400,7 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
         for k, row in enumerate(lnx, 1):
             # a product's first factor is drawn into the row that takes ln X
-            for lo, x in sample_tiles(hop.law, gen, n, row):
+            for lo, x in hop.law.tiles(gen, n, row):
                 np.log(x, out=row[lo:lo + x.size])
             del x
             start.add(row)

@@ -1,10 +1,11 @@
-"""Reference densities that only the tests use.
+"""Reference densities, and one draw helper, that only the tests use.
 
 The FSO gain densities in closed form, independent of the Gamma-factor
 tables that `analysis` and `specfun.gg_product_cdf` read: the exponential
 density directly, and the Gamma-Gamma one through its K-Bessel form on
 scipy's `kve`.  No command calls them, so they live here rather than in the
-package, whose runtime install has no scipy.
+package, whose runtime install has no scipy.  `law_draws` lays a gain law's
+`tiles` end to end in one array.
 """
 
 import math
@@ -63,3 +64,12 @@ def fso_pdf(x, model):
         y = math.log(x)
         return math.exp(gg_log_density(y, model.a, model.b) - y)
     raise TypeError(f"unsupported FSO model {type(model).__name__}")
+
+
+def law_draws(law, gen, n):
+    """n unscaled gains X of a gain law (G = law.scale * X) in one array:
+    its tiles end to end, the first factor of a product drawn into it."""
+    x = np.empty(n)
+    for lo, tile in law.tiles(gen, n, x):
+        x[lo:lo + tile.size] = tile
+    return x

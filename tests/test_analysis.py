@@ -30,7 +30,6 @@ from linkplan.analysis import (
     InfeasibleError,
     OutageEstimate,
     RfHopParams,
-    _sum_gain_cdf,
     fso_ergodic_rate,
     fso_moments,
     fso_outage_clt,
@@ -54,13 +53,13 @@ from linkplan.channel import (
     FsoGammaGamma,
     GaussianApprox,
     RicianFading,
+    _GammaProduct,
     clt_sum_gain_params,
-    sample_snr,
 )
 from linkplan.hardware import PaConfig
 from linkplan.simulate import McConfig, simulate_fso_hop, simulate_rf_hop
 from linkplan.specfun import ConvergenceError
-from oracles import fso_pdf
+from oracles import fso_pdf, law_draws
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
 
@@ -180,6 +179,19 @@ def test_hop_params_validated():
 def test_hop_fields_reject_nan(build):
     # each passed a `<=` check, and MC then scored the hop a perfect link
     with pytest.raises(ValueError, match="nan"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RfHopParams(FsoExponential(1.0), PaConfig.ideal(1.0)),
+     "unsupported RF fading FsoExponential"),
+    (lambda: RfHopParams(object(), PaConfig.ideal(1.0)), "unsupported RF fading object"),
+    (lambda: FsoHopParams(RicianFading(0.01, 1.0, 4), 1.0), "unsupported FSO model RicianFading"),
+], ids=["rf_exponential", "rf_object", "fso_rician"])
+def test_hop_params_reject_a_law_of_the_other_kind(build, message):
+    # an RF hop over an exponential law built, then drew it as the RF gain
+    # in MC and raised a bare AttributeError in the closed forms
+    with pytest.raises(TypeError, match=f"^{message}$"):
         build()
 
 
@@ -577,8 +589,7 @@ def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
     # mass, on every call (a raise is not cached); the cache is cleared so
     # that a table built under the real floor cannot answer for the patched
     # one
-    from linkplan.analysis import _log_gain_table
-    _log_gain_table.cache_clear()
+    _GammaProduct.log_table.cache_clear()
     specfun.gamma_log_table.cache_clear()
     monkeypatch.setattr(specfun, "_TABLE_FLOOR", 1e-8)
     try:
@@ -586,7 +597,7 @@ def test_fso_gg_moments_table_mass_is_loud(monkeypatch):
             with pytest.raises(ConvergenceError, match=r"\(12, 0.1\) holds mass"):
                 fso_moments(FsoHopParams(model=FsoGammaGamma(12.0, 0.1), p_tx=1.0))
     finally:
-        _log_gain_table.cache_clear()
+        _GammaProduct.log_table.cache_clear()
         specfun.gamma_log_table.cache_clear()
 
 
@@ -595,8 +606,7 @@ def test_fso_gg_moments_node_cap_keeps_mass(monkeypatch):
     # its mass to the left: the first node kept takes that mass, where
     # log(1 + p G) is 0 to double precision, so the moments keep their
     # 30-digit values
-    from linkplan.analysis import _log_gain_table
-    _log_gain_table.cache_clear()
+    _GammaProduct.log_table.cache_clear()
     specfun.gamma_log_table.cache_clear()
     monkeypatch.setattr(specfun, "_TABLE_MAX_NODES", 1000)
     try:
@@ -606,7 +616,7 @@ def test_fso_gg_moments_node_cap_keeps_mass(monkeypatch):
             assert_allclose(g.mean, mean, rtol=1e-12, err_msg=f"mean at p={p}")
             assert_allclose(g.variance, var, rtol=1e-10, err_msg=f"variance at p={p}")
     finally:
-        _log_gain_table.cache_clear()
+        _GammaProduct.log_table.cache_clear()
         specfun.gamma_log_table.cache_clear()
 
 
@@ -661,7 +671,7 @@ def test_fso_gg_large_order_difference(a, b):
         mean = fso_moments(FsoHopParams(model=model, p_tx=10.0)).mean
     gen = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=7, spawn_key=(0,))))
-    rate = np.log1p(sample_snr(model, 10.0, gen, 2_000_000))
+    rate = np.log1p((10.0 * model.scale) * law_draws(model, gen, 2_000_000))
     se = rate.std() / math.sqrt(rate.size)
     assert abs(mean - rate.mean()) < 3.0 * se
 
@@ -791,8 +801,17 @@ def test_sum_gain_cdf_mpmath_oracle(N, K):
         # the oracle takes the argument the CDF sees: near 1e-200 at N = 1800
         # a 1-ulp change of x moves it by 1e-13
         y = scale * x
-        ref = _assert_ncx2_cdf_matches(_sum_gain_cdf(y, f), y / scale, df, nc)
+        ref = _assert_ncx2_cdf_matches(f.cdf(y), y / scale, df, nc)
         assert 0.5 * q < ref < 2.0 * q, f"CDF {q:g}"
+
+
+def test_rician_cdf_is_the_pooled_ncx2_call():
+    # RicianFading.cdf is specfun.ncx2_cdf at y / scale with the law's N and
+    # noncentrality 2KN, to the bit
+    for K, Om, N in ((0.0, 1.0, 1), (0.01, 1.3, 60), (2.0, 1.0, 400), (5.0, 0.7, 1800)):
+        f = RicianFading(K, Om, N)
+        for y in (1e-300, 1e-3, 0.5 * N * Om, N * Om, 3.0 * N * Om, math.inf):
+            assert f.cdf(y) == specfun.ncx2_cdf(y / f.scale, N, 2.0 * K * N), (f, y)
 
 
 def test_ncx2_cdf_on_the_benchmark_arguments(tmp_path, monkeypatch):
@@ -891,7 +910,7 @@ def test_single_shot_zero_rate_limit():
 def test_single_shot_vs_exact_cdf():
     f = RicianFading(0.01, 1.0, 60)
     h = RfHopParams(fading=f, pa=PaConfig.ideal(0.02), M=1, C=1, R=1.0)
-    exact = _sum_gain_cdf((math.e - 1.0) / 0.02, f)
+    exact = f.cdf((math.e - 1.0) / 0.02)
     assert_allclose(rf_outage_single_shot(h).value, exact, rtol=5e-3)
 
 
@@ -1148,9 +1167,8 @@ def test_evaluator_row_checked_when_built(hop, bound, field):
 def test_jensen_tags_compute_one_bound_each(monkeypatch):
     # each tag evaluates its own pooled CDF; rf_outage_bounds_short gives both
     calls = []
-    exact = analysis._sum_gain_cdf
-    monkeypatch.setattr(analysis, "_sum_gain_cdf",
-                        lambda y, f: calls.append(y) or exact(y, f))
+    exact = RicianFading.cdf
+    monkeypatch.setattr(RicianFading, "cdf", lambda f, y: calls.append(y) or exact(f, y))
     rf = RfHopParams(fading=RicianFading(0.01, 1.0, 4), pa=PaConfig.ideal(0.5),
                      M=2, C=1, R=1.0)
     lo = hop_outage(rf, rf_method=RF_JENSEN_LOWER)
@@ -1212,13 +1230,13 @@ def test_fso_outage_monotone():
 def test_log_gain_tables_come_from_one_gamma_factor_builder():
     # Gamma-Gamma: the factors (a, b); exponential: one shape-1 factor moved
     # by -ln lam; a moment table keeps the builder's weights above the floor
-    from linkplan.analysis import _MOMENT_FLOOR, _log_gain_table
+    from linkplan.channel import _MOMENT_FLOOR
     for model, shapes, shift in ((FsoGammaGamma(3.1, 1.7), (3.1, 1.7), 0.0),
                                  (FsoExponential(0.5), (1.0,), math.log(2.0)),
                                  (FsoExponential(4.0), (1.0,), -math.log(4.0))):
         y_all, w_all = specfun.gamma_log_table(shapes)
         keep = w_all > _MOMENT_FLOOR
-        y, w = _log_gain_table(model)
+        y, w = model.log_table()
         assert np.array_equal(w, w_all[keep])
         assert np.array_equal(y, y_all[keep] + shift)
         assert not y.flags.writeable and not w.flags.writeable
@@ -1227,15 +1245,16 @@ def test_log_gain_tables_come_from_one_gamma_factor_builder():
 def test_log_gain_table_built_once_read_only():
     # the table depends on the gain model alone: every drive of a sweep reads
     # the same read-only arrays, and the moments equal a fresh build's
-    from linkplan.analysis import _log_gain_table
     model = FsoGammaGamma(3.1, 1.7)
-    _log_gain_table.cache_clear()
+    _GammaProduct.log_table.cache_clear()
     moments = [fso_moments(FsoHopParams(model=model, p_tx=p)) for p in (0.5, 5.0, 50.0)]
-    info = _log_gain_table.cache_info()
+    info = _GammaProduct.log_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    y, w = _log_gain_table(model)
+    y, w = model.log_table()
     assert not y.flags.writeable and not w.flags.writeable
-    fresh_y, fresh_w = _log_gain_table.__wrapped__(model)
+    # a repeat call, and an equal law, return the very same arrays
+    assert all(a is b for a, b in zip(FsoGammaGamma(3.1, 1.7).log_table(), (y, w)))
+    fresh_y, fresh_w = _GammaProduct.log_table.__wrapped__(model)
     assert np.array_equal(y, fresh_y) and np.array_equal(w, fresh_w)
     lg = np.log1p(50.0 * np.exp(fresh_y))
     assert moments[2].mean == float(fresh_w @ lg)

@@ -1,5 +1,5 @@
 """Channel model tests: densities vs independent oracles, the sum-gain law
-scale * ncx2(2N, 2KN) vs the single-antenna density, the SNR sampler vs the
+scale * ncx2(2N, 2KN) vs the single-antenna density, each law's `tiles` vs the
 densities (moments + Kolmogorov-Smirnov), and the Gaussian surrogate moments
 vs direct quadrature."""
 
@@ -20,11 +20,8 @@ from linkplan.channel import (
     RicianFading,
     clt_sum_gain_params,
     rician_gain_pdf,
-    sample_gain,
-    sample_snr,
-    sample_tiles,
 )
-from oracles import fso_pdf
+from oracles import fso_pdf, law_draws
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
 
@@ -90,15 +87,15 @@ def test_field_validation():
 
 def test_rng_stream_reproducible():
     f = RicianFading(1.0, 1.0, 4)
-    a = sample_snr(f, 1.0, _stream(7, 3), 100)
-    b = sample_snr(f, 1.0, _stream(7, 3), 100)
-    c = sample_snr(f, 1.0, _stream(7, 4), 100)
+    a = law_draws(f, _stream(7, 3), 100)
+    b = law_draws(f, _stream(7, 3), 100)
+    c = law_draws(f, _stream(7, 4), 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_central_chisquare_is_zero_noncentrality():
-    # sample_snr draws K = 0 RF gains through noncentral_chisquare(df, 0);
+    # RicianFading.tiles draws K = 0 gains through noncentral_chisquare(df, 0);
     # numpy must route that to chisquare(df) draw for draw, stream state
     # included, or MC estimates for K = 0 hops would shift
     for df in (2.0, 8.0, 80.0):
@@ -210,30 +207,25 @@ def test_fso_pdf_rejects_bad_input():
 
 
 # ----------------------------------------------------------------------------
-# SNR sampler (unit power: the draws are the gains)
+# gain draws: each law's `tiles`, G = scale * X
 # ----------------------------------------------------------------------------
-
-def test_sample_gain_rejects_an_object_without_a_sampler():
-    with pytest.raises(TypeError, match="^unsupported gain model object$"):
-        sample_gain(object(), _stream(0), 4)
-
 
 def test_sample_rician_sum_mean():
     f = RicianFading(K=0.01, Omega=1.0, N=20)
-    draws = sample_snr(f, 1.0, _stream(11), 1_000_000)
+    draws = f.scale * law_draws(f, _stream(11), 1_000_000)
     assert abs(draws.mean() - 20.0) < 0.1
 
 
 def test_sample_rician_sum_exponential_variance():
     f = RicianFading(K=0.0, Omega=1.0, N=1)
-    draws = sample_snr(f, 1.0, _stream(12), 1_000_000)
+    draws = f.scale * law_draws(f, _stream(12), 1_000_000)
     assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_sample_fso_means():
-    draws = sample_snr(FsoExponential(lam=2.0), 1.0, _stream(13), 1_000_000)
+    draws = law_draws(FsoExponential(lam=2.0), _stream(13), 1_000_000)
     assert abs(draws.mean() - 0.5) < 0.002
-    draws = sample_snr(GG, 1.0, _stream(14), 1_000_000)
+    draws = law_draws(GG, _stream(14), 1_000_000)
     assert abs(draws.mean() - 1.0) < 0.01
     # E[G^2] = (1+1/a)(1+1/b) for the unit-mean Gamma product
     m2 = (1.0 + 1.0 / GG.a) * (1.0 + 1.0 / GG.b)
@@ -250,19 +242,19 @@ def _grid_cdf(pdf, hi, n=8001):
 
 def test_sampler_ks_rician_sum():
     f = RicianFading(K=0.01, Omega=1.0, N=4)
-    draws = sample_snr(f, 1.0, _stream(15), 100_000)
+    draws = f.scale * law_draws(f, _stream(15), 100_000)
     stat = kstest(draws, _sum_law(f).cdf)
     assert stat.pvalue > 0.01, stat
 
 
 def test_sampler_ks_fso_exponential():
-    draws = sample_snr(FsoExponential(lam=1.5), 1.0, _stream(16), 100_000)
+    draws = law_draws(FsoExponential(lam=1.5), _stream(16), 100_000)
     stat = kstest(draws, lambda q: 1.0 - np.exp(-1.5 * q))
     assert stat.pvalue > 0.01, stat
 
 
 def test_sampler_ks_fso_gamma_gamma():
-    draws = sample_snr(GG, 1.0, _stream(17), 100_000)
+    draws = law_draws(GG, _stream(17), 100_000)
     cdf = _grid_cdf(lambda x: fso_pdf(x, GG) if x > 0 else 0.0, 30.0)
     stat = kstest(draws, cdf)
     assert stat.pvalue > 0.01, stat
@@ -277,7 +269,7 @@ def test_gg_sample_is_the_product_of_its_factor_draws():
     cases += [(FsoExponential(lam), lambda gen, n, lam=lam: gen.exponential(1.0 / lam, size=n))
               for lam in (0.3, 1.0, 2.7)]
     for model, draw in cases:
-        x = sample_gain(model, _stream(19), 100_000)
+        x = law_draws(model, _stream(19), 100_000)
         assert model.scale == 1.0
         assert np.array_equal(x, draw(_stream(19), 100_000)), model
 
@@ -291,9 +283,9 @@ def test_sample_gain_into_scratch_draws_the_same_bits(model):
     # those of a draw without them
     n = 10_001
     plain, scratched = _stream(23), _stream(23)
-    x = np.concatenate([tile for _, tile in sample_tiles(model, plain, n)])
+    x = np.concatenate([tile for _, tile in model.tiles(plain, n)])
     scratch = np.full(n, np.nan)
-    got = np.concatenate([tile for _, tile in sample_tiles(model, scratched, n, scratch)])
+    got = np.concatenate([tile for _, tile in model.tiles(scratched, n, scratch)])
     assert np.array_equal(got, x)
     assert np.array_equal(scratched.random(8), plain.random(8))
 
@@ -326,17 +318,17 @@ def test_tiles_draw_the_bits_of_one_whole_draw(model, n):
     after = whole_gen.random(8)
     for out in (None, np.full(n, np.nan)):
         gen = _stream(29)
-        tiles = list(sample_tiles(model, gen, n, out))
+        tiles = list(model.tiles(gen, n, out))
         assert [lo for lo, _ in tiles] == list(range(0, n, TILE_TRIALS))
         assert [t.size for _, t in tiles] == [min(TILE_TRIALS, n - lo) for lo, _ in tiles]
         assert np.array_equal(np.concatenate([t for _, t in tiles]), whole)
         assert np.array_equal(gen.random(8), after)
-    assert np.array_equal(sample_gain(model, _stream(29), n), whole)
+    assert np.array_equal(law_draws(model, _stream(29), n), whole)
 
 
 def test_gg_sampler_log_rate_matches_quadrature():
     # E[log(1 + P*G)] by MC vs quadrature against the density, 3 sigma gate
-    draws = sample_snr(GG, 1.0, _stream(18), 100_000)
+    draws = law_draws(GG, _stream(18), 100_000)
     for p in (0.1, 1.0, 10.0):
         vals = np.log1p(p * draws)
         mc = vals.mean()

@@ -1,5 +1,5 @@
 """Docs-drift guard: every package name the README, docstrings and comments
-quote in backticks still exists."""
+quote in backticks still exists, and the README's library example runs."""
 
 import ast
 import importlib
@@ -7,6 +7,10 @@ import io
 import pathlib
 import re
 import tokenize
+
+import pytest
+
+from linkplan.analysis import ApproximationInvalidError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "linkplan"
@@ -49,3 +53,13 @@ def test_backticked_package_names_resolve():
               if name.startswith("_") or name.split(".")[0] in MODULES}
     assert len(quoted) > 30
     assert [(where, name) for where, name in sorted(quoted) if not _resolves(name)] == []
+
+
+@pytest.mark.xfail(raises=ApproximationInvalidError, strict=True, reason=(
+    "ROADMAP item 1, linearized variance: the example's last line, "
+    "required_snr(1e-3, mesh, evaluator='analytical'), reaches a drive where "
+    "log_moments_linearized's uncentered variance cancels to <= 0"))
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                          re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})

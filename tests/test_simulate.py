@@ -30,7 +30,7 @@ from linkplan.channel import (
     FsoExponential,
     FsoGammaGamma,
     RicianFading,
-    sample_gain,
+    _GammaProduct,
 )
 from linkplan.hardware import PaConfig
 from linkplan.network import MeshNetwork, Route
@@ -47,6 +47,7 @@ from linkplan.simulate import (
     simulate_sweep,
     wilson_halfwidth,
 )
+from oracles import law_draws
 
 GG = FsoGammaGamma(a=4.3939, b=2.5636)
 GG_TINY_B = FsoGammaGamma(a=2.0, b=0.01)
@@ -357,10 +358,9 @@ def test_sweep_matches_per_point_simulation():
                                  SWEEP_MESH.routes[0].hops[1], SWEEP_MESH.routes[1].hops[1]],
                          ids=["rf_k1.5", "rf_k0", "fso_exp", "fso_gg"])
 def test_hop_accumulator_is_per_drive_arithmetic(hop):
-    # each drive's log-rate sum equals the one-drive sum over sample_snr
-    # draws, bit for bit, on the same substream
+    # each drive's log-rate sum equals the one-drive sum over the law's
+    # draws scaled to that drive, bit for bit, on the same substream
     import linkplan.simulate as sim
-    from linkplan.channel import sample_snr
     n, drives = 2000, [0.3, 1.7, 4.1]
     model, rounds = hop.law, hop.rounds
     acc = np.empty((len(drives), n))
@@ -373,7 +373,7 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
         gen = sim._block_generator(5, 0, 1)
         expect = np.zeros(n)
         for _ in range(rounds):
-            expect += np.log1p(sample_snr(model, p, gen, n))
+            expect += np.log1p((p * model.scale) * law_draws(model, gen, n))
         assert np.array_equal(row, expect)
 
 
@@ -390,18 +390,24 @@ TWO_ROUTE_MESH = MeshNetwork(routes=README_MESH.routes + (Route(hops=(
 WATERFALL_DB = (6.76, 6.86, 6.96, 7.06, 7.16, 7.26)
 
 
+def _wrap_tiles(monkeypatch, wrap):
+    """Patch every gain law's `tiles` to wrap(its real `tiles`)."""
+    for cls in (RicianFading, _GammaProduct):
+        monkeypatch.setattr(cls, "tiles", wrap(cls.tiles))
+
+
 def _count_draws(monkeypatch):
     """Rounds drawn per gain law (one law per hop in the meshes used)."""
-    import linkplan.simulate as sim
     from collections import Counter
     draws = Counter()
-    real = sim.sample_tiles
 
-    def counting(law, gen, n, out=None):
-        draws[law] += 1
-        return real(law, gen, n, out)
+    def counting(real):
+        def tiles(law, gen, n, out=None):
+            draws[law] += 1
+            return real(law, gen, n, out)
+        return tiles
 
-    monkeypatch.setattr(sim, "sample_tiles", counting)
+    _wrap_tiles(monkeypatch, counting)
     return draws
 
 
@@ -415,7 +421,7 @@ def _all_rounds_failures(meshes, mc):
     for r, hops in enumerate(routes):
         route_fail = np.zeros_like(mesh_fail)
         for i, (_, hop, gen) in enumerate(hops):
-            rounds = [sample_gain(hop.law, gen, n) for _ in range(hop.rounds)]
+            rounds = [law_draws(hop.law, gen, n) for _ in range(hop.rounds)]
             for fail, mesh in zip(route_fail, meshes):
                 p, acc = mesh.routes[r].hops[i].drive_power, np.zeros(n)
                 for x in rounds:
@@ -440,50 +446,49 @@ def test_sweep_hop_stops_drawing_once_decided(monkeypatch, seed):
 
 
 class _Crafted:
-    """A hop whose rounds draw fixed gains (scale 1), one list per round."""
+    """A gain law (scale 1) whose rounds draw fixed gains, one list per
+    round, one tile each, and a hop that draws from it."""
 
     scale = 1.0
 
-    def __init__(self, monkeypatch, gains, R, **fields):
-        import linkplan.simulate as sim
+    def __init__(self, gains, R, **fields):
         self.gains, self.drawn = gains, 0
         self.hop = SimpleNamespace(law=self, rounds=len(gains), R=R, M=1, **fields)
-        monkeypatch.setattr(sim, "sample_tiles", lambda law, gen, n, out=None: [(0, law.draw())])
 
-    def draw(self):
+    def tiles(self, gen, n, out=None):
         self.drawn += 1
-        return np.array(self.gains[self.drawn - 1], dtype=float)
+        return [(0, np.array(self.gains[self.drawn - 1], dtype=float))]
 
 
-def _crafted_failures(monkeypatch, gains, R, drives=(1.0,)):
+def _crafted_failures(gains, R, drives=(1.0,)):
     """(rounds drawn, failure rows) of `_hop_failures` on crafted gains."""
     import linkplan.simulate as sim
-    crafted = _Crafted(monkeypatch, gains, R)
+    crafted = _Crafted(gains, R)
     n = len(gains[0])
     fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
     sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail)
     return crafted.drawn, np.unpackbits(fail, axis=1, count=n).astype(bool).tolist()
 
 
-def test_sweep_stop_on_crafted_gains(monkeypatch):
+def test_sweep_stop_on_crafted_gains():
     e = math.e
     # R = 1 over 4 rounds: a trial decodes once its log-rate sum exceeds 4.
     # The last trial adds 1.1 a round: 3.3 after round 3, decoded only by
     # round 4, so every round is drawn
     late = [[e ** 5, e ** 1.1 - 1.0]] * 4
-    assert _crafted_failures(monkeypatch, late, 1.0) == (4, [[False, False]])
+    assert _crafted_failures(late, 1.0) == (4, [[False, False]])
     # every trial past 4 after round 2: rounds 3 and 4 are never drawn
     early = [[e ** 2.5 - 1.0, e ** 5]] * 2 + [[0.0, 0.0]] * 2
-    assert _crafted_failures(monkeypatch, early, 1.0) == (2, [[False, False]])
+    assert _crafted_failures(early, 1.0) == (2, [[False, False]])
     # a sum exactly on the threshold after round 2 has not decoded: rounds
     # 3 and 4 add 0, and the trial fails
     on = [[0.7, e ** 5], [2.9, e ** 5], [0.0, 0.0], [0.0, 0.0]]
     R = float((np.float64(0.0) + np.log1p(0.7) + np.log1p(2.9)) / 4)
-    assert _crafted_failures(monkeypatch, on, R) == (4, [[True, False]])
+    assert _crafted_failures(on, R) == (4, [[True, False]])
     # at drive 2 every trial decodes by round 2, at drive 1 the first never
     # does: the hop draws on and fails it at drive 1
     mixed = [[4.0, e ** 5]] * 2 + [[0.0, 0.0]] * 2
-    assert _crafted_failures(monkeypatch, mixed, 1.0, drives=(2.0, 1.0)) == \
+    assert _crafted_failures(mixed, 1.0, drives=(2.0, 1.0)) == \
         (4, [[False, False], [True, False]])
 
 
@@ -758,24 +763,23 @@ def test_scoring_error_reaches_the_caller(monkeypatch, failing):
 
 
 def _failing_draws(tiles_first):
-    """A `sample_tiles` that yields its first `tiles_first` tiles, then raises."""
-    import linkplan.channel as channel
-
-    def draw(law, gen, n, out=None):
-        for _, tile in zip(range(tiles_first), channel.sample_tiles(law, gen, n, out)):
-            yield tile
-        raise MemoryError(f"draw failed after {tiles_first} tiles")
-    return draw
+    """Wraps a law's `tiles` to yield its first `tiles_first` tiles, then raise."""
+    def wrap(real):
+        def tiles(law, gen, n, out=None):
+            for _, tile in zip(range(tiles_first), real(law, gen, n, out)):
+                yield tile
+            raise MemoryError(f"draw failed after {tiles_first} tiles")
+        return tiles
+    return wrap
 
 
 def test_draw_error_leaves_no_stale_completion(monkeypatch, scorers):
-    import linkplan.simulate as sim
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
     scorers.clear()
     _set_cpus(monkeypatch, 2)
     before = _scorer_threads()
     with monkeypatch.context() as m:
-        m.setattr(sim, "sample_tiles", _failing_draws(1))
+        _wrap_tiles(m, _failing_draws(1))
         with pytest.raises(MemoryError, match="^draw failed after 1 tiles$"):
             _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
     # the worker is left to finish the tile in flight and wait, idle, on
@@ -788,13 +792,12 @@ def test_draw_error_leaves_no_stale_completion(monkeypatch, scorers):
 
 
 def test_draw_error_with_no_tile_in_flight_stops_the_scorer(monkeypatch, scorers):
-    import linkplan.simulate as sim
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
     scorers.clear()
     _set_cpus(monkeypatch, 2)
     before = _scorer_threads()
     with monkeypatch.context() as m:
-        m.setattr(sim, "sample_tiles", _failing_draws(0))
+        _wrap_tiles(m, _failing_draws(0))
         with pytest.raises(MemoryError, match="^draw failed after 0 tiles$"):
             _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
     assert [b.scored for b in scorers] == [set()]
@@ -1023,10 +1026,15 @@ def test_shift_scenario_moves_all_drives():
 
 
 def test_shift_scenario_past_float_range_names_the_hop():
-    # 10^(delta/10) overflowed into a bare OverflowError, and a drive that
-    # underflowed to 0 was reported by the PA without its hop
+    # 10^(delta/10) overflowed into a bare OverflowError, a drive that
+    # underflowed to 0 was reported by the PA without its hop, and a NaN
+    # shift was reported as overflowing a float
     from linkplan.hardware import SaturationError
     cases = [
+        (Route(hops=(_rf(1.0),)), math.nan, ValueError,
+         "hop 0: p_cons 1 shifted by nan dB is not a number"),
+        (MeshNetwork(routes=(Route(hops=(_fso(2.0), _rf(1.0))),)), math.nan, ValueError,
+         "route 0: hop 0: p_tx 2 shifted by nan dB is not a number"),
         (Route(hops=(_fso(2.0), _rf(0.5))), 4000.0, ValueError,
          "hop 0: p_tx 2 shifted by 4000 dB overflows a float"),
         (Route(hops=(_rf(0.5), _fso(2.0))), -4000.0, ValueError,
@@ -1153,7 +1161,7 @@ def test_critical_offsets_count_per_point_failures(monkeypatch, name, block_tria
     if name == "gg_b001":
         # the draws underflow, and the all-zero trials fail at every drive
         gen = sim._block_generator(mc.seed, 0, 0)
-        assert np.count_nonzero(sample_gain(GG_TINY_B, gen, mc.trials) == 0.0) > 0
+        assert np.count_nonzero(law_draws(GG_TINY_B, gen, mc.trials) == 0.0) > 0
         dead = np.isinf(c)
         assert dead.any()
         beyond = shift_scenario(mesh, finite[-1] + 1.0)
@@ -1360,7 +1368,7 @@ def _start(lnx, total):
     return start.bound(total)
 
 
-def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
+def test_critical_offsets_stop_keeps_a_margin_below_the_floor():
     # a later hop whose partial start after round 1 maps 0.5e-9 dB below
     # every trial's floor draws on; at 2e-9 dB below it stops there
     import linkplan.simulate as sim
@@ -1372,7 +1380,7 @@ def test_critical_offsets_stop_keeps_a_margin_below_the_floor(monkeypatch):
     first = (_start(lnx[:1], total) - shift) / fields["slope"]
     drawn = []
     for below in (0.5e-9, 2e-9):
-        crafted = _Crafted(monkeypatch, gains, 2.0, **fields)
+        crafted = _Crafted(gains, 2.0, **fields)
         c = sim._hop_critical_offsets(crafted.hop, None, 3, "margin", first + below)
         assert np.all(c <= first + below)
         drawn.append(crafted.drawn)
@@ -1505,7 +1513,7 @@ def test_newton_start_bounds_the_root(rounds, data, total):
         assert u[i] == pytest.approx(hi, rel=1e-9, abs=1e-9)
 
 
-def test_lone_trial_offset_matches_its_column_in_a_wider_block(monkeypatch):
+def test_lone_trial_offset_matches_its_column_in_a_wider_block():
     # a block of one trial: numpy would sum its lone column of ln X pairwise,
     # not round by round as it sums wider blocks, and move the offset's last
     # bits; beside a copy of itself the same column must give the same bits
@@ -1514,7 +1522,7 @@ def test_lone_trial_offset_matches_its_column_in_a_wider_block(monkeypatch):
     fields = dict(drive_power=2.0, slope=0.1 * math.log(10.0))
     got = []
     for width in (1, 2):
-        crafted = _Crafted(monkeypatch, [[g] * width for g in col], 2.0, **fields)
+        crafted = _Crafted([[g] * width for g in col], 2.0, **fields)
         got.append(sim._hop_critical_offsets(crafted.hop, None, width, "lone",
                                              np.full(width, -math.inf)))
     assert got[1][0] == got[1][1]
