@@ -39,6 +39,14 @@ one hop's draws, rounds floats a trial, six more float arrays of the
 trials (the mesh's and the route's offsets, the hop's running sum, max,
 stop bar and start), which also cover the cut's key and index, and a few
 tiles while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
+On a mesh of two or more routes, while the caller solves route r, a helper
+thread (`_Prefetch`) draws the first hop of route r + 1, a hop with no
+floor whose rounds are all drawn, into its own ln X; the caller takes
+those rows in when it reaches route r + 1.  The pass then holds that
+hop's draws too, rounds floats a trial in a memory map of their own, and
+a tile the helper draws.  It runs serially when the process may run on
+one CPU, or when the two hops' draws would pass PASS_FLOATS.  No draw,
+order or sum changes, so no result depends on the helper.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -55,6 +63,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import channel
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
 from .channel import TILE_TRIALS, _tile_scorer
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
@@ -63,7 +72,10 @@ from .specfun import ConvergenceError
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB), beside a
 # Gamma product's first factor, the packed failure masks and a few tiles; a
-# longer drive sweep takes further passes over the same substreams
+# longer drive sweep takes further passes over the same substreams.  Also
+# the most draws (ln X floats) the critical pass holds at once: it draws the
+# next route's first hop ahead only while that hop's draws and those of each
+# hop of the route it solves fit together in this many
 PASS_FLOATS = 8 * BLOCK_TRIALS
 
 # two-sided 95% normal quantile: the Wilson interval's z, and the factor
@@ -355,8 +367,67 @@ def _largest(x: np.ndarray, k: int) -> np.ndarray:
     return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
 
 
+def _log_rows(hop, gen: np.random.Generator, lnx: np.ndarray):
+    """Each row of lnx in turn, once it holds ln X of its round, the rounds
+    drawn as `_hop_failures` draws them: a product's first factor is drawn
+    into the row that takes ln X.  A gain that underflows to 0 takes ln 0,
+    so the caller's errstate must ignore division by zero."""
+    for row in lnx:
+        for lo, x in hop.law.tiles(gen, lnx.shape[1], row):
+            np.log(x, out=row[lo:lo + x.size])
+        del x  # no tile outlives its round
+        yield row
+
+
+class _Prefetch:
+    """Every round of one hop drawn ahead into a (rounds x n) ln X, as
+    `_log_rows` draws them, on a thread of its own (numpy releases the GIL
+    in both the draws and the log), started at construction under the
+    caller's errstate with division by zero ignored.  The thread only draws
+    and takes logs: the caller takes in the rows itself.  `join` waits for
+    it; `rows` gives the draws or raises what drawing them raised.
+
+    The rows live in an anonymous memory map of their own, which the helper
+    faults in as it draws and which goes back to the OS once the caller
+    drops them.  From malloc they stayed resident: in the helper's arena
+    they added 1.8 MB to `snr_solve`'s peak RSS, and in the caller's heap
+    they pushed glibc past its trim threshold, so that later allocations
+    faulted their pages in again.
+    """
+
+    def __init__(self, hop, gen: np.random.Generator, n: int):
+        import mmap
+        import threading
+        self.lnx = np.frombuffer(mmap.mmap(-1, 8 * hop.rounds * n)).reshape(hop.rounds, n)
+        self.error = None
+        err = {**np.geterr(), "divide": "ignore"}
+
+        def draw():
+            try:
+                with np.errstate(**err):
+                    for _ in _log_rows(hop, gen, self.lnx):
+                        pass
+            except BaseException as e:  # raised again in the caller
+                self.error, self.lnx = e, None
+
+        self.thread = threading.Thread(target=draw, daemon=True, name="linkplan-prefetch")
+        self.thread.start()
+
+    def join(self) -> None:
+        self.thread.join()
+
+    def rows(self) -> np.ndarray:
+        self.join()
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+        lnx, self.lnx = self.lnx, None  # held by the caller alone
+        return lnx
+
+
 def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor, cut: tuple | None = None) -> np.ndarray:
+                          floor, cut: tuple | None = None,
+                          lnx: np.ndarray | None = None) -> np.ndarray:
     """Per trial, max(floor, c), c the dB drive offset at or below which the
     hop fails: the route's running max when `floor` is the max of c over
     the route's earlier hops (the scalar -inf before its first), or higher.
@@ -388,8 +459,13 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     their start, which is at or below t, or lies behind a prior at or below
     t that caps their mesh offset.  A block of fewer than `rank` trials
     takes no cut.
+
+    `lnx`, if given, holds every round's ln X, drawn ahead from `gen` as
+    here (`_Prefetch`), and the rounds are taken in from it in turn.
     """
-    lnx = np.empty((hop.rounds, n))
+    drawn = lnx is not None
+    if not drawn:
+        lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
     shift = math.log(hop.drive_power * hop.law.scale)
     start = _PartialStart(n)
@@ -398,11 +474,7 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
         # a start below bar maps below floor - _CROSSING_MARGIN_DB
         bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
     with np.errstate(divide="ignore"):   # a gain that underflows to 0
-        for k, row in enumerate(lnx, 1):
-            # a product's first factor is drawn into the row that takes ln X
-            for lo, x in hop.law.tiles(gen, n, row):
-                np.log(x, out=row[lo:lo + x.size])
-            del x
+        for k, row in enumerate(lnx if drawn else _log_rows(hop, gen, lnx), 1):
             start.add(row)
             if bar is not None and k < hop.rounds:
                 u = start.bound(total)
@@ -448,17 +520,40 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     above t, equal the uncut ones bit for bit, while a value at or below t
     may stand above its trial's offset.  The memory held is that without
     a rank (module docstring).
+
+    On a mesh of two or more routes and two CPUs or more, while route r of
+    a block is solved, a `_Prefetch` draws the first hop of route r + 1,
+    as long as its draws and those of each hop of route r fit in
+    PASS_FLOATS.  The draws and sums are the serial pass's, so every
+    offset is too.  A draw error there is raised when route r + 1 is
+    reached, as the serial pass raises it; an error in route r wins, once
+    the helper is joined.
     """
     out = np.full(mc.trials, math.inf)
+    ahead = len(mesh.routes) > 1 and channel._cpus() >= 2
     for start, n, routes in _substreams(mesh.routes, mc):
         mesh_c = out[start:start + n]
+        drawn = None  # the ln X of the route's first hop, drawn ahead
         for r, hops in enumerate(routes):
-            route_c = -math.inf
-            for j, (_, hop, gen) in enumerate(hops):
-                cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
-                cut = (mesh_c, rank) if cut_hop else None
-                route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c, cut)
+            nxt = None
+            if ahead and r + 1 < len(routes):
+                _, first, gen = routes[r + 1][0]
+                if (first.rounds + max(hop.rounds for _, hop, _ in hops)) * n <= PASS_FLOATS:
+                    nxt = _Prefetch(first, gen, n)
+            try:
+                route_c = -math.inf
+                for j, (_, hop, gen) in enumerate(hops):
+                    cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
+                    cut = (mesh_c, rank) if cut_hop else None
+                    route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}",
+                                                    route_c, cut, drawn)
+                    drawn = None
+            finally:  # route r's error, if any, wins over the draws ahead
+                if nxt is not None:
+                    nxt.join()
             np.minimum(mesh_c, route_c, out=mesh_c)
+            # the draws ahead raise, if at all, where route r + 1 would draw
+            drawn = nxt.rows() if nxt is not None else None
     return out
 
 

@@ -49,6 +49,9 @@ _SERIES_MAX_TERMS = 10_000
 _TABLE_DY = 0.2
 _TABLE_MAX_NODES = 1 << 14
 _TABLE_FLOOR = 1e-300
+# y - expm1(y) comes from its series where |y| < _SERIES_Y: there the
+# terms y^2/2! ... y^17/17! leave a remainder 1e-30 of it
+_SERIES_Y = 0.125
 # ncx2_cdf drops the terms below e^-_SUM_DEPTH of its result (2.9e-20:
 # a thousand of them stay under a tenth of an ulp)
 _SUM_DEPTH = 45.0
@@ -346,8 +349,9 @@ def _gamma_log_weights(k, dy):
     times (x/2) / sinh(x/2), x = k dy, the ratio of the trapezoid sum of an
     e^{ky} tail to its integral.  A cap that would cut off the mode (of a
     wide factor at the spacing of a far narrower one) raises
-    `ConvergenceError` naming the shape.  Past a shape of about 1e13 the
-    round-off of y - expm1(y) moves the mass, which `gamma_log_table` checks."""
+    `ConvergenceError` naming the shape.  Near y = 0, where y - expm1(y)
+    cancels (past a shape of about 1e13 that round-off moved the mass), it
+    is taken from its series -(y^2/2! + y^3/3! + ...)."""
     # ln(k^k e^-k / Gamma(k)), without the cancellation of k ln k - k - lgamma(k)
     c = 0.5 * math.log(k) - _HALF_LOG_2PI - _stirlerr(k)
     # f dy < _TABLE_FLOOR beyond both edges, where k (e^y - 1 - y) > depth:
@@ -362,7 +366,14 @@ def _gamma_log_weights(k, dy):
             f"log-gain table of Gamma factor {k:g}: the {_TABLE_MAX_NODES}-node cap "
             f"at spacing {dy:.3g} cuts off the mode")
     y = np.arange(j_lo, j_hi + 1) * dy
-    w = np.exp(k * (y - np.expm1(y)) + c) * dy
+    ly = y - np.expm1(y)  # ln f(y) = k ly + c
+    near = np.abs(y) < _SERIES_Y
+    t = y[near]
+    series = np.zeros_like(t)
+    for i in range(17, 1, -1):  # Horner over 1/i!, i = 2, 3, ..., 17
+        series = series * t + 1.0 / math.factorial(i)
+    ly[near] = -(t * t) * series
+    w = np.exp(k * ly + c) * dy
     if j_lo == j_hi - _TABLE_MAX_NODES + 1:
         y_cut = y[0] - 0.5 * dy
         z = k * math.exp(y_cut)

@@ -564,19 +564,32 @@ def test_sweep_pass_holds_its_documented_budget(mesh):
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
 
 
-@pytest.mark.parametrize("mesh, rank", [(README_MESH, None), (TWO_ROUTE_MESH, 100)],
-                         ids=["readme", "two_routes_cut"])
-def test_critical_pass_holds_its_documented_budget(mesh, rank):
+@pytest.mark.parametrize("mesh, rank, cpus, over_cap, ahead", [
+    (README_MESH, None, 2, False, False), (TWO_ROUTE_MESH, 100, 2, False, True),
+    (TWO_ROUTE_MESH, 100, 1, False, False), (TWO_ROUTE_MESH, 100, 2, True, False)],
+    ids=["readme", "two_routes_cut", "two_routes_cut_one_cpu", "two_routes_cut_over_cap"])
+def test_critical_pass_holds_its_documented_budget(monkeypatch, mesh, rank, cpus, over_cap,
+                                                   ahead):
     # per trial: one hop's draws (rounds floats) and five more floats; beside
     # them, while drawing, a sixth float and two tiles, or while solving,
-    # three (rounds x CRITICAL_CHUNK) Newton temporaries
+    # three (rounds x CRITICAL_CHUNK) Newton temporaries.  Where the next
+    # route's first hop is drawn ahead, its draws too, in a memory map that
+    # tracemalloc does not see, made once a pass: not on one CPU, and not
+    # when they and route 0's would pass PASS_FLOATS
+    import mmap
     import linkplan.simulate as sim
     n = 50_000
     rounds = max(hop.rounds for route in mesh.routes for hop in route.hops)
+    _set_cpus(monkeypatch, cpus)
+    if over_cap:
+        monkeypatch.setattr(sim, "PASS_FLOATS", 2 * rounds * n - 1)
+    maps, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args[1]) or real(*args))
     budget = 8 * n * (rounds + 5) + max(8 * n + 2 * 8 * TILE_TRIALS,
                                         3 * 8 * rounds * sim.CRITICAL_CHUNK)
     peak = _peak_bytes(lambda: sim._critical_offsets(mesh, McConfig(trials=n, seed=1), rank))
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
+    assert maps == ([8 * n * mesh.routes[1].hops[0].rounds] * 2 if ahead else [])
 
 
 def _tile_meshes():
@@ -1007,6 +1020,201 @@ def test_cpu_count_fallback_without_affinity_call(monkeypatch, scorers):
     assert channel._cpus() == 2
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
     assert [b.scored for b in scorers] == [{SCORER}] * _hops(README_MESH)
+
+
+# ----------------------------------------------------------------------------
+# the draws ahead: the critical pass draws route r + 1's first hop on a
+# second thread while it solves route r
+# ----------------------------------------------------------------------------
+
+PREFETCH = "linkplan-prefetch"
+
+
+def _prefetch_threads():
+    """The threads drawing ahead alive now."""
+    return {t for t in threading.enumerate() if t.name == PREFETCH}
+
+
+@pytest.fixture
+def drawers(monkeypatch):
+    """Per round any gain law draws during the test, in order: (law, the
+    name of the thread that draws it)."""
+    rounds = []
+
+    def recording(real):
+        def tiles(law, gen, n, out=None):
+            rounds.append((law, threading.current_thread().name))
+            return real(law, gen, n, out)
+        return tiles
+
+    _wrap_tiles(monkeypatch, recording)
+    return rounds
+
+
+def _failing_laws(errors):
+    """Wraps a law's `tiles` to raise kind(text), for errors[law] = (kind,
+    text), after the law's first tile."""
+    def wrap(real):
+        def tiles(law, gen, n, out=None):
+            draws = real(law, gen, n, out)
+            if law not in errors:
+                yield from draws
+                return
+            yield next(draws)
+            kind, text = errors[law]
+            raise kind(text)
+        return tiles
+    return wrap
+
+
+def _drawn_ahead(mesh, blocks):
+    """The laws drawn ahead per round over `blocks` blocks: each later
+    route's first hop, every round."""
+    return [hop.law for route in mesh.routes[1:] for hop in route.hops[:1]
+            for _ in range(hop.rounds)] * blocks
+
+
+PREFETCH_MESHES = {
+    "one_route": README_MESH,
+    "two_routes": TWO_ROUTE_MESH,
+    # a third route of an RF hop with K = 1.5, N = 8 and a Gamma-Gamma hop
+    "three_routes": MeshNetwork(TWO_ROUTE_MESH.routes + (Route(hops=(
+        _rf(0.4, n=8, m=2, c=3, r=1.5, k=1.5), _fso(3.0, m=2, c=3, r=1.0, model=GG))),)),
+}
+
+
+@pytest.mark.parametrize("rank", [None, 60])
+@pytest.mark.parametrize("name", list(PREFETCH_MESHES))
+def test_prefetched_critical_pass_matches_serial(monkeypatch, drawers, name, rank):
+    # four blocks of 1000 trials, the last of 500: each block draws every
+    # later route's first hop on a thread of its own, no pass outlives it,
+    # and every offset keeps the serial pass's bits
+    import linkplan.simulate as sim
+    mesh = PREFETCH_MESHES[name]
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    mc = McConfig(trials=3500, seed=5)
+    with monkeypatch.context() as m:
+        _set_cpus(m, 1)
+        serial = sim._critical_offsets(mesh, mc, rank)
+    assert {thread for _, thread in drawers} == {threading.current_thread().name}
+    drawers.clear()
+    _set_cpus(monkeypatch, 2)
+    before = _prefetch_threads()
+    assert np.array_equal(sim._critical_offsets(mesh, mc, rank), serial)
+    assert [law for law, thread in drawers if thread == PREFETCH] == _drawn_ahead(mesh, 4)
+    assert _prefetch_threads() == before
+
+
+def test_critical_pass_prefetches_only_within_the_cap(monkeypatch, drawers):
+    # route 1's first hop is drawn ahead while its 10 rounds and route 0's
+    # 10 fit in PASS_FLOATS, and on the caller one float past that
+    import linkplan.simulate as sim
+    _set_cpus(monkeypatch, 2)
+    mc = McConfig(trials=2000, seed=5)
+    offsets = []
+    for cap, ahead in ((20 * mc.trials, True), (20 * mc.trials - 1, False)):
+        monkeypatch.setattr(sim, "PASS_FLOATS", cap)
+        drawers.clear()
+        offsets.append(sim._critical_offsets(TWO_ROUTE_MESH, mc))
+        assert [law for law, thread in drawers if thread == PREFETCH] == \
+            _drawn_ahead(TWO_ROUTE_MESH, 1) * ahead
+    assert np.array_equal(*offsets)
+
+
+def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, drawers):
+    # route 1 starts with the b = 0.01 Gamma-Gamma hop, some of whose gains
+    # underflow to 0: drawn ahead, its ln 0 stays silent (a RuntimeWarning
+    # is an error in this suite) and the offsets keep the serial bits
+    import linkplan.simulate as sim
+    mesh = MeshNetwork(README_MESH.routes + _critical_meshes()["gg_b001"].routes)
+    mc = McConfig(trials=3500, seed=43)
+    gen = sim._block_generator(mc.seed, 0, len(README_MESH.routes[0].hops))
+    zeros = law_draws(GG_TINY_B, gen, mc.trials) == 0.0
+    assert zeros.any()
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        np.log(zeros.astype(float))
+    with monkeypatch.context() as m:
+        _set_cpus(m, 1)
+        serial = sim._critical_offsets(mesh, mc)
+    drawers.clear()
+    _set_cpus(monkeypatch, 2)
+    assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
+    assert [law for law, thread in drawers if thread == PREFETCH] == _drawn_ahead(mesh, 1)
+    # the caller's errstate reaches the thread, with ln 0 ignored
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
+
+
+def test_prefetched_required_snr_matches_serial(monkeypatch, drawers):
+    mc = McConfig(trials=20_000, seed=1)
+    solves = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        solves.append([repr(required_snr(target, TWO_ROUTE_MESH, evaluator="mc",
+                                         bounds_db=(5.0, 9.0), mc=mc))
+                       for target in (0.1, 0.01)])
+    assert solves[0] == solves[1]
+    assert PREFETCH in {thread for _, thread in drawers}
+
+
+@pytest.mark.parametrize("rank", [None, 60])
+def test_prefetched_draw_error_is_the_serial_one(monkeypatch, drawers, rank):
+    # route 1's first hop fails after its first tile: drawn ahead, its error
+    # reaches the caller with the serial pass's type and text, and the
+    # thread is gone
+    import linkplan.simulate as sim
+    later = TWO_ROUTE_MESH.routes[1].hops[0].law
+    _wrap_tiles(monkeypatch, _failing_laws({later: (MemoryError, "route 1 draw failed")}))
+    mc = McConfig(trials=2 * TILE_TRIALS + 3, seed=5)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        before = _prefetch_threads()
+        drawers.clear()
+        with pytest.raises(MemoryError) as err:
+            sim._critical_offsets(TWO_ROUTE_MESH, mc, rank)
+        assert (type(err.value), str(err.value)) == (MemoryError, "route 1 draw failed")
+        assert [law for law, thread in drawers if thread == PREFETCH] == [later] * (cpus - 1)
+        assert _prefetch_threads() == before
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["ahead_fails_first", "route_fails_first"])
+@pytest.mark.parametrize("failure", ["draw", "newton"])
+def test_route_error_wins_over_a_prefetch_error(monkeypatch, drawers, failure, late):
+    # route 0 fails, in its first hop's draws or its Newton solve, while
+    # route 1's first hop fails on the thread drawing ahead, before route 0
+    # does or (held back 0.2 s) after: route 0's error is raised, as the
+    # serial pass raises it, once the thread is joined
+    import linkplan.simulate as sim
+    from linkplan.specfun import ConvergenceError
+    route0, route1 = (route.hops for route in TWO_ROUTE_MESH.routes)
+    errors = {route1[0].law: (MemoryError, "route 1 draw failed")}
+    if failure == "draw":
+        errors[route0[0].law] = (ValueError, "route 0 draw failed")
+    else:
+        monkeypatch.setattr(sim, "_NEWTON_MAX_ITER", 1)
+    _wrap_tiles(monkeypatch, _failing_laws(errors))
+
+    def held_back(real):
+        def tiles(law, gen, n, out=None):
+            if late and law == route1[0].law:
+                time.sleep(0.2)
+            return real(law, gen, n, out)
+        return tiles
+
+    _wrap_tiles(monkeypatch, held_back)
+    raised = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        before = _prefetch_threads()
+        drawers.clear()
+        with pytest.raises((ValueError, ConvergenceError)) as err:
+            sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5))
+        raised.append((type(err.value), str(err.value)))
+        assert [law for law, thread in drawers if thread == PREFETCH] == \
+            [route1[0].law] * (cpus - 1)
+        assert _prefetch_threads() == before
+    assert raised[0] == raised[1]
+    assert raised[0][1].startswith("route 0")
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,6 @@ package.
 """
 
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -315,15 +314,22 @@ def test_gamma_log_table_mixed_widths_keep_their_mean():
     assert max(errors) <= 1e-10, errors
 
 
-@pytest.mark.parametrize("k", [1e38])
-def test_gamma_log_table_past_the_node_cap_is_a_named_error(k):
-    # at spacing 0.5 / sqrt(k) a bare OverflowError (sinh in the fold) or
-    # numpy's TypeError (node indices past int64) became a ConvergenceError
-    # naming the shape; spanned by its own scale, the factor's weights now
-    # lose their mass to round-off, which the mass check names
-    message = re.escape(f"Gamma factors ({k:g}, {k:g}) holds mass")
-    with pytest.raises(ConvergenceError, match=message):
-        fso_moments(FsoHopParams(FsoGammaGamma(k, k), 10.0, 1, 1, 1.0))
+@pytest.mark.parametrize("k", [float(k) for k in np.geomspace(1e12, 1e15, 25)] + [1e38])
+def test_gamma_log_table_of_a_huge_shape_builds(k):
+    # from k = 1e13, y - expm1(y) cancelled near y = 0 and the mass check
+    # raised at most shapes; from its series there, the table keeps its
+    # mass and the ln-variance 2 psi'(k) of two Gamma(k) factors.  At 1e38
+    # it once raised a bare OverflowError (sinh in the node cap's fold) or
+    # numpy's TypeError (node indices past int64)
+    specfun.gamma_log_table.cache_clear()
+    y, w = specfun.gamma_log_table((k, k))
+    mean = float(w @ y)
+    var = float(w @ (y - mean) ** 2)
+    with mpmath.workdps(50):
+        ref_var = float(2 * mpmath.psi(1, k))
+    assert abs(w.sum() - 1.0) <= 1e-10
+    assert var == pytest.approx(ref_var, rel=1e-10)
+    assert math.isfinite(fso_moments(FsoHopParams(FsoGammaGamma(k, k), 10.0, 1, 1, 1.0)).mean)
 
 
 @pytest.mark.parametrize("k", [float(k) for k in np.geomspace(0.05, 1e4, 25)] + [6.7, 6.8])
