@@ -13,9 +13,7 @@ the table in ln G of an FSO law's Gamma factors.  The one density here, of
 the single-antenna Rician gain, is an exact formula kept as an independent
 check that no command calls; it takes scipy's `ive` from
 `specfun.import_scipy` at the call (scipy is a test-only dependency).  The
-FSO densities live with the tests' oracles.  `_tile_scorer` gives the sweep
-kernel, for one hop's rounds, a worker thread that scores each tile while
-the next is drawn.
+FSO densities live with the tests' oracles.
 A Gaussian surrogate for the sum gain, moment-matched in closed form, feeds
 the analytical outage evaluators; `_half_moment` gives the same moments
 through Laguerre functions of the single-antenna gain.
@@ -23,11 +21,8 @@ through Laguerre functions of the single-antenna gain.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -179,95 +174,6 @@ def rician_gain_pdf(x, f: RicianFading):
         + arg
     )
     return math.exp(log_f) if log_f > -700.0 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# tile scoring
-# ---------------------------------------------------------------------------
-
-def _cpus() -> int:
-    """The CPUs this process may run on, or the machine's where the OS
-    cannot say (`os.sched_getaffinity` is Linux-only)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _score_forever(todo, done, slot) -> None:
-    """The scoring thread: each time `todo` is released, score the (score,
-    (lo, tile), errstate) task in slot[0] under the caller's errstate, put
-    what it raised, or None, in slot[1] and release `done`; end on a
-    release with no task."""
-    while True:
-        todo.acquire()
-        if slot[0] is None:
-            return
-        score, (lo, x), err = slot[0]
-        slot[0] = None
-        try:
-            with np.errstate(**err):
-                score(lo, x)
-            slot[1] = None
-        except BaseException as e:  # raised again in the caller
-            slot[1] = e
-        del score, x  # no tile outlives its completion
-        done.release()
-
-
-@contextmanager
-def _tile_scorer(size):
-    """score_tiles(tiles, score) for the block's draws of `size` trials from
-    a law's `tiles`: score(lo, tile) on each (first trial, tile) pair of
-    `tiles`, in trial order.
-
-    When a draw spans more than one tile and the process may run on two
-    CPUs, the block runs a worker thread, stopped and joined on leaving,
-    that scores tile k under the caller's `np.errstate` while the caller
-    draws tile k + 1 (numpy releases the GIL in both).  Tile k is scored
-    before k + 1 is handed over and the last before score_tiles returns, so
-    the draws and sums are the serial loop's, bit for bit.  A scoring error
-    is raised in the caller.  An exception with a tile in flight leaves the
-    worker to finish it and wait, idle, on locks no later block shares.
-    Otherwise the caller scores the tiles.  Raw locks hand the tiles over:
-    a `queue` import would cost more memory than the thread.
-    """
-    if size <= TILE_TRIALS or _cpus() < 2:
-        def score_tiles(tiles, score) -> None:
-            for lo, x in tiles:
-                score(lo, x)
-        yield score_tiles
-        return
-    import threading
-    todo, done, slot = threading.Lock(), threading.Lock(), [None, None]
-    todo.acquire()
-    done.acquire()
-    worker = threading.Thread(target=_score_forever, args=(todo, done, slot), daemon=True,
-                              name="linkplan-scorer")
-    worker.start()
-    pending = False  # a tile may be handed over and not yet collected
-
-    def score_tiles(tiles, score) -> None:
-        nonlocal pending
-        err = np.geterr()
-        for tile in chain(tiles, [None]):  # None: collect the last tile
-            if pending:
-                done.acquire()
-                pending = False
-                if slot[1] is not None:
-                    break
-            if tile is not None:
-                pending = True
-                slot[0] = score, tile, err
-                todo.release()
-        error, slot[1] = slot[1], None
-        if error is not None:
-            raise error
-
-    try:
-        yield score_tiles
-    finally:
-        if not pending:  # else the worker is left to its tile
-            todo.release()  # with no task: stop
-            worker.join()
 
 
 # ---------------------------------------------------------------------------

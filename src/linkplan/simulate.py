@@ -12,12 +12,7 @@ only through the fields both kinds share (`law`, `rounds`, `drive_power`,
 
 No draw depends on drive power, so `simulate_sweep` scores a whole drive
 sweep (meshes equal but for their drives) from one set of draws, each point
-bit-identical to simulating it alone.  The caller draws a round's tiles in
-turn.  A worker thread started for the hop scores each at every drive
-while the next is drawn, and is joined once the hop's rounds are done
-(`channel._tile_scorer`), unless a round is one tile or the process has
-one CPU: then the caller scores it.  No draw, order or sum changes, so no
-result depends on the threading.  Over n = min(trials, BLOCK_TRIALS)
+bit-identical to simulating it alone.  Over n = min(trials, BLOCK_TRIALS)
 trials and K points a pass holds a float64 accumulator of 8 * K * n bytes
 (at most 8 * PASS_FLOATS), a Gamma product's first factor of 8 * n bytes,
 K * n / 8 bytes of mesh failure mask (twice that with two routes) and a few
@@ -39,14 +34,19 @@ one hop's draws, rounds floats a trial, six more float arrays of the
 trials (the mesh's and the route's offsets, the hop's running sum, max,
 stop bar and start), which also cover the cut's key and index, and a few
 tiles while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
-On a mesh of two or more routes, while the caller solves route r, a helper
-thread (`_Prefetch`) draws the first hop of route r + 1, a hop with no
-floor whose rounds are all drawn, into its own ln X; the caller takes
-those rows in when it reaches route r + 1.  The pass then holds that
-hop's draws too, rounds floats a trial in a memory map of their own, and
-a tile the helper draws.  It runs serially when the process may run on
-one CPU, or when the two hops' draws would pass PASS_FLOATS.  No draw,
-order or sum changes, so no result depends on the helper.
+A hop drawn ahead (below) adds its draws, rounds floats a trial in a memory
+map of their own, and a tile.
+
+Each pass opens one `_Helper`: a second thread, started at its first task
+where the process may run on two CPUs or more, that runs one task at a
+time under the caller's errstate while the caller goes on (numpy releases
+the GIL in the draws and the arithmetic).  The sweep, when a block spans more than one
+tile, hands it the scoring of each tile at every drive while it draws the
+next.  The critical pass, on a mesh of two or more routes, hands it the
+draws of route r + 1's first hop, a hop with no floor whose rounds are all
+drawn, while it solves route r, as long as both hops' draws fit in
+PASS_FLOATS.  No draw, order or sum changes, so no result depends on the
+helper.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -58,14 +58,14 @@ bit as with every round drawn.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from . import channel
 from .analysis import FSO_CLT, MONTE_CARLO, RF_LINEARIZED, OutageEstimate
-from .channel import TILE_TRIALS, _tile_scorer
+from .channel import TILE_TRIALS
 from .network import MeshNetwork, Route, mesh_outage, shift_scenario
 from .specfun import ConvergenceError
 
@@ -155,15 +155,104 @@ def _substreams(routes, mc: McConfig):
             for route, first in zip(routes, firsts)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or the machine's where the OS
+    cannot say (`os.sched_getaffinity` is Linux-only)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _serve(todo, done, slot) -> None:
+    """The helper thread: each time `todo` is released, run the (fn, args,
+    errstate) task in slot[0] under the caller's errstate, put (its result,
+    None) or (None, what it raised) in slot[1] and release `done`; end on a
+    release with no task."""
+    while True:
+        todo.acquire()
+        if slot[0] is None:
+            return
+        fn, args, err = slot[0]
+        slot[0] = None
+        try:
+            with np.errstate(**err):
+                slot[1] = fn(*args), None
+        except BaseException as e:  # raised again in the caller
+            slot[1] = None, e
+        del fn, args  # no task's arrays outlive its completion
+        done.release()
+
+
+class _Helper:
+    """A pass's second thread, one task at a time: `submit(fn, *args)`
+    collects the task in flight, then hands fn(*args) over to run under the
+    caller's `np.errstate`; `collect()` waits for it and returns its result
+    or raises again what it raised (None with no task in flight).
+
+    Made with `wanted` on a process that may run on two CPUs or more, it
+    starts one daemon thread at the first hand-off, and raw locks hand the
+    tasks over (a `queue` import would cost more memory than the thread).
+    Otherwise `threaded` is False and submit runs fn in the caller.  A
+    clean exit or an ordinary exception lets the task in flight finish,
+    drops its error, so that the caller's own error wins, and joins the
+    thread.  An interrupt with a task in flight leaves the thread to finish
+    it and wait, idle, on locks no later pass shares.
+    """
+
+    def __init__(self, wanted: bool):
+        self.threaded = wanted and _cpus() >= 2
+        self.thread = None
+        self.pending = False  # a task handed over and not yet collected
+
+    def __enter__(self) -> _Helper:
+        return self
+
+    def submit(self, fn, *args) -> None:
+        if not self.threaded:
+            fn(*args)
+            return
+        if self.thread is None:
+            import threading
+            self.todo, self.done, self.slot = threading.Lock(), threading.Lock(), [None, None]
+            self.todo.acquire()
+            self.done.acquire()
+            thread = threading.Thread(target=_serve, args=(self.todo, self.done, self.slot),
+                                      daemon=True, name="linkplan-helper")
+            thread.start()
+            self.thread = thread  # joined on exit once started
+        self.collect()
+        self.pending = True
+        self.slot[0] = fn, args, np.geterr()
+        self.todo.release()
+
+    def collect(self):
+        if not self.pending:
+            return None
+        self.done.acquire()
+        self.pending = False
+        (result, error), self.slot[1] = self.slot[1], None
+        if error is not None:
+            raise error
+        return result
+
+    def __exit__(self, kind, *_) -> None:
+        if self.pending and issubclass(kind or Exception, Exception):
+            self.done.acquire()  # the task in flight ends; its error is dropped
+            self.pending, self.slot[1] = False, None
+        if self.thread is not None and not self.pending:
+            self.todo.release()  # with no task: stop
+            self.thread.join()
+
+
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
-                  out: np.ndarray) -> None:
+                  out: np.ndarray, helper: _Helper) -> None:
     """OR the hop's outage indicator at drive drives[i] into out[i], a mask
     packed 8 trials to a byte in `np.packbits` order.
 
     Each round's unscaled gain X is drawn once, a tile at a time, and each
-    tile is scored at every drive (`_tile_scorer`), the last round's with
-    its failures: acc[i] += log1p((drives[i] * scale) * X), the arithmetic
-    of a one-drive run, so every row is bit-identical to its drive alone.
+    tile is scored at every drive (on the `helper`, while the next is drawn),
+    the last round's with its failures: acc[i] += log1p((drives[i] * scale)
+    * X), the arithmetic of a one-drive run, so every row is bit-identical
+    to its drive alone.
 
     The hop stops drawing once every trial has decoded at every drive, each
     row's min / rounds > R / M, and ORs in nothing: a later round adds a
@@ -183,11 +272,13 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
                 np.divide(row, rounds, out=t)
                 fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
 
-    with _tile_scorer(n) as score_tiles:
-        for r in range(1, rounds + 1):
-            score_tiles(hop.law.tiles(gen, n), score)
-            if all(row.min() / rounds > threshold for row in acc):
-                return
+    for r in range(1, rounds + 1):
+        for tile in hop.law.tiles(gen, n):
+            helper.submit(score, *tile)
+        del tile  # no tile outlives its round
+        helper.collect()
+        if all(row.min() / rounds > threshold for row in acc):
+            return
 
 
 def _simulate(points, mc: McConfig) -> list:
@@ -203,18 +294,19 @@ def _simulate(points, mc: McConfig) -> list:
     mesh_buf = np.empty((len(points), -(-width // 8)), dtype=np.uint8)
     route_buf = np.empty_like(mesh_buf) if len(points[0]) > 1 else None
     failures = np.zeros(len(points), dtype=np.int64)
-    for _, n, routes in _substreams(points[0], mc):
-        mesh_fail = mesh_buf[:, :-(-n // 8)]
-        for r, hops in enumerate(routes):
-            # a route starts with no hop failed; the first route's failures
-            # are the mesh's until a later route ANDs its own in
-            route_fail = route_buf[:, :mesh_fail.shape[1]] if r else mesh_fail
-            route_fail.fill(0)
-            for j, hop, gen in hops:
-                _hop_failures(hop, drives[:, j], gen, acc[:, :n], route_fail)
-            if r:
-                mesh_fail &= route_fail
-        failures += [np.count_nonzero(np.unpackbits(row)) for row in mesh_fail]
+    with _Helper(width > TILE_TRIALS) as helper:
+        for _, n, routes in _substreams(points[0], mc):
+            mesh_fail = mesh_buf[:, :-(-n // 8)]
+            for r, hops in enumerate(routes):
+                # a route starts with no hop failed; the first route's
+                # failures are the mesh's until a later route ANDs its own in
+                route_fail = route_buf[:, :mesh_fail.shape[1]] if r else mesh_fail
+                route_fail.fill(0)
+                for j, hop, gen in hops:
+                    _hop_failures(hop, drives[:, j], gen, acc[:, :n], route_fail, helper)
+                if r:
+                    mesh_fail &= route_fail
+            failures += [np.count_nonzero(np.unpackbits(row)) for row in mesh_fail]
     return [OutageEstimate(f / mc.trials, MONTE_CARLO, wilson_halfwidth(f, mc.trials))
             for f in failures.tolist()]
 
@@ -370,59 +462,25 @@ def _largest(x: np.ndarray, k: int) -> np.ndarray:
 def _log_rows(hop, gen: np.random.Generator, lnx: np.ndarray):
     """Each row of lnx in turn, once it holds ln X of its round, the rounds
     drawn as `_hop_failures` draws them: a product's first factor is drawn
-    into the row that takes ln X.  A gain that underflows to 0 takes ln 0,
-    so the caller's errstate must ignore division by zero."""
+    into the row that takes ln X."""
     for row in lnx:
         for lo, x in hop.law.tiles(gen, lnx.shape[1], row):
-            np.log(x, out=row[lo:lo + x.size])
+            with np.errstate(divide="ignore"):  # a gain that underflows to 0
+                np.log(x, out=row[lo:lo + x.size])
         del x  # no tile outlives its round
         yield row
 
 
-class _Prefetch:
-    """Every round of one hop drawn ahead into a (rounds x n) ln X, as
-    `_log_rows` draws them, on a thread of its own (numpy releases the GIL
-    in both the draws and the log), started at construction under the
-    caller's errstate with division by zero ignored.  The thread only draws
-    and takes logs: the caller takes in the rows itself.  `join` waits for
-    it; `rows` gives the draws or raises what drawing them raised.
-
-    The rows live in an anonymous memory map of their own, which the helper
-    faults in as it draws and which goes back to the OS once the caller
-    drops them.  From malloc they stayed resident: in the helper's arena
-    they added 1.8 MB to `snr_solve`'s peak RSS, and in the caller's heap
-    they pushed glibc past its trim threshold, so that later allocations
-    faulted their pages in again.
-    """
-
-    def __init__(self, hop, gen: np.random.Generator, n: int):
-        import mmap
-        import threading
-        self.lnx = np.frombuffer(mmap.mmap(-1, 8 * hop.rounds * n)).reshape(hop.rounds, n)
-        self.error = None
-        err = {**np.geterr(), "divide": "ignore"}
-
-        def draw():
-            try:
-                with np.errstate(**err):
-                    for _ in _log_rows(hop, gen, self.lnx):
-                        pass
-            except BaseException as e:  # raised again in the caller
-                self.error, self.lnx = e, None
-
-        self.thread = threading.Thread(target=draw, daemon=True, name="linkplan-prefetch")
-        self.thread.start()
-
-    def join(self) -> None:
-        self.thread.join()
-
-    def rows(self) -> np.ndarray:
-        self.join()
-        error, self.error = self.error, None
-        if error is not None:
-            raise error
-        lnx, self.lnx = self.lnx, None  # held by the caller alone
-        return lnx
+def _draw_ahead(hop, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Every round's ln X of the hop's n trials, drawn as `_log_rows` draws
+    them, in an anonymous memory map of their own: it goes back to the OS
+    once the rows are dropped, where from malloc they stayed resident or
+    made later passes fault their pages in again."""
+    import mmap
+    lnx = np.frombuffer(mmap.mmap(-1, 8 * hop.rounds * n)).reshape(hop.rounds, n)
+    for _ in _log_rows(hop, gen, lnx):
+        pass
+    return lnx
 
 
 def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
@@ -461,7 +519,7 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     takes no cut.
 
     `lnx`, if given, holds every round's ln X, drawn ahead from `gen` as
-    here (`_Prefetch`), and the rounds are taken in from it in turn.
+    here (`_draw_ahead`), and the rounds are taken in from it in turn.
     """
     drawn = lnx is not None
     if not drawn:
@@ -473,17 +531,18 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     if hop.rounds > 1 and np.min(floor) > -math.inf:
         # a start below bar maps below floor - _CROSSING_MARGIN_DB
         bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
-    with np.errstate(divide="ignore"):   # a gain that underflows to 0
-        for k, row in enumerate(lnx if drawn else _log_rows(hop, gen, lnx), 1):
-            start.add(row)
-            if bar is not None and k < hop.rounds:
-                u = start.bound(total)
-                if (u < bar).all():
-                    lnx = lnx[:k]
-                    break
-                del u  # the next round's start takes its place
-        else:
+    for k, row in enumerate(lnx if drawn else _log_rows(hop, gen, lnx), 1):
+        start.add(row)
+        if bar is not None and k < hop.rounds:
             u = start.bound(total)
+            # tile by tile: no bool array of the trials
+            if all((u[lo:lo + TILE_TRIALS] < bar[lo:lo + TILE_TRIALS]).all()
+                   for lo in range(0, n, TILE_TRIALS)):
+                lnx = lnx[:k]
+                break
+            del u  # the next round's start takes its place
+    else:
+        u = start.bound(total)
     del start, bar  # the draw phase's arrays, out of Newton's peak
     key = (u - shift) / hop.slope  # the offset each start maps to
     if cut is not None:
@@ -521,26 +580,25 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     may stand above its trial's offset.  The memory held is that without
     a rank (module docstring).
 
-    On a mesh of two or more routes and two CPUs or more, while route r of
-    a block is solved, a `_Prefetch` draws the first hop of route r + 1,
-    as long as its draws and those of each hop of route r fit in
-    PASS_FLOATS.  The draws and sums are the serial pass's, so every
-    offset is too.  A draw error there is raised when route r + 1 is
-    reached, as the serial pass raises it; an error in route r wins, once
-    the helper is joined.
+    On a mesh of two or more routes, while route r of a block is solved,
+    the `_Helper` draws the first hop of route r + 1 (`_draw_ahead`), as
+    long as its draws and those of each hop of route r fit in PASS_FLOATS.
+    The draws and sums are the serial pass's, so every offset is too.  A
+    draw error there is raised where route r + 1 begins, as the serial pass
+    raises it; an error in route r wins.
     """
     out = np.full(mc.trials, math.inf)
-    ahead = len(mesh.routes) > 1 and channel._cpus() >= 2
-    for start, n, routes in _substreams(mesh.routes, mc):
-        mesh_c = out[start:start + n]
-        drawn = None  # the ln X of the route's first hop, drawn ahead
-        for r, hops in enumerate(routes):
-            nxt = None
-            if ahead and r + 1 < len(routes):
-                _, first, gen = routes[r + 1][0]
-                if (first.rounds + max(hop.rounds for _, hop, _ in hops)) * n <= PASS_FLOATS:
-                    nxt = _Prefetch(first, gen, n)
-            try:
+    with _Helper(len(mesh.routes) > 1) as helper:
+        for start, n, routes in _substreams(mesh.routes, mc):
+            mesh_c = out[start:start + n]
+            for r, hops in enumerate(routes):
+                # the ln X of the route's first hop if drawn ahead: any
+                # error of those draws is raised here, where route r draws
+                drawn = helper.collect()
+                if helper.threaded and r + 1 < len(routes):
+                    _, first, gen = routes[r + 1][0]
+                    if (first.rounds + max(hop.rounds for _, hop, _ in hops)) * n <= PASS_FLOATS:
+                        helper.submit(_draw_ahead, first, gen, n)
                 route_c = -math.inf
                 for j, (_, hop, gen) in enumerate(hops):
                     cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
@@ -548,12 +606,7 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
                     route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}",
                                                     route_c, cut, drawn)
                     drawn = None
-            finally:  # route r's error, if any, wins over the draws ahead
-                if nxt is not None:
-                    nxt.join()
-            np.minimum(mesh_c, route_c, out=mesh_c)
-            # the draws ahead raise, if at all, where route r + 1 would draw
-            drawn = nxt.rows() if nxt is not None else None
+                np.minimum(mesh_c, route_c, out=mesh_c)
     return out
 
 

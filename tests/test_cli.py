@@ -886,25 +886,27 @@ def test_unbuildable_sweep_point_names_the_hop(tmp_path, command, grid):
             assert "shifted" not in line and "p_max" not in line, line
 
 
+@pytest.mark.mc_threads
 @pytest.mark.parametrize("command, code", [("outage-sweep", 0), ("validate", 1)])
 def test_mc_sweep_leaves_no_thread_behind(tmp_path, monkeypatch, command, code):
-    # on two CPUs the README scenario at two tiles and a bit scores each hop
-    # on a scoring thread of its own, and the command joins both before it
-    # returns: no thread outlives the sweep
-    from linkplan import channel
-    monkeypatch.setattr(channel, "_cpus", lambda: 2)
-    started, score_forever = [], channel._score_forever
+    # on two CPUs the README scenario at two tiles and a bit scores both
+    # hops on one helper thread, which the command joins before it returns:
+    # no thread outlives the sweep
+    from linkplan import simulate
+    from linkplan.channel import TILE_TRIALS
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    started, serve = [], simulate._serve
 
     def counted(*args):
         started.append(threading.current_thread().name)
-        score_forever(*args)
+        serve(*args)
 
-    monkeypatch.setattr(channel, "_score_forever", counted)
+    monkeypatch.setattr(simulate, "_serve", counted)
     before = threading.active_count()
-    trials = str(2 * channel.TILE_TRIALS + 3)
+    trials = str(2 * TILE_TRIALS + 3)
     assert run_to_file(tmp_path, command, str(GOLDEN / "readme.yaml"),
                        extra=("--trials", trials))[0] == code
-    assert started == ["linkplan-scorer"] * 2
+    assert started == ["linkplan-helper"]
     assert threading.active_count() == before
 
 

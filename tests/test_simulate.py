@@ -1,7 +1,6 @@
 """Monte Carlo engine: determinism, closed-form anchors, interval behavior,
 joint route/mesh semantics, and the power-search on top of it."""
 
-import contextlib
 import hashlib
 import linecache
 import math
@@ -365,7 +364,8 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
     model, rounds = hop.law, hop.rounds
     acc = np.empty((len(drives), n))
     fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
-    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc, fail)
+    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc, fail,
+                      sim._Helper(False))
     # some trial fails at some drive, so the hop never stopped drawing and
     # acc holds every round's sum, not a partial one
     assert fail.any()
@@ -466,7 +466,8 @@ def _crafted_failures(gains, R, drives=(1.0,)):
     crafted = _Crafted(gains, R)
     n = len(gains[0])
     fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
-    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail)
+    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail,
+                      sim._Helper(False))
     return crafted.drawn, np.unpackbits(fail, axis=1, count=n).astype(bool).tolist()
 
 
@@ -564,21 +565,24 @@ def test_sweep_pass_holds_its_documented_budget(mesh):
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
 
 
-@pytest.mark.parametrize("mesh, rank, cpus, over_cap, ahead", [
-    (README_MESH, None, 2, False, False), (TWO_ROUTE_MESH, 100, 2, False, True),
-    (TWO_ROUTE_MESH, 100, 1, False, False), (TWO_ROUTE_MESH, 100, 2, True, False)],
-    ids=["readme", "two_routes_cut", "two_routes_cut_one_cpu", "two_routes_cut_over_cap"])
+@pytest.mark.mc_threads
+@pytest.mark.parametrize("mesh, rank, cpus, over_cap, ahead, n", [
+    (README_MESH, None, 2, False, False, 50_000), (TWO_ROUTE_MESH, 100, 2, False, True, 50_000),
+    (TWO_ROUTE_MESH, 100, 1, False, False, 50_000), (TWO_ROUTE_MESH, 100, 2, True, False, 50_000),
+    (TWO_ROUTE_MESH, 100, 1, False, False, 419_430)],
+    ids=["readme", "two_routes_cut", "two_routes_cut_one_cpu", "two_routes_cut_over_cap",
+         "two_routes_cut_one_cpu_wide"])
 def test_critical_pass_holds_its_documented_budget(monkeypatch, mesh, rank, cpus, over_cap,
-                                                   ahead):
+                                                   ahead, n):
     # per trial: one hop's draws (rounds floats) and five more floats; beside
     # them, while drawing, a sixth float and two tiles, or while solving,
     # three (rounds x CRITICAL_CHUNK) Newton temporaries.  Where the next
     # route's first hop is drawn ahead, its draws too, in a memory map that
     # tracemalloc does not see, made once a pass: not on one CPU, and not
-    # when they and route 0's would pass PASS_FLOATS
+    # when they and route 0's would pass PASS_FLOATS.  At 419,430 trials the
+    # stop checks of a floored hop must take no bool array of the trials
     import mmap
     import linkplan.simulate as sim
-    n = 50_000
     rounds = max(hop.rounds for route in mesh.routes for hop in route.hops)
     _set_cpus(monkeypatch, cpus)
     if over_cap:
@@ -644,53 +648,60 @@ def test_critical_offsets_tiles_count_per_point_failures(name, trials):
 
 
 # ----------------------------------------------------------------------------
-# the scoring thread: draws of tile k + 1 overlap the scoring of tile k
+# the helper thread: the sweep scores tile k on it while it draws tile
+# k + 1, and the critical pass draws route r + 1's first hop on it while it
+# solves route r
 # ----------------------------------------------------------------------------
 
 OVERLAP_SIZES = [1_000, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
 OVERLAP_MESHES = {"waterfall": README_MESH, "two_routes": TWO_ROUTE_MESH}
-SCORER = "linkplan-scorer"
+HELPER = "linkplan-helper"
+# every test that runs the helper; CI runs them again pinned to one CPU
+mc_threads = pytest.mark.mc_threads
 
 
 @pytest.fixture
-def scorers(monkeypatch):
-    """Per `_tile_scorer` block the sweep kernel opens during the test, in
-    order: its caller's thread name and the names of the threads that
-    scored its tiles."""
+def helpers(monkeypatch):
+    """Per `_Helper` block any pass opens during the test, in order: its
+    caller's thread name and, per task, (the thread that ran it, the task's
+    name, the law of the hop a draw task draws, else None)."""
     import linkplan.simulate as sim
-    blocks, real = [], sim._tile_scorer
+    blocks = []
 
-    @contextlib.contextmanager
-    def tile_scorer(size):
-        block = SimpleNamespace(caller=threading.current_thread().name, scored=set())
-        blocks.append(block)
+    class Recorded(sim._Helper):
+        def __enter__(self):
+            self.record = SimpleNamespace(caller=threading.current_thread().name, tasks=[])
+            blocks.append(self.record)
+            return super().__enter__()
 
-        def recorded(score):
-            def run(lo, x):
-                block.scored.add(threading.current_thread().name)
-                score(lo, x)
-            return run
+        def submit(self, fn, *args):
+            tasks = self.record.tasks
 
-        with real(size) as score_tiles:
-            yield lambda tiles, score: score_tiles(tiles, recorded(score))
+            def run(*args):
+                tasks.append((threading.current_thread().name, fn.__name__,
+                              getattr(args[0], "law", None)))
+                return fn(*args)
 
-    monkeypatch.setattr(sim, "_tile_scorer", tile_scorer)
+            super().submit(run, *args)
+
+    monkeypatch.setattr(sim, "_Helper", Recorded)
     return blocks
 
 
+def _ran_on(blocks):
+    """Per helper block, the names of the threads that ran its tasks."""
+    return [{thread for thread, _, _ in b.tasks} for b in blocks]
+
+
 def _set_cpus(monkeypatch, count):
-    """Let `_tile_scorer` see `count` CPUs, whatever this host's affinity."""
-    import linkplan.channel as channel
-    monkeypatch.setattr(channel, "_cpus", lambda: count)
+    """Let `_Helper` see `count` CPUs, whatever this host's affinity."""
+    import linkplan.simulate as sim
+    monkeypatch.setattr(sim, "_cpus", lambda: count)
 
 
-def _scorer_threads():
-    """The scoring threads alive now."""
-    return {t for t in threading.enumerate() if t.name == SCORER}
-
-
-def _hops(mesh):
-    return sum(len(route.hops) for route in mesh.routes)
+def _helper_threads():
+    """The helper threads alive now."""
+    return {t for t in threading.enumerate() if t.name == HELPER}
 
 
 def _waterfall_estimates(mesh, trials, seed=11):
@@ -705,45 +716,47 @@ def _serial_estimates(monkeypatch, mesh, trials):
         return _waterfall_estimates(mesh, trials)
 
 
+@mc_threads
 @pytest.mark.parametrize("trials", OVERLAP_SIZES)
 @pytest.mark.parametrize("name", list(OVERLAP_MESHES))
-def test_threaded_sweep_matches_serial(monkeypatch, scorers, name, trials):
+def test_threaded_sweep_matches_serial(monkeypatch, helpers, name, trials):
     mesh = OVERLAP_MESHES[name]
     serial = _serial_estimates(monkeypatch, mesh, trials)
     caller = threading.current_thread().name
-    assert [b.scored for b in scorers] == [{caller}] * _hops(mesh)
-    scorers.clear()
-    before = _scorer_threads()
+    assert _ran_on(helpers) == [{caller}]
+    helpers.clear()
+    before = _helper_threads()
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(mesh, trials) == serial
-    # a round of one tile has nothing to overlap
-    scored = {SCORER} if trials > TILE_TRIALS else {caller}
-    assert [b.scored for b in scorers] == [scored] * _hops(mesh)
-    assert _scorer_threads() == before
+    # a block of one tile has nothing to overlap
+    assert _ran_on(helpers) == [{HELPER} if trials > TILE_TRIALS else {caller}]
+    assert _helper_threads() == before
 
 
+@mc_threads
 @pytest.mark.parametrize("name", list(OVERLAP_MESHES))
-def test_threaded_sweep_across_blocks_matches_serial(monkeypatch, scorers, name):
+def test_threaded_sweep_across_blocks_matches_serial(monkeypatch, helpers, name):
     # three blocks of 2 TILE_TRIALS + 8 trials and a short fourth of two
-    # tiles: every hop of every block scores on a thread of its own, and
-    # none outlives the sweep
+    # tiles: one helper scores every hop of every block, and does not
+    # outlive the sweep
     import linkplan.simulate as sim
     mesh = OVERLAP_MESHES[name]
     monkeypatch.setattr(sim, "BLOCK_TRIALS", 2 * TILE_TRIALS + 8)
     trials = 3 * sim.BLOCK_TRIALS + TILE_TRIALS + 5
     serial = _serial_estimates(monkeypatch, mesh, trials)
-    scorers.clear()
-    before = _scorer_threads()
+    helpers.clear()
+    before = _helper_threads()
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(mesh, trials) == serial
-    assert [b.scored for b in scorers] == [{SCORER}] * (4 * _hops(mesh))
-    assert _scorer_threads() == before
+    assert _ran_on(helpers) == [{HELPER}]
+    assert _helper_threads() == before
 
 
+@mc_threads
 @pytest.mark.parametrize("mesh", list(OVERLAP_MESHES.values()), ids=list(OVERLAP_MESHES))
 def test_threaded_sweep_holds_what_the_serial_one_holds(monkeypatch, mesh):
-    # the scoring thread drops each tile once scored: a Gamma-Gamma round's
-    # first factor is gone before the next round draws its own
+    # the helper drops each tile once scored: a Gamma-Gamma round's first
+    # factor is gone before the next round draws its own
     meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
     run = lambda: simulate_sweep(meshes, McConfig(trials=50_000, seed=11))  # noqa: E731
     with monkeypatch.context() as m:
@@ -753,12 +766,13 @@ def test_threaded_sweep_holds_what_the_serial_one_holds(monkeypatch, mesh):
     assert _peak_bytes(run) <= serial + 8 * 1024
 
 
+@mc_threads
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["first", "middle", "last"])
 def test_scoring_error_reaches_the_caller(monkeypatch, failing):
-    import linkplan.channel as channel
+    import linkplan.simulate as sim
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
     tiles = [(lo, np.zeros(TILE_TRIALS)) for lo in range(0, 3 * TILE_TRIALS, TILE_TRIALS)]
     threads = []
 
@@ -768,10 +782,12 @@ def test_scoring_error_reaches_the_caller(monkeypatch, failing):
             raise ZeroDivisionError(f"tile at {lo} failed")
 
     with pytest.raises(ZeroDivisionError, match=f"^tile at {failing * TILE_TRIALS} failed$"):
-        with channel._tile_scorer(3 * TILE_TRIALS) as score_tiles:
-            score_tiles(iter(tiles), score)
-    assert threads == [SCORER] * (failing + 1)
-    assert _scorer_threads() == before
+        with sim._Helper(True) as helper:
+            for tile in tiles:
+                helper.submit(score, *tile)
+            helper.collect()
+    assert threads == [HELPER] * (failing + 1)
+    assert _helper_threads() == before
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
 
 
@@ -786,35 +802,38 @@ def _failing_draws(tiles_first):
     return wrap
 
 
-def test_draw_error_leaves_no_stale_completion(monkeypatch, scorers):
+@mc_threads
+def test_draw_error_leaves_no_stale_completion(monkeypatch, helpers):
+    # a draw fails with a tile in flight, five sweeps in a row: each lets
+    # the tile finish and joins its helper, so no thread and no completion
+    # is left for the next sweep
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    scorers.clear()
+    helpers.clear()
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
     with monkeypatch.context() as m:
         _wrap_tiles(m, _failing_draws(1))
-        with pytest.raises(MemoryError, match="^draw failed after 1 tiles$"):
-            _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
-    # the worker is left to finish the tile in flight and wait, idle, on
-    # locks of its own, so its completion cannot reach the next sweep
-    assert len(scorers) == 1
-    left = _scorer_threads() - before
-    assert len(left) <= 1
+        for _ in range(5):
+            with pytest.raises(MemoryError, match="^draw failed after 1 tiles$"):
+                _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
+    assert _ran_on(helpers) == [{HELPER}] * 5
+    assert _helper_threads() == before
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert _scorer_threads() - before == left
+    assert _helper_threads() == before
 
 
-def test_draw_error_with_no_tile_in_flight_stops_the_scorer(monkeypatch, scorers):
+@mc_threads
+def test_draw_error_with_no_tile_in_flight_stops_the_scorer(monkeypatch, helpers):
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    scorers.clear()
+    helpers.clear()
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
     with monkeypatch.context() as m:
         _wrap_tiles(m, _failing_draws(0))
         with pytest.raises(MemoryError, match="^draw failed after 0 tiles$"):
             _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
-    assert [b.scored for b in scorers] == [set()]
-    assert _scorer_threads() == before
+    assert [b.tasks for b in helpers] == [[]]
+    assert _helper_threads() == before
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
 
 
@@ -835,12 +854,12 @@ def _in_thread(run, seconds=60):
     return out[0]
 
 
-def _interrupted(run, call):
+def _interrupted(run, method, call):
     """run(), on whose thread a KeyboardInterrupt is raised right after the
-    first lock `call` (acquire or release) in a `score_tiles` returns, as a
-    signal landing there would raise it."""
+    first lock `call` (acquire or release) in a `_Helper` `method` returns,
+    as a signal landing there would raise it."""
     def profile(frame, event, arg):
-        if (event == "c_return" and frame.f_code.co_name == "score_tiles"
+        if (event == "c_return" and frame.f_code.co_name == method
                 and getattr(arg, "__name__", None) == call):
             raise KeyboardInterrupt
 
@@ -851,86 +870,92 @@ def _interrupted(run, call):
         sys.setprofile(None)
 
 
+@mc_threads
 @pytest.mark.parametrize("lock, call", [("todo", "release"), ("done", "acquire")])
 def test_interrupt_mid_hand_off_abandons_the_scorer(monkeypatch, lock, call):
-    # an interrupt right after a tile is handed over (the only release in
-    # score_tiles), or right after one is collected (the only acquire): the
-    # sweep neither hangs nor leaves a stale completion, and at most one
-    # idle thread stays behind
+    # an interrupt right after a tile is handed over (the release of `todo`
+    # in submit), or right after one is collected (the acquire of `done` in
+    # collect): the sweep neither hangs nor leaves a stale completion, and
+    # at most one idle thread stays behind
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, README_MESH, trials)
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
     sweep = lambda: _waterfall_estimates(README_MESH, trials)  # noqa: E731
-    assert isinstance(_in_thread(lambda: _interrupted(sweep, call)), KeyboardInterrupt)
-    left = _scorer_threads() - before
+    method = {"todo": "submit", "done": "collect"}[lock]
+    assert isinstance(_in_thread(lambda: _interrupted(sweep, method, call)), KeyboardInterrupt)
+    left = _helper_threads() - before
     assert len(left) <= 1
     assert _in_thread(sweep) == reference
-    assert _scorer_threads() - before == left
+    assert _helper_threads() - before == left
 
 
+@mc_threads
 def test_interrupt_before_a_hand_off_stops_the_scorer(monkeypatch):
-    # an interrupt as score_tiles reaches its first hand-off: no tile is in
+    # an interrupt as submit reaches its first hand-off: no task is in
     # flight, so the block stops and joins its thread (one that found a task
-    # it was never told of would score it and leave the join hanging)
+    # it was never told of would run it and leave the join hanging)
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, README_MESH, trials)
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
 
     def at_hand_off(frame, event, arg):
         if event == "line" and linecache.getline(
-                frame.f_code.co_filename, frame.f_lineno).strip() == "pending = True":
+                frame.f_code.co_filename, frame.f_lineno).strip() == "self.pending = True":
             raise KeyboardInterrupt  # the trace function is unset once it raises
         return at_hand_off
 
     def interrupted():
         sys.settrace(lambda frame, event, arg: at_hand_off
-                     if frame.f_code.co_name == "score_tiles" else None)
+                     if frame.f_code.co_name == "submit" else None)
         try:
             return _waterfall_estimates(README_MESH, trials)
         finally:
             sys.settrace(None)
 
     assert isinstance(_in_thread(interrupted), KeyboardInterrupt)
-    assert _scorer_threads() == before
+    assert _helper_threads() == before
     assert _in_thread(lambda: _waterfall_estimates(README_MESH, trials)) == reference
 
 
-def test_no_scorer_thread_outlives_a_clean_sweep(monkeypatch, scorers):
+@mc_threads
+def test_no_scorer_thread_outlives_a_clean_sweep(monkeypatch, helpers):
     _set_cpus(monkeypatch, 2)
     before = threading.active_count()
     for seed in range(20):
         _waterfall_estimates(README_MESH, TILE_TRIALS + 1, seed)
         assert threading.active_count() == before
-    assert [b.scored for b in scorers] == [{SCORER}] * (20 * _hops(README_MESH))
+    assert _ran_on(helpers) == [{HELPER}] * 20
 
 
+@mc_threads
 def test_scorer_runs_under_the_callers_errstate(monkeypatch):
-    import linkplan.channel as channel
+    import linkplan.simulate as sim
     _set_cpus(monkeypatch, 2)
     seen = []
 
     def score(lo, x):
         seen.append((threading.current_thread().name, np.geterr()))
 
-    tiles = [(lo, np.zeros(1)) for lo in (0, TILE_TRIALS)]
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
         caller = np.geterr()
-        with channel._tile_scorer(2 * TILE_TRIALS) as score_tiles:
-            score_tiles(iter(tiles), score)
+        with sim._Helper(True) as helper:
+            for lo in (0, TILE_TRIALS):
+                helper.submit(score, lo, np.zeros(1))
+            helper.collect()
     assert caller != np.geterr()
-    assert seen == [(SCORER, caller)] * 2
+    assert seen == [(HELPER, caller)] * 2
 
 
-def test_concurrent_sweeps_keep_their_bits(monkeypatch, scorers):
+@mc_threads
+def test_concurrent_sweeps_keep_their_bits(monkeypatch, helpers):
     # more calling threads than cores, switching every microsecond: every
-    # sweep's hops take scoring threads of their own, and each sweep keeps
-    # the serial bits
+    # sweep takes a helper of its own, and each keeps the serial bits
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, TILE_TRIALS + 1)
-    scorers.clear()
+    helpers.clear()
     _set_cpus(monkeypatch, 2)
-    before = _scorer_threads()
+    before = _helper_threads()
     results = []
 
     def sweeps():
@@ -949,27 +974,26 @@ def test_concurrent_sweeps_keep_their_bits(monkeypatch, scorers):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert results == [reference] * 12
-    assert sorted(b.caller for b in scorers) == sorted(
-        c.name for c in callers for _ in range(3 * _hops(TWO_ROUTE_MESH)))
-    assert all(b.scored == {SCORER} for b in scorers)
-    assert _scorer_threads() == before
+    assert sorted(b.caller for b in helpers) == sorted(c.name for c in callers for _ in range(3))
+    assert _ran_on(helpers) == [{HELPER}] * 12
+    assert _helper_threads() == before
 
 
-def _sweep_in_child(conn, mesh, trials, cpus, scorers):
+def _sweep_in_child(conn, mesh, trials, cpus, helpers):
     if cpus:
         os.sched_setaffinity(0, cpus)
-    scorers.clear()
+    helpers.clear()
     estimates = _waterfall_estimates(mesh, trials)
-    conn.send((estimates, set().union(*(b.scored for b in scorers))))
+    conn.send((estimates, set().union(*_ran_on(helpers))))
     conn.close()
 
 
-def _forked_sweep(mesh, trials, scorers, cpus=None):
+def _forked_sweep(mesh, trials, helpers, cpus=None):
     """A forked child's waterfall estimates, pinned to `cpus` if given, and
     the names of the threads that scored its tiles."""
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus, scorers))
+    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus, helpers))
     child.start()
     try:
         assert receive.poll(60), "the forked child gave no estimates"
@@ -982,73 +1006,47 @@ def _forked_sweep(mesh, trials, scorers, cpus=None):
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                             reason="no fork start method on this platform")
+                                reason="no fork start method on this platform")
 
 
+@mc_threads
 @needs_fork
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_forked_child_starts_its_own_scorer(monkeypatch, scorers):
+def test_forked_child_starts_its_own_scorer(monkeypatch, helpers):
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
     _set_cpus(monkeypatch, 2)
     assert _waterfall_estimates(TWO_ROUTE_MESH, trials) == reference
-    assert _forked_sweep(TWO_ROUTE_MESH, trials, scorers) == (reference, {SCORER})
+    assert _forked_sweep(TWO_ROUTE_MESH, trials, helpers) == (reference, {HELPER})
 
 
+@mc_threads
 @needs_fork
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_one_cpu_affinity_scores_on_the_caller(monkeypatch, scorers):
+def test_one_cpu_affinity_scores_on_the_caller(monkeypatch, helpers):
     # the real affinity check, unpatched: a child pinned to one CPU scores
     # its own tiles and starts no thread
     trials = 2 * TILE_TRIALS + 3
     reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
     one_cpu = {min(os.sched_getaffinity(0))}
-    assert _forked_sweep(TWO_ROUTE_MESH, trials, scorers, one_cpu) == (
+    assert _forked_sweep(TWO_ROUTE_MESH, trials, helpers, one_cpu) == (
         reference, {threading.current_thread().name})
 
 
-def test_cpu_count_fallback_without_affinity_call(monkeypatch, scorers):
-    import linkplan.channel as channel
+@mc_threads
+def test_cpu_count_fallback_without_affinity_call(monkeypatch, helpers):
+    import linkplan.simulate as sim
     reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    scorers.clear()
+    helpers.clear()
     if hasattr(os, "sched_getaffinity"):
-        assert channel._cpus() == len(os.sched_getaffinity(0))
+        assert sim._cpus() == len(os.sched_getaffinity(0))
     # off Linux there is no affinity call: the count falls back to os.cpu_count()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert channel._cpus() == 2
+    assert sim._cpus() == 2
     assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert [b.scored for b in scorers] == [{SCORER}] * _hops(README_MESH)
-
-
-# ----------------------------------------------------------------------------
-# the draws ahead: the critical pass draws route r + 1's first hop on a
-# second thread while it solves route r
-# ----------------------------------------------------------------------------
-
-PREFETCH = "linkplan-prefetch"
-
-
-def _prefetch_threads():
-    """The threads drawing ahead alive now."""
-    return {t for t in threading.enumerate() if t.name == PREFETCH}
-
-
-@pytest.fixture
-def drawers(monkeypatch):
-    """Per round any gain law draws during the test, in order: (law, the
-    name of the thread that draws it)."""
-    rounds = []
-
-    def recording(real):
-        def tiles(law, gen, n, out=None):
-            rounds.append((law, threading.current_thread().name))
-            return real(law, gen, n, out)
-        return tiles
-
-    _wrap_tiles(monkeypatch, recording)
-    return rounds
+    assert _ran_on(helpers) == [{HELPER}]
 
 
 def _failing_laws(errors):
@@ -1068,10 +1066,14 @@ def _failing_laws(errors):
 
 
 def _drawn_ahead(mesh, blocks):
-    """The laws drawn ahead per round over `blocks` blocks: each later
-    route's first hop, every round."""
-    return [hop.law for route in mesh.routes[1:] for hop in route.hops[:1]
-            for _ in range(hop.rounds)] * blocks
+    """The helper's tasks over `blocks` blocks of a critical pass: each
+    later route's first hop, drawn whole."""
+    return [(HELPER, "_draw_ahead", route.hops[0].law) for route in mesh.routes[1:]] * blocks
+
+
+def _tasks(blocks):
+    """Every task of every helper block, in order."""
+    return [task for b in blocks for task in b.tasks]
 
 
 PREFETCH_MESHES = {
@@ -1083,11 +1085,12 @@ PREFETCH_MESHES = {
 }
 
 
+@mc_threads
 @pytest.mark.parametrize("rank", [None, 60])
 @pytest.mark.parametrize("name", list(PREFETCH_MESHES))
-def test_prefetched_critical_pass_matches_serial(monkeypatch, drawers, name, rank):
-    # four blocks of 1000 trials, the last of 500: each block draws every
-    # later route's first hop on a thread of its own, no pass outlives it,
+def test_prefetched_critical_pass_matches_serial(monkeypatch, helpers, name, rank):
+    # four blocks of 1000 trials, the last of 500: one helper draws every
+    # later route's first hop of each block, it does not outlive the pass,
     # and every offset keeps the serial pass's bits
     import linkplan.simulate as sim
     mesh = PREFETCH_MESHES[name]
@@ -1096,32 +1099,39 @@ def test_prefetched_critical_pass_matches_serial(monkeypatch, drawers, name, ran
     with monkeypatch.context() as m:
         _set_cpus(m, 1)
         serial = sim._critical_offsets(mesh, mc, rank)
-    assert {thread for _, thread in drawers} == {threading.current_thread().name}
-    drawers.clear()
+    assert _tasks(helpers) == []
+    helpers.clear()
     _set_cpus(monkeypatch, 2)
-    before = _prefetch_threads()
+    before = _helper_threads()
     assert np.array_equal(sim._critical_offsets(mesh, mc, rank), serial)
-    assert [law for law, thread in drawers if thread == PREFETCH] == _drawn_ahead(mesh, 4)
-    assert _prefetch_threads() == before
+    assert len(helpers) == 1
+    assert _tasks(helpers) == _drawn_ahead(mesh, 4)
+    assert _helper_threads() == before
 
 
-def test_critical_pass_prefetches_only_within_the_cap(monkeypatch, drawers):
+@mc_threads
+def test_critical_pass_prefetches_only_within_the_cap(monkeypatch, helpers):
     # route 1's first hop is drawn ahead while its 10 rounds and route 0's
-    # 10 fit in PASS_FLOATS, and on the caller one float past that
+    # 10 fit in PASS_FLOATS, and on the caller one float past that, where
+    # no helper thread starts
     import linkplan.simulate as sim
     _set_cpus(monkeypatch, 2)
+    starts, serve = [], sim._serve
+    monkeypatch.setattr(sim, "_serve", lambda *args: starts.append(args) or serve(*args))
     mc = McConfig(trials=2000, seed=5)
     offsets = []
     for cap, ahead in ((20 * mc.trials, True), (20 * mc.trials - 1, False)):
         monkeypatch.setattr(sim, "PASS_FLOATS", cap)
-        drawers.clear()
+        helpers.clear()
+        starts.clear()
         offsets.append(sim._critical_offsets(TWO_ROUTE_MESH, mc))
-        assert [law for law, thread in drawers if thread == PREFETCH] == \
-            _drawn_ahead(TWO_ROUTE_MESH, 1) * ahead
+        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * ahead
+        assert len(starts) == ahead
     assert np.array_equal(*offsets)
 
 
-def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, drawers):
+@mc_threads
+def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, helpers):
     # route 1 starts with the b = 0.01 Gamma-Gamma hop, some of whose gains
     # underflow to 0: drawn ahead, its ln 0 stays silent (a RuntimeWarning
     # is an error in this suite) and the offsets keep the serial bits
@@ -1136,16 +1146,18 @@ def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, drawers)
     with monkeypatch.context() as m:
         _set_cpus(m, 1)
         serial = sim._critical_offsets(mesh, mc)
-    drawers.clear()
+    helpers.clear()
     _set_cpus(monkeypatch, 2)
     assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
-    assert [law for law, thread in drawers if thread == PREFETCH] == _drawn_ahead(mesh, 1)
+    assert _tasks(helpers) == _drawn_ahead(mesh, 1)
     # the caller's errstate reaches the thread, with ln 0 ignored
     with np.errstate(divide="raise", invalid="raise"):
         assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
+    assert _tasks(helpers) == _drawn_ahead(mesh, 2)
 
 
-def test_prefetched_required_snr_matches_serial(monkeypatch, drawers):
+@mc_threads
+def test_prefetched_required_snr_matches_serial(monkeypatch, helpers):
     mc = McConfig(trials=20_000, seed=1)
     solves = []
     for cpus in (1, 2):
@@ -1154,11 +1166,12 @@ def test_prefetched_required_snr_matches_serial(monkeypatch, drawers):
                                          bounds_db=(5.0, 9.0), mc=mc))
                        for target in (0.1, 0.01)])
     assert solves[0] == solves[1]
-    assert PREFETCH in {thread for _, thread in drawers}
+    assert HELPER in set().union(*_ran_on(helpers))
 
 
+@mc_threads
 @pytest.mark.parametrize("rank", [None, 60])
-def test_prefetched_draw_error_is_the_serial_one(monkeypatch, drawers, rank):
+def test_prefetched_draw_error_is_the_serial_one(monkeypatch, helpers, rank):
     # route 1's first hop fails after its first tile: drawn ahead, its error
     # reaches the caller with the serial pass's type and text, and the
     # thread is gone
@@ -1168,22 +1181,23 @@ def test_prefetched_draw_error_is_the_serial_one(monkeypatch, drawers, rank):
     mc = McConfig(trials=2 * TILE_TRIALS + 3, seed=5)
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
-        before = _prefetch_threads()
-        drawers.clear()
+        before = _helper_threads()
+        helpers.clear()
         with pytest.raises(MemoryError) as err:
             sim._critical_offsets(TWO_ROUTE_MESH, mc, rank)
         assert (type(err.value), str(err.value)) == (MemoryError, "route 1 draw failed")
-        assert [law for law, thread in drawers if thread == PREFETCH] == [later] * (cpus - 1)
-        assert _prefetch_threads() == before
+        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * (cpus - 1)
+        assert _helper_threads() == before
 
 
+@mc_threads
 @pytest.mark.parametrize("late", [False, True], ids=["ahead_fails_first", "route_fails_first"])
 @pytest.mark.parametrize("failure", ["draw", "newton"])
-def test_route_error_wins_over_a_prefetch_error(monkeypatch, drawers, failure, late):
+def test_route_error_wins_over_a_prefetch_error(monkeypatch, helpers, failure, late):
     # route 0 fails, in its first hop's draws or its Newton solve, while
-    # route 1's first hop fails on the thread drawing ahead, before route 0
-    # does or (held back 0.2 s) after: route 0's error is raised, as the
-    # serial pass raises it, once the thread is joined
+    # route 1's first hop fails on the helper, before route 0 does or (held
+    # back 0.2 s) after: route 0's error is raised, as the serial pass
+    # raises it, once the helper is joined
     import linkplan.simulate as sim
     from linkplan.specfun import ConvergenceError
     route0, route1 = (route.hops for route in TWO_ROUTE_MESH.routes)
@@ -1205,14 +1219,13 @@ def test_route_error_wins_over_a_prefetch_error(monkeypatch, drawers, failure, l
     raised = []
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
-        before = _prefetch_threads()
-        drawers.clear()
+        before = _helper_threads()
+        helpers.clear()
         with pytest.raises((ValueError, ConvergenceError)) as err:
             sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5))
         raised.append((type(err.value), str(err.value)))
-        assert [law for law, thread in drawers if thread == PREFETCH] == \
-            [route1[0].law] * (cpus - 1)
-        assert _prefetch_threads() == before
+        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * (cpus - 1)
+        assert _helper_threads() == before
     assert raised[0] == raised[1]
     assert raised[0][1].startswith("route 0")
 
