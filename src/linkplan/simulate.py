@@ -34,19 +34,13 @@ one hop's draws, rounds floats a trial, six more float arrays of the
 trials (the mesh's and the route's offsets, the hop's running sum, max,
 stop bar and start), which also cover the cut's key and index, and a few
 tiles while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
-A hop drawn ahead (below) adds its draws, rounds floats a trial in a memory
-map of their own, and a tile.
 
-Each pass opens one `_Helper`: a second thread, started at its first task
-where the process may run on two CPUs or more, that runs one task at a
-time under the caller's errstate while the caller goes on (numpy releases
-the GIL in the draws and the arithmetic).  The sweep, when a block spans more than one
-tile, hands it the scoring of each tile at every drive while it draws the
-next.  The critical pass, on a mesh of two or more routes, hands it the
-draws of route r + 1's first hop, a hop with no floor whose rounds are all
-drawn, while it solves route r, as long as both hops' draws fit in
-PASS_FLOATS.  No draw, order or sum changes, so no result depends on the
-helper.
+The sweep, when a block spans more than one tile, opens one `_Helper`: a
+second thread, started at its first task where the process may run on two
+CPUs or more, that scores each tile at every drive under the caller's
+errstate while the caller draws the next (numpy releases the GIL in the
+draws and the arithmetic).  No draw, order or sum changes, so no result
+depends on the helper.  The critical pass runs on the calling thread.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -72,10 +66,7 @@ from .specfun import ConvergenceError
 BLOCK_TRIALS = 1 << 20
 # most float64 accumulator cells one kernel pass holds (64 MiB), beside a
 # Gamma product's first factor, the packed failure masks and a few tiles; a
-# longer drive sweep takes further passes over the same substreams.  Also
-# the most draws (ln X floats) the critical pass holds at once: it draws the
-# next route's first hop ahead only while that hop's draws and those of each
-# hop of the route it solves fit together in this many
+# longer drive sweep takes further passes over the same substreams
 PASS_FLOATS = 8 * BLOCK_TRIALS
 
 # two-sided 95% normal quantile: the Wilson interval's z, and the factor
@@ -164,9 +155,9 @@ def _cpus() -> int:
 
 def _serve(todo, done, slot) -> None:
     """The helper thread: each time `todo` is released, run the (fn, args,
-    errstate) task in slot[0] under the caller's errstate, put (its result,
-    None) or (None, what it raised) in slot[1] and release `done`; end on a
-    release with no task."""
+    errstate) task in slot[0] under the caller's errstate, put what it
+    raised, if anything, in slot[1] and release `done`; end on a release
+    with no task."""
     while True:
         todo.acquire()
         if slot[0] is None:
@@ -175,18 +166,18 @@ def _serve(todo, done, slot) -> None:
         slot[0] = None
         try:
             with np.errstate(**err):
-                slot[1] = fn(*args), None
+                fn(*args)
         except BaseException as e:  # raised again in the caller
-            slot[1] = None, e
+            slot[1] = e
         del fn, args  # no task's arrays outlive its completion
         done.release()
 
 
 class _Helper:
-    """A pass's second thread, one task at a time: `submit(fn, *args)`
+    """The sweep pass's second thread, one task at a time: `submit(fn, *args)`
     collects the task in flight, then hands fn(*args) over to run under the
-    caller's `np.errstate`; `collect()` waits for it and returns its result
-    or raises again what it raised (None with no task in flight).
+    caller's `np.errstate`; `collect()` waits for it and raises again what
+    it raised.
 
     Made with `wanted` on a process that may run on two CPUs or more, it
     starts one daemon thread at the first hand-off, and raw locks hand the
@@ -224,15 +215,14 @@ class _Helper:
         self.slot[0] = fn, args, np.geterr()
         self.todo.release()
 
-    def collect(self):
+    def collect(self) -> None:
         if not self.pending:
-            return None
+            return
         self.done.acquire()
         self.pending = False
-        (result, error), self.slot[1] = self.slot[1], None
+        error, self.slot[1] = self.slot[1], None
         if error is not None:
             raise error
-        return result
 
     def __exit__(self, kind, *_) -> None:
         if self.pending and issubclass(kind or Exception, Exception):
@@ -459,33 +449,8 @@ def _largest(x: np.ndarray, k: int) -> np.ndarray:
     return np.partition(x, x.size - k)[x.size - k:] if x.size > k else x
 
 
-def _log_rows(hop, gen: np.random.Generator, lnx: np.ndarray):
-    """Each row of lnx in turn, once it holds ln X of its round, the rounds
-    drawn as `_hop_failures` draws them: a product's first factor is drawn
-    into the row that takes ln X."""
-    for row in lnx:
-        for lo, x in hop.law.tiles(gen, lnx.shape[1], row):
-            with np.errstate(divide="ignore"):  # a gain that underflows to 0
-                np.log(x, out=row[lo:lo + x.size])
-        del x  # no tile outlives its round
-        yield row
-
-
-def _draw_ahead(hop, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Every round's ln X of the hop's n trials, drawn as `_log_rows` draws
-    them, in an anonymous memory map of their own: it goes back to the OS
-    once the rows are dropped, where from malloc they stayed resident or
-    made later passes fault their pages in again."""
-    import mmap
-    lnx = np.frombuffer(mmap.mmap(-1, 8 * hop.rounds * n)).reshape(hop.rounds, n)
-    for _ in _log_rows(hop, gen, lnx):
-        pass
-    return lnx
-
-
 def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor, cut: tuple | None = None,
-                          lnx: np.ndarray | None = None) -> np.ndarray:
+                          floor, cut: tuple | None = None) -> np.ndarray:
     """Per trial, max(floor, c), c the dB drive offset at or below which the
     hop fails: the route's running max when `floor` is the max of c over
     the route's earlier hops (the scalar -inf before its first), or higher.
@@ -517,13 +482,8 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     their start, which is at or below t, or lies behind a prior at or below
     t that caps their mesh offset.  A block of fewer than `rank` trials
     takes no cut.
-
-    `lnx`, if given, holds every round's ln X, drawn ahead from `gen` as
-    here (`_draw_ahead`), and the rounds are taken in from it in turn.
     """
-    drawn = lnx is not None
-    if not drawn:
-        lnx = np.empty((hop.rounds, n))
+    lnx = np.empty((hop.rounds, n))
     total = hop.rounds * hop.R / hop.M
     shift = math.log(hop.drive_power * hop.law.scale)
     start = _PartialStart(n)
@@ -531,7 +491,12 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     if hop.rounds > 1 and np.min(floor) > -math.inf:
         # a start below bar maps below floor - _CROSSING_MARGIN_DB
         bar = (floor - _CROSSING_MARGIN_DB) * hop.slope + shift
-    for k, row in enumerate(lnx if drawn else _log_rows(hop, gen, lnx), 1):
+    for k, row in enumerate(lnx, 1):
+        # a product's first factor is drawn into the row that takes ln X
+        for lo, x in hop.law.tiles(gen, n, row):
+            with np.errstate(divide="ignore"):  # a gain that underflows to 0
+                np.log(x, out=row[lo:lo + x.size])
+        del x  # no tile outlives its round
         start.add(row)
         if bar is not None and k < hop.rounds:
             u = start.bound(total)
@@ -579,34 +544,17 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
     above t, equal the uncut ones bit for bit, while a value at or below t
     may stand above its trial's offset.  The memory held is that without
     a rank (module docstring).
-
-    On a mesh of two or more routes, while route r of a block is solved,
-    the `_Helper` draws the first hop of route r + 1 (`_draw_ahead`), as
-    long as its draws and those of each hop of route r fit in PASS_FLOATS.
-    The draws and sums are the serial pass's, so every offset is too.  A
-    draw error there is raised where route r + 1 begins, as the serial pass
-    raises it; an error in route r wins.
     """
     out = np.full(mc.trials, math.inf)
-    with _Helper(len(mesh.routes) > 1) as helper:
-        for start, n, routes in _substreams(mesh.routes, mc):
-            mesh_c = out[start:start + n]
-            for r, hops in enumerate(routes):
-                # the ln X of the route's first hop if drawn ahead: any
-                # error of those draws is raised here, where route r draws
-                drawn = helper.collect()
-                if helper.threaded and r + 1 < len(routes):
-                    _, first, gen = routes[r + 1][0]
-                    if (first.rounds + max(hop.rounds for _, hop, _ in hops)) * n <= PASS_FLOATS:
-                        helper.submit(_draw_ahead, first, gen, n)
-                route_c = -math.inf
-                for j, (_, hop, gen) in enumerate(hops):
-                    cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
-                    cut = (mesh_c, rank) if cut_hop else None
-                    route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}",
-                                                    route_c, cut, drawn)
-                    drawn = None
-                np.minimum(mesh_c, route_c, out=mesh_c)
+    for start, n, routes in _substreams(mesh.routes, mc):
+        mesh_c = out[start:start + n]
+        for r, hops in enumerate(routes):
+            route_c = -math.inf
+            for j, (_, hop, gen) in enumerate(hops):
+                cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
+                cut = (mesh_c, rank) if cut_hop else None
+                route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c, cut)
+            np.minimum(mesh_c, route_c, out=mesh_c)
     return out
 
 

@@ -565,35 +565,25 @@ def test_sweep_pass_holds_its_documented_budget(mesh):
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
 
 
-@pytest.mark.mc_threads
-@pytest.mark.parametrize("mesh, rank, cpus, over_cap, ahead, n", [
-    (README_MESH, None, 2, False, False, 50_000), (TWO_ROUTE_MESH, 100, 2, False, True, 50_000),
-    (TWO_ROUTE_MESH, 100, 1, False, False, 50_000), (TWO_ROUTE_MESH, 100, 2, True, False, 50_000),
-    (TWO_ROUTE_MESH, 100, 1, False, False, 419_430)],
-    ids=["readme", "two_routes_cut", "two_routes_cut_one_cpu", "two_routes_cut_over_cap",
-         "two_routes_cut_one_cpu_wide"])
-def test_critical_pass_holds_its_documented_budget(monkeypatch, mesh, rank, cpus, over_cap,
-                                                   ahead, n):
+@pytest.mark.parametrize("mesh, rank, n", [
+    (README_MESH, None, 50_000), (TWO_ROUTE_MESH, 100, 50_000), (TWO_ROUTE_MESH, 100, 419_430)],
+    ids=["readme", "two_routes_cut", "two_routes_cut_wide"])
+def test_critical_pass_holds_its_documented_budget(monkeypatch, mesh, rank, n):
     # per trial: one hop's draws (rounds floats) and five more floats; beside
     # them, while drawing, a sixth float and two tiles, or while solving,
-    # three (rounds x CRITICAL_CHUNK) Newton temporaries.  Where the next
-    # route's first hop is drawn ahead, its draws too, in a memory map that
-    # tracemalloc does not see, made once a pass: not on one CPU, and not
-    # when they and route 0's would pass PASS_FLOATS.  At 419,430 trials the
+    # three (rounds x CRITICAL_CHUNK) Newton temporaries.  None of it sits in
+    # a memory map, which tracemalloc would not see.  At 419,430 trials the
     # stop checks of a floored hop must take no bool array of the trials
     import mmap
     import linkplan.simulate as sim
     rounds = max(hop.rounds for route in mesh.routes for hop in route.hops)
-    _set_cpus(monkeypatch, cpus)
-    if over_cap:
-        monkeypatch.setattr(sim, "PASS_FLOATS", 2 * rounds * n - 1)
     maps, real = [], mmap.mmap
     monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args[1]) or real(*args))
     budget = 8 * n * (rounds + 5) + max(8 * n + 2 * 8 * TILE_TRIALS,
                                         3 * 8 * rounds * sim.CRITICAL_CHUNK)
     peak = _peak_bytes(lambda: sim._critical_offsets(mesh, McConfig(trials=n, seed=1), rank))
     assert peak <= budget + PASS_SLACK_BYTES, (peak, budget)
-    assert maps == ([8 * n * mesh.routes[1].hops[0].rounds] * 2 if ahead else [])
+    assert maps == []
 
 
 def _tile_meshes():
@@ -649,8 +639,7 @@ def test_critical_offsets_tiles_count_per_point_failures(name, trials):
 
 # ----------------------------------------------------------------------------
 # the helper thread: the sweep scores tile k on it while it draws tile
-# k + 1, and the critical pass draws route r + 1's first hop on it while it
-# solves route r
+# k + 1; the critical pass runs on the calling thread
 # ----------------------------------------------------------------------------
 
 OVERLAP_SIZES = [1_000, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
@@ -663,8 +652,7 @@ mc_threads = pytest.mark.mc_threads
 @pytest.fixture
 def helpers(monkeypatch):
     """Per `_Helper` block any pass opens during the test, in order: its
-    caller's thread name and, per task, (the thread that ran it, the task's
-    name, the law of the hop a draw task draws, else None)."""
+    caller's thread name and, per task, the name of the thread that ran it."""
     import linkplan.simulate as sim
     blocks = []
 
@@ -678,8 +666,7 @@ def helpers(monkeypatch):
             tasks = self.record.tasks
 
             def run(*args):
-                tasks.append((threading.current_thread().name, fn.__name__,
-                              getattr(args[0], "law", None)))
+                tasks.append(threading.current_thread().name)
                 return fn(*args)
 
             super().submit(run, *args)
@@ -690,7 +677,7 @@ def helpers(monkeypatch):
 
 def _ran_on(blocks):
     """Per helper block, the names of the threads that ran its tasks."""
-    return [{thread for thread, _, _ in b.tasks} for b in blocks]
+    return [set(b.tasks) for b in blocks]
 
 
 def _set_cpus(monkeypatch, count):
@@ -1065,76 +1052,28 @@ def _failing_laws(errors):
     return wrap
 
 
-def _drawn_ahead(mesh, blocks):
-    """The helper's tasks over `blocks` blocks of a critical pass: each
-    later route's first hop, drawn whole."""
-    return [(HELPER, "_draw_ahead", route.hops[0].law) for route in mesh.routes[1:]] * blocks
-
-
-def _tasks(blocks):
-    """Every task of every helper block, in order."""
-    return [task for b in blocks for task in b.tasks]
-
-
-PREFETCH_MESHES = {
-    "one_route": README_MESH,
-    "two_routes": TWO_ROUTE_MESH,
-    # a third route of an RF hop with K = 1.5, N = 8 and a Gamma-Gamma hop
-    "three_routes": MeshNetwork(TWO_ROUTE_MESH.routes + (Route(hops=(
-        _rf(0.4, n=8, m=2, c=3, r=1.5, k=1.5), _fso(3.0, m=2, c=3, r=1.0, model=GG))),)),
-}
-
-
-@mc_threads
-@pytest.mark.parametrize("rank", [None, 60])
-@pytest.mark.parametrize("name", list(PREFETCH_MESHES))
-def test_prefetched_critical_pass_matches_serial(monkeypatch, helpers, name, rank):
-    # four blocks of 1000 trials, the last of 500: one helper draws every
-    # later route's first hop of each block, it does not outlive the pass,
-    # and every offset keeps the serial pass's bits
+def test_mc_snr_solve_stays_serial(monkeypatch, helpers):
+    # on two CPUs neither the critical pass nor the MC solve hands a task
+    # to a helper or maps memory of its own
+    import mmap
     import linkplan.simulate as sim
-    mesh = PREFETCH_MESHES[name]
-    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
-    mc = McConfig(trials=3500, seed=5)
-    with monkeypatch.context() as m:
-        _set_cpus(m, 1)
-        serial = sim._critical_offsets(mesh, mc, rank)
-    assert _tasks(helpers) == []
-    helpers.clear()
     _set_cpus(monkeypatch, 2)
+    maps, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args) or real(*args))
     before = _helper_threads()
-    assert np.array_equal(sim._critical_offsets(mesh, mc, rank), serial)
-    assert len(helpers) == 1
-    assert _tasks(helpers) == _drawn_ahead(mesh, 4)
+    sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5), rank=60)
+    required_snr(0.1, TWO_ROUTE_MESH, evaluator="mc", bounds_db=(5.0, 9.0),
+                 mc=McConfig(trials=20_000, seed=1))
+    assert helpers == []
+    assert maps == []
     assert _helper_threads() == before
 
 
-@mc_threads
-def test_critical_pass_prefetches_only_within_the_cap(monkeypatch, helpers):
-    # route 1's first hop is drawn ahead while its 10 rounds and route 0's
-    # 10 fit in PASS_FLOATS, and on the caller one float past that, where
-    # no helper thread starts
-    import linkplan.simulate as sim
-    _set_cpus(monkeypatch, 2)
-    starts, serve = [], sim._serve
-    monkeypatch.setattr(sim, "_serve", lambda *args: starts.append(args) or serve(*args))
-    mc = McConfig(trials=2000, seed=5)
-    offsets = []
-    for cap, ahead in ((20 * mc.trials, True), (20 * mc.trials - 1, False)):
-        monkeypatch.setattr(sim, "PASS_FLOATS", cap)
-        helpers.clear()
-        starts.clear()
-        offsets.append(sim._critical_offsets(TWO_ROUTE_MESH, mc))
-        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * ahead
-        assert len(starts) == ahead
-    assert np.array_equal(*offsets)
-
-
-@mc_threads
-def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, helpers):
+def test_critical_pass_underflowing_draws_keep_their_errstate():
     # route 1 starts with the b = 0.01 Gamma-Gamma hop, some of whose gains
-    # underflow to 0: drawn ahead, its ln 0 stays silent (a RuntimeWarning
-    # is an error in this suite) and the offsets keep the serial bits
+    # underflow to 0: their ln 0 stays silent (a RuntimeWarning is an error
+    # in this suite), under a caller's divide="raise" too, and the offsets
+    # keep their bits
     import linkplan.simulate as sim
     mesh = MeshNetwork(README_MESH.routes + _critical_meshes()["gg_b001"].routes)
     mc = McConfig(trials=3500, seed=43)
@@ -1143,61 +1082,27 @@ def test_prefetched_underflowing_draws_keep_their_errstate(monkeypatch, helpers)
     assert zeros.any()
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         np.log(zeros.astype(float))
-    with monkeypatch.context() as m:
-        _set_cpus(m, 1)
-        serial = sim._critical_offsets(mesh, mc)
-    helpers.clear()
-    _set_cpus(monkeypatch, 2)
-    assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
-    assert _tasks(helpers) == _drawn_ahead(mesh, 1)
-    # the caller's errstate reaches the thread, with ln 0 ignored
+    offsets = sim._critical_offsets(mesh, mc)
     with np.errstate(divide="raise", invalid="raise"):
-        assert np.array_equal(sim._critical_offsets(mesh, mc), serial)
-    assert _tasks(helpers) == _drawn_ahead(mesh, 2)
+        assert np.array_equal(sim._critical_offsets(mesh, mc), offsets)
 
 
-@mc_threads
-def test_prefetched_required_snr_matches_serial(monkeypatch, helpers):
-    mc = McConfig(trials=20_000, seed=1)
-    solves = []
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        solves.append([repr(required_snr(target, TWO_ROUTE_MESH, evaluator="mc",
-                                         bounds_db=(5.0, 9.0), mc=mc))
-                       for target in (0.1, 0.01)])
-    assert solves[0] == solves[1]
-    assert HELPER in set().union(*_ran_on(helpers))
-
-
-@mc_threads
 @pytest.mark.parametrize("rank", [None, 60])
-def test_prefetched_draw_error_is_the_serial_one(monkeypatch, helpers, rank):
-    # route 1's first hop fails after its first tile: drawn ahead, its error
-    # reaches the caller with the serial pass's type and text, and the
-    # thread is gone
+def test_later_route_draw_error_reaches_the_caller(monkeypatch, rank):
+    # route 1's first hop fails after its first tile: its error reaches the
+    # caller with its own type and text
     import linkplan.simulate as sim
     later = TWO_ROUTE_MESH.routes[1].hops[0].law
     _wrap_tiles(monkeypatch, _failing_laws({later: (MemoryError, "route 1 draw failed")}))
-    mc = McConfig(trials=2 * TILE_TRIALS + 3, seed=5)
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        before = _helper_threads()
-        helpers.clear()
-        with pytest.raises(MemoryError) as err:
-            sim._critical_offsets(TWO_ROUTE_MESH, mc, rank)
-        assert (type(err.value), str(err.value)) == (MemoryError, "route 1 draw failed")
-        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * (cpus - 1)
-        assert _helper_threads() == before
+    with pytest.raises(MemoryError) as err:
+        sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=2 * TILE_TRIALS + 3, seed=5), rank)
+    assert (type(err.value), str(err.value)) == (MemoryError, "route 1 draw failed")
 
 
-@mc_threads
-@pytest.mark.parametrize("late", [False, True], ids=["ahead_fails_first", "route_fails_first"])
 @pytest.mark.parametrize("failure", ["draw", "newton"])
-def test_route_error_wins_over_a_prefetch_error(monkeypatch, helpers, failure, late):
-    # route 0 fails, in its first hop's draws or its Newton solve, while
-    # route 1's first hop fails on the helper, before route 0 does or (held
-    # back 0.2 s) after: route 0's error is raised, as the serial pass
-    # raises it, once the helper is joined
+def test_first_route_error_wins(monkeypatch, failure):
+    # route 0 fails, in its first hop's draws or its Newton solve, and route
+    # 1's first hop would fail in its draws: route 0's error is raised
     import linkplan.simulate as sim
     from linkplan.specfun import ConvergenceError
     route0, route1 = (route.hops for route in TWO_ROUTE_MESH.routes)
@@ -1207,27 +1112,8 @@ def test_route_error_wins_over_a_prefetch_error(monkeypatch, helpers, failure, l
     else:
         monkeypatch.setattr(sim, "_NEWTON_MAX_ITER", 1)
     _wrap_tiles(monkeypatch, _failing_laws(errors))
-
-    def held_back(real):
-        def tiles(law, gen, n, out=None):
-            if late and law == route1[0].law:
-                time.sleep(0.2)
-            return real(law, gen, n, out)
-        return tiles
-
-    _wrap_tiles(monkeypatch, held_back)
-    raised = []
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        before = _helper_threads()
-        helpers.clear()
-        with pytest.raises((ValueError, ConvergenceError)) as err:
-            sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5))
-        raised.append((type(err.value), str(err.value)))
-        assert _tasks(helpers) == _drawn_ahead(TWO_ROUTE_MESH, 1) * (cpus - 1)
-        assert _helper_threads() == before
-    assert raised[0] == raised[1]
-    assert raised[0][1].startswith("route 0")
+    with pytest.raises((ValueError, ConvergenceError), match="^route 0"):
+        sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5))
 
 
 # ----------------------------------------------------------------------------
