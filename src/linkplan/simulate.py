@@ -35,12 +35,8 @@ trials (the mesh's and the route's offsets, the hop's running sum, max,
 stop bar and start), which also cover the cut's key and index, and a few
 tiles while it draws or three (rounds x CRITICAL_CHUNK) Newton temporaries.
 
-The sweep, when a block spans more than one tile, opens one `_Helper`: a
-second thread, started at its first task where the process may run on two
-CPUs or more, that scores each tile at every drive under the caller's
-errstate while the caller draws the next (numpy releases the GIL in the
-draws and the arithmetic).  No draw, order or sum changes, so no result
-depends on the helper.  The critical pass runs on the calling thread.
+Both passes run on the calling thread and start no other: the sweep
+scores each tile at every drive right after drawing it.
 
 Both passes stop drawing a hop's rounds once no later round can change a
 result: the sweep kernel once every trial has decoded at every drive, the
@@ -52,7 +48,6 @@ bit as with every round drawn.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -146,103 +141,16 @@ def _substreams(routes, mc: McConfig):
             for route, first in zip(routes, firsts)]
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, or the machine's where the OS
-    cannot say (`os.sched_getaffinity` is Linux-only)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _serve(todo, done, slot) -> None:
-    """The helper thread: each time `todo` is released, run the (fn, args,
-    errstate) task in slot[0] under the caller's errstate, put what it
-    raised, if anything, in slot[1] and release `done`; end on a release
-    with no task."""
-    while True:
-        todo.acquire()
-        if slot[0] is None:
-            return
-        fn, args, err = slot[0]
-        slot[0] = None
-        try:
-            with np.errstate(**err):
-                fn(*args)
-        except BaseException as e:  # raised again in the caller
-            slot[1] = e
-        del fn, args  # no task's arrays outlive its completion
-        done.release()
-
-
-class _Helper:
-    """The sweep pass's second thread, one task at a time: `submit(fn, *args)`
-    collects the task in flight, then hands fn(*args) over to run under the
-    caller's `np.errstate`; `collect()` waits for it and raises again what
-    it raised.
-
-    Made with `wanted` on a process that may run on two CPUs or more, it
-    starts one daemon thread at the first hand-off, and raw locks hand the
-    tasks over (a `queue` import would cost more memory than the thread).
-    Otherwise `threaded` is False and submit runs fn in the caller.  A
-    clean exit or an ordinary exception lets the task in flight finish,
-    drops its error, so that the caller's own error wins, and joins the
-    thread.  An interrupt with a task in flight leaves the thread to finish
-    it and wait, idle, on locks no later pass shares.
-    """
-
-    def __init__(self, wanted: bool):
-        self.threaded = wanted and _cpus() >= 2
-        self.thread = None
-        self.pending = False  # a task handed over and not yet collected
-
-    def __enter__(self) -> _Helper:
-        return self
-
-    def submit(self, fn, *args) -> None:
-        if not self.threaded:
-            fn(*args)
-            return
-        if self.thread is None:
-            import threading
-            self.todo, self.done, self.slot = threading.Lock(), threading.Lock(), [None, None]
-            self.todo.acquire()
-            self.done.acquire()
-            thread = threading.Thread(target=_serve, args=(self.todo, self.done, self.slot),
-                                      daemon=True, name="linkplan-helper")
-            thread.start()
-            self.thread = thread  # joined on exit once started
-        self.collect()
-        self.pending = True
-        self.slot[0] = fn, args, np.geterr()
-        self.todo.release()
-
-    def collect(self) -> None:
-        if not self.pending:
-            return
-        self.done.acquire()
-        self.pending = False
-        error, self.slot[1] = self.slot[1], None
-        if error is not None:
-            raise error
-
-    def __exit__(self, kind, *_) -> None:
-        if self.pending and issubclass(kind or Exception, Exception):
-            self.done.acquire()  # the task in flight ends; its error is dropped
-            self.pending, self.slot[1] = False, None
-        if self.thread is not None and not self.pending:
-            self.todo.release()  # with no task: stop
-            self.thread.join()
-
-
 def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
-                  out: np.ndarray, helper: _Helper) -> None:
+                  out: np.ndarray) -> None:
     """OR the hop's outage indicator at drive drives[i] into out[i], a mask
     packed 8 trials to a byte in `np.packbits` order.
 
     Each round's unscaled gain X is drawn once, a tile at a time, and each
-    tile is scored at every drive (on the `helper`, while the next is drawn),
-    the last round's with its failures: acc[i] += log1p((drives[i] * scale)
-    * X), the arithmetic of a one-drive run, so every row is bit-identical
-    to its drive alone.
+    tile is scored at every drive before the next is drawn, the last
+    round's with its failures: acc[i] += log1p((drives[i] * scale) * X),
+    the arithmetic of a one-drive run, so every row is bit-identical to its
+    drive alone.
 
     The hop stops drawing once every trial has decoded at every drive, each
     row's min / rounds > R / M, and ORs in nothing: a later round adds a
@@ -254,19 +162,15 @@ def _hop_failures(hop, drives, gen: np.random.Generator, acc: np.ndarray,
     n = acc.shape[1]
     tmp = np.empty(min(TILE_TRIALS, n))  # a tile's SNRs, then log-rates
 
-    def score(lo, x):
-        t = tmp[:x.size]
-        for row, p, fail in zip(acc[:, lo:lo + x.size], drives, out[:, lo // 8:]):
-            row += np.log1p(np.multiply(x, p * scale, out=t), out=t)
-            if r == rounds:
-                np.divide(row, rounds, out=t)
-                fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
-
     for r in range(1, rounds + 1):
-        for tile in hop.law.tiles(gen, n):
-            helper.submit(score, *tile)
-        del tile  # no tile outlives its round
-        helper.collect()
+        for lo, x in hop.law.tiles(gen, n):
+            t = tmp[:x.size]
+            for row, p, fail in zip(acc[:, lo:lo + x.size], drives, out[:, lo // 8:]):
+                row += np.log1p(np.multiply(x, p * scale, out=t), out=t)
+                if r == rounds:
+                    np.divide(row, rounds, out=t)
+                    fail[:-(-x.size // 8)] |= np.packbits(t <= threshold)
+        del x  # no tile outlives its round
         if all(row.min() / rounds > threshold for row in acc):
             return
 
@@ -284,19 +188,18 @@ def _simulate(points, mc: McConfig) -> list:
     mesh_buf = np.empty((len(points), -(-width // 8)), dtype=np.uint8)
     route_buf = np.empty_like(mesh_buf) if len(points[0]) > 1 else None
     failures = np.zeros(len(points), dtype=np.int64)
-    with _Helper(width > TILE_TRIALS) as helper:
-        for _, n, routes in _substreams(points[0], mc):
-            mesh_fail = mesh_buf[:, :-(-n // 8)]
-            for r, hops in enumerate(routes):
-                # a route starts with no hop failed; the first route's
-                # failures are the mesh's until a later route ANDs its own in
-                route_fail = route_buf[:, :mesh_fail.shape[1]] if r else mesh_fail
-                route_fail.fill(0)
-                for j, hop, gen in hops:
-                    _hop_failures(hop, drives[:, j], gen, acc[:, :n], route_fail, helper)
-                if r:
-                    mesh_fail &= route_fail
-            failures += [np.count_nonzero(np.unpackbits(row)) for row in mesh_fail]
+    for _, n, routes in _substreams(points[0], mc):
+        mesh_fail = mesh_buf[:, :-(-n // 8)]
+        for r, hops in enumerate(routes):
+            # a route starts with no hop failed; the first route's failures
+            # are the mesh's until a later route ANDs its own in
+            route_fail = route_buf[:, :mesh_fail.shape[1]] if r else mesh_fail
+            route_fail.fill(0)
+            for j, hop, gen in hops:
+                _hop_failures(hop, drives[:, j], gen, acc[:, :n], route_fail)
+            if r:
+                mesh_fail &= route_fail
+        failures += [np.count_nonzero(np.unpackbits(row)) for row in mesh_fail]
     return [OutageEstimate(f / mc.trials, MONTE_CARLO, wilson_halfwidth(f, mc.trials))
             for f in failures.tolist()]
 
@@ -387,7 +290,7 @@ class _PartialStart:
 
 
 def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
-                        todo: np.ndarray, where: str) -> None:
+                        todo: np.ndarray, where: str, first: int = 0) -> None:
     """Move u[i], for each trial i in todo, from its start
     (`_PartialStart.bound`) onto the root of sum_r log1p(e^u X_r) = total,
     X_r = e^lnx[r, i].
@@ -400,7 +303,9 @@ def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
     a trial's result then depends on its column alone, and a trial left at
     its start compares with any floor as its solved value would.  The
     columns in todo are gathered CRITICAL_CHUNK at a time, which bounds the
-    temporaries to three (rounds x chunk) arrays.
+    temporaries to three (rounds x chunk) arrays.  A trial that does not
+    converge is named by its index in the whole sample: `first`, the
+    block's first trial, plus its column.
     """
     if not todo.size:
         return
@@ -439,7 +344,7 @@ def _critical_log_drive(lnx: np.ndarray, total: float, u: np.ndarray,
         else:
             j = int(np.argmax(np.abs(step)))
             raise ConvergenceError(
-                f"{where}: critical drive of trial {idx[j]} did not converge in "
+                f"{where}: critical drive of trial {first + idx[j]} did not converge in "
                 f"{_NEWTON_MAX_ITER} Newton steps (last step {step[j]:g} in ln drive)")
         u[idx] = np.minimum(uk, u[idx])
 
@@ -450,7 +355,7 @@ def _largest(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
-                          floor, cut: tuple | None = None) -> np.ndarray:
+                          floor, cut: tuple | None = None, first: int = 0) -> np.ndarray:
     """Per trial, max(floor, c), c the dB drive offset at or below which the
     hop fails: the route's running max when `floor` is the max of c over
     the route's earlier hops (the scalar -inf before its first), or higher.
@@ -462,7 +367,8 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
     at its root u.  Each trial starts from `_PartialStart.bound`, which
     bounds the root from above, and a trial whose start maps to an offset at
     or below its floor keeps it: neither it nor the solved c can raise the
-    max above the floor.  Newton solves only the others.
+    max above the floor.  Newton solves only the others; `first`, the
+    block's first trial, numbers the trial a Newton error names.
 
     A hop with a finite floor and more than one round stops drawing once the
     start of the rounds drawn so far maps every trial at least
@@ -514,15 +420,15 @@ def _hop_critical_offsets(hop, gen: np.random.Generator, n: int, where: str,
         prior, rank = cut
         np.minimum(prior, key, out=key)
         below = n - min(rank, n)
-        first = np.sort(np.argpartition(key, below)[below:])
-        _critical_log_drive(lnx, total, u, first[np.isfinite(u[first])], where)
-        reached = np.minimum(prior[first], (u[first] - shift) / hop.slope)
+        top = np.sort(np.argpartition(key, below)[below:])
+        _critical_log_drive(lnx, total, u, top[np.isfinite(u[top])], where, first)
+        reached = np.minimum(prior[top], (u[top] - shift) / hop.slope)
         floor = reached.min() if reached.size == rank else -math.inf
-        key[first] = -math.inf  # solved already
+        key[top] = -math.inf  # solved already
     solve = key > floor
     del key  # out of Newton's peak
     solve &= np.isfinite(u)  # a start of +inf (every gain 0) is the root already
-    _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where)
+    _critical_log_drive(lnx, total, u, np.flatnonzero(solve), where, first)
     u -= shift
     u /= hop.slope
     return np.maximum(u, floor, out=u)
@@ -553,7 +459,8 @@ def _critical_offsets(mesh: MeshNetwork, mc: McConfig, rank: int | None = None) 
             for j, (_, hop, gen) in enumerate(hops):
                 cut_hop = rank is not None and (r, j) == (len(routes) - 1, 0)
                 cut = (mesh_c, rank) if cut_hop else None
-                route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c, cut)
+                route_c = _hop_critical_offsets(hop, gen, n, f"route {r}: hop {j}", route_c,
+                                                cut, start)
             np.minimum(mesh_c, route_c, out=mesh_c)
     return out
 

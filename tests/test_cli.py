@@ -7,7 +7,6 @@ stdout/stderr behavior are exercised exactly as a shell user would see them.
 import copy
 import math
 import pathlib
-import threading
 
 import pytest
 import yaml
@@ -884,30 +883,6 @@ def test_unbuildable_sweep_point_names_the_hop(tmp_path, command, grid):
             assert line.endswith(SHIFT_ERRORS[g]), line
         else:
             assert "shifted" not in line and "p_max" not in line, line
-
-
-@pytest.mark.mc_threads
-@pytest.mark.parametrize("command, code", [("outage-sweep", 0), ("validate", 1)])
-def test_mc_sweep_leaves_no_thread_behind(tmp_path, monkeypatch, command, code):
-    # on two CPUs the README scenario at two tiles and a bit scores both
-    # hops on one helper thread, which the command joins before it returns:
-    # no thread outlives the sweep
-    from linkplan import simulate
-    from linkplan.channel import TILE_TRIALS
-    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
-    started, serve = [], simulate._serve
-
-    def counted(*args):
-        started.append(threading.current_thread().name)
-        serve(*args)
-
-    monkeypatch.setattr(simulate, "_serve", counted)
-    before = threading.active_count()
-    trials = str(2 * TILE_TRIALS + 3)
-    assert run_to_file(tmp_path, command, str(GOLDEN / "readme.yaml"),
-                       extra=("--trials", trials))[0] == code
-    assert started == ["linkplan-helper"]
-    assert threading.active_count() == before
 
 
 def test_default_route_spans_all_hops(tmp_path):

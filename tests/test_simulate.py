@@ -2,16 +2,14 @@
 joint route/mesh semantics, and the power-search on top of it."""
 
 import hashlib
-import linecache
 import math
-import multiprocessing
-import os
 import re
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,8 +362,7 @@ def test_hop_accumulator_is_per_drive_arithmetic(hop):
     model, rounds = hop.law, hop.rounds
     acc = np.empty((len(drives), n))
     fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
-    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc, fail,
-                      sim._Helper(False))
+    sim._hop_failures(hop, np.array(drives), sim._block_generator(5, 0, 1), acc, fail)
     # some trial fails at some drive, so the hop never stopped drawing and
     # acc holds every round's sum, not a partial one
     assert fail.any()
@@ -466,8 +463,7 @@ def _crafted_failures(gains, R, drives=(1.0,)):
     crafted = _Crafted(gains, R)
     n = len(gains[0])
     fail = np.zeros((len(drives), -(-n // 8)), dtype=np.uint8)
-    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail,
-                      sim._Helper(False))
+    sim._hop_failures(crafted.hop, np.array(drives), None, np.empty((len(drives), n)), fail)
     return crafted.drawn, np.unpackbits(fail, axis=1, count=n).astype(bool).tolist()
 
 
@@ -638,58 +634,8 @@ def test_critical_offsets_tiles_count_per_point_failures(name, trials):
 
 
 # ----------------------------------------------------------------------------
-# the helper thread: the sweep scores tile k on it while it draws tile
-# k + 1; the critical pass runs on the calling thread
+# one thread: the sweep and the critical pass run on the calling thread
 # ----------------------------------------------------------------------------
-
-OVERLAP_SIZES = [1_000, TILE_TRIALS, TILE_TRIALS + 1, 2 * TILE_TRIALS + 3]
-OVERLAP_MESHES = {"waterfall": README_MESH, "two_routes": TWO_ROUTE_MESH}
-HELPER = "linkplan-helper"
-# every test that runs the helper; CI runs them again pinned to one CPU
-mc_threads = pytest.mark.mc_threads
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """Per `_Helper` block any pass opens during the test, in order: its
-    caller's thread name and, per task, the name of the thread that ran it."""
-    import linkplan.simulate as sim
-    blocks = []
-
-    class Recorded(sim._Helper):
-        def __enter__(self):
-            self.record = SimpleNamespace(caller=threading.current_thread().name, tasks=[])
-            blocks.append(self.record)
-            return super().__enter__()
-
-        def submit(self, fn, *args):
-            tasks = self.record.tasks
-
-            def run(*args):
-                tasks.append(threading.current_thread().name)
-                return fn(*args)
-
-            super().submit(run, *args)
-
-    monkeypatch.setattr(sim, "_Helper", Recorded)
-    return blocks
-
-
-def _ran_on(blocks):
-    """Per helper block, the names of the threads that ran its tasks."""
-    return [set(b.tasks) for b in blocks]
-
-
-def _set_cpus(monkeypatch, count):
-    """Let `_Helper` see `count` CPUs, whatever this host's affinity."""
-    import linkplan.simulate as sim
-    monkeypatch.setattr(sim, "_cpus", lambda: count)
-
-
-def _helper_threads():
-    """The helper threads alive now."""
-    return {t for t in threading.enumerate() if t.name == HELPER}
-
 
 def _waterfall_estimates(mesh, trials, seed=11):
     meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
@@ -697,85 +643,20 @@ def _waterfall_estimates(mesh, trials, seed=11):
             for e in simulate_sweep(meshes, McConfig(trials=trials, seed=seed))]
 
 
-def _serial_estimates(monkeypatch, mesh, trials):
-    with monkeypatch.context() as m:
-        _set_cpus(m, 1)
-        return _waterfall_estimates(mesh, trials)
-
-
-@mc_threads
-@pytest.mark.parametrize("trials", OVERLAP_SIZES)
-@pytest.mark.parametrize("name", list(OVERLAP_MESHES))
-def test_threaded_sweep_matches_serial(monkeypatch, helpers, name, trials):
-    mesh = OVERLAP_MESHES[name]
-    serial = _serial_estimates(monkeypatch, mesh, trials)
-    caller = threading.current_thread().name
-    assert _ran_on(helpers) == [{caller}]
-    helpers.clear()
-    before = _helper_threads()
-    _set_cpus(monkeypatch, 2)
-    assert _waterfall_estimates(mesh, trials) == serial
-    # a block of one tile has nothing to overlap
-    assert _ran_on(helpers) == [{HELPER} if trials > TILE_TRIALS else {caller}]
-    assert _helper_threads() == before
-
-
-@mc_threads
-@pytest.mark.parametrize("name", list(OVERLAP_MESHES))
-def test_threaded_sweep_across_blocks_matches_serial(monkeypatch, helpers, name):
-    # three blocks of 2 TILE_TRIALS + 8 trials and a short fourth of two
-    # tiles: one helper scores every hop of every block, and does not
-    # outlive the sweep
-    import linkplan.simulate as sim
-    mesh = OVERLAP_MESHES[name]
-    monkeypatch.setattr(sim, "BLOCK_TRIALS", 2 * TILE_TRIALS + 8)
-    trials = 3 * sim.BLOCK_TRIALS + TILE_TRIALS + 5
-    serial = _serial_estimates(monkeypatch, mesh, trials)
-    helpers.clear()
-    before = _helper_threads()
-    _set_cpus(monkeypatch, 2)
-    assert _waterfall_estimates(mesh, trials) == serial
-    assert _ran_on(helpers) == [{HELPER}]
-    assert _helper_threads() == before
-
-
-@mc_threads
-@pytest.mark.parametrize("mesh", list(OVERLAP_MESHES.values()), ids=list(OVERLAP_MESHES))
-def test_threaded_sweep_holds_what_the_serial_one_holds(monkeypatch, mesh):
-    # the helper drops each tile once scored: a Gamma-Gamma round's first
-    # factor is gone before the next round draws its own
-    meshes = [shift_scenario(mesh, d) for d in WATERFALL_DB]
-    run = lambda: simulate_sweep(meshes, McConfig(trials=50_000, seed=11))  # noqa: E731
-    with monkeypatch.context() as m:
-        _set_cpus(m, 1)
-        serial = _peak_bytes(run)
-    _set_cpus(monkeypatch, 2)
-    assert _peak_bytes(run) <= serial + 8 * 1024
-
-
-@mc_threads
-@pytest.mark.parametrize("failing", [0, 1, 2], ids=["first", "middle", "last"])
-def test_scoring_error_reaches_the_caller(monkeypatch, failing):
-    import linkplan.simulate as sim
-    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
-    tiles = [(lo, np.zeros(TILE_TRIALS)) for lo in range(0, 3 * TILE_TRIALS, TILE_TRIALS)]
-    threads = []
-
-    def score(lo, x):
-        threads.append(threading.current_thread().name)
-        if lo == failing * TILE_TRIALS:
-            raise ZeroDivisionError(f"tile at {lo} failed")
-
-    with pytest.raises(ZeroDivisionError, match=f"^tile at {failing * TILE_TRIALS} failed$"):
-        with sim._Helper(True) as helper:
-            for tile in tiles:
-                helper.submit(score, *tile)
-            helper.collect()
-    assert threads == [HELPER] * (failing + 1)
-    assert _helper_threads() == before
-    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
+def test_mc_passes_start_no_thread(monkeypatch):
+    # a sweep over three tiles and an MC required_snr start no thread and
+    # map no memory of their own
+    import mmap
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
+    maps, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args) or real(*args))
+    _waterfall_estimates(TWO_ROUTE_MESH, 2 * TILE_TRIALS + 3)
+    required_snr(0.1, TWO_ROUTE_MESH, evaluator="mc", bounds_db=(5.0, 9.0),
+                 mc=McConfig(trials=20_000, seed=1))
+    assert started == []
+    assert maps == []
 
 
 def _failing_draws(tiles_first):
@@ -789,160 +670,24 @@ def _failing_draws(tiles_first):
     return wrap
 
 
-@mc_threads
-def test_draw_error_leaves_no_stale_completion(monkeypatch, helpers):
-    # a draw fails with a tile in flight, five sweeps in a row: each lets
-    # the tile finish and joins its helper, so no thread and no completion
-    # is left for the next sweep
-    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    helpers.clear()
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
+def test_sweep_draw_error_reaches_the_caller(monkeypatch):
+    # a draw fails after a sweep's first tile, five sweeps in a row: each
+    # raises the draw's own error, and the next sweep keeps its bits
+    trials = 2 * TILE_TRIALS + 3
+    reference = _waterfall_estimates(README_MESH, trials)
     with monkeypatch.context() as m:
         _wrap_tiles(m, _failing_draws(1))
         for _ in range(5):
-            with pytest.raises(MemoryError, match="^draw failed after 1 tiles$"):
-                _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
-    assert _ran_on(helpers) == [{HELPER}] * 5
-    assert _helper_threads() == before
-    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert _helper_threads() == before
+            with pytest.raises(MemoryError) as err:
+                _waterfall_estimates(README_MESH, trials)
+            assert (type(err.value), str(err.value)) == (MemoryError, "draw failed after 1 tiles")
+    assert _waterfall_estimates(README_MESH, trials) == reference
 
 
-@mc_threads
-def test_draw_error_with_no_tile_in_flight_stops_the_scorer(monkeypatch, helpers):
-    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    helpers.clear()
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
-    with monkeypatch.context() as m:
-        _wrap_tiles(m, _failing_draws(0))
-        with pytest.raises(MemoryError, match="^draw failed after 0 tiles$"):
-            _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3)
-    assert [b.tasks for b in helpers] == [[]]
-    assert _helper_threads() == before
-    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-
-
-def _in_thread(run, seconds=60):
-    """run()'s result, or what it raised, on a thread that must end in time."""
-    out = []
-
-    def target():
-        try:
-            out.append(run())
-        except BaseException as e:
-            out.append(e)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), "the sweep hung"
-    return out[0]
-
-
-def _interrupted(run, method, call):
-    """run(), on whose thread a KeyboardInterrupt is raised right after the
-    first lock `call` (acquire or release) in a `_Helper` `method` returns,
-    as a signal landing there would raise it."""
-    def profile(frame, event, arg):
-        if (event == "c_return" and frame.f_code.co_name == method
-                and getattr(arg, "__name__", None) == call):
-            raise KeyboardInterrupt
-
-    sys.setprofile(profile)  # the profile function is unset once it raises
-    try:
-        return run()
-    finally:
-        sys.setprofile(None)
-
-
-@mc_threads
-@pytest.mark.parametrize("lock, call", [("todo", "release"), ("done", "acquire")])
-def test_interrupt_mid_hand_off_abandons_the_scorer(monkeypatch, lock, call):
-    # an interrupt right after a tile is handed over (the release of `todo`
-    # in submit), or right after one is collected (the acquire of `done` in
-    # collect): the sweep neither hangs nor leaves a stale completion, and
-    # at most one idle thread stays behind
-    trials = 2 * TILE_TRIALS + 3
-    reference = _serial_estimates(monkeypatch, README_MESH, trials)
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
-    sweep = lambda: _waterfall_estimates(README_MESH, trials)  # noqa: E731
-    method = {"todo": "submit", "done": "collect"}[lock]
-    assert isinstance(_in_thread(lambda: _interrupted(sweep, method, call)), KeyboardInterrupt)
-    left = _helper_threads() - before
-    assert len(left) <= 1
-    assert _in_thread(sweep) == reference
-    assert _helper_threads() - before == left
-
-
-@mc_threads
-def test_interrupt_before_a_hand_off_stops_the_scorer(monkeypatch):
-    # an interrupt as submit reaches its first hand-off: no task is in
-    # flight, so the block stops and joins its thread (one that found a task
-    # it was never told of would run it and leave the join hanging)
-    trials = 2 * TILE_TRIALS + 3
-    reference = _serial_estimates(monkeypatch, README_MESH, trials)
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
-
-    def at_hand_off(frame, event, arg):
-        if event == "line" and linecache.getline(
-                frame.f_code.co_filename, frame.f_lineno).strip() == "self.pending = True":
-            raise KeyboardInterrupt  # the trace function is unset once it raises
-        return at_hand_off
-
-    def interrupted():
-        sys.settrace(lambda frame, event, arg: at_hand_off
-                     if frame.f_code.co_name == "submit" else None)
-        try:
-            return _waterfall_estimates(README_MESH, trials)
-        finally:
-            sys.settrace(None)
-
-    assert isinstance(_in_thread(interrupted), KeyboardInterrupt)
-    assert _helper_threads() == before
-    assert _in_thread(lambda: _waterfall_estimates(README_MESH, trials)) == reference
-
-
-@mc_threads
-def test_no_scorer_thread_outlives_a_clean_sweep(monkeypatch, helpers):
-    _set_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    for seed in range(20):
-        _waterfall_estimates(README_MESH, TILE_TRIALS + 1, seed)
-        assert threading.active_count() == before
-    assert _ran_on(helpers) == [{HELPER}] * 20
-
-
-@mc_threads
-def test_scorer_runs_under_the_callers_errstate(monkeypatch):
-    import linkplan.simulate as sim
-    _set_cpus(monkeypatch, 2)
-    seen = []
-
-    def score(lo, x):
-        seen.append((threading.current_thread().name, np.geterr()))
-
-    with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
-        caller = np.geterr()
-        with sim._Helper(True) as helper:
-            for lo in (0, TILE_TRIALS):
-                helper.submit(score, lo, np.zeros(1))
-            helper.collect()
-    assert caller != np.geterr()
-    assert seen == [(HELPER, caller)] * 2
-
-
-@mc_threads
-def test_concurrent_sweeps_keep_their_bits(monkeypatch, helpers):
-    # more calling threads than cores, switching every microsecond: every
-    # sweep takes a helper of its own, and each keeps the serial bits
-    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, TILE_TRIALS + 1)
-    helpers.clear()
-    _set_cpus(monkeypatch, 2)
-    before = _helper_threads()
+def test_concurrent_sweeps_keep_their_bits():
+    # more calling threads than cores, switching every microsecond: each
+    # sweep keeps the bits it has alone
+    reference = _waterfall_estimates(TWO_ROUTE_MESH, TILE_TRIALS + 1)
     results = []
 
     def sweeps():
@@ -961,79 +706,6 @@ def test_concurrent_sweeps_keep_their_bits(monkeypatch, helpers):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert results == [reference] * 12
-    assert sorted(b.caller for b in helpers) == sorted(c.name for c in callers for _ in range(3))
-    assert _ran_on(helpers) == [{HELPER}] * 12
-    assert _helper_threads() == before
-
-
-def _sweep_in_child(conn, mesh, trials, cpus, helpers):
-    if cpus:
-        os.sched_setaffinity(0, cpus)
-    helpers.clear()
-    estimates = _waterfall_estimates(mesh, trials)
-    conn.send((estimates, set().union(*_ran_on(helpers))))
-    conn.close()
-
-
-def _forked_sweep(mesh, trials, helpers, cpus=None):
-    """A forked child's waterfall estimates, pinned to `cpus` if given, and
-    the names of the threads that scored its tiles."""
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_sweep_in_child, args=(send, mesh, trials, cpus, helpers))
-    child.start()
-    try:
-        assert receive.poll(60), "the forked child gave no estimates"
-        return receive.recv()
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-        assert child.exitcode == 0
-
-
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="no fork start method on this platform")
-
-
-@mc_threads
-@needs_fork
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_forked_child_starts_its_own_scorer(monkeypatch, helpers):
-    trials = 2 * TILE_TRIALS + 3
-    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
-    _set_cpus(monkeypatch, 2)
-    assert _waterfall_estimates(TWO_ROUTE_MESH, trials) == reference
-    assert _forked_sweep(TWO_ROUTE_MESH, trials, helpers) == (reference, {HELPER})
-
-
-@mc_threads
-@needs_fork
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_one_cpu_affinity_scores_on_the_caller(monkeypatch, helpers):
-    # the real affinity check, unpatched: a child pinned to one CPU scores
-    # its own tiles and starts no thread
-    trials = 2 * TILE_TRIALS + 3
-    reference = _serial_estimates(monkeypatch, TWO_ROUTE_MESH, trials)
-    one_cpu = {min(os.sched_getaffinity(0))}
-    assert _forked_sweep(TWO_ROUTE_MESH, trials, helpers, one_cpu) == (
-        reference, {threading.current_thread().name})
-
-
-@mc_threads
-def test_cpu_count_fallback_without_affinity_call(monkeypatch, helpers):
-    import linkplan.simulate as sim
-    reference = _serial_estimates(monkeypatch, README_MESH, 2 * TILE_TRIALS + 3)
-    helpers.clear()
-    if hasattr(os, "sched_getaffinity"):
-        assert sim._cpus() == len(os.sched_getaffinity(0))
-    # off Linux there is no affinity call: the count falls back to os.cpu_count()
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert sim._cpus() == 2
-    assert _waterfall_estimates(README_MESH, 2 * TILE_TRIALS + 3) == reference
-    assert _ran_on(helpers) == [{HELPER}]
 
 
 def _failing_laws(errors):
@@ -1050,23 +722,6 @@ def _failing_laws(errors):
             raise kind(text)
         return tiles
     return wrap
-
-
-def test_mc_snr_solve_stays_serial(monkeypatch, helpers):
-    # on two CPUs neither the critical pass nor the MC solve hands a task
-    # to a helper or maps memory of its own
-    import mmap
-    import linkplan.simulate as sim
-    _set_cpus(monkeypatch, 2)
-    maps, real = [], mmap.mmap
-    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args) or real(*args))
-    before = _helper_threads()
-    sim._critical_offsets(TWO_ROUTE_MESH, McConfig(trials=3500, seed=5), rank=60)
-    required_snr(0.1, TWO_ROUTE_MESH, evaluator="mc", bounds_db=(5.0, 9.0),
-                 mc=McConfig(trials=20_000, seed=1))
-    assert helpers == []
-    assert maps == []
-    assert _helper_threads() == before
 
 
 def test_critical_pass_underflowing_draws_keep_their_errstate():
@@ -1293,9 +948,9 @@ def _count_newton_columns(monkeypatch):
     calls = []
     real = sim._critical_log_drive
 
-    def counting(lnx, total, u, todo, where):
+    def counting(lnx, total, u, todo, where, *first):
         calls.append((where, todo.size))
-        return real(lnx, total, u, todo, where)
+        return real(lnx, total, u, todo, where, *first)
 
     monkeypatch.setattr(sim, "_critical_log_drive", counting)
     return calls
@@ -1675,6 +1330,14 @@ def test_critical_offsets_newton_failure_names_route_and_hop(monkeypatch):
         sim._hop_critical_offsets(hop, sim._block_generator(1, 0, 0), 1000,
                                   "route 0: hop 1", floor)
     assert int(re.search(r"trial (\d+)", str(err.value)).group(1)) in picked
+    # past the first block the error names the trial by its index in the
+    # whole sample: blocks 0 and 1 skipped, the failure lies in 2000..2499
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 1000)
+    blocks = sim._substreams
+    monkeypatch.setattr(sim, "_substreams", lambda routes, mc: islice(blocks(routes, mc), 2, None))
+    with pytest.raises(ConvergenceError, match=r"^route 0: hop 0: ") as err:
+        sim._critical_offsets(_critical_meshes()["two_routes"], McConfig(trials=2500, seed=1))
+    assert 2000 <= int(re.search(r"trial (\d+)", str(err.value)).group(1)) < 2500
 
 
 @pytest.mark.parametrize("evaluator", ["analytical", "mc"])
